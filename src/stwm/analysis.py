@@ -14,10 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import ModeKernel, mode_cov, mode_var, stationary_variance
+from .kernel import ModeKernel, mode_cov, mode_var, stationary_constant, stationary_variance
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-from .specfun import gamma_fn
-from .spectral import SpectralModel, evaluate_basis, mode_params, weyl_ratio
+from .spectral import EigenBasis, SpectralModel, evaluate_basis, mode_params, weyl_ratio
 
 __all__ = [
     "RegularityQuery",
@@ -34,6 +33,7 @@ __all__ = [
     "separability_check",
     "estimate_holder",
     "holder_theory_slope",
+    "variance_series_exponent",
 ]
 
 
@@ -84,6 +84,14 @@ def _noise_smoothing_r(model: SpectralModel, sigma: float) -> float:
     return sigma
 
 
+def _growth_constants(basis: EigenBasis) -> tuple:
+    """weyl_ratio(basis), or with too few modes (J < 10) the last ratio twice."""
+    if basis.J >= 10:
+        return weyl_ratio(basis)
+    ratio = float(basis.eigenvalues[-1] / basis.J ** (2.0 / basis.d))
+    return ratio, ratio
+
+
 def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     """Partial spectral sum sum_j lambda_j^{2 beta (sigma/2 + n + tau + 1/2 - gamma)}
     lambda_tilde_j^{-alpha} over the truncated basis, with an eigenvalue-growth
@@ -104,13 +112,8 @@ def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     p = (4.0 / d) * (b * (q.n + q.tau + (1.0 + q.sigma) / 2.0) - b * g - a / 2.0)
     if p >= -1.0:
         return HsSum(partial=partial, tail=math.inf, diverges=True, weyl_exponent=p)
-    if model.J >= 10:
-        c_lo, c_hi = weyl_ratio(model.basis)
-        ct_lo, _ = weyl_ratio(model.basis_tilde)
-    else:
-        # too few modes to measure growth constants; fall back to the last ratio
-        c_lo = c_hi = float(lam[-1] / model.J ** (2.0 / d))
-        ct_lo = float(lam_t[-1] / model.J ** (2.0 / d))
+    c_lo, c_hi = _growth_constants(model.basis)
+    ct_lo, _ = _growth_constants(model.basis_tilde)
     c_sel = c_hi if e1 >= 0.0 else c_lo
     const = c_sel ** e1 * ct_lo ** -a
     tail = const * model.J ** (p + 1.0) / (-p - 1.0)
@@ -152,6 +155,12 @@ def _sup_basis_bound(model: SpectralModel) -> float:
     return out
 
 
+def variance_series_exponent(model: SpectralModel) -> float:
+    """Exponent p_v with sum_j lambda_j^{beta (1 - 2 gamma)} lambda_tilde_j^{-alpha}
+    ~ sum_j j^{p_v}: the field variance series is finite iff p_v < -1."""
+    return (2.0 / model.d) * (model.beta * (1.0 - 2.0 * model.gamma) - model.alpha)
+
+
 def field_cov(model: SpectralModel, s: float, t: float, x, y,
               cfg: QuadratureConfig = DEFAULT_CONFIG) -> FieldCov:
     """Truncated field covariance sum_j q_j(s, t) e_j(x) e_j(y), with a tail
@@ -171,21 +180,16 @@ def field_cov(model: SpectralModel, s: float, t: float, x, y,
     for j in range(1, model.J + 1):
         total += mode_cov(mode_params(model, j), s, t, cfg) * ex[j - 1] * ey[j - 1]
 
-    a, b, g, d = model.alpha, model.beta, model.gamma, model.d
-    e_v = b * (1.0 - 2.0 * g)
-    p_v = (2.0 / d) * (e_v - a)
+    p_v = variance_series_exponent(model)
     if p_v >= -1.0:
         warnings.warn("field variance series fails the eigenvalue-growth summability test; "
                       "tail bound is infinite", RuntimeWarning, stacklevel=2)
         return FieldCov(value=total, tail_bound=math.inf)
-    if model.J >= 10:
-        c_lo, _ = weyl_ratio(model.basis)
-        ct_lo, _ = weyl_ratio(model.basis_tilde)
-    else:
-        c_lo = float(model.basis.eigenvalues[-1] / model.J ** (2.0 / d))
-        ct_lo = float(model.basis_tilde.eigenvalues[-1] / model.J ** (2.0 / d))
-    c_stat = gamma_fn(g - 0.5) / (2.0 * math.sqrt(math.pi) * gamma_fn(g))
-    const = c_stat * c_lo ** e_v * ct_lo ** -a * _sup_basis_bound(model)
+    c_lo, _ = _growth_constants(model.basis)
+    ct_lo, _ = _growth_constants(model.basis_tilde)
+    e_v = model.beta * (1.0 - 2.0 * model.gamma)
+    const = stationary_constant(model.gamma) * c_lo ** e_v * ct_lo ** -model.alpha \
+        * _sup_basis_bound(model)
     tail = const * model.J ** (p_v + 1.0) / (-p_v - 1.0)
     return FieldCov(value=total, tail_bound=float(tail))
 
@@ -204,8 +208,7 @@ def asymptotic_marginal_cov(model: SpectralModel) -> AsymptoticCoefficients:
         raise ValueError(f"asymptotic_marginal_cov requires gamma > 1/2, got {model.gamma}")
     coeffs = np.array([stationary_variance(mode_params(model, j)) for j in range(1, model.J + 1)])
     g = model.gamma
-    c = gamma_fn(g - 0.5) / (2.0 * math.sqrt(math.pi) * gamma_fn(g))
-    power = c * model.basis.eigenvalues ** (model.beta * (1.0 - 2.0 * g)) \
+    power = stationary_constant(g) * model.basis.eigenvalues ** (model.beta * (1.0 - 2.0 * g)) \
         * model.basis_tilde.eigenvalues ** -model.alpha
     return AsymptoticCoefficients(coefficients=coeffs, power_form=power)
 

@@ -19,7 +19,7 @@ from . import analysis, fieldfile
 from .kernel import mode_cov, stationary_variance, temporal_matern_limit
 from .quadrature import QuadratureConfig, QuadratureError
 from .sampler import CholeskyError, SeedSpec, TimeGrid, sample_field
-from .spectral import ConfigError, SpectralModel, model_from_dict, mode_params, weyl_ratio
+from .spectral import ConfigError, SpectralModel, as_points, model_from_dict, mode_params, weyl_ratio
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -83,10 +83,7 @@ def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
     if spec is None:
         raise ConfigError("space", "missing space spec ({points: [...]} or {lattice: n})")
     if isinstance(spec, dict) and "points" in spec:
-        pts = np.atleast_2d(np.asarray(spec["points"], dtype=float))
-        if model.d == 1 and pts.shape[0] == 1 and pts.shape[1] != 1:
-            pts = pts.T
-        return pts
+        return as_points(spec["points"], model.d)
     if isinstance(spec, dict) and "lattice" in spec:
         n = int(spec["lattice"])
         if n < 1:
@@ -133,11 +130,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _variance_series_summable(model: SpectralModel) -> bool:
-    p_v = (2.0 / model.d) * (model.beta * (1.0 - 2.0 * model.gamma) - model.alpha)
-    return p_v < -1.0
-
-
 def cmd_basis(args) -> int:
     doc = _load_config(args.config)
     model = _model_from_config(doc)
@@ -161,7 +153,7 @@ def cmd_sample(args) -> int:
     model = _model_from_config(doc)
     if not model.gamma > 0.5:
         raise ModelInvalid(f"sampling requires gamma > 1/2, got gamma={model.gamma}")
-    if not _variance_series_summable(model):
+    if analysis.variance_series_exponent(model) >= -1.0:
         if not args.force:
             raise ModelInvalid(
                 "field variance series fails the eigenvalue-growth summability test "

@@ -10,10 +10,10 @@ covariance
     q(s, t) = w / Gamma(g)^2 * int_0^{min(s,t)} [(s-r)(t-r)]^{g-1}
               e^{-mu (s+t-2r)} dr
 
-is computed here by singularity-aware adaptive quadrature, together with its
-closed forms: the incomplete-gamma expression for the variance q(t, t), the
-stationary (t -> infinity) variance, and the Matern-type limit of the lagged
-covariance.
+is computed here: for s != t by singularity-aware adaptive quadrature (one
+scalar and one batched-over-lags route on the same integrand), and for
+s = t by the incomplete-gamma closed form; with the stationary
+(t -> infinity) variance and the Matern-type limit of the lagged covariance.
 """
 
 import math
@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
-from .specfun import bessel_k, gamma_fn, lower_incomplete_gamma
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, panel_rules
+from .specfun import bessel_k, gamma_fn, log_gamma, log_lower_incomplete_gamma
 
 __all__ = [
     "ModeKernel",
     "mode_cov",
     "mode_var",
+    "stationary_constant",
     "stationary_variance",
     "temporal_matern_limit",
     "square_function_ratio",
@@ -76,70 +77,82 @@ def _dyadic_breaks(width: float, mu: float, p: float = 1.0):
     return np.sort(us ** p)
 
 
-def _equal_time_integral(g: float, mu: float, width: float, cfg: QuadratureConfig) -> float:
-    """int_0^width u^{2g-2} e^{-2 mu u} du via the substitution v = u^{2g-1}."""
-    p = 2.0 * g - 1.0
-    inv_p = 1.0 / p
+def _lagged_integrand(g: float, mu: float, width: float, lag):
+    """(scale, f, v_end, points) with int_0^width u^{g-1} (u+lag)^{g-1}
+    e^{-2 mu u} du = scale * int_0^v_end f(v) dv, v = (u / sigma)^p, and
+    points the _dyadic_breaks ladder in v. lag may be an array.
+
+    p = g - n, n = max(0, floor(g - 1)), lies in (0, 2): v absorbs the
+    non-integer part of u^{g-1} exactly and each ladder panel spans at most a
+    factor 4 in v. With sigma = min(width, 1/(2 mu)) the integral of f is of
+    order one, so a quadrature tolerance on it is relative. The range ends
+    where the integrand has decayed by _EFOLDS e-folds.
+    """
+    width = min(width, 0.5 * _EFOLDS / mu)
+    n = max(0.0, math.floor(g - 1.0))
+    p = g - n
+    sigma = min(width, 0.5 / mu)
+    inv_p, a, b = 1.0 / p, sigma / (sigma + lag), lag / (sigma + lag)
 
     def f(v):
-        return np.exp(-2.0 * mu * v ** inv_p)
+        x = v ** inv_p  # u / sigma
+        y = (a * x + b) ** (g - 1.0) * np.exp(-2.0 * mu * sigma * x)
+        return y * x ** n if n else y
 
-    return inv_p * integrate(f, 0.0, width ** p, cfg, points=_dyadic_breaks(width, mu, p))
+    scale = sigma ** g * (sigma + lag) ** (g - 1.0) / p
+    return scale, f, (width / sigma) ** p, _dyadic_breaks(width / sigma, mu * sigma, p)
 
 
 def _lagged_integral(g: float, mu: float, width: float, lag: float, cfg: QuadratureConfig) -> float:
-    """int_0^width u^{g-1} (u+lag)^{g-1} e^{-mu (lag+2u)} du.
+    """int_0^width u^{g-1} (u+lag)^{g-1} e^{-2 mu u} du by adaptive quadrature."""
+    scale, f, v_end, points = _lagged_integrand(g, mu, width, lag)
+    return scale * integrate(f, 0.0, v_end, cfg, points=points)
 
-    For non-integer g the endpoint factor u^{g-1} is absorbed exactly by
-    v = u^g, leaving a bounded integrand (the other factor is >= lag^{g-1}
-    away from the singular point).
-    """
-    pre = math.exp(-mu * lag)
-    if pre == 0.0:
-        return 0.0
-    if float(g).is_integer():
-        def f(u):
-            return u ** (g - 1.0) * (u + lag) ** (g - 1.0) * np.exp(-2.0 * mu * u)
 
-        return pre * integrate(f, 0.0, width, cfg, points=_dyadic_breaks(width, mu))
-    inv_g = 1.0 / g
-
-    def f(v):
-        u = v ** inv_g
-        return (u + lag) ** (g - 1.0) * np.exp(-2.0 * mu * u)
-
-    return pre * inv_g * integrate(f, 0.0, width ** g, cfg, points=_dyadic_breaks(width, mu, g))
+def _lagged_integrals(g: float, mu: float, width: float, lags: np.ndarray,
+                      cfg: QuadratureConfig) -> np.ndarray:
+    """_lagged_integral for an array of lags: integrate's starting panels are
+    evaluated for all lags in one numpy pass and accepted per lag by its
+    test, err <= max(abs_tol, rel_tol |total|); the other lags go through
+    _lagged_integral."""
+    scale, f, v_end, points = _lagged_integrand(g, mu, width, lags[:, None, None])
+    x15, w15, x7, w7 = panel_rules(np.concatenate([[0.0], points, [v_end]]))
+    i15 = (f(x15) * w15).sum(axis=-1)
+    i7 = (f(x7) * w7).sum(axis=-1)
+    total = i15.sum(axis=-1)
+    err = np.abs(i15 - i7).sum(axis=-1)
+    out = scale.reshape(-1) * total
+    for i in np.flatnonzero(err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))):
+        out[i] = _lagged_integral(g, mu, width, float(lags[i]), cfg)
+    return out
 
 
 def mode_cov(k: ModeKernel, s: float, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Covariance q(s, t) of the mode process, symmetric in (s, t), zero when
     either argument is 0 (zero initial condition).
 
-    Underflows to exactly 0 when mu * |t - s| exceeds the e^{-x} range of
-    double precision (the covariance is bounded by e^{-mu |t-s|} times a
-    moderate factor).
+    Equal times give mode_var(k, t). Lagged values underflow to exactly 0
+    when mu * |t - s| exceeds the e^{-x} range of double precision (the
+    covariance is bounded by e^{-mu |t-s|} times a moderate factor).
     """
     if s < 0.0 or t < 0.0:
         raise ValueError(f"mode_cov requires s, t >= 0, got ({s}, {t})")
     lo, hi = (s, t) if s <= t else (t, s)
     if lo == 0.0:
         return 0.0
+    if lo == hi:
+        return mode_var(k, lo)
     g, mu = k.gamma, k.mu
-    if lo == hi and not g > 0.5:
-        raise ValueError(f"pointwise variance requires gamma > 1/2, got {g}")
-    # integrate in u = min(s,t) - r over [0, width]; beyond width the
-    # integrand has decayed by > _EFOLDS e-folds relative to its maximum
-    width = min(lo, 0.5 * _EFOLDS / mu)
-    lag = hi - lo
-    if lag == 0.0:
-        raw = _equal_time_integral(g, mu, width, cfg)
-    else:
-        raw = _lagged_integral(g, mu, width, lag, cfg)
-    return k.weight / gamma_fn(g) ** 2 * raw
+    pre = math.exp(-mu * (hi - lo))
+    if pre == 0.0:
+        return 0.0
+    return k.weight / gamma_fn(g) ** 2 * pre * _lagged_integral(g, mu, lo, hi - lo, cfg)
 
 
 def mode_var(k: ModeKernel, t: float) -> float:
-    """Variance q(t, t) through the incomplete-gamma closed form (no quadrature)."""
+    """Variance q(t, t) = w gamma(2g - 1, 2 mu t) / (Gamma(g)^2 (2 mu)^{2g-1}),
+    the incomplete-gamma closed form, evaluated in log space so that it stays
+    finite where the prefactor alone under- or overflows."""
     if t < 0.0:
         raise ValueError(f"mode_var requires t >= 0, got {t}")
     g = k.gamma
@@ -147,9 +160,15 @@ def mode_var(k: ModeKernel, t: float) -> float:
         raise ValueError(f"mode_var requires gamma > 1/2 (infinite variance), got {g}")
     if t == 0.0:
         return 0.0
+    a = 2.0 * g - 1.0
     two_mu = 2.0 * k.mu
-    return k.weight / (gamma_fn(g) ** 2 * two_mu ** (2.0 * g - 1.0)) * lower_incomplete_gamma(
-        2.0 * g - 1.0, two_mu * t)
+    return math.exp(math.log(k.weight) - 2.0 * log_gamma(g) - a * math.log(two_mu)
+                    + log_lower_incomplete_gamma(a, two_mu * t))
+
+
+def stationary_constant(gamma: float) -> float:
+    """Gamma(g - 1/2) / (2 sqrt(pi) Gamma(g)), stationary_variance at w = mu = 1."""
+    return math.exp(log_gamma(gamma - 0.5) - log_gamma(gamma)) / (2.0 * math.sqrt(math.pi))
 
 
 def stationary_variance(k: ModeKernel) -> float:
@@ -157,7 +176,7 @@ def stationary_variance(k: ModeKernel) -> float:
     g = k.gamma
     if not g > 0.5:
         raise ValueError(f"stationary_variance requires gamma > 1/2, got {g}")
-    return k.weight * gamma_fn(g - 0.5) / (2.0 * math.sqrt(math.pi) * gamma_fn(g)) * k.mu ** (1.0 - 2.0 * g)
+    return k.weight * stationary_constant(g) * k.mu ** (1.0 - 2.0 * g)
 
 
 def temporal_matern_limit(gamma: float, kappa: float, h: float) -> float:

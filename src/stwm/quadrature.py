@@ -14,7 +14,7 @@ from math import fsum
 
 import numpy as np
 
-__all__ = ["QuadratureConfig", "QuadratureError", "integrate"]
+__all__ = ["QuadratureConfig", "QuadratureError", "integrate", "panel_rules"]
 
 _GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
 _GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
@@ -54,6 +54,16 @@ def _panel(f, a, b):
     i7 = half * float(_GL7_W @ vals[15:])
     # heap entry; the left endpoint breaks priority ties deterministically
     return (-abs(i15 - i7), a, b, i15)
+
+
+def panel_rules(edges):
+    """Nodes and weights, shape (n_panels, 15) and (n_panels, 7), of
+    integrate's 15-point rule and embedded 7-point error-estimate rule on
+    the panels between consecutive edges: (x15, w15, x7, w7)."""
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return mid + half * _GL15_X, half * _GL15_W, mid + half * _GL7_X, half * _GL7_W
 
 
 def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, points=None) -> float:

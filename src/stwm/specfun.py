@@ -12,6 +12,7 @@ __all__ = [
     "gamma_fn",
     "log_gamma",
     "lower_incomplete_gamma",
+    "log_lower_incomplete_gamma",
     "bessel_k",
     "matern_cov",
     "GAMMA_OVERFLOW_X",
@@ -66,7 +67,7 @@ def gamma_fn(x: float) -> float:
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
-    """Series for gamma(a, x), valid for x < a + 1."""
+    """Sum S of the series gamma(a, x) = x^a e^{-x} S, valid for x < a + 1."""
     term = 1.0 / a
     total = term
     n = a
@@ -76,17 +77,15 @@ def _lower_gamma_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    log_pre = a * math.log(x) - x
-    if log_pre < -745.0:
-        return 0.0
-    return total * math.exp(log_pre)
+    return total
 
 
 def _upper_gamma_cf(a: float, x: float) -> float:
-    """Continued fraction for Gamma(a, x) (upper), valid for x >= a + 1.
+    """Continued fraction h of Gamma(a, x) = x^a e^{-x} h (upper), valid for
+    x >= a + 1.
 
     Modified Lentz evaluation of
-    Gamma(a,x) = e^{-x} x^a / (x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(...))).
+    h = 1 / (x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(...))).
     """
     b = x + 1.0 - a
     c = 1.0 / _TINY
@@ -106,23 +105,28 @@ def _upper_gamma_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
-    log_pre = a * math.log(x) - x
-    if log_pre < -745.0:
-        return 0.0
-    return math.exp(log_pre) * h
+    return h
 
 
 def lower_incomplete_gamma(a: float, x: float) -> float:
     """Lower incomplete gamma function gamma(a, x) = int_0^x u^{a-1} e^{-u} du."""
-    if not a > 0.0:
-        raise ValueError(f"lower_incomplete_gamma requires a > 0, got a={a}")
-    if x < 0.0:
-        raise ValueError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
-    if x == 0.0:
+    if x == 0.0 and a > 0.0:
         return 0.0
+    return math.exp(log_lower_incomplete_gamma(a, x))
+
+
+def log_lower_incomplete_gamma(a: float, x: float) -> float:
+    """log gamma(a, x) for a > 0, x > 0; finite where gamma(a, x) itself
+    under- or overflows double precision."""
+    if not a > 0.0:
+        raise ValueError(f"incomplete gamma requires a > 0, got a={a}")
+    if not x > 0.0:
+        raise ValueError(f"incomplete gamma requires x > 0 (gamma(a, 0) = 0), got x={x}")
+    log_pre = a * math.log(x) - x
     if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return gamma_fn(a) - _upper_gamma_cf(a, x)
+        return log_pre + math.log(_lower_gamma_series(a, x))
+    lg = log_gamma(a)
+    return lg + math.log1p(-math.exp(log_pre - lg) * _upper_gamma_cf(a, x))
 
 
 # Taylor coefficients of 1/Gamma(1+z) around z = 0 (frozen from 50-digit

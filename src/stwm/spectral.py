@@ -19,6 +19,7 @@ __all__ = [
     "EigenBasis",
     "SpectralModel",
     "build_basis",
+    "as_points",
     "evaluate_basis",
     "weyl_ratio",
     "mode_params",
@@ -86,11 +87,17 @@ def build_basis(d: int, extents, kappa2: float, J: int) -> EigenBasis:
                       eigenvalues=np.asarray(lam, dtype=float), index_map=index_map)
 
 
+def as_points(points, d: int) -> np.ndarray:
+    """Points one per row; in 1-D a single row of several values is a column."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if d == 1 and pts.shape[0] == 1 and pts.shape[1] != 1:
+        pts = pts.T
+    return pts
+
+
 def evaluate_basis(basis: EigenBasis, points) -> np.ndarray:
     """Matrix of eigenfunction values, shape (n_points, J)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if basis.d == 1 and pts.shape[0] == 1 and pts.shape[1] != 1:
-        pts = pts.T
+    pts = as_points(points, basis.d)
     if pts.shape[1] != basis.d:
         raise ValueError(f"points must have {basis.d} coordinates, got shape {pts.shape}")
     for axis, ell in enumerate(basis.extents):

@@ -14,13 +14,24 @@ from stwm.kernel import (
     stationary_variance,
     temporal_matern_limit,
 )
-from stwm.quadrature import QuadratureConfig
+from stwm.quadrature import QuadratureConfig, integrate
+from stwm.specfun import gamma_fn
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
 
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def equal_time_quadrature(k, t):
+    """q(t, t) = w / Gamma(g)^2 int_0^t u^{2g-2} e^{-2 mu u} du by adaptive
+    quadrature through v = u^{2g-1}, seeded with a geometric ladder."""
+    p = 2.0 * k.gamma - 1.0
+    points = (t * 2.0 ** -np.arange(1.0, 40.0)) ** p
+    integral = integrate(lambda v: np.exp(-2.0 * k.mu * v ** (1.0 / p)), 0.0, t ** p, TIGHT,
+                         points=points) / p
+    return k.weight / gamma_fn(k.gamma) ** 2 * integral
 
 
 def ou_cov(mu, w, s, t):
@@ -80,6 +91,10 @@ class TestModeCov:
         (1.3, 4.0, 2.0, 2.0, 2.5, 0.017779522454326307),
         (2.5, 1.0, 1.0, 1.0, 3.0, 0.034318850242223947),
         (0.6, 1.0, 1.0, 2.0, 2.25, 0.47745252461239777),
+        # tiny values, where a tolerance absolute in the integral's own units
+        # used to stop the quadrature early
+        (4.5, 400.0, 1.0, 0.046875, 0.0625, 2.1489525941323115e-23),
+        (2.4, 34.0, 1.0, 0.015625, 0.03125, 2.1443511795850698e-08),
     ])
     def test_fractional_reference_values(self, g, mu, w, s, t, expected):
         k = ModeKernel(mu=mu, weight=w, gamma=g)
@@ -106,7 +121,7 @@ class TestModeCov:
         cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300, max_subdivisions=16)
         k = ModeKernel(mu=1.0, weight=1.0, gamma=0.51)
         with pytest.raises(QuadratureError) as err:
-            mode_cov(k, 3.0, 3.0, cfg)
+            mode_cov(k, 3.0, 3.5, cfg)
         assert np.isfinite(err.value.estimate)
         assert err.value.error_bound > 0.0
 
@@ -123,14 +138,23 @@ class TestModeCov:
 
 
 class TestModeVar:
+    # frozen 40-digit references; the last five sit at the domain edges
+    # (gamma -> 1/2+, large mu, large gamma), where quadrature of q(t, t) failed
     @pytest.mark.parametrize("g,mu,w,t,expected", [
         (0.75, 1.0, 1.0, 1.0, 0.7966511001229187),
         (1.3, 2.0, 0.5, 0.7, 0.051271822157815837),
         (2.5, 1.0, 1.0, 4.0, 0.20321325170617429),
         (0.55, 20.0, 1.3, 3.0, 3.2743758100402144),
+        (0.5001, 1.0, 1.0, 1.0, 1591.7544830957966),
+        (3.0, 1e4, 1.0, 0.0625, 1.875e-21),
+        (10.0, 1000.0, 1.0, 1.0, 9.273529052734375e-59),
+        (20.0, 100.0, 1.0, 1.0, 6.4292660317732953e-80),
+        (90.0, 1.0, 1.0, 2.0, 2.9424582041345533e-223),
     ])
     def test_reference_values(self, g, mu, w, t, expected):
-        assert rel(mode_var(ModeKernel(mu=mu, weight=w, gamma=g), t), expected) < 1e-11
+        k = ModeKernel(mu=mu, weight=w, gamma=g)
+        assert rel(mode_var(k, t), expected) < 1e-11
+        assert mode_cov(k, t, t) == mode_var(k, t)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(29)
@@ -139,7 +163,7 @@ class TestModeVar:
             mu = rng.uniform(0.2, 10.0)
             t = rng.uniform(0.05, 8.0)
             k = ModeKernel(mu=mu, weight=1.0, gamma=g)
-            assert rel(mode_var(k, t), mode_cov(k, t, t, TIGHT)) < 1e-9
+            assert rel(mode_var(k, t), equal_time_quadrature(k, t)) < 1e-9
 
     def test_zero_time(self):
         assert mode_var(ModeKernel(mu=1.0, weight=1.0, gamma=1.0), 0.0) == 0.0

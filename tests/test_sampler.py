@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ from stwm.sampler import (
     gram,
     sample_field,
     sample_modes,
-    uniform_mode_gram,
 )
 from stwm.spectral import SpectralModel, build_basis, evaluate_basis
 from stwm.specfun import gamma_fn
@@ -63,6 +63,20 @@ class TestGram:
         G = gram(k, TimeGrid(np.array([0.0, 1.0])))
         assert G.matrix[0, 0] == 0.0 and G.matrix[0, 1] == 0.0
         assert abs(G.matrix[1, 1] - 0.43233235838169365) < 1e-10
+        G = gram(ModeKernel(1.0, 1.0, 0.9), TimeGrid.uniform(0.0, 1.0, 8)).matrix
+        assert np.all(G[0] == 0.0) and np.all(G[:, 0] == 0.0)
+
+    def test_closed_form_diagonal_and_reference_entries(self):
+        # the diagonal is mode_var on every grid; off a uniform grid every
+        # entry is mode_cov itself
+        k = ModeKernel(mu=0.5, weight=2.0, gamma=0.8)
+        other = TimeGrid(np.array([0.0, 0.3, 1.1, 2.0]))
+        for grid in (TimeGrid.uniform(0.5, 2.0, 6), other):
+            G = gram(k, grid).matrix
+            assert np.array_equal(np.diag(G), [mode_var(k, t) for t in grid.points])
+        pts = other.points
+        assert all(G[i, j] == mode_cov(k, pts[i], pts[j])
+                   for i in range(pts.size) for j in range(pts.size))
 
     def test_single_origin_point(self):
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.0)
@@ -231,22 +245,43 @@ class TestAssembleField:
 
 
 class TestUniformModeGram:
+    """gram on uniform grids, where lagged entries are cumulative sums of cell
+    integrals instead of per-entry mode_cov."""
+
     @pytest.mark.parametrize("g,mu", [(0.9, 1.0), (0.7, 2.0), (1.2, 0.5), (2.0, 1.0)])
     def test_matches_mode_cov(self, g, mu):
-        k = ModeKernel(mu=mu, weight=1.3, gamma=g)
-        grid = TimeGrid.uniform(0.0, 1.0, 64)
-        G = uniform_mode_gram(k, grid).matrix
-        for i, j in [(1, 1), (5, 17), (33, 34), (64, 64), (2, 64)]:
-            want = mode_cov(k, grid.points[i], grid.points[j], TIGHT)
-            assert abs(G[i, j] - want) <= 1e-9 * (abs(want) + 1e-12)
+        # grids from 0, from 0.5 and from just above 0, and the shape of
+        # `stwm sample` on (0, pi) with J = 64: mu = 64^2 on 0..5 in 2 steps
+        cases = [
+            (mu, TimeGrid.uniform(0.0, 1.0, 64), [(1, 1), (5, 17), (33, 34), (64, 64), (2, 64)]),
+            (mu, TimeGrid.uniform(0.5, 1.5, 64), [(0, 0), (0, 1), (5, 17), (33, 34), (0, 64)]),
+            (mu, TimeGrid(1e-3 + np.arange(5.0)), [(0, 1), (1, 2), (0, 4), (3, 4)]),
+            (4096.0, TimeGrid.uniform(0.0, 5.0, 2), [(1, 1), (1, 2), (2, 2)]),
+        ]
+        for mu_, grid, pairs in cases:
+            k = ModeKernel(mu=mu_, weight=1.3, gamma=g)
+            G = gram(k, grid).matrix
+            for i, j in pairs:
+                want = mode_cov(k, grid.points[i], grid.points[j], TIGHT)
+                assert abs(G[i, j] - want) <= 1e-9 * (abs(want) + 1e-12)
 
-    def test_zero_row(self):
-        G = uniform_mode_gram(ModeKernel(1.0, 1.0, 0.9), TimeGrid.uniform(0.0, 1.0, 8)).matrix
-        assert np.all(G[0] == 0.0)
-
-    def test_requires_origin_start(self):
-        with pytest.raises(ValueError):
-            uniform_mode_gram(ModeKernel(1.0, 1.0, 0.9), TimeGrid.uniform(0.5, 1.0, 8))
+    @pytest.mark.parametrize("cfg", [QuadratureConfig(), TIGHT], ids=["default", "tight"])
+    @pytest.mark.parametrize("t0", [0.0, 0.5])
+    @pytest.mark.parametrize("h", [1 / 64, 1 / 8, 2.5])
+    def test_lagged_entries_sweep(self, h, t0, cfg):
+        # a lattice over mu in [1e-2, 1e6] (half decades) x gamma in [0.51, 5]
+        grid = TimeGrid(t0 + h * np.arange(6))
+        pts = grid.points
+        for mu, g in itertools.product(10.0 ** np.arange(-2.0, 6.5, 0.5), (0.51, 1.3, 2.5, 3.7, 5.0)):
+            k = ModeKernel(mu=mu, weight=1.0, gamma=g)
+            G = gram(k, grid, cfg).matrix
+            for i in range(pts.size):
+                for j in range(i + 1, pts.size):
+                    want = mode_cov(k, pts[i], pts[j], TIGHT)
+                    if want < 1e-300:
+                        assert G[i, j] < 1e-290
+                    else:
+                        assert abs(G[i, j] - want) <= 1e-10 * want, (mu, g, i, j)
 
 
 class TestFractionalConvolution:
@@ -328,7 +363,7 @@ class TestFactorizedSampler:
         delta, n_cells, n_paths = 0.3, 128, 500
         grid = TimeGrid.uniform(0.0, 1.0, n_cells)
         inner = ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta)
-        L = cholesky_psd(uniform_mode_gram(inner, grid))
+        L = cholesky_psd(gram(inner, grid))
         finals = np.empty(n_paths)
         for p in range(n_paths):
             z = _stream_normals(4242, p, 0, grid.n)

@@ -10,6 +10,7 @@ from stwm.specfun import (
     bessel_k,
     gamma_fn,
     log_gamma,
+    log_lower_incomplete_gamma,
     lower_incomplete_gamma,
     matern_cov,
 )
@@ -93,6 +94,7 @@ class TestLowerIncompleteGamma:
     ])
     def test_reference_values(self, a, x, expected):
         assert rel(lower_incomplete_gamma(a, x), expected) < 1e-10
+        assert rel(math.exp(log_lower_incomplete_gamma(a, x)), expected) < 1e-10
 
     def test_saturation(self):
         # far in the tail the lower function equals the complete one
