@@ -63,8 +63,6 @@ class TestGram:
         G = gram(k, TimeGrid(np.array([0.0, 1.0])))
         assert G.matrix[0, 0] == 0.0 and G.matrix[0, 1] == 0.0
         assert abs(G.matrix[1, 1] - 0.43233235838169365) < 1e-10
-        G = gram(ModeKernel(1.0, 1.0, 0.9), TimeGrid.uniform(0.0, 1.0, 8)).matrix
-        assert np.all(G[0] == 0.0) and np.all(G[:, 0] == 0.0)
 
     def test_closed_form_diagonal_and_reference_entries(self):
         # the diagonal is mode_var on every grid; off a uniform grid every
@@ -264,6 +262,10 @@ class TestUniformModeGram:
             for i, j in pairs:
                 want = mode_cov(k, grid.points[i], grid.points[j], TIGHT)
                 assert abs(G[i, j] - want) <= 1e-9 * (abs(want) + 1e-12)
+
+    def test_zero_row(self):
+        G = gram(ModeKernel(1.0, 1.0, 0.9), TimeGrid.uniform(0.0, 1.0, 8)).matrix
+        assert np.all(G[0] == 0.0) and np.all(G[:, 0] == 0.0)
 
     @pytest.mark.parametrize("cfg", [QuadratureConfig(), TIGHT], ids=["default", "tight"])
     @pytest.mark.parametrize("t0", [0.0, 0.5])
