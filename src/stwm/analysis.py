@@ -219,12 +219,6 @@ class SeparabilityResult:
     max_rel_error: float | None      # factorization verification (separable case)
     witness: tuple | None            # lag ratios of two modes (non-separable case)
 
-    def temporal_profile(self, gamma: float):
-        def rho(s: float, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-            return mode_cov(ModeKernel(mu=1.0, weight=1.0, gamma=gamma), s, t, cfg)
-
-        return rho
-
 
 def separability_check(model: SpectralModel, cfg: QuadratureConfig = DEFAULT_CONFIG,
                        seed: int = 0) -> SeparabilityResult:

@@ -11,15 +11,17 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, fieldfile
-from .kernel import mode_cov, stationary_variance, temporal_matern_limit
+from .kernel import stationary_variance, temporal_matern_limit
 from .quadrature import QuadratureConfig, QuadratureError
-from .sampler import CholeskyError, SeedSpec, TimeGrid, sample_field
-from .spectral import ConfigError, SpectralModel, as_points, model_from_dict, mode_params, weyl_ratio
+from .sampler import CholeskyError, SeedSpec, TimeGrid, gram, sample_field
+from .spectral import (ConfigError, SpectralModel, as_points, evaluate_basis, model_from_dict,
+                       mode_params, weyl_ratio)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -94,6 +96,17 @@ def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
         xx, yy = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
     raise ConfigError("space", "must contain 'points' or 'lattice'")
+
+
+def _mode_index(model: SpectralModel, raw, field: str) -> int:
+    """Mode index (1-based) from config field `field`, checked against [1, J]."""
+    try:
+        j = int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(field, f"must be an integer mode index, got {raw!r}") from None
+    if not 1 <= j <= model.J:
+        raise ConfigError(field, f"mode index {j} out of range [1, {model.J}]")
+    return j
 
 
 def _seed_from(args, doc: dict) -> SeedSpec:
@@ -184,6 +197,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_cov(args) -> int:
+    """Covariance table on the grid's upper triangle (s ascending, t >= s):
+    one mode's q_j(s, t), or the truncated field covariance
+    sum_j q_j(s, t) e_j(x) e_j(y). Both are sums c_j * gram(mode j) over the
+    selected modes, so every entry comes from sampler.gram."""
     doc = _load_config(args.config)
     model = _model_from_config(doc)
     if not model.gamma > 0.5:
@@ -194,24 +211,25 @@ def cmd_cov(args) -> int:
     if not isinstance(opts, dict):
         raise ConfigError("cov", "must be a JSON object")
     target = opts.get("mode", 1)
+    if target == "field":
+        if "x" not in opts:
+            raise ConfigError("cov.x", "field covariance needs spatial points x (and optional y)")
+        x = opts["x"]
+        ex, ey = (evaluate_basis(model.basis, [p])[0] for p in (x, opts.get("y", x)))
+        if analysis.variance_series_exponent(model) >= -1.0:
+            warnings.warn("field variance series fails the eigenvalue-growth summability test; "
+                          "the table holds the truncated sum", RuntimeWarning)
+        coeffs = dict(enumerate(ex * ey, start=1))
+    else:
+        coeffs = {_mode_index(model, target, "cov.mode"): 1.0}
+    cov = sum(c * gram(mode_params(model, j), grid, cfg).matrix for j, c in coeffs.items())
     out = _out_dir(args) / "cov.csv"
     pts = grid.points
     with open(out, "w") as fh:
         fh.write("s,t,value\n")
-        if target == "field":
-            if "x" not in opts:
-                raise ConfigError("cov.x", "field covariance needs spatial points x (and optional y)")
-            x = opts["x"]
-            y = opts.get("y", x)
-            for s in pts:
-                for t in pts[pts >= s]:
-                    val = analysis.field_cov(model, float(s), float(t), x, y, cfg).value
-                    fh.write(f"{_f(s)},{_f(t)},{_f(val)}\n")
-        else:
-            k = mode_params(model, int(target))
-            for s in pts:
-                for t in pts[pts >= s]:
-                    fh.write(f"{_f(s)},{_f(t)},{_f(mode_cov(k, float(s), float(t), cfg))}\n")
+        for i, s in enumerate(pts):
+            for j in range(i, pts.size):
+                fh.write(f"{_f(s)},{_f(pts[j])},{_f(cov[i, j])}\n")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -285,8 +303,7 @@ def cmd_holder(args) -> int:
     except (ValueError, IndexError) as exc:
         raise ConfigError("--lags", str(exc)) from None
     opts = doc.get("holder", {})
-    mode = int(opts.get("mode", 1))
-    k = mode_params(model, mode)
+    k = mode_params(model, _mode_index(model, opts.get("mode", 1), "holder.mode"))
     try:
         est = analysis.estimate_holder(k, args.t0, lags)
     except ValueError as exc:
@@ -348,7 +365,7 @@ def main(argv=None) -> int:
     except ModelInvalid as exc:
         print(f"model invalid: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (QuadratureError, CholeskyError) as exc:
+    except (QuadratureError, CholeskyError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -7,6 +7,7 @@ as (path, time, point), then the time grid, then the space points (row-major
 float64 values round-trip through text.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -36,13 +37,21 @@ def write_field(path, sample: FieldSample) -> None:
 
 
 def read_field(path) -> FieldSample:
+    """Read a field file, checking the header's sizes against the file size
+    before any array is allocated."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"not a field file: bad magic {magic!r}")
-        version, d, n_times, n_points, n_paths = struct.unpack("<5I", fh.read(20))
+        header = fh.read(24)
+        if header[:4] != MAGIC:
+            raise ValueError(f"not a field file: bad magic {header[:4]!r}")
+        if len(header) != 24:
+            raise ValueError(f"field file header is truncated ({len(header)} bytes)")
+        version, d, n_times, n_points, n_paths = struct.unpack("<5I", header[4:])
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported field file version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = 24 + 8 * (n_paths * n_times * n_points + n_times + n_points * d)
+        if size != expected:
+            raise ValueError(f"field file is {size} bytes, its header implies {expected}")
         values = np.frombuffer(fh.read(8 * n_paths * n_times * n_points), dtype="<f8")
         values = values.reshape(n_paths, n_times, n_points).copy()
         times = np.frombuffer(fh.read(8 * n_times), dtype="<f8").copy()

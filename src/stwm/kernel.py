@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, panel_rules
-from .specfun import bessel_k, gamma_fn, log_gamma, log_lower_incomplete_gamma
+from .specfun import gamma_fn, log_gamma, log_lower_incomplete_gamma, matern_cov
 
 __all__ = [
     "ModeKernel",
@@ -181,21 +181,16 @@ def stationary_variance(k: ModeKernel) -> float:
 
 def temporal_matern_limit(gamma: float, kappa: float, h: float) -> float:
     """Long-time limit of the lagged covariance q(t, t+h) for the unit-weight
-    mode with decay rate kappa: a Matern function of the lag with smoothness
-    gamma - 1/2. The continuous extension at h = 0 is the stationary variance.
+    mode with decay rate kappa: the stationary variance times the unit
+    specfun.matern_cov of the lag with smoothness gamma - 1/2, which is the
+    continuous extension at h = 0.
     """
     if not gamma > 0.5:
         raise ValueError(f"temporal_matern_limit requires gamma > 1/2, got {gamma}")
     if not kappa > 0.0:
         raise ValueError(f"temporal_matern_limit requires kappa > 0, got {kappa}")
-    if h == 0.0:
-        return stationary_variance(ModeKernel(mu=kappa, weight=1.0, gamma=gamma))
-    z = kappa * abs(h)
-    nu = gamma - 0.5
-    pre = 2.0 ** (0.5 - gamma) * kappa ** (1.0 - 2.0 * gamma) / (math.sqrt(math.pi) * gamma_fn(gamma))
-    if z > 705.0:
-        return 0.0
-    return pre * z ** nu * bessel_k(nu, z)
+    return (stationary_variance(ModeKernel(mu=kappa, weight=1.0, gamma=gamma))
+            * matern_cov(gamma - 0.5, kappa, 1.0, abs(h)))
 
 
 def square_function_ratio(k: ModeKernel, delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -204,8 +199,9 @@ def square_function_ratio(k: ModeKernel, delta: float, cfg: QuadratureConfig = D
 
         int_0^infty t^{2(g-1-delta)} e^{-2 mu t} dt  /  mu^{1+2delta-2g},
 
-    evaluated by direct quadrature. The value is independent of mu and equals
-    square_function_ratio_closed_form(g, delta).
+    evaluated as the lag-0 case of the lagged covariance integral
+    (_lagged_integral with an infinite width). The value is independent of mu
+    and equals square_function_ratio_closed_form(g, delta).
     """
     if delta < 0.0:
         raise ValueError(f"square_function_ratio requires delta >= 0, got {delta}")
@@ -214,24 +210,7 @@ def square_function_ratio(k: ModeKernel, delta: float, cfg: QuadratureConfig = D
     if not p > 0.0:
         raise ValueError(
             f"square_function_ratio requires gamma > 1/2 + delta, got gamma={g}, delta={delta}")
-    two_a = p - 1.0  # exponent of t in the integrand
-    # truncation point: solve 2 mu T - two_a ln T = _EFOLDS crudely
-    t_hi = _EFOLDS / (2.0 * mu)
-    for _ in range(4):
-        t_hi = (_EFOLDS + max(two_a, 0.0) * math.log(max(t_hi, 1.0))) / (2.0 * mu)
-    if two_a >= 0.0 and float(two_a).is_integer():
-        def f(t):
-            return t ** two_a * np.exp(-2.0 * mu * t)
-
-        integral = integrate(f, 0.0, t_hi, cfg, points=_dyadic_breaks(t_hi, mu))
-    else:
-        inv_p = 1.0 / p
-
-        def f(v):
-            return np.exp(-2.0 * mu * v ** inv_p)
-
-        integral = inv_p * integrate(f, 0.0, t_hi ** p, cfg, points=_dyadic_breaks(t_hi, mu, p))
-    return integral / mu ** (-p)
+    return _lagged_integral(g - delta, mu, math.inf, 0.0, cfg) * mu ** p
 
 
 def square_function_ratio_closed_form(gamma: float, delta: float) -> float:

@@ -199,10 +199,10 @@ class TestSeparability:
 
     def test_temporal_profile_matches_matern_limit(self):
         m = make_model(beta=0.0, alpha=2.0, gamma=1.2, J=8, T=100.0)
-        res = separability_check(m)
-        rho = res.temporal_profile(m.gamma)
+        assert separability_check(m).separable
+        rho = ModeKernel(mu=1.0, weight=1.0, gamma=m.gamma)
         for h in (0.5, 1.0):
-            assert abs(rho(45.0, 45.0 + h) - temporal_matern_limit(m.gamma, 1.0, h)) < 1e-11
+            assert abs(mode_cov(rho, 45.0, 45.0 + h) - temporal_matern_limit(m.gamma, 1.0, h)) < 1e-11
 
     def test_non_separable_witness(self):
         m = make_model(beta=1.0, alpha=0.0, gamma=1.0, J=4, T=10.0)

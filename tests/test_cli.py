@@ -1,16 +1,22 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stwm import cli
 from stwm.fieldfile import read_field, write_field, write_field_csv
+from stwm.kernel import mode_cov
+from stwm.quadrature import QuadratureConfig
 from stwm.sampler import FieldSample, TimeGrid
+from stwm.spectral import evaluate_basis, model_from_dict, mode_params
 
 PI = math.pi
+TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
 
 BASE_CONFIG = {
     "model": {"d": 1, "extents": PI, "kappa2": 0.0, "kappa2_tilde": 0.0,
@@ -152,6 +158,41 @@ class TestCovCommand:
         assert abs(table[(1.0, 1.0)] - 0.43233235838169365) < 1e-10
         assert abs(table[(1.0, 2.0)] - 0.15904618640178920) < 1e-10
 
+    def test_mode_index_out_of_range_exit_2(self, tmp_path, capsys):
+        doc = dict(BASE_CONFIG, cov={"mode": 99})
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path), "cov"]) == 2
+        assert "cov.mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", [3, "field"])
+    @pytest.mark.parametrize("gamma", [0.8, 1.6])
+    def test_table_matches_mode_cov(self, tmp_path, gamma, target):
+        model_doc = dict(BASE_CONFIG["model"], J=16, gamma=gamma)
+        doc = dict(BASE_CONFIG, model=model_doc, grid={"t_start": 0.0, "t_end": 2.0, "steps": 8},
+                   cov={"mode": target, "x": 0.9, "y": 2.3})
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path), "cov"]) == 0
+        lines = (tmp_path / "cov.csv").read_text().splitlines()
+        assert lines[0] == "s,t,value"
+        pts = np.linspace(0.0, 2.0, 9)
+        pairs = [(s, t) for s in pts for t in pts[pts >= s]]
+        rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+        assert [(s, t) for s, t, _ in rows] == pairs
+        model = model_from_dict(model_doc)
+        if target == "field":
+            coeffs = evaluate_basis(model.basis, [0.9])[0] * evaluate_basis(model.basis, [2.3])[0]
+        else:
+            coeffs = np.eye(model.J)[target - 1]
+        for s, t, value in rows:
+            if s == 0.0:
+                assert value == 0.0
+                continue
+            terms = [mode_cov(mode_params(model, j), s, t, TIGHT) * coeffs[j - 1]
+                     for j in range(1, model.J + 1)]
+            assert abs(value - math.fsum(terms)) <= 1e-10 * math.fsum(abs(z) for z in terms)
+
 
 class TestCovFieldTarget:
     def test_field_cov_table(self, tmp_path):
@@ -179,8 +220,16 @@ class TestNumericalFailureExit:
         def explode(*args, **kwargs):
             raise QuadratureError("injected", 0.0, 1.0)
 
-        monkeypatch.setattr(cli, "mode_cov", explode)
+        monkeypatch.setattr(cli, "gram", explode)
         assert run_cli(["--config", config_path, "--out", str(tmp_path), "cov"]) == 4
+
+    def test_large_gamma_overflow_exit_4(self, tmp_path, capsys):
+        doc = dict(BASE_CONFIG, cov={"mode": 1})
+        doc["model"] = dict(BASE_CONFIG["model"], gamma=120.0)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path), "cov"]) == 4
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestLimitsCommand:
@@ -233,6 +282,14 @@ class TestHolderCommand:
         assert run_cli(["--config", config_path, "holder", "--t0", "5",
                         "--lags", "0.015625,0.0078125,0.00390625"]) == 0
 
+    def test_mode_index_out_of_range_exit_2(self, tmp_path, capsys):
+        doc = dict(BASE_CONFIG, holder={"mode": 0})
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "holder", "--t0", "5",
+                        "--lags", "2^-6..2^-8"]) == 2
+        assert "holder.mode" in capsys.readouterr().err
+
     def test_bad_lag_spec_exit_2(self, config_path):
         assert run_cli(["--config", config_path, "holder", "--lags", "fish..2^-3"]) == 2
         assert run_cli(["--config", config_path, "holder", "--lags", ""]) == 2
@@ -281,6 +338,16 @@ class TestFieldFile:
         with pytest.raises(ValueError):
             read_field(path)
 
+    def test_header_sizes_checked_against_file_size(self, tmp_path):
+        path = tmp_path / "huge.stwm"
+        path.write_bytes(b"STWM" + np.array([1, 1, 10 ** 6, 10 ** 6, 10 ** 6], dtype="<u4").tobytes())
+        with pytest.raises(ValueError):
+            read_field(path)
+        write_field(path, self.make_sample())
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError):
+            read_field(path)
+
     def test_csv_round_trip_precision(self, tmp_path):
         fs = self.make_sample()
         path = tmp_path / "f.csv"
@@ -292,7 +359,9 @@ class TestFieldFile:
 
 
 def test_console_entry_point():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "stwm.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "basis" in proc.stdout and "regularity" in proc.stdout

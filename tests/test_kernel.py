@@ -218,6 +218,8 @@ class TestTemporalMaternLimit:
         for g, kappa in [(0.8, 1.0), (1.3, 2.0)]:
             k = ModeKernel(mu=kappa, weight=1.0, gamma=g)
             assert rel(temporal_matern_limit(g, kappa, 1e-9), stationary_variance(k)) < 1e-4
+        k = ModeKernel(mu=1.0, weight=1.0, gamma=2.5)
+        assert rel(temporal_matern_limit(2.5, 1.0, 1e-200), stationary_variance(k)) < 1e-13
 
     @pytest.mark.parametrize("g,kappa,h,expected", [
         (1.3, 2.0, 0.6, 0.05361944475282539),
@@ -264,6 +266,10 @@ class TestSquareFunctionRatio:
             mu = 10.0 ** rng.uniform(-1.5, 1.5)
             got = square_function_ratio(ModeKernel(mu, 1.0, g), delta, TIGHT)
             assert rel(got, square_function_ratio_closed_form(g, delta)) < 1e-8
+        # large exponent 2(gamma - delta) - 1 = 7.2, default tolerance, mu over six decades
+        for mu in (1.0, 100.0, 1e4, 1e6):
+            got = square_function_ratio(ModeKernel(mu, 1.0, 4.3), 0.2)
+            assert rel(got, square_function_ratio_closed_form(4.3, 0.2)) < 1e-10
 
     def test_divergent_signalled(self):
         with pytest.raises(ValueError):
