@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, fieldfile
 from .kernel import stationary_variance, temporal_matern_limit
 from .quadrature import QuadratureConfig, QuadratureError
-from .sampler import CholeskyError, SeedSpec, TimeGrid, gram, sample_field
+from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, TimeGrid, gram, sample_field
 from .spectral import (ConfigError, SpectralModel, as_points, evaluate_basis, model_from_dict,
                        mode_params, weyl_ratio)
 
@@ -62,6 +62,15 @@ def _model_from_config(doc: dict) -> SpectralModel:
     return model_from_dict(model_doc)
 
 
+def _config_int(raw, field: str) -> int:
+    """Integer value of config field `field`. Booleans, strings and
+    non-integral numbers are a ConfigError rather than truncated."""
+    if isinstance(raw, bool) or not (isinstance(raw, int)
+                                     or isinstance(raw, float) and raw.is_integer()):
+        raise ConfigError(field, f"must be an integer, got {raw!r}")
+    return int(raw)
+
+
 def _grid_from_config(doc: dict) -> TimeGrid:
     spec = doc.get("grid")
     if not isinstance(spec, dict):
@@ -69,9 +78,9 @@ def _grid_from_config(doc: dict) -> TimeGrid:
     try:
         t0 = float(spec["t_start"])
         t1 = float(spec["t_end"])
-        steps = int(spec["steps"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("grid", f"needs numeric t_start, t_end and integer steps ({exc})") from None
+        raise ConfigError("grid", f"needs numeric t_start and t_end ({exc})") from None
+    steps = _config_int(spec.get("steps"), "grid.steps")
     if steps < 1:
         raise ConfigError("grid.steps", f"must be >= 1, got {steps}")
     try:
@@ -87,7 +96,7 @@ def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
     if isinstance(spec, dict) and "points" in spec:
         return as_points(spec["points"], model.d)
     if isinstance(spec, dict) and "lattice" in spec:
-        n = int(spec["lattice"])
+        n = _config_int(spec["lattice"], "space.lattice")
         if n < 1:
             raise ConfigError("space.lattice", f"must be >= 1, got {n}")
         axes = [np.linspace(0.0, ell, n + 2)[1:-1] for ell in model.basis.extents]
@@ -100,10 +109,7 @@ def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
 
 def _mode_index(model: SpectralModel, raw, field: str) -> int:
     """Mode index (1-based) from config field `field`, checked against [1, J]."""
-    try:
-        j = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"must be an integer mode index, got {raw!r}") from None
+    j = _config_int(raw, field)
     if not 1 <= j <= model.J:
         raise ConfigError(field, f"mode index {j} out of range [1, {model.J}]")
     return j
@@ -112,10 +118,10 @@ def _mode_index(model: SpectralModel, raw, field: str) -> int:
 def _seed_from(args, doc: dict) -> SeedSpec:
     if args.seed is not None:
         return SeedSpec(args.seed)
-    raw = doc.get("seed", 0)
+    master = _config_int(doc.get("seed", 0), "seed")
     try:
-        return SeedSpec(int(raw))
-    except (TypeError, ValueError) as exc:
+        return SeedSpec(master)
+    except ValueError as exc:
         raise ConfigError("seed", str(exc)) from None
 
 
@@ -174,7 +180,7 @@ def cmd_sample(args) -> int:
         print("warning: variance series diverges; sampling the truncated model (--force)")
     grid = _grid_from_config(doc)
     space = _space_from_config(doc, model)
-    n_paths = int(doc.get("n_paths", 1))
+    n_paths = _config_int(doc.get("n_paths", 1), "n_paths")
     if n_paths < 1:
         raise ConfigError("n_paths", f"must be >= 1, got {n_paths}")
     seed = _seed_from(args, doc)
@@ -190,7 +196,7 @@ def cmd_sample(args) -> int:
             vals = sample.values[:, it, :]
             fh.write(f"{_f(t)},{_f(vals.mean())},{_f(vals.var(ddof=1) if vals.size > 1 else 0.0)}\n")
     print(f"seed record: master={seed.master} paths=0..{n_paths - 1} "
-          f"(stream key = (master, path << 32 | mode))")
+          f"(stream format {STREAM_FORMAT})")
     print(f"wrote {bin_path}")
     print(f"wrote {summary}")
     return EXIT_OK

@@ -3,9 +3,12 @@
 Sampling is exact in law on the time grid: each mode's Gram matrix of true
 covariances is factorized (with an escalating-jitter Cholesky, since grids
 containing t = 0 make the matrix singular by construction) and applied to
-independent standard normals. Streams are counter-based and keyed by
-(master seed, path index, mode index), so output is bit-reproducible
-regardless of thread count or batching.
+independent standard normals. Normals come from counter-based streams in
+format v2 (STREAM_FORMAT): one Philox4x64 stream per mode, keyed by (master
+seed, mode index), in which every path reads a fixed block of words at its
+own counter offset. All paths of a mode come from one draw, any path range
+replays on its own, and for a fixed numpy build output is bit-identical
+across thread counts and across path-count prefixes.
 
 A second, alternative sampler realizes the factorization construction: draw
 the lower-order process on a fine uniform grid, then apply the singular
@@ -15,7 +18,6 @@ constant path on every cell).
 """
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -92,11 +94,15 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Master seed for counter-based stream derivation.
+    """Master seed for counter-based stream derivation (stream format v2).
 
-    Each (path, mode) pair gets its own Philox stream with key
-    (master, path << 32 | mode); identical SeedSpec yields bit-identical
-    output regardless of thread count.
+    Mode j (0-based) draws from the Philox4x64 stream with key (master, j).
+    Path p of an n_times grid takes the stride = 4*ceil(n_times/4) words from
+    word p * stride, turned into normals by Box-Muller on word pairs, so
+    |z| <= sqrt(106 ln 2) ~ 8.57. For a fixed numpy build an identical
+    SeedSpec yields bit-identical output across thread counts, and the first
+    m of n paths equal an m-path run. Seeds recorded under the earlier
+    format v1 (key (master, path << 32 | mode)) do not replay.
     """
 
     master: int
@@ -128,31 +134,42 @@ class CholeskyError(np.linalg.LinAlgError):
 
 
 _MAX_JITTER_STEPS = 8
-_tls = threading.local()
+_PATH_BLOCK = 256  # paths per BLAS call in sample_modes
+
+STREAM_FORMAT = ("v2: Philox4x64 key (master, mode index), path p reads words "
+                 "[p*stride, (p+1)*stride) with stride = 4*ceil(n_times/4), "
+                 "Box-Muller on word pairs")
 
 
-def _stream_normals(master: int, path: int, mode: int, n: int) -> np.ndarray:
-    """Standard normals from the Philox stream keyed by (master, path, mode)."""
-    if not 0 <= path < 2 ** 32:
-        raise ValueError(f"path index must fit in 32 bits, got {path}")
-    if not 0 <= mode < 2 ** 32:
-        raise ValueError(f"mode index must fit in 32 bits, got {mode}")
-    try:
-        bitgen, gen, state = _tls.philox
-    except AttributeError:
-        bitgen = np.random.Philox(key=[0, 0])
-        gen = np.random.Generator(bitgen)
-        state = bitgen.state
-        _tls.philox = (bitgen, gen, state)
-    st = state["state"]
-    st["counter"][:] = 0
-    st["key"][0] = master
-    st["key"][1] = (path << 32) | mode
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bitgen.state = state
-    return gen.standard_normal(n)
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """Two standard normals per word pair (w0, w1): r cos(2 pi u2), r sin(2 pi u2)
+    with r = sqrt(-2 ln u1), u1 = ((w0 >> 11) + 1) 2^-53 in (0, 1] and
+    u2 = (w1 >> 11) 2^-53, so every value is finite and |z| <= sqrt(106 ln 2)."""
+    r = np.sqrt(-2.0 * np.log(((words[0::2] >> 11) + 1) * 2.0 ** -53))
+    theta = (2.0 * math.pi * 2.0 ** -53) * (words[1::2] >> 11)
+    z = np.empty((words.size // 2, 2))
+    z[:, 0] = r * np.cos(theta)
+    z[:, 1] = r * np.sin(theta)
+    return z.reshape(-1)
+
+
+def _stream_normals(master: int, path: int, mode: int, n: int, n_paths: int = 1) -> np.ndarray:
+    """Standard normals of paths path .. path + n_paths - 1 of one mode, shape
+    (n_paths, n), in stream format v2 (see STREAM_FORMAT).
+
+    The mode's Philox4x64 stream has key (master, mode). Path p reads the
+    `stride` words from word p * stride, with stride = n rounded up to a
+    multiple of 4 because Philox.advance moves in 4-word blocks, and turns
+    them into normals by _box_muller. Consumption is fixed, so any path range
+    replays without drawing earlier paths, and one random_raw call serves
+    all of them.
+    """
+    if path < 0:
+        raise ValueError(f"path index must be >= 0, got {path}")
+    stride = -(-n // 4) * 4
+    bitgen = np.random.Philox(key=[master, mode])
+    bitgen.advance(path * stride // 4)
+    return _box_muller(bitgen.random_raw(n_paths * stride)).reshape(n_paths, stride)[:, :n]
 
 
 def gram(k: ModeKernel, grid: TimeGrid, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GramMatrix:
@@ -270,24 +287,29 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
 
     Returns an array of shape (n_paths, J, n_times). Values at any t = 0 grid
     point are exactly zero. Output depends only on the SeedSpec, not on the
-    thread count: each (path, mode) pair owns one counter-based stream, so the
-    mode-parallel decomposition is a correctness contract. Under CPython the
-    stream loop holds the GIL, so threads > 1 pays off only when the per-mode
-    Gram assembly or the Cholesky/BLAS work dominates.
+    thread count: each mode owns one counter-based stream, from which all
+    paths are drawn in one call and multiplied by the mode's Cholesky factor,
+    so the mode-parallel decomposition is a correctness contract. Under
+    CPython the Python-level Gram quadrature holds the GIL, so threads > 1
+    can only help when the numpy and BLAS work that releases it (Cholesky,
+    stream transform, products) outweighs that quadrature.
     """
     _check_sampling_pre(model, grid)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n_times = grid.n
+    n_blocks = -(-n_paths // _PATH_BLOCK)
     out = np.empty((n_paths, model.J, n_times))
 
     def run_mode(jm: int):
         k = mode_params(model, jm + 1)
         L = cholesky_psd(gram(k, grid, cfg))
-        Z = np.empty((n_times, n_paths))
-        for p in range(n_paths):
-            Z[:, p] = _stream_normals(seed.master, p, jm, n_times)
-        out[:, jm, :] = (L @ Z).T
+        # Normals are drawn up to whole blocks so every product is a BLAS call
+        # of one shape: BLAS may pick another kernel, and round differently,
+        # for another row count, and a path's values must not depend on it.
+        Z = _stream_normals(seed.master, 0, jm, n_times, n_blocks * _PATH_BLOCK)
+        paths = Z.reshape(n_blocks, _PATH_BLOCK, n_times) @ L.T
+        out[:, jm, :] = paths.reshape(-1, n_times)[:n_paths]
 
     if threads <= 1:
         for jm in range(model.J):
@@ -308,7 +330,7 @@ def assemble_field(mode_paths: np.ndarray, basis: EigenBasis, space_points,
     if mode_paths.shape[1] != basis.J:
         raise ValueError(f"mode count {mode_paths.shape[1]} does not match basis J={basis.J}")
     E = evaluate_basis(basis, space_points)  # (P, J)
-    values = np.einsum("pjt,xj->ptx", mode_paths, E)
+    values = np.swapaxes(mode_paths, 1, 2) @ E.T
     pts = as_points(space_points, basis.d)
     if times is None:
         times = TimeGrid(np.arange(mode_paths.shape[2], dtype=float))
@@ -386,7 +408,7 @@ def factorized_sample(k: ModeKernel, delta: float, fine_grid: TimeGrid, seed: Se
     _check_factorization_args(k, delta)
     inner = ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta)
     L = cholesky_psd(gram(inner, fine_grid))
-    z = _stream_normals(seed.master, path, 0, fine_grid.n)
+    z = _stream_normals(seed.master, path, 0, fine_grid.n)[0]
     return fractional_convolution(L @ z, delta, k.mu, fine_grid)
 
 

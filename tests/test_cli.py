@@ -297,6 +297,39 @@ class TestHolderCommand:
                         "--lags", "2^-6..2^-8"]) == 2
 
 
+class TestIntegerConfigFields:
+    # each field with the override that sets it and the command that reads it
+    FIELDS = {
+        "cov.mode": (lambda v: {"cov": {"mode": v}}, ["cov"]),
+        "holder.mode": (lambda v: {"holder": {"mode": v}},
+                        ["holder", "--t0", "5", "--lags", "2^-6..2^-8"]),
+        "grid.steps": (lambda v: {"grid": dict(BASE_CONFIG["grid"], steps=v)}, ["sample"]),
+        "space.lattice": (lambda v: {"space": {"lattice": v}}, ["sample"]),
+        "n_paths": (lambda v: {"n_paths": v}, ["sample"]),
+        "seed": (lambda v: {"seed": v}, ["sample"]),
+    }
+
+    @pytest.mark.parametrize("bad", [2.7, True])
+    @pytest.mark.parametrize("field", list(FIELDS))
+    def test_non_integer_exit_2_names_field(self, tmp_path, capsys, field, bad):
+        override, command = self.FIELDS[field]
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(BASE_CONFIG, **override(bad))))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), *command]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "field.stwm").exists()
+        assert not (tmp_path / "o" / "cov.csv").exists()
+
+    def test_integral_float_accepted(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(BASE_CONFIG, cov={"mode": 2.0})))
+        q = tmp_path / "d.json"
+        q.write_text(json.dumps(dict(BASE_CONFIG, cov={"mode": 2})))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "a"), "cov"]) == 0
+        assert run_cli(["--config", str(q), "--out", str(tmp_path / "b"), "cov"]) == 0
+        assert (tmp_path / "a" / "cov.csv").read_text() == (tmp_path / "b" / "cov.csv").read_text()
+
+
 class TestFieldFile:
     def make_sample(self, n_paths=3, d=1):
         rng = np.random.default_rng(0)

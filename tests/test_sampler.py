@@ -14,6 +14,7 @@ from stwm.sampler import (
     GramMatrix,
     SeedSpec,
     TimeGrid,
+    _box_muller,
     _stream_normals,
     assemble_field,
     cholesky_psd,
@@ -138,11 +139,45 @@ class TestCholeskyPsd:
         assert np.abs(L @ L.T - G).max() <= 1e-10 * (1.0 + np.abs(G).max()) + 1e-13
 
 
+# stream (master 77, path 5, mode 2, n = 8) in format v2; the tolerance only
+# admits last-bit differences between numpy's log/sin/cos on other CPUs
+V2_FROZEN = [-0.07617870512249728, 0.4099179807018283, 0.43692315235270696,
+             1.5980059720435458, -2.100966576398043, -0.6566240920053058,
+             -1.9751934992234605, -1.1778955835893148]
+
+
 class TestStreams:
-    def test_matches_fresh_philox(self):
-        want = np.random.Generator(np.random.Philox(key=[77, (5 << 32) | 2])).standard_normal(8)
+    def test_v2_matches_philox_rebuild_and_frozen_values(self):
+        bitgen = np.random.Philox(key=[77, 2])
+        bitgen.advance(10)  # path 5 starts at word 5 * stride = 40, block 10
+        w = bitgen.random_raw(8)
+        u1 = ((w[0::2] >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0 ** -53
+        u2 = (w[1::2] >> np.uint64(11)).astype(float) * 2.0 ** -53
+        r = np.sqrt(-2.0 * np.log(u1))
+        want = np.column_stack([r * np.cos(2.0 * np.pi * u2),
+                                r * np.sin(2.0 * np.pi * u2)]).reshape(-1)
         got = _stream_normals(77, 5, 2, 8)
-        assert np.array_equal(want, got)
+        assert got.shape == (1, 8)
+        assert np.array_equal(got[0], want)
+        np.testing.assert_allclose(got[0], V2_FROZEN, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 8])
+    def test_batched_rows_equal_single_path_draws(self, n):
+        # odd n and n not a multiple of 4 leave unused words in each stride
+        batch = _stream_normals(9, 0, 3, n, 40)
+        assert batch.shape == (40, n)
+        for p in (0, 1, 17, 39):
+            assert np.array_equal(batch[p], _stream_normals(9, p, 3, n)[0])
+        assert np.array_equal(batch[17:], _stream_normals(9, 17, 3, n, 23))
+
+    def test_extreme_words_finite_and_bounded(self):
+        top = 2 ** 64 - 1
+        z = _box_muller(np.array([0, 0, 0, top, top, 0, top, top], dtype=np.uint64))
+        bound = math.sqrt(106.0 * math.log(2.0))  # u1 = 2^-53
+        assert np.all(np.isfinite(z))
+        assert np.all(np.abs(z) <= bound * (1.0 + 1e-15))
+        assert z[0] == pytest.approx(bound, rel=1e-15)
+        assert np.all(z[4:] == 0.0)  # u1 = 1
 
     def test_distinct_streams(self):
         a = _stream_normals(1, 0, 0, 4)
@@ -179,6 +214,17 @@ class TestSampleModes:
         # resampling fewer paths reproduces the leading block
         head = sample_modes(model, grid, 3, SeedSpec(7))
         assert np.array_equal(full[:3], head)
+
+    def test_prefix_bit_identical_on_long_grid(self):
+        # more time points and paths than one BLAS block, where a plain
+        # product's rounding depends on the number of rows
+        b = build_basis(1, PI, 0.0, 3)
+        model = SpectralModel(basis=b, basis_tilde=b, alpha=1.0, beta=1.0, gamma=1.1, T=3.0)
+        grid = TimeGrid.uniform(0.0, 2.0, 60)
+        full = sample_field(model, grid, [[1.0], [2.0]], 300, SeedSpec(8))
+        for m in (1, 17, 257):
+            head = sample_field(model, grid, [[1.0], [2.0]], m, SeedSpec(8))
+            assert np.array_equal(full.values[:m], head.values)
 
     def test_empirical_covariance(self):
         # moderate-n sanity check; the full-strength law test is in acceptance
@@ -368,7 +414,7 @@ class TestFactorizedSampler:
         L = cholesky_psd(gram(inner, grid))
         finals = np.empty(n_paths)
         for p in range(n_paths):
-            z = _stream_normals(4242, p, 0, grid.n)
+            z = _stream_normals(4242, p, 0, grid.n)[0]
             finals[p] = fractional_convolution(L @ z, delta, k.mu, grid)[-1]
         want = factorized_covariance(k, delta, grid)
         emp = float(np.mean(finals ** 2))
