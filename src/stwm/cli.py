@@ -18,10 +18,10 @@ import numpy as np
 
 from . import analysis, fieldfile
 from .kernel import stationary_variance, temporal_matern_limit
-from .quadrature import QuadratureConfig, QuadratureError
+from .quadrature import QuadratureError
 from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, TimeGrid, gram, sample_field
-from .spectral import (ConfigError, SpectralModel, as_points, evaluate_basis, model_from_dict,
-                       mode_params, weyl_ratio)
+from .spectral import (ConfigError, SpectralModel, as_points, config_int, evaluate_basis,
+                       model_from_dict, mode_params, weyl_ratio)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -62,15 +62,6 @@ def _model_from_config(doc: dict) -> SpectralModel:
     return model_from_dict(model_doc)
 
 
-def _config_int(raw, field: str) -> int:
-    """Integer value of config field `field`. Booleans, strings and
-    non-integral numbers are a ConfigError rather than truncated."""
-    if isinstance(raw, bool) or not (isinstance(raw, int)
-                                     or isinstance(raw, float) and raw.is_integer()):
-        raise ConfigError(field, f"must be an integer, got {raw!r}")
-    return int(raw)
-
-
 def _grid_from_config(doc: dict) -> TimeGrid:
     spec = doc.get("grid")
     if not isinstance(spec, dict):
@@ -80,7 +71,7 @@ def _grid_from_config(doc: dict) -> TimeGrid:
         t1 = float(spec["t_end"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("grid", f"needs numeric t_start and t_end ({exc})") from None
-    steps = _config_int(spec.get("steps"), "grid.steps")
+    steps = config_int(spec.get("steps"), "grid.steps")
     if steps < 1:
         raise ConfigError("grid.steps", f"must be >= 1, got {steps}")
     try:
@@ -96,7 +87,7 @@ def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
     if isinstance(spec, dict) and "points" in spec:
         return as_points(spec["points"], model.d)
     if isinstance(spec, dict) and "lattice" in spec:
-        n = _config_int(spec["lattice"], "space.lattice")
+        n = config_int(spec["lattice"], "space.lattice")
         if n < 1:
             raise ConfigError("space.lattice", f"must be >= 1, got {n}")
         axes = [np.linspace(0.0, ell, n + 2)[1:-1] for ell in model.basis.extents]
@@ -109,7 +100,7 @@ def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
 
 def _mode_index(model: SpectralModel, raw, field: str) -> int:
     """Mode index (1-based) from config field `field`, checked against [1, J]."""
-    j = _config_int(raw, field)
+    j = config_int(raw, field)
     if not 1 <= j <= model.J:
         raise ConfigError(field, f"mode index {j} out of range [1, {model.J}]")
     return j
@@ -118,7 +109,7 @@ def _mode_index(model: SpectralModel, raw, field: str) -> int:
 def _seed_from(args, doc: dict) -> SeedSpec:
     if args.seed is not None:
         return SeedSpec(args.seed)
-    master = _config_int(doc.get("seed", 0), "seed")
+    master = config_int(doc.get("seed", 0), "seed")
     try:
         return SeedSpec(master)
     except ValueError as exc:
@@ -126,21 +117,18 @@ def _seed_from(args, doc: dict) -> SeedSpec:
 
 
 def _threads_from(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("STWM_THREADS")
-    if env:
+    """Worker thread count from --threads, else STWM_THREADS, else 1; a count
+    below 1 is a ConfigError naming its source."""
+    source, threads = "--threads", args.threads
+    if threads is None:
+        source, env = "STWM_THREADS", os.environ.get("STWM_THREADS")
         try:
-            return int(env)
+            threads = int(env) if env else 1
         except ValueError:
-            raise ConfigError("STWM_THREADS", f"not an integer: {env!r}") from None
-    return 1
-
-
-def _quad_cfg(args) -> QuadratureConfig:
-    if args.rel_tol is not None:
-        return QuadratureConfig(rel_tol=args.rel_tol)
-    return QuadratureConfig()
+            raise ConfigError(source, f"not an integer: {env!r}") from None
+    if threads < 1:
+        raise ConfigError(source, f"must be >= 1, got {threads}")
+    return threads
 
 
 def _out_dir(args) -> Path:
@@ -180,12 +168,12 @@ def cmd_sample(args) -> int:
         print("warning: variance series diverges; sampling the truncated model (--force)")
     grid = _grid_from_config(doc)
     space = _space_from_config(doc, model)
-    n_paths = _config_int(doc.get("n_paths", 1), "n_paths")
+    n_paths = config_int(doc.get("n_paths", 1), "n_paths")
     if n_paths < 1:
         raise ConfigError("n_paths", f"must be >= 1, got {n_paths}")
     seed = _seed_from(args, doc)
     threads = _threads_from(args)
-    sample = sample_field(model, grid, space, n_paths, seed, _quad_cfg(args), threads)
+    sample = sample_field(model, grid, space, n_paths, seed, threads=threads)
     out = _out_dir(args)
     bin_path = out / "field.stwm"
     fieldfile.write_field(bin_path, sample)
@@ -212,7 +200,6 @@ def cmd_cov(args) -> int:
     if not model.gamma > 0.5:
         raise ModelInvalid(f"covariance requires gamma > 1/2, got gamma={model.gamma}")
     grid = _grid_from_config(doc)
-    cfg = _quad_cfg(args)
     opts = doc.get("cov", {})
     if not isinstance(opts, dict):
         raise ConfigError("cov", "must be a JSON object")
@@ -228,7 +215,7 @@ def cmd_cov(args) -> int:
         coeffs = dict(enumerate(ex * ey, start=1))
     else:
         coeffs = {_mode_index(model, target, "cov.mode"): 1.0}
-    cov = sum(c * gram(mode_params(model, j), grid, cfg).matrix for j, c in coeffs.items())
+    cov = sum(c * gram(mode_params(model, j), grid).matrix for j, c in coeffs.items())
     out = _out_dir(args) / "cov.csv"
     pts = grid.points
     with open(out, "w") as fh:
@@ -330,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed (64-bit unsigned)")
     parser.add_argument("--threads", type=int,
                         help="worker threads (fallback: STWM_THREADS env var, then 1)")
-    parser.add_argument("--rel-tol", type=float, dest="rel_tol",
-                        help="relative quadrature tolerance")
     parser.add_argument("--force", action="store_true",
                         help="sample even when the variance series diverges")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,10 +10,13 @@ covariance
     q(s, t) = w / Gamma(g)^2 * int_0^{min(s,t)} [(s-r)(t-r)]^{g-1}
               e^{-mu (s+t-2r)} dr
 
-is computed here: for s != t by singularity-aware adaptive quadrature (one
-scalar and one batched-over-lags route on the same integrand), and for
-s = t by the incomplete-gamma closed form; with the stationary
-(t -> infinity) variance and the Matern-type limit of the lagged covariance.
+is computed here: for s = t by the incomplete-gamma closed form, and for
+s != t by two routes on the same integral. mode_cov is the adaptive
+reference (singularity-aware quadrature to a QuadratureConfig tolerance);
+_lagged_integrals, which sampler.gram uses, is one fixed Gauss-Jacobi and
+Gauss-Legendre rule batched over arrays of widths and lags. Also here: the
+stationary (t -> infinity) variance and the Matern-type limit of the lagged
+covariance.
 """
 
 import math
@@ -39,6 +42,8 @@ __all__ = [
 # e-folds below the integrand maximum are dropped when restricting the
 # integration window (safe at double precision).
 _EFOLDS = 760.0
+# Nodes of _lagged_integrals' Gauss-Jacobi singular panel.
+_JACOBI_NODES = 20
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,7 @@ def _dyadic_breaks(width: float, mu: float, p: float = 1.0):
 def _lagged_integrand(g: float, mu: float, width: float, lag):
     """(scale, f, v_end, points) with int_0^width u^{g-1} (u+lag)^{g-1}
     e^{-2 mu u} du = scale * int_0^v_end f(v) dv, v = (u / sigma)^p, and
-    points the _dyadic_breaks ladder in v. lag may be an array.
+    points the _dyadic_breaks ladder in v.
 
     p = g - n, n = max(0, floor(g - 1)), lies in (0, 2): v absorbs the
     non-integer part of u^{g-1} exactly and each ladder panel spans at most a
@@ -109,22 +114,54 @@ def _lagged_integral(g: float, mu: float, width: float, lag: float, cfg: Quadrat
     return scale * integrate(f, 0.0, v_end, cfg, points=points)
 
 
-def _lagged_integrals(g: float, mu: float, width: float, lags: np.ndarray,
-                      cfg: QuadratureConfig) -> np.ndarray:
-    """_lagged_integral for an array of lags: integrate's starting panels are
-    evaluated for all lags in one numpy pass and accepted per lag by its
-    test, err <= max(abs_tol, rel_tol |total|); the other lags go through
-    _lagged_integral."""
-    scale, f, v_end, points = _lagged_integrand(g, mu, width, lags[:, None, None])
-    x15, w15, x7, w7 = panel_rules(np.concatenate([[0.0], points, [v_end]]))
-    i15 = (f(x15) * w15).sum(axis=-1)
-    i7 = (f(x7) * w7).sum(axis=-1)
-    total = i15.sum(axis=-1)
-    err = np.abs(i15 - i7).sum(axis=-1)
-    out = scale.reshape(-1) * total
-    for i in np.flatnonzero(err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))):
-        out[i] = _lagged_integral(g, mu, width, float(lags[i]), cfg)
-    return out
+def _gauss_jacobi(n: int, beta: float):
+    """Nodes and weights of the n-point Gauss rule on [0, 1] for the weight
+    u^beta, beta > -1: sum_i w_i f(u_i) = int_0^1 u^beta f(u) du for every
+    polynomial f of degree below 2n.
+
+    Golub-Welsch: the nodes are the eigenvalues of the closed-form Jacobi
+    matrix of the Jacobi polynomials P^(0, beta) on [-1, 1], mapped by
+    u = (1 + x) / 2, and the weights the squared first eigenvector
+    components times int_0^1 u^beta du = 1 / (beta + 1).
+    """
+    s = 2.0 * np.arange(1, n) + beta
+    diag = np.concatenate(([beta / (beta + 2.0)], beta ** 2 / (s * (s + 2.0))))
+    k = np.arange(1, n)
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (1.0 + x), v[0] ** 2 / (beta + 1.0)
+
+
+def _lagged_integrals(g: float, mu: float, widths, lags) -> np.ndarray:
+    """int_0^W u^{g-1} (u+l)^{g-1} e^{-2 mu u} du for 1-D arrays of widths
+    W > 0 and lags l > 0 (a scalar broadcasts), by one fixed rule.
+
+    With W cut at _EFOLDS / (2 mu) and x = u / sigma, sigma = min(W, 1/(2 mu)),
+    the integrand is x^{g-1} (a x + b)^{g-1} e^{-2 mu sigma x} on [0, W / sigma].
+    The singular panel [0, c], c = min(1, l / sigma), takes the Gauss-Jacobi
+    rule for x^{g-1}; the rest takes 15-point panels on the ladder c 2^{k/m},
+    m = ceil(g / 6) per octave. Panels past an entry's own end have zero
+    width, so one array shape serves every entry.
+    """
+    widths, lags = np.broadcast_arrays(np.minimum(widths, 0.5 * _EFOLDS / mu), lags)
+    sigma = np.minimum(widths, 0.5 / mu)[:, None]
+    lags = lags[:, None]
+    a, b = sigma / (sigma + lags), lags / (sigma + lags)
+
+    def smooth(x):
+        return (a * x + b) ** (g - 1.0) * np.exp(-2.0 * mu * sigma * x)
+
+    c = np.minimum(1.0, lags / sigma)
+    end = widths[:, None] / sigma
+    x, w = _gauss_jacobi(_JACOBI_NODES, g - 1.0)
+    total = c[:, 0] ** g * (smooth(c * x) @ w)
+    m = math.ceil(g / 6.0)
+    n_panels = math.ceil(m * math.log2(float((end / c).max())))
+    if n_panels > 0:
+        edges = np.minimum(c * 2.0 ** (np.arange(n_panels + 1) / m), end)
+        x, w = (r.reshape(edges.shape[0], -1) for r in panel_rules(edges))
+        total += (x ** (g - 1.0) * smooth(x) * w).sum(axis=1)
+    return (sigma ** g * (sigma + lags) ** (g - 1.0))[:, 0] * total
 
 
 def mode_cov(k: ModeKernel, s: float, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

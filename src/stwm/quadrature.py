@@ -57,13 +57,13 @@ def _panel(f, a, b):
 
 
 def panel_rules(edges):
-    """Nodes and weights, shape (n_panels, 15) and (n_panels, 7), of
-    integrate's 15-point rule and embedded 7-point error-estimate rule on
-    the panels between consecutive edges: (x15, w15, x7, w7)."""
+    """Nodes and weights of integrate's 15-point rule on the panels between
+    consecutive edges along the last axis: (x, w), each of shape
+    edges.shape[:-1] + (n_panels, 15)."""
     edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return mid + half * _GL15_X, half * _GL15_W, mid + half * _GL7_X, half * _GL7_W
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
+    return mid + half * _GL15_X, half * _GL15_W
 
 
 def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, points=None) -> float:

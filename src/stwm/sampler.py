@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ModeKernel, _lagged_integrals, mode_cov, mode_var
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, panel_rules
+from .kernel import ModeKernel, _lagged_integrals, mode_var
+from .quadrature import panel_rules
 from .specfun import gamma_fn, lower_incomplete_gamma
 from .spectral import EigenBasis, SpectralModel, as_points, evaluate_basis, mode_params
 
@@ -172,45 +172,53 @@ def _stream_normals(master: int, path: int, mode: int, n: int, n_paths: int = 1)
     return _box_muller(bitgen.random_raw(n_paths * stride)).reshape(n_paths, stride)[:, :n]
 
 
-def gram(k: ModeKernel, grid: TimeGrid, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GramMatrix:
+def gram(k: ModeKernel, grid: TimeGrid) -> GramMatrix:
     """Gram matrix G[i, j] = q(t_i, t_j), symmetric, with mode_var diagonal.
 
-    On a uniform grid (any t_0 >= 0) each lag's entries are one cumulative
-    sum of cell integrals: the singular first chunk [0, t_0] ([0, h] when
-    t_0 = 0) for all lags in one pass, each lag held to cfg's tolerance test
-    or redone adaptively, then one fixed Gauss-Legendre rule per cell. Lagged
-    entries agree with TIGHT mode_cov to 1e-10 relative (tested over mu in
-    [1e-2, 1e6], gamma in [0.51, 5]). On other grids every entry is mode_cov
-    at cfg, the reference route.
+    Lagged entries come from kernel._lagged_integrals, one fixed
+    Gauss-Jacobi and Gauss-Legendre rule with no adaptive step. On a uniform
+    grid (any t_0 >= 0) each lag's entries are one cumulative sum of cell
+    integrals: that rule for the singular first chunk [0, t_0] ([0, h] when
+    t_0 = 0) of all lags in one call, then one fixed Gauss-Legendre rule per
+    cell. On other grids the rule gives each row's upper-triangle entries in
+    one call. Lagged entries agree with TIGHT mode_cov to 1e-12 relative
+    (tested over mu in [1e-2, 1e8], gamma in [0.5001, 20]); entries whose
+    factor e^{-mu |t - s|} underflows are exactly 0.
     """
     if not k.gamma > 0.5:
         raise ValueError(f"gram requires gamma > 1/2, got {k.gamma}")
     pts = grid.points
     n = pts.size
     G = np.diag([mode_var(k, float(t)) for t in pts])
+    g, mu = k.gamma, k.mu
+    scale = k.weight / gamma_fn(g) ** 2
+    i0 = 1 if pts[0] == 0.0 else 0  # rows below i0 (t = 0) stay zero
     try:
         h = grid.step
     except ValueError:
-        for i in range(n):
-            for j in range(i + 1, n):
-                G[i, j] = G[j, i] = mode_cov(k, float(pts[i]), float(pts[j]), cfg)
+        # One call per row keeps the rule's node arrays O(n) in size. Lags
+        # grow along a row, so the entries whose prefactor survives are a prefix.
+        for i in range(i0, n - 1):
+            pre = scale * np.exp(-mu * (pts[i + 1:] - pts[i]))
+            pre = pre[pre > 0.0]
+            if pre.size:
+                j = slice(i + 1, i + 1 + pre.size)
+                G[i, j] = G[j, i] = pre * _lagged_integrals(g, mu, pts[i], pts[j] - pts[i])
         return GramMatrix(matrix=G)
 
-    g, mu = k.gamma, k.mu
-    i0 = 1 if pts[0] == 0.0 else 0  # rows below i0 (t = 0) stay zero
     u0 = float(pts[i0])             # end of the first chunk
     m = n - 1 - i0                  # cells [u0 + c h, u0 + (c+1) h], c < m
     lag_steps = np.arange(1, m + 1)
-    pre = k.weight / gamma_fn(g) ** 2 * np.exp(-mu * h * lag_steps)
+    pre = scale * np.exp(-mu * h * lag_steps)
     lag_steps = lag_steps[pre > 0.0]
     if lag_steps.size == 0:
         return GramMatrix(matrix=G)
-    first = _lagged_integrals(g, mu, u0, h * lag_steps, cfg)
+    first = _lagged_integrals(g, mu, u0, h * lag_steps)
     # Each cell's rule is graded towards its left end, below widths 1/mu and
     # u0 (the distance to u = 0). Equal node layouts make the integrand on
     # cell c at lag l h a product of per-node tables at cells c and c + l.
     levels = max(0, math.ceil(math.log2(max(mu * h, h / u0))))
-    x, w, _, _ = panel_rules(np.concatenate([[0.0], h * 2.0 ** -np.arange(levels, -1.0, -1.0)]))
+    x, w = panel_rules(np.concatenate([[0.0], h * 2.0 ** -np.arange(levels, -1.0, -1.0)]))
     x = (u0 + h * np.arange(m))[:, None] + x.reshape(-1)
     u_pow = x ** (g - 1.0)
     u_pow_exp = u_pow * np.exp(-2.0 * mu * x) * w.reshape(-1)
@@ -282,7 +290,7 @@ def _check_sampling_pre(model: SpectralModel, grid: TimeGrid):
 
 
 def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedSpec,
-                 cfg: QuadratureConfig = DEFAULT_CONFIG, threads: int = 1) -> np.ndarray:
+                 threads: int = 1) -> np.ndarray:
     """Sample mode paths, exact in law on the grid.
 
     Returns an array of shape (n_paths, J, n_times). Values at any t = 0 grid
@@ -290,9 +298,9 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
     thread count: each mode owns one counter-based stream, from which all
     paths are drawn in one call and multiplied by the mode's Cholesky factor,
     so the mode-parallel decomposition is a correctness contract. Under
-    CPython the Python-level Gram quadrature holds the GIL, so threads > 1
-    can only help when the numpy and BLAS work that releases it (Cholesky,
-    stream transform, products) outweighs that quadrature.
+    CPython Gram assembly, many small numpy calls, holds the GIL much of the
+    time, so threads > 1 can only help when the BLAS work that releases it
+    (Cholesky, products) outweighs that assembly.
     """
     _check_sampling_pre(model, grid)
     if n_paths < 1:
@@ -303,7 +311,7 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
 
     def run_mode(jm: int):
         k = mode_params(model, jm + 1)
-        L = cholesky_psd(gram(k, grid, cfg))
+        L = cholesky_psd(gram(k, grid))
         # Normals are drawn up to whole blocks so every product is a BLAS call
         # of one shape: BLAS may pick another kernel, and round differently,
         # for another row count, and a path's values must not depend on it.
@@ -338,10 +346,9 @@ def assemble_field(mode_paths: np.ndarray, basis: EigenBasis, space_points,
 
 
 def sample_field(model: SpectralModel, grid: TimeGrid, space_points, n_paths: int,
-                 seed: SeedSpec, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                 threads: int = 1) -> FieldSample:
+                 seed: SeedSpec, threads: int = 1) -> FieldSample:
     """Sample mode paths and assemble them on the given spatial points."""
-    paths = sample_modes(model, grid, n_paths, seed, cfg, threads)
+    paths = sample_modes(model, grid, n_paths, seed, threads=threads)
     return assemble_field(paths, model.basis, space_points, times=grid,
                           seed_record=(seed.master, 0))
 

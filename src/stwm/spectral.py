@@ -9,6 +9,7 @@ the noise) must share eigenfunctions and may differ only in the constant shift.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,16 +185,31 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
+def config_int(raw, field_name: str) -> int:
+    """Integer value of config field `field_name`. Booleans, strings and
+    non-integral numbers are a ConfigError rather than truncated."""
+    if isinstance(raw, bool) or not (isinstance(raw, int)
+                                     or isinstance(raw, float) and raw.is_integer()):
+        raise ConfigError(field_name, f"must be an integer, got {raw!r}")
+    return int(raw)
+
+
+def config_float(raw, field_name: str) -> float:
+    """Finite real value of config field `field_name`. Booleans, strings,
+    other non-numbers and the NaN and Infinity that JSON readers accept are
+    a ConfigError rather than converted."""
+    if isinstance(raw, bool) or not (isinstance(raw, (int, float))
+                                     and abs(raw) <= sys.float_info.max):
+        raise ConfigError(field_name, f"must be a finite number, got {raw!r}")
+    return float(raw)
+
+
 _MODEL_FIELDS = ("d", "extents", "kappa2", "kappa2_tilde", "J", "alpha", "beta", "gamma", "T")
 
 
-def _checked(doc: dict, name: str, predicate, message: str):
-    value = doc[name]
-    try:
-        ok = predicate(value)
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
+def _checked(doc: dict, name: str, predicate, message: str, read=config_float):
+    value = read(doc[name], name)
+    if not predicate(value):
         raise ConfigError(name, f"{message}, got {value!r}")
     return value
 
@@ -202,27 +218,29 @@ def model_from_dict(doc: dict) -> SpectralModel:
     """Build a SpectralModel from a configuration mapping with fields
     {d, extents, kappa2, kappa2_tilde, J, alpha, beta, gamma, T}.
 
+    d and J are read by config_int, the other fields by config_float.
     Raises ConfigError naming the first offending field."""
     for name in _MODEL_FIELDS:
         if name not in doc:
             raise ConfigError(name, "missing")
-    d = _checked(doc, "d", lambda v: v in (1, 2), "must be 1 or 2")
-    J = _checked(doc, "J", lambda v: int(v) == v and 1 <= v <= MAX_MODES,
-                 f"must be an integer in [1, {MAX_MODES}]")
+    d = _checked(doc, "d", lambda v: v in (1, 2), "must be 1 or 2", config_int)
+    J = _checked(doc, "J", lambda v: 1 <= v <= MAX_MODES, f"must be in [1, {MAX_MODES}]",
+                 config_int)
     extents = doc["extents"]
-    ext_list = [extents] if np.isscalar(extents) else list(extents)
-    if len(ext_list) != d or any(not float(e) > 0.0 for e in ext_list):
-        raise ConfigError("extents", f"must be {d} positive length(s), got {extents!r}")
-    kappa2 = _checked(doc, "kappa2", lambda v: float(v) >= 0.0, "must be >= 0")
-    kappa2_t = _checked(doc, "kappa2_tilde", lambda v: float(v) >= 0.0, "must be >= 0")
-    alpha = _checked(doc, "alpha", lambda v: float(v) >= 0.0, "must be >= 0")
-    beta = _checked(doc, "beta", lambda v: float(v) >= 0.0, "must be >= 0")
-    gamma = _checked(doc, "gamma", lambda v: float(v) > 0.0, "must be > 0")
-    horizon = _checked(doc, "T", lambda v: float(v) > 0.0, "must be > 0")
+    extents = [config_float(e, "extents")
+               for e in (extents if isinstance(extents, (list, tuple)) else [extents])]
+    if len(extents) != d or any(not e > 0.0 for e in extents):
+        raise ConfigError("extents", f"must be {d} positive length(s), got {doc['extents']!r}")
+    kappa2 = _checked(doc, "kappa2", lambda v: v >= 0.0, "must be >= 0")
+    kappa2_t = _checked(doc, "kappa2_tilde", lambda v: v >= 0.0, "must be >= 0")
+    alpha = _checked(doc, "alpha", lambda v: v >= 0.0, "must be >= 0")
+    beta = _checked(doc, "beta", lambda v: v >= 0.0, "must be >= 0")
+    gamma = _checked(doc, "gamma", lambda v: v > 0.0, "must be > 0")
+    horizon = _checked(doc, "T", lambda v: v > 0.0, "must be > 0")
     return SpectralModel(
-        basis=build_basis(d, extents, float(kappa2), int(J)),
-        basis_tilde=build_basis(d, extents, float(kappa2_t), int(J)),
-        alpha=float(alpha), beta=float(beta), gamma=float(gamma), T=float(horizon))
+        basis=build_basis(d, extents, kappa2, J),
+        basis_tilde=build_basis(d, extents, kappa2_t, J),
+        alpha=alpha, beta=beta, gamma=gamma, T=horizon)
 
 
 def model_from_json(path) -> SpectralModel:

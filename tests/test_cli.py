@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stwm import cli
+from stwm import cli, kernel
 from stwm.fieldfile import read_field, write_field, write_field_csv
-from stwm.kernel import mode_cov
-from stwm.quadrature import QuadratureConfig
-from stwm.sampler import FieldSample, TimeGrid
+from stwm.kernel import ModeKernel, mode_cov
+from stwm.quadrature import QuadratureConfig, QuadratureError
+from stwm.sampler import FieldSample, TimeGrid, gram
 from stwm.spectral import evaluate_basis, model_from_dict, mode_params
 
 PI = math.pi
@@ -132,6 +132,18 @@ class TestSampleCommand:
         run_cli(["--config", config_path, "--out", str(tmp_path / "r"), "sample"])
         assert open(config_path).read() == before
 
+    @pytest.mark.parametrize("flags,env,source", [(["--threads", "-3"], None, "--threads"),
+                                                   ([], "0", "STWM_THREADS")])
+    def test_threads_below_one_exit_2(self, config_path, tmp_path, monkeypatch, capsys,
+                                      flags, env, source):
+        if env is None:
+            monkeypatch.delenv("STWM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("STWM_THREADS", env)
+        assert run_cli(["--config", config_path, "--out", str(tmp_path), *flags, "sample"]) == 2
+        assert f"'{source}'" in capsys.readouterr().err
+        assert not (tmp_path / "field.stwm").exists()
+
     def test_threads_env_fallback(self, config_path, tmp_path, monkeypatch):
         monkeypatch.setenv("STWM_THREADS", "4")
         out1 = tmp_path / "a"
@@ -214,14 +226,16 @@ class TestCovFieldTarget:
 
 
 class TestNumericalFailureExit:
-    def test_quadrature_failure_exit_4(self, config_path, tmp_path, monkeypatch):
-        from stwm.quadrature import QuadratureError
-
+    def test_quadrature_failure_exit_4(self, config_path, monkeypatch, capsys):
+        # holder reaches the adaptive quadrature through analysis and mode_cov,
+        # the one route left on which QuadratureError can arise
         def explode(*args, **kwargs):
             raise QuadratureError("injected", 0.0, 1.0)
 
-        monkeypatch.setattr(cli, "gram", explode)
-        assert run_cli(["--config", config_path, "--out", str(tmp_path), "cov"]) == 4
+        monkeypatch.setattr(kernel, "integrate", explode)
+        assert run_cli(["--config", config_path, "holder", "--t0", "5",
+                        "--lags", "2^-6..2^-8"]) == 4
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_large_gamma_overflow_exit_4(self, tmp_path, capsys):
         doc = dict(BASE_CONFIG, cov={"mode": 1})
@@ -230,6 +244,30 @@ class TestNumericalFailureExit:
         p.write_text(json.dumps(doc))
         assert run_cli(["--config", str(p), "--out", str(tmp_path), "cov"]) == 4
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestNoAdaptiveCalls:
+    """gram, stwm sample and stwm cov use the fixed lagged-integral rule only
+    and never reach the adaptive quadrature behind mode_cov."""
+
+    @pytest.fixture(autouse=True)
+    def no_integrate(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise AssertionError("adaptive quadrature called")
+
+        monkeypatch.setattr(kernel, "integrate", explode)
+
+    def test_gram(self):
+        k = ModeKernel(mu=3.0, weight=1.0, gamma=1.3)
+        for grid in (TimeGrid.uniform(0.0, 2.0, 8), TimeGrid(np.array([0.0, 0.3, 1.1, 2.0]))):
+            G = gram(k, grid).matrix
+            assert np.all(np.isfinite(G)) and G[1, 2] > 0.0
+
+    @pytest.mark.parametrize("command", ["sample", "cov"])
+    def test_cli(self, tmp_path, command):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], gamma=1.3))))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path), command]) == 0
 
 
 class TestLimitsCommand:
@@ -328,6 +366,17 @@ class TestIntegerConfigFields:
         assert run_cli(["--config", str(p), "--out", str(tmp_path / "a"), "cov"]) == 0
         assert run_cli(["--config", str(q), "--out", str(tmp_path / "b"), "cov"]) == 0
         assert (tmp_path / "a" / "cov.csv").read_text() == (tmp_path / "b" / "cov.csv").read_text()
+
+
+class TestModelConfigFields:
+    @pytest.mark.parametrize("field,bad", [("d", True), ("J", True), ("alpha", True),
+                                           ("gamma", "1.5"), ("extents", "3")])
+    def test_non_numeric_exit_2_names_field(self, tmp_path, capsys, field, bad):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], **{field: bad}))))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), "sample"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "field.stwm").exists()
 
 
 class TestFieldFile:

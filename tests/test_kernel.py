@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stwm.kernel import (
     ModeKernel,
+    _gauss_jacobi,
     mode_cov,
     mode_var,
     square_function_ratio,
@@ -15,9 +16,25 @@ from stwm.kernel import (
     temporal_matern_limit,
 )
 from stwm.quadrature import QuadratureConfig, integrate
+from stwm.sampler import TimeGrid, gram
 from stwm.specfun import gamma_fn
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
+
+
+# frozen 40-digit mpmath references of q(s, t) at fractional orders
+FRACTIONAL_REFERENCE_ROWS = [
+    (0.75, 1.0, 1.0, 1.0, 2.0, 0.15459034667479487),
+    (0.75, 2.0, 0.5, 0.5, 0.75, 0.10300634658911631),
+    (1.3, 1.0, 1.0, 1.0, 2.0, 0.14586385423507745),
+    (1.3, 4.0, 2.0, 2.0, 2.5, 0.017779522454326307),
+    (2.5, 1.0, 1.0, 1.0, 3.0, 0.034318850242223947),
+    (0.6, 1.0, 1.0, 2.0, 2.25, 0.47745252461239777),
+    # tiny values, where a tolerance absolute in the integral's own units
+    # used to stop the quadrature early
+    (4.5, 400.0, 1.0, 0.046875, 0.0625, 2.1489525941323115e-23),
+    (2.4, 34.0, 1.0, 0.015625, 0.03125, 2.1443511795850698e-08),
+]
 
 
 def rel(a, b):
@@ -83,19 +100,7 @@ class TestModeCov:
             if abs(want) > 1e-300:
                 assert rel(got, want) < 1e-10
 
-    # frozen 40-digit quadrature references at fractional orders
-    @pytest.mark.parametrize("g,mu,w,s,t,expected", [
-        (0.75, 1.0, 1.0, 1.0, 2.0, 0.15459034667479487),
-        (0.75, 2.0, 0.5, 0.5, 0.75, 0.10300634658911631),
-        (1.3, 1.0, 1.0, 1.0, 2.0, 0.14586385423507745),
-        (1.3, 4.0, 2.0, 2.0, 2.5, 0.017779522454326307),
-        (2.5, 1.0, 1.0, 1.0, 3.0, 0.034318850242223947),
-        (0.6, 1.0, 1.0, 2.0, 2.25, 0.47745252461239777),
-        # tiny values, where a tolerance absolute in the integral's own units
-        # used to stop the quadrature early
-        (4.5, 400.0, 1.0, 0.046875, 0.0625, 2.1489525941323115e-23),
-        (2.4, 34.0, 1.0, 0.015625, 0.03125, 2.1443511795850698e-08),
-    ])
+    @pytest.mark.parametrize("g,mu,w,s,t,expected", FRACTIONAL_REFERENCE_ROWS)
     def test_fractional_reference_values(self, g, mu, w, s, t, expected):
         k = ModeKernel(mu=mu, weight=w, gamma=g)
         assert rel(mode_cov(k, s, t, TIGHT), expected) < 1e-11
@@ -135,6 +140,30 @@ class TestModeCov:
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.0)
         with pytest.raises(ValueError):
             mode_cov(k, -1.0, 1.0)
+
+
+class TestFixedLaggedRule:
+    """The fixed rule gram uses for lagged entries (kernel._lagged_integrals)."""
+
+    @pytest.mark.parametrize("beta", [-0.4999, 0.0, 0.7, 19.0])
+    def test_gauss_jacobi_exact_to_degree_39(self, beta):
+        # int_0^1 u^beta u^k du = B(beta + k + 1, 1) and
+        # int_0^1 u^beta (1 - u)^k du = B(beta + 1, k + 1), for k <= 2n - 1.
+        # Golub-Welsch weights are accurate to rounding relative to the
+        # largest weight, so the moment (1 - u)^39 at beta = 19, which rests
+        # on weights near 1e-16, is the loosest (2e-13).
+        u, w = _gauss_jacobi(20, beta)
+        assert np.all((u > 0.0) & (u < 1.0)) and np.all(w > 0.0)
+        for k in range(40):
+            assert rel(w @ u ** k, 1.0 / (beta + k + 1.0)) < 1e-14, k
+            beta_fn = math.exp(math.lgamma(beta + 1.0) + math.lgamma(k + 1.0)
+                               - math.lgamma(beta + k + 2.0))
+            assert rel(w @ (1.0 - u) ** k, beta_fn) < 1e-12, k
+
+    @pytest.mark.parametrize("g,mu,w,s,t,expected", FRACTIONAL_REFERENCE_ROWS)
+    def test_gram_matches_frozen_references(self, g, mu, w, s, t, expected):
+        G = gram(ModeKernel(mu=mu, weight=w, gamma=g), TimeGrid(np.array([s, t]))).matrix
+        assert rel(G[0, 1], expected) < 1e-12 and G[1, 0] == G[0, 1]
 
 
 class TestModeVar:

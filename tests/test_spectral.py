@@ -207,6 +207,16 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="gamma"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("field,bad", [
+        ("d", True), ("d", 1.5), ("J", True), ("J", "8"), ("alpha", True), ("gamma", "1.5"),
+        ("extents", "3"), ("extents", [True]), ("kappa2", None), ("kappa2_tilde", [1.0]),
+        ("beta", False), ("T", "5"), ("T", math.inf), ("gamma", math.nan),
+        pytest.param("kappa2", 10 ** 400, id="kappa2-10**400"),
+    ])
+    def test_non_numeric_field_named(self, field, bad):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            model_from_dict(dict(self.DOC, **{field: bad}))
+
     def test_bad_dimension_named(self):
         doc = dict(self.DOC, d=3)
         with pytest.raises(ConfigError, match="'d'"):
