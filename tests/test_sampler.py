@@ -316,8 +316,11 @@ class TestUniformModeGram:
         assert np.all(G[0] == 0.0) and np.all(G[:, 0] == 0.0)
 
     @staticmethod
-    def check_lagged_entries(grid):
-        # a lattice over mu in [1e-2, 1e8] (half decades) x gamma in [0.5001, 20]
+    def check_lagged_entries(grid, ref=TIGHT):
+        # a lattice over mu in [1e-2, 1e8] (half decades) x gamma in [0.5001, 20],
+        # against the adaptive mode_cov at tolerance `ref`; the bound is 1e-12
+        # or the reference's own rel_tol, whichever is looser
+        bound = max(1e-12, ref.rel_tol)
         pts = grid.points
         gammas = (0.5001, 0.51, 1.3, 2.5, 3.7, 5.0, 9.0, 14.0, 20.0)
         for mu, g in itertools.product(10.0 ** np.arange(-2.0, 8.5, 0.5), gammas):
@@ -325,16 +328,18 @@ class TestUniformModeGram:
             G = gram(k, grid).matrix
             for i in range(pts.size):
                 for j in range(i + 1, pts.size):
-                    want = mode_cov(k, pts[i], pts[j], TIGHT)
+                    want = mode_cov(k, pts[i], pts[j], ref)
                     if want < 1e-300:
                         assert G[i, j] < 1e-290
                     else:
-                        assert abs(G[i, j] - want) <= 1e-12 * want, (mu, g, i, j)
+                        assert abs(G[i, j] - want) <= bound * want, (mu, g, i, j)
 
+    # gram has no tolerance of its own; cfg is the adaptive reference's
+    @pytest.mark.parametrize("cfg", [QuadratureConfig(), TIGHT], ids=["default", "tight"])
     @pytest.mark.parametrize("t0", [0.0, 0.5])
     @pytest.mark.parametrize("h", [1 / 64, 1 / 8, 2.5])
-    def test_lagged_entries_sweep(self, h, t0):
-        self.check_lagged_entries(TimeGrid(t0 + h * np.arange(6)))
+    def test_lagged_entries_sweep(self, h, t0, cfg):
+        self.check_lagged_entries(TimeGrid(t0 + h * np.arange(6)), cfg)
 
     def test_lagged_entries_sweep_non_uniform(self):
         self.check_lagged_entries(TimeGrid(np.array([0.0, 0.01, 0.3, 0.31, 1.7, 4.0])))
