@@ -186,21 +186,25 @@ def mode_cov(k: ModeKernel, s: float, t: float, cfg: QuadratureConfig = DEFAULT_
     return k.weight / gamma_fn(g) ** 2 * pre * _lagged_integral(g, mu, lo, hi - lo, cfg)
 
 
-def mode_var(k: ModeKernel, t: float) -> float:
+def mode_var(k: ModeKernel, t):
     """Variance q(t, t) = w gamma(2g - 1, 2 mu t) / (Gamma(g)^2 (2 mu)^{2g-1}),
     the incomplete-gamma closed form, evaluated in log space so that it stays
-    finite where the prefactor alone under- or overflows."""
-    if t < 0.0:
-        raise ValueError(f"mode_var requires t >= 0, got {t}")
+    finite where the prefactor alone under- or overflows. t is a float or an
+    array of times (a float for a float); the entries of an array are
+    bit-identical to the scalar calls, since both go through one
+    implementation of specfun.log_lower_incomplete_gamma."""
+    t = np.asarray(t, dtype=float)
+    if (t < 0.0).any():
+        raise ValueError(f"mode_var requires t >= 0, got {t[t < 0.0].flat[0]}")
     g = k.gamma
     if not g > 0.5:
         raise ValueError(f"mode_var requires gamma > 1/2 (infinite variance), got {g}")
-    if t == 0.0:
-        return 0.0
     a = 2.0 * g - 1.0
     two_mu = 2.0 * k.mu
-    return math.exp(math.log(k.weight) - 2.0 * log_gamma(g) - a * math.log(two_mu)
-                    + log_lower_incomplete_gamma(a, two_mu * t))
+    # log gamma(a, 0) = -inf, so t = 0 gives exactly 0
+    out = np.exp(math.log(k.weight) - 2.0 * log_gamma(g) - a * math.log(two_mu)
+                 + np.asarray(log_lower_incomplete_gamma(a, two_mu * t)))
+    return out if out.ndim else float(out)
 
 
 def stationary_constant(gamma: float) -> float:

@@ -78,7 +78,7 @@ class TimeGrid:
         h = np.diff(self.points)
         if h.size == 0:
             raise ValueError("single-point grid has no step")
-        if not np.allclose(h, h[0], rtol=1e-12, atol=0.0):
+        if np.abs(h - h[0]).max() > 1e-12 * h[0]:
             raise ValueError("grid is not uniform")
         return float(h[0])
 
@@ -177,19 +177,21 @@ def gram(k: ModeKernel, grid: TimeGrid) -> GramMatrix:
 
     Lagged entries come from kernel._lagged_integrals, one fixed
     Gauss-Jacobi and Gauss-Legendre rule with no adaptive step. On a uniform
-    grid (any t_0 >= 0) each lag's entries are one cumulative sum of cell
-    integrals: that rule for the singular first chunk [0, t_0] ([0, h] when
-    t_0 = 0) of all lags in one call, then one fixed Gauss-Legendre rule per
-    cell. On other grids the rule gives each row's upper-triangle entries in
-    one call. Lagged entries agree with TIGHT mode_cov to 1e-12 relative
-    (tested over mu in [1e-2, 1e8], gamma in [0.5001, 20]); entries whose
-    factor e^{-mu |t - s|} underflows are exactly 0.
+    grid (any t_0 >= 0) the entries of row i at lags 1, 2, ... are that
+    rule's singular first chunk [0, t_0] ([0, h] when t_0 = 0), computed for
+    all lags in one call, plus the integrals over the cells below t_i, which
+    one fixed Gauss-Legendre rule per cell gives for every lag in one
+    matrix-vector product per row. On other grids the rule gives each row's
+    upper-triangle entries in one call. Rows fill the upper triangle, which
+    is mirrored once at the end. Lagged entries agree with TIGHT mode_cov to
+    1e-12 relative (tested over mu in [1e-2, 1e8], gamma in [0.5001, 20]);
+    entries whose factor e^{-mu |t - s|} underflows are exactly 0.
     """
     if not k.gamma > 0.5:
         raise ValueError(f"gram requires gamma > 1/2, got {k.gamma}")
     pts = grid.points
     n = pts.size
-    G = np.diag([mode_var(k, float(t)) for t in pts])
+    G = np.diag(mode_var(k, pts))
     g, mu = k.gamma, k.mu
     scale = k.weight / gamma_fn(g) ** 2
     i0 = 1 if pts[0] == 0.0 else 0  # rows below i0 (t = 0) stay zero
@@ -203,17 +205,25 @@ def gram(k: ModeKernel, grid: TimeGrid) -> GramMatrix:
             pre = pre[pre > 0.0]
             if pre.size:
                 j = slice(i + 1, i + 1 + pre.size)
-                G[i, j] = G[j, i] = pre * _lagged_integrals(g, mu, pts[i], pts[j] - pts[i])
-        return GramMatrix(matrix=G)
+                G[i, j] = pre * _lagged_integrals(g, mu, pts[i], pts[j] - pts[i])
+    else:
+        _uniform_upper(G, g, mu, scale, float(pts[i0]), h, i0)
+    for i in range(n - 1):
+        G[i + 1:, i] = G[i, i + 1:]
+    return GramMatrix(matrix=G)
 
-    u0 = float(pts[i0])             # end of the first chunk
-    m = n - 1 - i0                  # cells [u0 + c h, u0 + (c+1) h], c < m
+
+def _uniform_upper(G: np.ndarray, g: float, mu: float, scale: float, u0: float, h: float,
+                   i0: int):
+    """Upper triangle of gram's rows i0, i0 + 1, ... (times u0, u0 + h, ...)
+    on a uniform grid, written in place one row at a time."""
+    m = G.shape[0] - 1 - i0         # cells [u0 + c h, u0 + (c+1) h], c < m
     lag_steps = np.arange(1, m + 1)
     pre = scale * np.exp(-mu * h * lag_steps)
-    lag_steps = lag_steps[pre > 0.0]
-    if lag_steps.size == 0:
-        return GramMatrix(matrix=G)
-    first = _lagged_integrals(g, mu, u0, h * lag_steps)
+    n_lags = np.count_nonzero(pre)  # lags whose prefactor survives: a prefix
+    if n_lags == 0:
+        return
+    first = _lagged_integrals(g, mu, u0, h * lag_steps[:n_lags])
     # Each cell's rule is graded towards its left end, below widths 1/mu and
     # u0 (the distance to u = 0). Equal node layouts make the integrand on
     # cell c at lag l h a product of per-node tables at cells c and c + l.
@@ -222,50 +232,62 @@ def gram(k: ModeKernel, grid: TimeGrid) -> GramMatrix:
     x = (u0 + h * np.arange(m))[:, None] + x.reshape(-1)
     u_pow = x ** (g - 1.0)
     u_pow_exp = u_pow * np.exp(-2.0 * mu * x) * w.reshape(-1)
-    for ell, chunk in zip(lag_steps, first):
-        cells = np.einsum("ij,ij->i", u_pow_exp[:m - ell], u_pow[ell:])
-        q = pre[ell - 1] * (chunk + np.concatenate(([0.0], np.cumsum(cells))))
-        i = np.arange(i0, n - ell)
-        G[i, i + ell] = q
-        G[i + ell, i] = q
-    return GramMatrix(matrix=G)
+    # acc[l - 1] is the sum of the lag-l cell integrals over the cells below
+    # the current row, added cell by cell in increasing order.
+    acc = np.zeros(n_lags)
+    for c in range(m):
+        r, k = i0 + c, min(n_lags, m - c)
+        G[r, r + 1:r + 1 + k] = pre[:k] * (first[:k] + acc[:k])
+        k = min(n_lags, m - 1 - c)
+        acc[:k] += u_pow[c + 1:c + 1 + k] @ u_pow_exp[c]
 
 
 def _cholesky_with_jitter(arr: np.ndarray) -> tuple[np.ndarray, float]:
     n = arr.shape[0]
     if arr.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    scale = float(np.abs(arr).max()) if n else 0.0
-    if not np.allclose(arr, arr.T, rtol=0.0, atol=1e-12 * (1.0 + scale)):
+    # sym is the symmetrized copy that is factorized. A - sym is finite
+    # exactly where A is: an infinite or nan entry gives inf or nan there.
+    with np.errstate(invalid="ignore"):
+        sym = np.add(arr, arr.T)
+        sym *= 0.5
+        asym = float(np.abs(arr - sym).max()) if n else 0.0
+    if not math.isfinite(asym):
+        raise ValueError("matrix has non-finite entries")
+    scale = max(float(arr.max()), -float(arr.min())) if n else 0.0
+    if asym > 0.5e-12 * (1.0 + scale):  # |A - A^T| = 2 |A - sym|
         raise ValueError("matrix is not symmetric")
-    arr = 0.5 * (arr + arr.T)
 
-    # zero-variance indices (e.g. grid points at t = 0) factor to zero rows
-    diag = np.diag(arr)
+    # Zero-variance indices (e.g. grid points at t = 0) factor to zero rows:
+    # they get a unit diagonal and no off-diagonal entries for the
+    # factorization, and their rows of the factor are zeroed after it.
+    diag = sym.diagonal().copy()
     if np.any(diag < 0.0):
         raise CholeskyError("negative diagonal entry; matrix is not PSD")
-    alive = diag > 0.0
-    dead = ~alive
-    if np.any(np.abs(arr[np.ix_(dead, alive)]) > 1e-12 * (1.0 + scale)):
-        raise CholeskyError("zero-diagonal row has nonzero off-diagonal entries; not PSD")
-    sub = arr[np.ix_(alive, alive)]
-    m = sub.shape[0]
-    L = np.zeros_like(arr)
-    if m == 0:
-        return L, 0.0
+    dead = np.flatnonzero(diag == 0.0)
+    live = np.flatnonzero(diag)
+    if dead.size:
+        if np.abs(sym[dead]).max() > 1e-12 * (1.0 + scale):
+            raise CholeskyError("zero-diagonal row has nonzero off-diagonal entries; not PSD")
+        sym[dead] = 0.0
+        sym[:, dead] = 0.0
+        sym[dead, dead] = 1.0
+    if live.size == 0:
+        return np.zeros_like(arr), 0.0
 
-    base = 1e-14 * float(np.trace(sub)) / m
+    base = 1e-14 * float(diag.sum()) / live.size
     jitter = 0.0
     for step in range(_MAX_JITTER_STEPS + 2):
         try:
-            L_sub = np.linalg.cholesky(sub + jitter * np.eye(m))
+            L = np.linalg.cholesky(sym)
         except np.linalg.LinAlgError:
             if step > _MAX_JITTER_STEPS:
                 raise CholeskyError(
                     f"matrix not PSD after jitter escalation up to {jitter}") from None
             jitter = base * 10.0 ** step
+            sym[live, live] = diag[live] + jitter
             continue
-        L[np.ix_(alive, alive)] = L_sub
+        L[dead] = 0.0
         return L, jitter
     raise CholeskyError("unreachable")  # pragma: no cover
 
@@ -273,7 +295,13 @@ def _cholesky_with_jitter(arr: np.ndarray) -> tuple[np.ndarray, float]:
 def cholesky_psd(G) -> np.ndarray:
     """Lower-triangular factor of a symmetric PSD matrix, escalating a tiny
     diagonal jitter when needed. Accepts a GramMatrix (whose jitter_applied
-    field is updated) or a plain array."""
+    field is updated) or a plain array.
+
+    The symmetric part (A + A^T) / 2 is factorized. Indices with zero
+    variance, wherever they sit, give zero rows and columns of the factor.
+    A matrix with an infinite or nan entry, or one that is not symmetric to
+    1e-12 (1 + max |A|), raises ValueError; a matrix that is not PSD raises
+    CholeskyError."""
     if isinstance(G, GramMatrix):
         L, jitter = _cholesky_with_jitter(np.asarray(G.matrix, dtype=float))
         G.jitter_applied = jitter
@@ -364,7 +392,7 @@ def _frac_weights(delta: float, mu: float, h: float, n_cells: int) -> np.ndarray
     if mu == 0.0:
         pows = edges ** delta
         return (pows[1:] - pows[:-1]) / gamma_fn(delta + 1.0)
-    lower = np.array([lower_incomplete_gamma(delta, mu * e) if e > 0.0 else 0.0 for e in edges])
+    lower = lower_incomplete_gamma(delta, mu * edges)
     return (lower[1:] - lower[:-1]) * mu ** -delta / gamma_fn(delta)
 
 

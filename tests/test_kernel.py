@@ -207,6 +207,17 @@ class TestModeVar:
         with pytest.raises(ValueError):
             mode_var(ModeKernel(mu=1.0, weight=1.0, gamma=0.5), 1.0)
 
+    def test_array_times_match_scalar_calls(self):
+        # one array call gives each scalar call's value bit for bit, across
+        # the series, continued-fraction and saturated ranges of 2 mu t
+        k = ModeKernel(mu=1.5, weight=0.7, gamma=1.3)
+        ts = np.concatenate(([0.0], np.geomspace(1e-6, 200.0, 40))).reshape(-1, 1)
+        got = mode_var(k, ts)
+        assert got.shape == ts.shape and got[0, 0] == 0.0
+        assert np.array_equal(got[:, 0], [mode_var(k, float(t)) for t in ts[:, 0]])
+        with pytest.raises(ValueError):
+            mode_var(k, np.array([1.0, -1e-3]))
+
     def test_long_time_limit_ou(self):
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.0)
         assert rel(mode_var(k, 500.0), 0.5) < 1e-14

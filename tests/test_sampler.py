@@ -131,6 +131,35 @@ class TestCholeskyPsd:
         with pytest.raises(ValueError):
             cholesky_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        cases = [np.array([[bad, 0.0], [0.0, 1.0]]),
+                 np.full((2, 2), bad),
+                 np.array([[1.0, bad], [bad, 1.0]]),
+                 np.array([[1.0, bad], [0.0, 1.0]])]
+        for A in cases:
+            with pytest.raises(ValueError, match="non-finite"):
+                cholesky_psd(A)
+            with pytest.raises(ValueError, match="non-finite"):
+                cholesky_psd(GramMatrix(matrix=A))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-15])
+    def test_interior_zero_variance_row(self, eps):
+        # couplings of a zero-variance index within the symmetry tolerance
+        # are dropped: its row and column of the factor are exactly zero
+        A = np.array([[4.0, eps, 2.0], [eps, 0.0, eps], [2.0, eps, 5.0]])
+        G = GramMatrix(matrix=A)
+        L = cholesky_psd(G)
+        assert G.jitter_applied == 0.0
+        assert np.all(L[1] == 0.0) and np.all(L[:, 1] == 0.0)
+        assert np.array_equal(L, np.tril(L))
+        assert np.abs(L @ L.T - A).max() < 1e-14
+
+    def test_coupled_zero_variance_rows_rejected(self):
+        # two zero-variance indices coupled to each other: not PSD
+        with pytest.raises(CholeskyError):
+            cholesky_psd(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+
     @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=60, deadline=None)
     def test_reconstruction_property(self, n, seed):
@@ -310,6 +339,17 @@ class TestUniformModeGram:
             for i, j in pairs:
                 want = mode_cov(k, grid.points[i], grid.points[j], TIGHT)
                 assert abs(G[i, j] - want) <= 1e-9 * (abs(want) + 1e-12)
+
+    @pytest.mark.parametrize("g,mu", [(0.7, 1.0), (1.3, 1.0), (0.55, 30.0), (2.5, 300.0)])
+    def test_long_grid_matches_mode_cov(self, g, mu):
+        # the row recursion carries each lag's cell sums across 2047 cells
+        grid = TimeGrid.uniform(0.0, 1.0, 2048)
+        k = ModeKernel(mu=mu, weight=1.0, gamma=g)
+        G = gram(k, grid).matrix
+        assert np.array_equal(G, G.T)
+        for i, j in [(1, 2048), (1024, 2048), (2047, 2048), (5, 6), (700, 1500)]:
+            want = mode_cov(k, grid.points[i], grid.points[j], TIGHT)
+            assert abs(G[i, j] - want) <= 1e-12 * want, (i, j)
 
     def test_zero_row(self):
         G = gram(ModeKernel(1.0, 1.0, 0.9), TimeGrid.uniform(0.0, 1.0, 8)).matrix

@@ -17,6 +17,15 @@ from stwm.specfun import (
 
 SQRT_PI = math.sqrt(math.pi)
 
+# (a, x, gamma(a, x)), frozen 40-digit references
+INCOMPLETE_GAMMA_REFERENCE_ROWS = [
+    (0.5, 2.0, 1.6918067329451983),
+    (3.7, 0.9, 0.091249917749143025),
+    (12.0, 30.0, 39914250.233552542),
+    (0.05, 0.2, 18.28648108208038),
+    (20.0, 3.0, 10114088.922271405),
+]
+
 
 def rel(a, b):
     return abs(a - b) / abs(b)
@@ -85,16 +94,44 @@ class TestLowerIncompleteGamma:
     def test_zero(self):
         assert lower_incomplete_gamma(3.3, 0.0) == 0.0
 
-    @pytest.mark.parametrize("a,x,expected", [
-        (0.5, 2.0, 1.6918067329451983),
-        (3.7, 0.9, 0.091249917749143025),
-        (12.0, 30.0, 39914250.233552542),
-        (0.05, 0.2, 18.28648108208038),
-        (20.0, 3.0, 10114088.922271405),
-    ])
+    @pytest.mark.parametrize("a,x,expected", INCOMPLETE_GAMMA_REFERENCE_ROWS)
     def test_reference_values(self, a, x, expected):
         assert rel(lower_incomplete_gamma(a, x), expected) < 1e-10
         assert rel(math.exp(log_lower_incomplete_gamma(a, x)), expected) < 1e-10
+
+    def test_reference_values_as_arrays(self):
+        a, x, expected = np.array(INCOMPLETE_GAMMA_REFERENCE_ROWS).T
+        got = lower_incomplete_gamma(a, x)
+        assert np.all(np.abs(got - expected) < 1e-10 * expected)
+        assert np.array_equal(got, [lower_incomplete_gamma(*row) for row in zip(a, x)])
+        assert np.array_equal(np.exp(log_lower_incomplete_gamma(a, x)),
+                              [math.exp(log_lower_incomplete_gamma(*row)) for row in zip(a, x)])
+
+    @pytest.mark.parametrize("a", [0.3, 1.6, 39.0])
+    def test_array_matches_scalar_calls(self, a):
+        # x crosses the series / continued-fraction switch at a + 1 and
+        # reaches the range where gamma(a, x) equals Gamma(a) to 1e-18
+        x = np.geomspace(1e-8, 1e3, 200)
+        logs = log_lower_incomplete_gamma(a, x)
+        assert np.array_equal(logs, [log_lower_incomplete_gamma(a, float(v)) for v in x])
+        values = lower_incomplete_gamma(a, np.concatenate(([0.0], x)))
+        assert values[0] == 0.0
+        assert np.array_equal(values[1:], [lower_incomplete_gamma(a, float(v)) for v in x])
+        assert np.array_equal(values[1:], np.exp(logs))
+        # a broadcasts against x, and shapes are kept
+        grid = lower_incomplete_gamma(np.full((2, 1), a), x[None, :3])
+        assert grid.shape == (2, 3) and np.array_equal(grid[1], values[1:4])
+
+    def test_array_domain(self):
+        with pytest.raises(ValueError):
+            lower_incomplete_gamma(1.0, np.array([1.0, -0.1]))
+        with pytest.raises(ValueError):
+            lower_incomplete_gamma(np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(ValueError):
+            log_lower_incomplete_gamma(1.0, np.array([1.0, np.nan]))
+        # log gamma(a, 0) = -inf, so gamma(a, 0) = 0 is exact in both forms
+        assert log_lower_incomplete_gamma(2.0, 0.0) == -math.inf
+        assert np.array_equal(lower_incomplete_gamma(np.array([0.3, 2.0]), 0.0), [0.0, 0.0])
 
     def test_saturation(self):
         # far in the tail the lower function equals the complete one
