@@ -9,7 +9,6 @@ satisfied, 1 condition unsatisfied, 2 config error, 3 model invalid
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -116,21 +115,6 @@ def _seed_from(args, doc: dict) -> SeedSpec:
         raise ConfigError("seed", str(exc)) from None
 
 
-def _threads_from(args) -> int:
-    """Worker thread count from --threads, else STWM_THREADS, else 1; a count
-    below 1 is a ConfigError naming its source."""
-    source, threads = "--threads", args.threads
-    if threads is None:
-        source, env = "STWM_THREADS", os.environ.get("STWM_THREADS")
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            raise ConfigError(source, f"not an integer: {env!r}") from None
-    if threads < 1:
-        raise ConfigError(source, f"must be >= 1, got {threads}")
-    return threads
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -172,8 +156,9 @@ def cmd_sample(args) -> int:
     if n_paths < 1:
         raise ConfigError("n_paths", f"must be >= 1, got {n_paths}")
     seed = _seed_from(args, doc)
-    threads = _threads_from(args)
-    sample = sample_field(model, grid, space, n_paths, seed, threads=threads)
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
+    sample = sample_field(model, grid, space, n_paths, seed)
     out = _out_dir(args)
     bin_path = out / "field.stwm"
     fieldfile.write_field(bin_path, sample)
@@ -316,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (default: current directory)")
     parser.add_argument("--seed", type=int, help="master seed (64-bit unsigned)")
     parser.add_argument("--threads", type=int,
-                        help="worker threads (fallback: STWM_THREADS env var, then 1)")
+                        help="accepted and ignored: sampling is serial (must be >= 1)")
     parser.add_argument("--force", action="store_true",
                         help="sample even when the variance series diverges")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -7,8 +7,11 @@ independent standard normals. Normals come from counter-based streams in
 format v2 (STREAM_FORMAT): one Philox4x64 stream per mode, keyed by (master
 seed, mode index), in which every path reads a fixed block of words at its
 own counter offset. All paths of a mode come from one draw, any path range
-replays on its own, and for a fixed numpy build output is bit-identical
-across thread counts and across path-count prefixes.
+replays on its own, and for a fixed numpy build and BLAS thread count output
+is bit-identical across reruns and path-count prefixes. Across BLAS thread
+counts it is bit-identical only on short grids: Gram matrices are, but LAPACK
+potrf threads the factorization of long ones (with OpenBLAS 0.3.31 on 2
+cores, factors under 1 and 2 threads first differ at 128 points).
 
 A second, alternative sampler realizes the factorization construction: draw
 the lower-order process on a fine uniform grid, then apply the singular
@@ -18,7 +21,6 @@ constant path on every cell).
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +101,10 @@ class SeedSpec:
     Mode j (0-based) draws from the Philox4x64 stream with key (master, j).
     Path p of an n_times grid takes the stride = 4*ceil(n_times/4) words from
     word p * stride, turned into normals by Box-Muller on word pairs, so
-    |z| <= sqrt(106 ln 2) ~ 8.57. For a fixed numpy build an identical
-    SeedSpec yields bit-identical output across thread counts, and the first
-    m of n paths equal an m-path run. Seeds recorded under the earlier
+    |z| <= sqrt(106 ln 2) ~ 8.57. For a fixed numpy build and BLAS thread
+    count an identical SeedSpec yields bit-identical output (across BLAS
+    thread counts only on short grids; see the module docstring), and the
+    first m of n paths equal an m-path run. Seeds recorded under the earlier
     format v1 (key (master, path << 32 | mode)) do not replay.
     """
 
@@ -317,18 +320,14 @@ def _check_sampling_pre(model: SpectralModel, grid: TimeGrid):
         raise ValueError(f"grid end {grid.points[-1]} exceeds the model horizon T={model.T}")
 
 
-def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedSpec,
-                 threads: int = 1) -> np.ndarray:
+def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedSpec) -> np.ndarray:
     """Sample mode paths, exact in law on the grid.
 
     Returns an array of shape (n_paths, J, n_times). Values at any t = 0 grid
-    point are exactly zero. Output depends only on the SeedSpec, not on the
-    thread count: each mode owns one counter-based stream, from which all
-    paths are drawn in one call and multiplied by the mode's Cholesky factor,
-    so the mode-parallel decomposition is a correctness contract. Under
-    CPython Gram assembly, many small numpy calls, holds the GIL much of the
-    time, so threads > 1 can only help when the BLAS work that releases it
-    (Cholesky, products) outweighs that assembly.
+    point are exactly zero. Each mode owns one counter-based stream, from
+    which all paths are drawn in one call and multiplied by the mode's
+    Cholesky factor, so output depends only on the SeedSpec (for a fixed
+    numpy build and BLAS thread count).
     """
     _check_sampling_pre(model, grid)
     if n_paths < 1:
@@ -336,23 +335,14 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
     n_times = grid.n
     n_blocks = -(-n_paths // _PATH_BLOCK)
     out = np.empty((n_paths, model.J, n_times))
-
-    def run_mode(jm: int):
-        k = mode_params(model, jm + 1)
-        L = cholesky_psd(gram(k, grid))
+    for jm in range(model.J):
+        L = cholesky_psd(gram(mode_params(model, jm + 1), grid))
         # Normals are drawn up to whole blocks so every product is a BLAS call
         # of one shape: BLAS may pick another kernel, and round differently,
         # for another row count, and a path's values must not depend on it.
         Z = _stream_normals(seed.master, 0, jm, n_times, n_blocks * _PATH_BLOCK)
         paths = Z.reshape(n_blocks, _PATH_BLOCK, n_times) @ L.T
         out[:, jm, :] = paths.reshape(-1, n_times)[:n_paths]
-
-    if threads <= 1:
-        for jm in range(model.J):
-            run_mode(jm)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_mode, range(model.J)))
     return out
 
 
@@ -374,9 +364,9 @@ def assemble_field(mode_paths: np.ndarray, basis: EigenBasis, space_points,
 
 
 def sample_field(model: SpectralModel, grid: TimeGrid, space_points, n_paths: int,
-                 seed: SeedSpec, threads: int = 1) -> FieldSample:
+                 seed: SeedSpec) -> FieldSample:
     """Sample mode paths and assemble them on the given spatial points."""
-    paths = sample_modes(model, grid, n_paths, seed, threads=threads)
+    paths = sample_modes(model, grid, n_paths, seed)
     return assemble_field(paths, model.basis, space_points, times=grid,
                           seed_record=(seed.master, 0))
 

@@ -4,10 +4,10 @@ Everything here is pure double-precision arithmetic on positive real
 arguments, accurate enough to serve as the backbone of the covariance
 formulas downstream (Gamma to ~1e-13 relative, incomplete gamma and K_nu
 to ~1e-12 over their stated domains). All functions are pure and reentrant.
-The lower incomplete gamma and its log work elementwise on numpy arrays,
-with one vectorised implementation that scalar calls also go through, so an
-array call returns each scalar call's value bit for bit; the other functions
-take scalars.
+The lower incomplete gamma and its log take one order a and work
+elementwise on numpy arrays of x, with one vectorised implementation that
+scalar calls also go through, so an array call returns each scalar call's
+value bit for bit; the other functions take scalars.
 """
 
 import math
@@ -73,6 +73,13 @@ def gamma_fn(x: float) -> float:
     return math.exp(log_gamma(x))
 
 
+def _max_terms(a: float) -> int:
+    """Term cap of the incomplete-gamma series and continued fraction. Near
+    x = a both need a count that grows like sqrt(a): the series about
+    8.5 sqrt(a) terms, as its terms fall like e^{-k^2 / (2a)}."""
+    return _MAX_ITER + int(12.0 * math.sqrt(a))
+
+
 def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
     """Sums S of the series gamma(a, x) = x^a e^{-x} S for a 1-D array of
     x < a + 1.
@@ -86,7 +93,7 @@ def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
     idx = np.arange(x.size)
     term = total = 1.0 / a
     k = np.arange(1.0, _SERIES_BLOCK + 1.0)
-    for start in range(0, _MAX_ITER, _SERIES_BLOCK):
+    for start in range(0, _max_terms(a), _SERIES_BLOCK):
         terms = x[:, None] / (a + (start + k))
         terms[:, 0] *= term
         terms = np.cumprod(terms, axis=1)
@@ -122,7 +129,7 @@ def _upper_gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
     h = d
     out = np.empty_like(x)
     idx = np.arange(x.size)
-    for i in range(1, _MAX_ITER):
+    for i in range(1, _max_terms(a)):
         an = -i * (i - a)
         b = b + 2.0
         d = 1.0 / (an * d + b)
@@ -164,39 +171,30 @@ def _log_lower_gamma(a: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_lower_gamma_broadcast(a, x, name: str) -> np.ndarray:
-    """log gamma(a, x) over broadcast arrays, one _log_lower_gamma call per
-    distinct order a."""
-    a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
-    if not (a > 0.0).all():
-        raise ValueError(f"{name} requires a > 0, got a={a[~(a > 0.0)].flat[0]}")
+def _log_lower_gamma_checked(a: float, x, name: str) -> np.ndarray:
+    """log gamma(a, x) for one order a > 0 and x >= 0, in the shape of x."""
+    a, x = float(a), np.asarray(x, dtype=float)
+    if not a > 0.0:
+        raise ValueError(f"{name} requires a > 0, got a={a}")
     if not (x >= 0.0).all():
         raise ValueError(f"{name} requires x >= 0, got x={x[~(x >= 0.0)].flat[0]}")
-    if a.ndim == 0:
-        return _log_lower_gamma(float(a), x.ravel()).reshape(x.shape)
-    a, x = np.broadcast_arrays(a, x)
-    out = np.empty(x.shape)
-    for order in set(a.ravel().tolist()):
-        sel = a == order
-        out[sel] = _log_lower_gamma(order, x[sel])
-    return out
+    return _log_lower_gamma(a, x.ravel()).reshape(x.shape)
 
 
-def lower_incomplete_gamma(a, x):
+def lower_incomplete_gamma(a: float, x):
     """Lower incomplete gamma function gamma(a, x) = int_0^x u^{a-1} e^{-u} du
-    for a > 0, x >= 0, elementwise over broadcast arrays (a float for scalar
-    arguments), computed as exp(log_lower_incomplete_gamma(a, x))."""
-    out = np.exp(_log_lower_gamma_broadcast(a, x, "lower_incomplete_gamma"))
+    for a > 0, x >= 0, elementwise over an array of x (a float for a float),
+    computed as exp(log_lower_incomplete_gamma(a, x))."""
+    out = np.exp(_log_lower_gamma_checked(a, x, "lower_incomplete_gamma"))
     return out if out.ndim else float(out)
 
 
-def log_lower_incomplete_gamma(a, x):
-    """log gamma(a, x) for a > 0, x >= 0 (-inf at x = 0), elementwise over
-    broadcast arrays (a float for scalar arguments); finite where gamma(a, x)
-    itself under- or overflows double precision. Scalar and array calls go
-    through one implementation, so each entry is bit-identical to its
-    scalar call."""
-    out = _log_lower_gamma_broadcast(a, x, "log_lower_incomplete_gamma")
+def log_lower_incomplete_gamma(a: float, x):
+    """log gamma(a, x) for a > 0, x >= 0 (-inf at x = 0), elementwise over an
+    array of x (a float for a float); finite where gamma(a, x) itself under-
+    or overflows double precision. Scalar and array calls go through one
+    implementation, so each entry is bit-identical to its scalar call."""
+    out = _log_lower_gamma_checked(a, x, "log_lower_incomplete_gamma")
     return out if out.ndim else float(out)
 
 

@@ -7,7 +7,11 @@ under test.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,13 +157,21 @@ def test_c05_square_function_ratio():
     assert worst_spread <= 1e-9
 
 
+C06_SEED = 606
+C06_PATHS = 10 ** 5
+
+
+def c06_setup():
+    """c06's one-mode model and time grid."""
+    return one_mode_model(mu=2.0, gamma=1.3, T=2.0), TimeGrid(np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
+
+
 def test_c06_sampler_law():
     """Empirical covariance of 1e5 exact paths within 4 Gaussian standard errors."""
     start = time.perf_counter()
-    model = one_mode_model(mu=2.0, gamma=1.3, T=2.0)
-    grid = TimeGrid(np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
-    n = 10 ** 5
-    paths = sample_modes(model, grid, n, SeedSpec(606))
+    model, grid = c06_setup()
+    n = C06_PATHS
+    paths = sample_modes(model, grid, n, SeedSpec(C06_SEED))
     series = paths[:, 0, :]
     assert np.all(series[:, 0] == 0.0)
 
@@ -172,9 +184,8 @@ def test_c06_sampler_law():
     stat_ok = bool(np.all(dev[se > 0.0] <= 4.0 * se[se > 0.0]))
     max_z = float((dev[se > 0.0] / se[se > 0.0]).max())
 
-    rerun = sample_modes(model, grid, n, SeedSpec(606), threads=1)
-    threaded = sample_modes(model, grid, n, SeedSpec(606), threads=8)
-    repro_ok = np.array_equal(paths, rerun) and np.array_equal(paths, threaded)
+    rerun = sample_modes(model, grid, n, SeedSpec(C06_SEED))
+    repro_ok = np.array_equal(paths, rerun)
     elapsed = time.perf_counter() - start
     ok = exact_ok and stat_ok and repro_ok and elapsed < 120.0
     report(6, "sampler law", ok,
@@ -182,6 +193,21 @@ def test_c06_sampler_law():
     assert exact_ok and stat_ok and repro_ok
     assert elapsed < 120.0
 
+
+def test_c06_bit_identical_across_blas_threads():
+    """c06's paths have the same bytes under 1 and 2 OpenBLAS threads. Grams of
+    128 or more points factor to other bits under 2 threads (README)."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("import sys, test_acceptance as t; from stwm.sampler import SeedSpec, sample_modes; "
+            "model, grid = t.c06_setup(); sys.stdout.buffer.write("
+            "sample_modes(model, grid, t.C06_PATHS, SeedSpec(t.C06_SEED)).tobytes())")
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+    assert len(runs[0]) == C06_PATHS * 5 * 8
+    assert runs[0] == runs[1]
 
 def _beta_quadrature(a, b):
     """int_0^1 u^{a-1} (1-u)^{b-1} du with endpoint substitutions, independent
