@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import ModeKernel, mode_cov, mode_var, stationary_constant, stationary_variance
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import QuadratureConfig
 from .spectral import EigenBasis, SpectralModel, evaluate_basis, mode_params, weyl_ratio
 
 __all__ = [
@@ -161,8 +161,7 @@ def variance_series_exponent(model: SpectralModel) -> float:
     return (2.0 / model.d) * (model.beta * (1.0 - 2.0 * model.gamma) - model.alpha)
 
 
-def field_cov(model: SpectralModel, s: float, t: float, x, y,
-              cfg: QuadratureConfig = DEFAULT_CONFIG) -> FieldCov:
+def field_cov(model: SpectralModel, s: float, t: float, x, y) -> FieldCov:
     """Truncated field covariance sum_j q_j(s, t) e_j(x) e_j(y), with a tail
     bound from the stationary-variance majorant of |q_j| and the measured
     eigenvalue growth constants. Emits a warning when the variance series
@@ -178,7 +177,7 @@ def field_cov(model: SpectralModel, s: float, t: float, x, y,
     ey = ex if same_point else evaluate_basis(model.basis, [y])[0]
     total = 0.0
     for j in range(1, model.J + 1):
-        total += mode_cov(mode_params(model, j), s, t, cfg) * ex[j - 1] * ey[j - 1]
+        total += mode_cov(mode_params(model, j), s, t) * ex[j - 1] * ey[j - 1]
 
     p_v = variance_series_exponent(model)
     if p_v >= -1.0:
@@ -220,8 +219,7 @@ class SeparabilityResult:
     witness: tuple | None            # lag ratios of two modes (non-separable case)
 
 
-def separability_check(model: SpectralModel, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                       seed: int = 0) -> SeparabilityResult:
+def separability_check(model: SpectralModel, seed: int = 0) -> SeparabilityResult:
     """The covariance factorizes into a temporal profile times the spatial
     noise coloring exactly when beta = 0 (all modes share decay rate 1).
 
@@ -240,8 +238,8 @@ def separability_check(model: SpectralModel, cfg: QuadratureConfig = DEFAULT_CON
             w = model.basis_tilde.eigenvalues[int(j) - 1] ** -model.alpha
             for _ in range(10):
                 s, t = rng.uniform(model.T / 100.0, model.T, size=2)
-                lhs = mode_cov(k, float(s), float(t), cfg)
-                rhs = mode_cov(rho, float(s), float(t), cfg) * w
+                lhs = mode_cov(k, float(s), float(t))
+                rhs = mode_cov(rho, float(s), float(t)) * w
                 denom = max(abs(rhs), 1e-300)
                 worst = max(worst, abs(lhs - rhs) / denom)
         return SeparabilityResult(separable=True, max_rel_error=worst, witness=None)
@@ -254,8 +252,8 @@ def separability_check(model: SpectralModel, cfg: QuadratureConfig = DEFAULT_CON
         t_a = min(1.0, model.T / 2.0)
         t_b = min(2.0, model.T)
         k1, k2 = mode_params(model, 1), mode_params(model, j2)
-        r1 = mode_cov(k1, t_a, t_b, cfg) / mode_var(k1, t_a)
-        r2 = mode_cov(k2, t_a, t_b, cfg) / mode_var(k2, t_a)
+        r1 = mode_cov(k1, t_a, t_b) / mode_var(k1, t_a)
+        r2 = mode_cov(k2, t_a, t_b) / mode_var(k2, t_a)
         witness = (r1, r2)
     return SeparabilityResult(separable=False, max_rel_error=None, witness=witness)
 
@@ -280,8 +278,7 @@ def holder_theory_slope(gamma: float) -> float:
     return 2.0 * min(gamma - 0.5, 1.0)
 
 
-def estimate_holder(k: ModeKernel, t0: float, lags,
-                    cfg: QuadratureConfig = _HOLDER_CFG) -> HolderEstimate:
+def estimate_holder(k: ModeKernel, t0: float, lags) -> HolderEstimate:
     """Least-squares slope of log mean-square increment against log lag.
 
     Increments are exact covariance differences
@@ -301,7 +298,7 @@ def estimate_holder(k: ModeKernel, t0: float, lags,
     v0 = mode_var(k, t0)
     incr = np.empty(hs.size)
     for i, h in enumerate(hs):
-        incr[i] = mode_var(k, t0 + h) + v0 - 2.0 * mode_cov(k, t0, t0 + h, cfg)
+        incr[i] = mode_var(k, t0 + h) + v0 - 2.0 * mode_cov(k, t0, t0 + h, _HOLDER_CFG)
     if np.any(incr <= 0.0):
         raise ArithmeticError("nonpositive mean-square increment; quadrature tolerance too loose")
     x = np.log(hs)

@@ -19,8 +19,8 @@ from . import analysis, fieldfile
 from .kernel import stationary_variance, temporal_matern_limit
 from .quadrature import QuadratureError
 from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, TimeGrid, gram, sample_field
-from .spectral import (ConfigError, SpectralModel, as_points, config_int, evaluate_basis,
-                       model_from_dict, mode_params, weyl_ratio)
+from .spectral import (ConfigError, SpectralModel, as_points, config_float, config_int,
+                       evaluate_basis, model_from_dict, mode_params, weyl_ratio)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -61,15 +61,20 @@ def _model_from_config(doc: dict) -> SpectralModel:
     return model_from_dict(model_doc)
 
 
+def _section(doc: dict, name: str) -> dict:
+    """Optional subcommand section `name` of the config, a JSON object."""
+    opts = doc.get(name, {})
+    if not isinstance(opts, dict):
+        raise ConfigError(name, "must be a JSON object")
+    return opts
+
+
 def _grid_from_config(doc: dict) -> TimeGrid:
     spec = doc.get("grid")
     if not isinstance(spec, dict):
         raise ConfigError("grid", "missing grid spec {t_start, t_end, steps}")
-    try:
-        t0 = float(spec["t_start"])
-        t1 = float(spec["t_end"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("grid", f"needs numeric t_start and t_end ({exc})") from None
+    t0 = config_float(spec.get("t_start"), "grid.t_start")
+    t1 = config_float(spec.get("t_end"), "grid.t_end")
     steps = config_int(spec.get("steps"), "grid.steps")
     if steps < 1:
         raise ConfigError("grid.steps", f"must be >= 1, got {steps}")
@@ -79,12 +84,20 @@ def _grid_from_config(doc: dict) -> TimeGrid:
         raise ConfigError("grid", str(exc)) from None
 
 
+def _config_list(raw, field: str) -> list:
+    """JSON list, possibly nested, from config field `field`, with every
+    number in it read by config_float."""
+    if not isinstance(raw, list):
+        raise ConfigError(field, f"must be a JSON list, got {raw!r}")
+    return [_config_list(v, field) if isinstance(v, list) else config_float(v, field) for v in raw]
+
+
 def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
     spec = doc.get("space")
     if spec is None:
         raise ConfigError("space", "missing space spec ({points: [...]} or {lattice: n})")
     if isinstance(spec, dict) and "points" in spec:
-        return as_points(spec["points"], model.d)
+        return as_points(_config_list(spec["points"], "space.points"), model.d)
     if isinstance(spec, dict) and "lattice" in spec:
         n = config_int(spec["lattice"], "space.lattice")
         if n < 1:
@@ -185,15 +198,14 @@ def cmd_cov(args) -> int:
     if not model.gamma > 0.5:
         raise ModelInvalid(f"covariance requires gamma > 1/2, got gamma={model.gamma}")
     grid = _grid_from_config(doc)
-    opts = doc.get("cov", {})
-    if not isinstance(opts, dict):
-        raise ConfigError("cov", "must be a JSON object")
+    opts = _section(doc, "cov")
     target = opts.get("mode", 1)
     if target == "field":
         if "x" not in opts:
             raise ConfigError("cov.x", "field covariance needs spatial points x (and optional y)")
-        x = opts["x"]
-        ex, ey = (evaluate_basis(model.basis, [p])[0] for p in (x, opts.get("y", x)))
+        x = _config_list([opts["x"]], "cov.x")[0]
+        y = _config_list([opts["y"]], "cov.y")[0] if "y" in opts else x
+        ex, ey = (evaluate_basis(model.basis, [p])[0] for p in (x, y))
         if analysis.variance_series_exponent(model) >= -1.0:
             warnings.warn("field variance series fails the eigenvalue-growth summability test; "
                           "the table holds the truncated sum", RuntimeWarning)
@@ -217,11 +229,13 @@ def cmd_limits(args) -> int:
     model = _model_from_config(doc)
     if not model.gamma > 0.5:
         raise ModelInvalid(f"asymptotics require gamma > 1/2, got gamma={model.gamma}")
-    opts = doc.get("limits", {})
-    kappa = float(opts.get("temporal_kappa", 1.0))
-    lags = opts.get("lags")
-    if lags is None:
-        lags = np.geomspace(1e-2, 4.0, 25)
+    opts = _section(doc, "limits")
+    kappa = config_float(opts.get("temporal_kappa", 1.0), "limits.temporal_kappa")
+    if not kappa > 0.0:
+        raise ConfigError("limits.temporal_kappa", f"must be > 0, got {kappa!r}")
+    lags = _config_list(opts.get("lags", list(np.geomspace(1e-2, 4.0, 25))), "limits.lags")
+    if not all(isinstance(h, float) and h >= 0.0 for h in lags):
+        raise ConfigError("limits.lags", f"must be a list of numbers >= 0, got {lags!r}")
     out = _out_dir(args)
     stat_path = out / "limits_stationary.csv"
     with open(stat_path, "w") as fh:
@@ -232,7 +246,7 @@ def cmd_limits(args) -> int:
     with open(temp_path, "w") as fh:
         fh.write("h,matern_value\n")
         for h in lags:
-            fh.write(f"{_f(h)},{_f(temporal_matern_limit(model.gamma, kappa, float(h)))}\n")
+            fh.write(f"{_f(h)},{_f(temporal_matern_limit(model.gamma, kappa, h))}\n")
     print(f"wrote {stat_path}")
     print(f"wrote {temp_path}")
     return EXIT_OK
@@ -280,7 +294,7 @@ def cmd_holder(args) -> int:
         lags = _parse_lags(args.lags)
     except (ValueError, IndexError) as exc:
         raise ConfigError("--lags", str(exc)) from None
-    opts = doc.get("holder", {})
+    opts = _section(doc, "holder")
     k = mode_params(model, _mode_index(model, opts.get("mode", 1), "holder.mode"))
     try:
         est = analysis.estimate_holder(k, args.t0, lags)
@@ -343,6 +357,9 @@ def main(argv=None) -> int:
         return EXIT_MODEL
     except (QuadratureError, CholeskyError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: the host refused an allocation ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -373,6 +373,83 @@ class TestModelConfigFields:
         assert not (tmp_path / "o" / "field.stwm").exists()
 
 
+class TestRealConfigFields:
+    # each real-valued field with the override that sets it and the command
+    # that reads it
+    FIELDS = {
+        "grid.t_start": (lambda v: {"grid": dict(BASE_CONFIG["grid"], t_start=v)}, ["sample"]),
+        "grid.t_end": (lambda v: {"grid": dict(BASE_CONFIG["grid"], t_end=v)}, ["sample"]),
+        "space.points": (lambda v: {"space": {"points": [1.0, v]}}, ["sample"]),
+        "cov.x": (lambda v: {"cov": {"mode": "field", "x": v}}, ["cov"]),
+        "cov.y": (lambda v: {"cov": {"mode": "field", "x": 1.0, "y": v}}, ["cov"]),
+        "limits.temporal_kappa": (lambda v: {"limits": {"temporal_kappa": v}}, ["limits"]),
+        "limits.lags": (lambda v: {"limits": {"lags": [0.5, v]}}, ["limits"]),
+    }
+    OUTPUTS = ("field.stwm", "cov.csv", "limits_stationary.csv", "limits_temporal.csv")
+
+    def run(self, tmp_path, doc, command):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        code = run_cli(["--config", str(p), "--out", str(tmp_path / "o"), *command])
+        assert not any((tmp_path / "o" / name).exists() for name in self.OUTPUTS)
+        return code
+
+    @pytest.mark.parametrize("bad", ["1.0", True, math.nan])
+    @pytest.mark.parametrize("field", list(FIELDS))
+    def test_non_number_exit_2_names_field(self, tmp_path, capsys, field, bad):
+        override, command = self.FIELDS[field]
+        assert self.run(tmp_path, dict(BASE_CONFIG, **override(bad)), command) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,override,command", [
+        pytest.param("space.points", {"space": {"points": 1.0}}, ["sample"], id="points-not-list"),
+        pytest.param("limits.lags", {"limits": {"lags": "0.5"}}, ["limits"], id="lags-not-list"),
+        pytest.param("limits.lags", {"limits": {"lags": [0.5, -0.5]}}, ["limits"],
+                     id="lags-negative"),
+        pytest.param("limits.lags", {"limits": {"lags": [[0.5]]}}, ["limits"], id="lags-nested"),
+        pytest.param("limits.temporal_kappa", {"limits": {"temporal_kappa": 0.0}}, ["limits"],
+                     id="kappa-zero"),
+        pytest.param("holder", {"holder": 3}, ["holder"], id="holder-not-object"),
+    ])
+    def test_bad_shape_or_range_exit_2_names_field(self, tmp_path, capsys, field, override,
+                                                    command):
+        assert self.run(tmp_path, dict(BASE_CONFIG, **override), command) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_integral_numbers_accepted(self, tmp_path):
+        doc = dict(BASE_CONFIG, grid={"t_start": 0, "t_end": 2, "steps": 4},
+                   limits={"temporal_kappa": 1, "lags": [1, 0.5]})
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        for command in ("sample", "limits"):
+            assert run_cli(["--config", str(p), "--out", str(tmp_path), command]) == 0
+        rows = (tmp_path / "limits_temporal.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["1", "0.5"]
+
+
+@pytest.mark.parametrize("override", [
+    {"grid": dict(BASE_CONFIG["grid"], steps=10 ** 13)},
+    {"n_paths": 10 ** 13},
+    {"space": {"lattice": 10 ** 13}},
+], ids=["grid.steps", "n_paths", "space.lattice"])
+def test_refused_allocation_exit_4(tmp_path, override):
+    # the address-space cap makes the request fail at once even on a host
+    # that overcommits memory
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, **override)))
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 33, resource.RLIM_INFINITY)); "
+            "from stwm import cli; sys.exit(cli.main(sys.argv[1:]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, "--config", str(p), "--out",
+                           str(tmp_path / "o"), "sample"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("numerical failure: the host refused an allocation")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 class TestFieldFile:
     def make_sample(self, n_paths=3, d=1):
         rng = np.random.default_rng(0)

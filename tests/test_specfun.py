@@ -37,6 +37,38 @@ LARGE_ORDER_LOG_ROWS = [
     (1e6, 1000001.0, 12815503.87706371),
 ]
 
+# (nu, x, K_nu(x)) at the corners of bessel_k's trapezoid rule: tiny x
+# (the node range reaches asinh(nu/x)), x near the step cap's switch
+# (h = 0.2 against 0.35/sqrt(max(x, nu))), and x next to the underflow
+# cut; frozen 40-digit references
+BESSEL_K_CORNER_ROWS = [
+    (0.0, 1e-08, 18.536612259610777),
+    (0.5, 1e-08, 12533.141247823589),
+    (19.5, 1e-08, 1.0278171724974726e+178),
+    (0.0, 0.001, 7.023688800562382),
+    (0.5, 0.001, 39.59365951311664),
+    (19.5, 0.001, 3.250243239403981e+80),
+    (1.0, 0.74, 0.9686077241201793),
+    (9.07, 0.74, 189995714.8307837),
+    (1.0, 2.0, 0.13986588181652243),
+    (9.07, 2.0, 20717.40864262338),
+    (1.0, 9.0, 5.363701637945195e-05),
+    (9.07, 9.0, 0.0030777357834726226),
+    (0.0, 640.0, 5.577207162814119e-280),
+    (5.6, 640.0, 5.715426249195549e-280),
+    (0.0, 700.0, 4.669776431685377e-306),
+    (5.6, 700.0, 4.775482915640428e-306),
+]
+
+# (x, log Gamma(x)), frozen 40-digit references
+LOG_GAMMA_REFERENCE_ROWS = [
+    (1e-06, 13.815509980749432),
+    (0.49, 0.592249629335267),
+    (0.5, 0.5723649429247001),
+    (0.51, 0.5529738179298007),
+    (170.0, 701.437263808737),
+]
+
 
 def rel(a, b):
     return abs(a - b) / abs(b)
@@ -69,8 +101,16 @@ class TestGamma:
             gamma_fn(0.0)
         with pytest.raises(ValueError):
             gamma_fn(-1.3)
+        # math.lgamma itself accepts negative non-integers
+        for bad in (0.0, -1.3, math.nan):
+            with pytest.raises(ValueError):
+                log_gamma(bad)
         with pytest.raises(OverflowError):
             gamma_fn(GAMMA_OVERFLOW_X + 0.5)
+
+    @pytest.mark.parametrize("x,expected", LOG_GAMMA_REFERENCE_ROWS)
+    def test_log_gamma_reference_values(self, x, expected):
+        assert abs(log_gamma(x) - expected) <= 1e-14 * max(1.0, abs(expected))
 
     def test_recurrence_bulk(self):
         rng = np.random.default_rng(11)
@@ -187,6 +227,18 @@ class TestBesselK:
     ])
     def test_reference_values(self, nu, x, expected):
         assert rel(bessel_k(nu, x), expected) < 1e-10
+
+    @pytest.mark.parametrize("nu,x,expected", BESSEL_K_CORNER_ROWS)
+    def test_trapezoid_corners(self, nu, x, expected):
+        assert rel(bessel_k(nu, x), expected) < 1e-12
+
+    def test_overflow_is_typed(self):
+        # K_120(1e-3) ~ 3.7e592 is past the double-precision range, and so is
+        # a typed error rather than inf (or nan once matern_cov scales it)
+        with pytest.raises(OverflowError):
+            bessel_k(120.0, 1e-3)
+        with pytest.raises(OverflowError):
+            matern_cov(120.0, 1.0, 1.0, 1e-3)
 
     def test_underflow_documented(self):
         assert bessel_k(1.0, 800.0) == 0.0
