@@ -20,6 +20,7 @@ fractional-integration operator by product integration (the weight
 constant path on every cell).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -249,17 +250,23 @@ def _cholesky_with_jitter(arr: np.ndarray) -> tuple[np.ndarray, float]:
     n = arr.shape[0]
     if arr.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    # sym is the symmetrized copy that is factorized. A - sym is finite
-    # exactly where A is: an infinite or nan entry gives inf or nan there.
+    # sym first holds A - A^T, which is finite exactly where A is (an
+    # infinite or nan entry gives inf or nan there) and antisymmetric to the
+    # bit, so its largest entry is max |A - A^T|. The same buffer then
+    # becomes the symmetric part (A + A^T) / 2 that is factorized.
     with np.errstate(invalid="ignore"):
-        sym = np.add(arr, arr.T)
-        sym *= 0.5
-        asym = float(np.abs(arr - sym).max()) if n else 0.0
+        sym = arr - arr.T
+        asym = 0.5 * float(sym.max()) if n else 0.0
     if not math.isfinite(asym):
         raise ValueError("matrix has non-finite entries")
     scale = max(float(arr.max()), -float(arr.min())) if n else 0.0
-    if asym > 0.5e-12 * (1.0 + scale):  # |A - A^T| = 2 |A - sym|
+    if asym > 0.5e-12 * (1.0 + scale):  # asym = max |A - (A + A^T) / 2|
         raise ValueError("matrix is not symmetric")
+    if asym == 0.0:
+        np.copyto(sym, arr)
+    else:
+        np.add(arr, arr.T, out=sym)
+        sym *= 0.5
 
     # Zero-variance indices (e.g. grid points at t = 0) factor to zero rows:
     # they get a unit diagonal and no off-diagonal entries for the
@@ -423,6 +430,21 @@ def _check_factorization_args(k: ModeKernel, delta: float):
             f"delta must lie in (0, gamma - 1/2) = (0, {k.gamma - 0.5}), got {delta}")
 
 
+@functools.lru_cache(maxsize=1)
+def _inner_gram(k: ModeKernel, delta: float, fine_grid: TimeGrid) -> np.ndarray:
+    """Read-only gram matrix of the order-(gamma - delta) process on the
+    fine grid, shared by factorized_covariance and factorized_sample.
+
+    Only the latest (k, delta, grid) is held. ModeKernel is compared by value
+    and TimeGrid by identity; a TimeGrid's points are read-only, so a held
+    matrix always matches its key.
+    """
+    _check_factorization_args(k, delta)
+    G = gram(ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta), fine_grid).matrix
+    G.setflags(write=False)
+    return G
+
+
 def factorized_sample(k: ModeKernel, delta: float, fine_grid: TimeGrid, seed: SeedSpec,
                       path: int = 0) -> np.ndarray:
     """Sample one path whose law approximates the order-gamma mode process by
@@ -430,9 +452,9 @@ def factorized_sample(k: ModeKernel, delta: float, fine_grid: TimeGrid, seed: Se
     exactly on the fine grid (Cholesky factor of its gram), then apply the
     singular convolution operator.
     """
-    _check_factorization_args(k, delta)
-    inner = ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta)
-    L = cholesky_psd(gram(inner, fine_grid))
+    # a fresh GramMatrix records this factorization's jitter; the held
+    # matrix itself is never written
+    L = cholesky_psd(GramMatrix(_inner_gram(k, delta, fine_grid)))
     z = _stream_normals(seed.master, path, 0, fine_grid.n)[0]
     return fractional_convolution(L @ z, delta, k.mu, fine_grid)
 
@@ -442,10 +464,8 @@ def factorized_covariance(k: ModeKernel, delta: float, fine_grid: TimeGrid) -> f
     factorized_sample on this grid (the infinite-sample limit of its
     empirical variance): c^T G c with G = gram of the inner process on the
     fine grid and c the product-integration weights."""
-    _check_factorization_args(k, delta)
-    inner = ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta)
-    G = gram(inner, fine_grid).matrix
+    G = _inner_gram(k, delta, fine_grid)
     n_cells = fine_grid.n - 1
     W = _frac_weights(delta, k.mu, fine_grid.step, n_cells)
     c = W[::-1]  # weight of Z(s_i) in the estimator at t = t_end
-    return float(c @ G[1:, 1:] @ c)
+    return float(c @ (G[1:, 1:] @ c))

@@ -197,15 +197,24 @@ def bessel_k(nu: float, x: float) -> float:
         raise ValueError(f"bessel_k requires nu >= 0, got {nu}")
     if x > 705.0:
         return 0.0
+    peak, total = _bessel_k_rule(nu, x)
+    return math.exp(-x) * math.exp(peak) * total
+
+
+def _bessel_k_rule(nu: float, x: float) -> tuple[float, float]:
+    """bessel_k's trapezoid rule as (peak, total) with K_nu(x) = e^{-x}
+    e^{peak} total: peak is the largest log term and total the rule's sum
+    relative to that term, so both are finite wherever K_nu(x) over- or
+    underflows."""
     h = min(0.2, 0.35 / math.sqrt(max(x, nu, 1.0)))
     t_end = math.asinh(max(nu, 1.0) / x) + 8.0 / math.sqrt(max(x, 1.0)) + 4.0
     t = h * np.arange(math.ceil(t_end / h) + 1)
     # log of 2 e^{x} e^{-x cosh t} cosh(nu t)
     log_f = nu * t - 2.0 * x * np.sinh(0.5 * t) ** 2 + np.log1p(np.exp(-2.0 * nu * t))
-    peak = log_f.max()
+    peak = float(log_f.max())
     terms = np.exp(log_f - peak)
     terms[0] *= 0.5
-    return math.exp(-x) * math.exp(peak) * (0.5 * h * terms.sum())
+    return peak, float(0.5 * h * terms.sum())
 
 
 def matern_cov(nu: float, kappa: float, sigma2: float, dist: float) -> float:
@@ -213,7 +222,8 @@ def matern_cov(nu: float, kappa: float, sigma2: float, dist: float) -> float:
     and variance sigma2, evaluated at separation distance dist.
 
     The value at dist = 0 is the continuous extension sigma2. Underflows to
-    zero at very large kappa*dist.
+    zero at very large kappa*dist. Finite at large nu and small kappa*dist,
+    where K_nu itself overflows.
     """
     if not nu > 0.0:
         raise ValueError(f"matern_cov requires nu > 0, got {nu}")
@@ -225,11 +235,15 @@ def matern_cov(nu: float, kappa: float, sigma2: float, dist: float) -> float:
         raise ValueError(f"matern_cov requires dist >= 0, got {dist}")
     z = kappa * dist
     # below this threshold every correction term of the small-argument
-    # expansion is under double-precision epsilon, and evaluating K_nu
-    # directly would overflow for tiny z; return the continuous extension
+    # expansion is under double-precision epsilon; return the continuous
+    # extension
     z_tiny = min(2.0 * 2.0 ** (-27.0 / nu), 1e-8)
     if z <= z_tiny:
         return sigma2
     if z > 705.0:
         return 0.0
-    return sigma2 * math.exp((1.0 - nu) * math.log(2.0) - log_gamma(nu) + nu * math.log(z)) * bessel_k(nu, z)
+    # z^nu K_nu(z) is formed in log space, where neither factor overflows;
+    # nu log z and peak, the two large terms, cancel first
+    peak, total = _bessel_k_rule(nu, z)
+    log_pre = (1.0 - nu) * math.log(2.0) - log_gamma(nu)
+    return sigma2 * math.exp((nu * math.log(z) + peak) + log_pre - z) * total

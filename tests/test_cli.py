@@ -276,6 +276,16 @@ class TestLimitsCommand:
         assert all(np.diff(vals) < 0.0)  # decreasing in lag
         assert len(hs) == 25
 
+    def test_large_gamma_small_lag_finite(self, tmp_path):
+        # Matern smoothness 120: K_120(1e-3) overflows, the covariance does not
+        doc = {"model": dict(BASE_CONFIG["model"], gamma=120.5), "limits": {"lags": [1e-3, 0.5]}}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path), "limits"]) == 0
+        rows = (tmp_path / "limits_temporal.csv").read_text().strip().splitlines()[1:]
+        vals = [float(r.split(",")[1]) for r in rows]
+        assert len(vals) == 2 and all(math.isfinite(v) and v > 0.0 for v in vals)
+
     def test_gamma_half_exit_3(self, tmp_path):
         doc = {"model": dict(BASE_CONFIG["model"], gamma=0.4)}
         p = tmp_path / "c.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stwm import sampler
 from stwm.kernel import ModeKernel, mode_cov, mode_var
 from stwm.quadrature import QuadratureConfig
 from stwm.sampler import (
@@ -15,6 +16,7 @@ from stwm.sampler import (
     SeedSpec,
     TimeGrid,
     _box_muller,
+    _inner_gram,
     _stream_normals,
     assemble_field,
     cholesky_psd,
@@ -122,6 +124,20 @@ class TestCholeskyPsd:
         assert G.jitter_applied > 0.0
         tol = 1e-10 * (1.0 + np.abs(G.matrix).max())
         assert np.abs(L @ L.T - (G.matrix + G.jitter_applied * np.eye(3))).max() < tol
+
+    def test_symmetric_gram_factors_as_lapack(self):
+        # an exactly symmetric matrix is factorized as it is
+        G = gram(ModeKernel(mu=2.0, weight=1.0, gamma=1.3), TimeGrid.uniform(0.5, 2.0, 12)).matrix
+        assert np.array_equal(G, G.T)
+        assert np.array_equal(cholesky_psd(G), np.linalg.cholesky(G))
+
+    def test_asymmetry_within_tolerance_factors_symmetric_part(self):
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal((6, 8))
+        G = A @ A.T
+        G[3, 0] += 1e-13
+        L = cholesky_psd(G)
+        assert np.abs(L @ L.T - (G + G.T) / 2.0).max() <= 1e-15 * np.abs(G).max()
 
     def test_non_psd_rejected(self):
         with pytest.raises(CholeskyError):
@@ -433,6 +449,31 @@ class TestFactorizedSampler:
         a = factorized_sample(k, 0.3, grid, SeedSpec(21))
         b = factorized_sample(k, 0.3, grid, SeedSpec(21))
         assert np.array_equal(a, b)
+
+    def test_variance_and_sample_share_one_gram(self, monkeypatch):
+        calls = []
+
+        def counting_gram(k, grid):
+            calls.append(k)
+            return gram(k, grid)
+
+        monkeypatch.setattr(sampler, "gram", counting_gram)
+        _inner_gram.cache_clear()
+        k = ModeKernel(mu=1.0, weight=1.0, gamma=1.2)
+        grid = TimeGrid.uniform(0.0, 1.0, 64)
+        var = factorized_covariance(k, 0.3, grid)
+        path = factorized_sample(k, 0.3, grid, SeedSpec(31))
+        assert len(calls) == 1
+        factorized_sample(ModeKernel(mu=1.0, weight=1.0, gamma=1.3), 0.3, grid, SeedSpec(31))
+        assert len(calls) == 2
+        # cold-cache results, each from its own Gram, are the same bits
+        _inner_gram.cache_clear()
+        assert factorized_sample(k, 0.3, grid, SeedSpec(31)).tobytes() == path.tobytes()
+        _inner_gram.cache_clear()
+        assert factorized_covariance(k, 0.3, grid) == var
+        assert len(calls) == 4
+        with pytest.raises(ValueError, match="read-only"):
+            _inner_gram(k, 0.3, grid)[1, 1] = 0.0
 
     def test_covariance_close_at_moderate_resolution(self):
         # 2^-10 grid reproduces the exact variance at t = 1 within 2 percent

@@ -60,6 +60,18 @@ BESSEL_K_CORNER_ROWS = [
     (5.6, 700.0, 4.775482915640428e-306),
 ]
 
+# (nu, z, unit Matern covariance at kappa * dist = z) at large nu, where
+# K_nu(z) overflows for small z although the covariance is close to 1;
+# frozen 40-digit references
+MATERN_LARGE_ORDER_ROWS = [
+    (60.0, 1e-3, 0.99999999576271187),
+    (60.0, 0.1, 0.99995762803183937),
+    (60.0, 10.0, 0.65560544249741381),
+    (120.0, 1e-3, 0.99999999789915967),
+    (120.0, 0.1, 0.99997899181918372),
+    (120.0, 10.0, 0.81066736279982185),
+]
+
 # (x, log Gamma(x)), frozen 40-digit references
 LOG_GAMMA_REFERENCE_ROWS = [
     (1e-06, 13.815509980749432),
@@ -234,11 +246,9 @@ class TestBesselK:
 
     def test_overflow_is_typed(self):
         # K_120(1e-3) ~ 3.7e592 is past the double-precision range, and so is
-        # a typed error rather than inf (or nan once matern_cov scales it)
+        # a typed error rather than inf
         with pytest.raises(OverflowError):
             bessel_k(120.0, 1e-3)
-        with pytest.raises(OverflowError):
-            matern_cov(120.0, 1.0, 1.0, 1e-3)
 
     def test_underflow_documented(self):
         assert bessel_k(1.0, 800.0) == 0.0
@@ -288,6 +298,10 @@ class TestMaternCov:
     ])
     def test_reference_values(self, nu, kappa, r, expected):
         assert rel(matern_cov(nu, kappa, 1.0, r), expected) < 1e-10
+
+    @pytest.mark.parametrize("nu,z,expected", MATERN_LARGE_ORDER_ROWS)
+    def test_large_order(self, nu, z, expected):
+        assert rel(matern_cov(nu, 1.0, 1.0, z), expected) < 1e-12
 
     @given(st.floats(min_value=0.1, max_value=8.0),
            st.floats(min_value=0.1, max_value=4.0),
