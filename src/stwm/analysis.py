@@ -4,7 +4,7 @@ Exponent-condition checking for space-time smoothness, the spectral
 Hilbert-Schmidt sum with eigenvalue-growth tail bounds, truncated field
 covariances, asymptotic marginal covariance coefficients, separability
 detection, and mean-square Holder slope estimation from exact covariance
-increments.
+increments, every covariance read from the samplers' sampler.gram.
 """
 
 import math
@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import ModeKernel, mode_cov, mode_var, stationary_constant, stationary_variance
-from .quadrature import QuadratureConfig
+from .kernel import ModeKernel, stationary_constant, stationary_variance
+from .sampler import TimeGrid, gram
 from .spectral import EigenBasis, SpectralModel, evaluate_basis, mode_params, weyl_ratio
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "check_exponents",
     "hs_sum",
     "field_cov",
+    "field_gram",
     "asymptotic_marginal_cov",
     "separability_check",
     "estimate_holder",
@@ -53,8 +54,8 @@ class RegularityQuery:
             raise ValueError(f"n must be a nonnegative integer, got {self.n}")
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must lie in [0, 1), got {self.tau}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 class HsSum(NamedTuple):
@@ -161,28 +162,32 @@ def variance_series_exponent(model: SpectralModel) -> float:
     return (2.0 / model.d) * (model.beta * (1.0 - 2.0 * model.gamma) - model.alpha)
 
 
+def field_gram(model: SpectralModel, grid: TimeGrid, x, y) -> np.ndarray:
+    """Truncated field covariance matrix [Cov(X(t_i, x), X(t_k, y))]_{ik},
+    the sum over modes j = 1..J, in order, of e_j(x) e_j(y) gram(mode j, grid).
+    Warns when the variance series fails the growth test."""
+    if variance_series_exponent(model) >= -1.0:
+        warnings.warn("field variance series fails the eigenvalue-growth summability test; "
+                      "the covariance is the truncated sum", RuntimeWarning, stacklevel=2)
+    coeffs = evaluate_basis(model.basis, [x])[0] * evaluate_basis(model.basis, [y])[0]
+    return sum(c * gram(mode_params(model, j), grid).matrix for j, c in enumerate(coeffs, start=1))
+
+
 def field_cov(model: SpectralModel, s: float, t: float, x, y) -> FieldCov:
-    """Truncated field covariance sum_j q_j(s, t) e_j(x) e_j(y), with a tail
-    bound from the stationary-variance majorant of |q_j| and the measured
-    eigenvalue growth constants. Emits a warning when the variance series
-    fails the growth test (the truncated value is still returned)."""
+    """Truncated field covariance sum_j q_j(s, t) e_j(x) e_j(y) (field_gram on
+    the grid {s, t}), with a tail bound from the stationary-variance majorant
+    of |q_j| and the measured eigenvalue growth constants. The bound is
+    infinite when the variance series fails the growth test."""
     if not model.gamma > 0.5:
         raise ValueError(f"field_cov requires gamma > 1/2, got {model.gamma}")
     if min(s, t) < 0.0:
         raise ValueError(f"field_cov requires s, t >= 0, got ({s}, {t})")
     if min(s, t) == 0.0:
         return FieldCov(value=0.0, tail_bound=0.0)
-    ex = evaluate_basis(model.basis, [x])[0]
-    same_point = np.array_equal(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    ey = ex if same_point else evaluate_basis(model.basis, [y])[0]
-    total = 0.0
-    for j in range(1, model.J + 1):
-        total += mode_cov(mode_params(model, j), s, t) * ex[j - 1] * ey[j - 1]
+    total = float(field_gram(model, TimeGrid(np.unique([s, t])), x, y)[0, -1])
 
     p_v = variance_series_exponent(model)
     if p_v >= -1.0:
-        warnings.warn("field variance series fails the eigenvalue-growth summability test; "
-                      "tail bound is infinite", RuntimeWarning, stacklevel=2)
         return FieldCov(value=total, tail_bound=math.inf)
     c_lo, _ = _growth_constants(model.basis)
     ct_lo, _ = _growth_constants(model.basis_tilde)
@@ -236,25 +241,22 @@ def separability_check(model: SpectralModel, seed: int = 0) -> SeparabilityResul
         for j in modes:
             k = mode_params(model, int(j))
             w = model.basis_tilde.eigenvalues[int(j) - 1] ** -model.alpha
-            for _ in range(10):
-                s, t = rng.uniform(model.T / 100.0, model.T, size=2)
-                lhs = mode_cov(k, float(s), float(t))
-                rhs = mode_cov(rho, float(s), float(t)) * w
-                denom = max(abs(rhs), 1e-300)
-                worst = max(worst, abs(lhs - rhs) / denom)
+            st = rng.uniform(model.T / 100.0, model.T, size=(10, 2))
+            times, idx = np.unique(st, return_inverse=True)
+            grid = TimeGrid(times)
+            i_s, i_t = idx.reshape(st.shape).T
+            lhs = gram(k, grid).matrix[i_s, i_t]
+            rhs = gram(rho, grid).matrix[i_s, i_t] * w
+            worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300))))
         return SeparabilityResult(separable=True, max_rel_error=worst, witness=None)
 
     witness = None
     lam = model.basis.eigenvalues
     distinct = np.nonzero(lam != lam[0])[0]
     if distinct.size:
-        j2 = int(distinct[0]) + 1
-        t_a = min(1.0, model.T / 2.0)
-        t_b = min(2.0, model.T)
-        k1, k2 = mode_params(model, 1), mode_params(model, j2)
-        r1 = mode_cov(k1, t_a, t_b) / mode_var(k1, t_a)
-        r2 = mode_cov(k2, t_a, t_b) / mode_var(k2, t_a)
-        witness = (r1, r2)
+        grid = TimeGrid(np.array([min(1.0, model.T / 2.0), min(2.0, model.T)]))
+        grams = (gram(mode_params(model, j), grid).matrix for j in (1, int(distinct[0]) + 1))
+        witness = tuple(G[0, 1] / G[0, 0] for G in grams)
     return SeparabilityResult(separable=False, max_rel_error=None, witness=witness)
 
 
@@ -263,9 +265,6 @@ class HolderEstimate(NamedTuple):
     residual: float
     lags: np.ndarray
     increments: np.ndarray
-
-
-_HOLDER_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
 
 
 def holder_theory_slope(gamma: float) -> float:
@@ -281,26 +280,27 @@ def holder_theory_slope(gamma: float) -> float:
 def estimate_holder(k: ModeKernel, t0: float, lags) -> HolderEstimate:
     """Least-squares slope of log mean-square increment against log lag.
 
-    Increments are exact covariance differences
-    E|Z(t0+h) - Z(t0)|^2 = q(t0+h, t0+h) + q(t0, t0) - 2 q(t0, t0+h),
-    so the estimate carries no sampling noise. t0 >= 1 keeps the fit away
-    from the zero-initial-condition transient; lags must lie in (0, 1/4].
+    Increments E|Z(t0+h) - Z(t0)|^2 = q(t0+h, t0+h) + q(t0, t0) - 2 q(t0, t0+h)
+    are exact, from one gram on the grid t0 + [0, lags]. A finite t0 >= 1 keeps
+    the fit away from the zero-initial-condition transient; lags must lie in
+    (0, 1/4] with t0 + lags[0] != t0. Increments below 1e-10 q(t0, t0), mostly
+    rounding, raise ArithmeticError.
     """
     if not k.gamma > 0.5:
         raise ValueError(f"estimate_holder requires gamma > 1/2, got {k.gamma}")
-    if t0 < 1.0:
-        raise ValueError(f"t0 must be >= 1, got {t0}")
+    if not (math.isfinite(t0) and t0 >= 1.0):
+        raise ValueError(f"t0 must be finite and >= 1, got {t0}")
     hs = np.sort(np.unique(np.asarray(lags, dtype=float)))
     if hs.size < 2:
         raise ValueError("need at least two distinct lags")
     if hs[0] <= 0.0 or hs[-1] > 0.25:
         raise ValueError(f"lags must lie in (0, 1/4], got range [{hs[0]}, {hs[-1]}]")
-    v0 = mode_var(k, t0)
-    incr = np.empty(hs.size)
-    for i, h in enumerate(hs):
-        incr[i] = mode_var(k, t0 + h) + v0 - 2.0 * mode_cov(k, t0, t0 + h, _HOLDER_CFG)
-    if np.any(incr <= 0.0):
-        raise ArithmeticError("nonpositive mean-square increment; quadrature tolerance too loose")
+    if t0 + hs[0] == t0:
+        raise ValueError(f"lag {hs[0]} vanishes against t0 = {t0} in double precision")
+    G = gram(k, TimeGrid(t0 + np.concatenate(([0.0], hs)))).matrix
+    incr = G.diagonal()[1:] + G[0, 0] - 2.0 * G[0, 1:]
+    if not np.all(incr > 1e-10 * G[0, 0]):
+        raise ArithmeticError("mean-square increment below the rounding floor; use larger lags")
     x = np.log(hs)
     y = np.log(incr)
     slope, intercept = np.polyfit(x, y, 1)

@@ -10,17 +10,15 @@ satisfied, 1 condition unsatisfied, 2 config error, 3 model invalid
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, fieldfile
 from .kernel import stationary_variance, temporal_matern_limit
-from .quadrature import QuadratureError
 from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, TimeGrid, gram, sample_field
 from .spectral import (ConfigError, SpectralModel, as_points, config_float, config_int,
-                       evaluate_basis, model_from_dict, mode_params, weyl_ratio)
+                       model_from_dict, mode_params, weyl_ratio)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -190,9 +188,8 @@ def cmd_sample(args) -> int:
 
 def cmd_cov(args) -> int:
     """Covariance table on the grid's upper triangle (s ascending, t >= s):
-    one mode's q_j(s, t), or the truncated field covariance
-    sum_j q_j(s, t) e_j(x) e_j(y). Both are sums c_j * gram(mode j) over the
-    selected modes, so every entry comes from sampler.gram."""
+    one mode's q_j(s, t) from sampler.gram, or the truncated field covariance
+    sum_j q_j(s, t) e_j(x) e_j(y) from analysis.field_gram."""
     doc = _load_config(args.config)
     model = _model_from_config(doc)
     if not model.gamma > 0.5:
@@ -205,14 +202,9 @@ def cmd_cov(args) -> int:
             raise ConfigError("cov.x", "field covariance needs spatial points x (and optional y)")
         x = _config_list([opts["x"]], "cov.x")[0]
         y = _config_list([opts["y"]], "cov.y")[0] if "y" in opts else x
-        ex, ey = (evaluate_basis(model.basis, [p])[0] for p in (x, y))
-        if analysis.variance_series_exponent(model) >= -1.0:
-            warnings.warn("field variance series fails the eigenvalue-growth summability test; "
-                          "the table holds the truncated sum", RuntimeWarning)
-        coeffs = dict(enumerate(ex * ey, start=1))
+        cov = analysis.field_gram(model, grid, x, y)
     else:
-        coeffs = {_mode_index(model, target, "cov.mode"): 1.0}
-    cov = sum(c * gram(mode_params(model, j), grid).matrix for j, c in coeffs.items())
+        cov = gram(mode_params(model, _mode_index(model, target, "cov.mode")), grid).matrix
     out = _out_dir(args) / "cov.csv"
     pts = grid.points
     with open(out, "w") as fh:
@@ -265,7 +257,8 @@ def cmd_regularity(args) -> int:
 
 
 def _parse_lags(spec: str) -> np.ndarray:
-    """Either comma-separated positive floats or a dyadic range '2^-6..2^-12'."""
+    """Either comma-separated positive floats or a dyadic range '2^-6..2^-12'
+    whose exponents lie in [-1074, -2] (positive lags up to 1/4)."""
     spec = spec.strip()
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
@@ -274,7 +267,10 @@ def _parse_lags(spec: str) -> np.ndarray:
             tok = tok.strip()
             if not tok.startswith("2^"):
                 raise ValueError(f"expected '2^<exp>', got {tok!r}")
-            return int(tok[2:])
+            e = int(tok[2:])
+            if not -1074 <= e <= -2:
+                raise ValueError(f"dyadic exponent must lie in [-1074, -2], got {e}")
+            return e
 
         e_lo, e_hi = dyadic(lo_s), dyadic(hi_s)
         step = -1 if e_hi < e_lo else 1
@@ -355,7 +351,7 @@ def main(argv=None) -> int:
     except ModelInvalid as exc:
         print(f"model invalid: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (QuadratureError, CholeskyError, OverflowError) as exc:
+    except (CholeskyError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:

@@ -11,12 +11,12 @@ covariance
               e^{-mu (s+t-2r)} dr
 
 is computed here: for s = t by the incomplete-gamma closed form, and for
-s != t by two routes on the same integral. mode_cov is the adaptive
-reference (singularity-aware quadrature to a QuadratureConfig tolerance);
-_lagged_integrals, which sampler.gram uses, is one fixed Gauss-Jacobi and
-Gauss-Legendre rule batched over arrays of widths and lags. Also here: the
-stationary (t -> infinity) variance and the Matern-type limit of the lagged
-covariance.
+s != t by two routes on the same integral. _lagged_integrals, one fixed
+Gauss-Jacobi and Gauss-Legendre rule batched over widths and lags, serves
+sampler.gram and so every library and CLI covariance; mode_cov, adaptive
+quadrature to a QuadratureConfig tolerance, is the tests' reference. Also
+here: the stationary (t -> infinity) variance and the Matern-type limit of
+the lagged covariance.
 """
 
 import math

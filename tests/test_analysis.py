@@ -35,8 +35,9 @@ class TestRegularityQuery:
             RegularityQuery(n=-1)
         with pytest.raises(ValueError):
             RegularityQuery(tau=1.0)
-        with pytest.raises(ValueError):
-            RegularityQuery(sigma=-0.1)
+        for sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RegularityQuery(sigma=sigma)
 
 
 class TestCheckExponents:
@@ -246,6 +247,17 @@ class TestEstimateHolder:
             estimate_holder(k, 5.0, [0.1])
         with pytest.raises(ValueError):
             estimate_holder(k, 5.0, [0.1, 0.5])
+        for t0 in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                estimate_holder(k, t0, self.LAGS)
+        with pytest.raises(ValueError):  # t0 + lag rounds to t0
+            estimate_holder(k, 1e300, self.LAGS)
+
+    def test_increments_below_rounding_floor_raise(self):
+        # at lags 2^-30..2^-45 the increment of the OU mode sinks below
+        # 1e-10 q(t0, t0), where the covariance difference is mostly rounding
+        with pytest.raises(ArithmeticError):
+            estimate_holder(ModeKernel(1.0, 1.0, 1.0), 5.0, 2.0 ** -np.arange(30, 46))
 
 
 class TestFieldMonteCarloConsistency:

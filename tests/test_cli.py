@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stwm import cli, kernel
+from stwm import analysis, cli, kernel
 from stwm.fieldfile import read_field, write_field, write_field_csv
 from stwm.kernel import ModeKernel, mode_cov
-from stwm.quadrature import QuadratureConfig, QuadratureError
+from stwm.quadrature import QuadratureConfig
 from stwm.sampler import FieldSample, TimeGrid, gram
 from stwm.spectral import evaluate_basis, model_from_dict, mode_params
 
@@ -220,17 +220,6 @@ class TestCovFieldTarget:
 
 
 class TestNumericalFailureExit:
-    def test_quadrature_failure_exit_4(self, config_path, monkeypatch, capsys):
-        # holder reaches the adaptive quadrature through analysis and mode_cov,
-        # the one route left on which QuadratureError can arise
-        def explode(*args, **kwargs):
-            raise QuadratureError("injected", 0.0, 1.0)
-
-        monkeypatch.setattr(kernel, "integrate", explode)
-        assert run_cli(["--config", config_path, "holder", "--t0", "5",
-                        "--lags", "2^-6..2^-8"]) == 4
-        assert "numerical failure" in capsys.readouterr().err
-
     def test_large_gamma_overflow_exit_4(self, tmp_path, capsys):
         doc = dict(BASE_CONFIG, cov={"mode": 1})
         doc["model"] = dict(BASE_CONFIG["model"], gamma=120.0)
@@ -241,8 +230,8 @@ class TestNumericalFailureExit:
 
 
 class TestNoAdaptiveCalls:
-    """gram, stwm sample and stwm cov use the fixed lagged-integral rule only
-    and never reach the adaptive quadrature behind mode_cov."""
+    """gram, the analysis functions and the CLI use the fixed lagged-integral
+    rule only and never reach the adaptive quadrature behind mode_cov."""
 
     @pytest.fixture(autouse=True)
     def no_integrate(self, monkeypatch):
@@ -257,11 +246,21 @@ class TestNoAdaptiveCalls:
             G = gram(k, grid).matrix
             assert np.all(np.isfinite(G)) and G[1, 2] > 0.0
 
-    @pytest.mark.parametrize("command", ["sample", "cov"])
+    @pytest.mark.parametrize("command", ["sample", "cov", "holder"])
     def test_cli(self, tmp_path, command):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps(dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], gamma=1.3))))
+        p.write_text(json.dumps(dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], gamma=1.3),
+                                     cov={"mode": "field", "x": 1.0, "y": 2.0})))
         assert run_cli(["--config", str(p), "--out", str(tmp_path), command]) == 0
+
+    def test_analysis(self):
+        model = model_from_dict(dict(BASE_CONFIG["model"], gamma=1.3))
+        assert analysis.field_cov(model, 1.0, 1.5, 1.0, 2.0).value != 0.0
+        k = mode_params(model, 1)
+        assert analysis.estimate_holder(k, 5.0, [2.0 ** -6, 2.0 ** -8]).slope > 0.0
+        assert analysis.separability_check(model).witness is not None
+        separable = model_from_dict(dict(BASE_CONFIG["model"], beta=0.0, gamma=1.3))
+        assert analysis.separability_check(separable).max_rel_error < 1e-12
 
 
 class TestLimitsCommand:
@@ -309,6 +308,8 @@ class TestRegularityCommand:
 
     def test_malformed_flags_exit_2(self, config_path):
         assert run_cli(["--config", config_path, "regularity", "--tau", "1.5"]) == 2
+        for sigma in ("nan", "inf"):
+            assert run_cli(["--config", config_path, "regularity", "--sigma", sigma]) == 2
 
 
 class TestHolderCommand:
@@ -337,6 +338,20 @@ class TestHolderCommand:
         assert run_cli(["--config", config_path, "holder", "--lags", ""]) == 2
         assert run_cli(["--config", config_path, "holder", "--t0", "0.1",
                         "--lags", "2^-6..2^-8"]) == 2
+
+    @pytest.mark.parametrize("lags", ["2^-2..2^-3000000", "2^0..2^-3", "2^-6..2^-1075"])
+    def test_dyadic_exponent_out_of_range_exit_2(self, config_path, capsys, lags):
+        # rejected before the range is allocated
+        assert run_cli(["--config", config_path, "holder", "--lags", lags]) == 2
+        assert "[-1074, -2]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t0", ["1e300", "nan", "inf"])
+    def test_unusable_t0_exit_2(self, config_path, t0):
+        assert run_cli(["--config", config_path, "holder", "--t0", t0]) == 2
+
+    def test_increments_below_rounding_floor_exit_4(self, config_path, capsys):
+        assert run_cli(["--config", config_path, "holder", "--lags", "2^-30..2^-45"]) == 4
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestIntegerConfigFields:

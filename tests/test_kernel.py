@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stwm.kernel import (
     ModeKernel,
     _gauss_jacobi,
+    _lagged_integrals,
     mode_cov,
     mode_var,
     square_function_ratio,
@@ -34,6 +35,28 @@ FRACTIONAL_REFERENCE_ROWS = [
     # used to stop the quadrature early
     (4.5, 400.0, 1.0, 0.046875, 0.0625, 2.1489525941323115e-23),
     (2.4, 34.0, 1.0, 0.015625, 0.03125, 2.1443511795850698e-08),
+]
+
+# frozen 40-digit mpmath values (g, mu, W, l, I) of the integer-order closed
+# form I = int_0^W u^{g-1} (u+l)^{g-1} e^{-2 mu u} du
+#        = sum_{k<g} C(g-1, k) l^{g-1-k} gamma(g+k, 2 mu W) / (2 mu)^{g+k},
+# whose terms are all positive. The rows pin the rule's settings: a 6-node
+# Jacobi panel misses the mu = 1e-2, W = l = 1e-3 rows (1e-11 at gamma 20,
+# 1.8e-10 at 30), and one ladder panel per octave misses the gamma-30 rows
+# at mu = 1e2 and 1e4 (1e-12).
+INTEGER_ORDER_ORACLE_ROWS = [
+    (20, 0.01, 0.001, 0.001, 1.7870707755881595e-113),
+    (20, 100.0, 1.0, 0.01, 2.5513999339729598e-45),
+    (20, 1.0, 1.0, 0.5, 9.807571499745253),
+    (20, 10000.0, 3.0, 0.0001, 2.55139993397296e-123),
+    (20, 0.01, 3.0, 1.0, 2.648132427391704e+19),
+    (20, 10.0, 0.1, 0.1, 2.589893546877425e-36),
+    (30, 0.01, 0.001, 0.001, 1.210893057293583e-170),
+    (30, 100.0, 1.0, 0.01, 1.0987207631384525e-57),
+    (30, 1.0, 1.0, 0.5, 366.2462866523492),
+    (30, 10000.0, 3.0, 0.0001, 1.0987207631384526e-175),
+    (30, 0.01, 3.0, 1.0, 1.083429267450468e+30),
+    (30, 10.0, 0.1, 0.1, 1.7146459001529657e-53),
 ]
 
 
@@ -159,6 +182,11 @@ class TestFixedLaggedRule:
             beta_fn = math.exp(math.lgamma(beta + 1.0) + math.lgamma(k + 1.0)
                                - math.lgamma(beta + k + 2.0))
             assert rel(w @ (1.0 - u) ** k, beta_fn) < 1e-12, k
+
+    @pytest.mark.parametrize("g,mu,width,lag,expected", INTEGER_ORDER_ORACLE_ROWS)
+    def test_matches_integer_order_closed_form(self, g, mu, width, lag, expected):
+        got = _lagged_integrals(float(g), mu, np.array([width]), np.array([lag]))[0]
+        assert rel(got, expected) < 1e-13
 
     @pytest.mark.parametrize("g,mu,w,s,t,expected", FRACTIONAL_REFERENCE_ROWS)
     def test_gram_matches_frozen_references(self, g, mu, w, s, t, expected):
