@@ -185,17 +185,11 @@ def field_cov(model: SpectralModel, s: float, t: float, x, y) -> FieldCov:
     if min(s, t) == 0.0:
         return FieldCov(value=0.0, tail_bound=0.0)
     total = float(field_gram(model, TimeGrid(np.unique([s, t])), x, y)[0, -1])
-
-    p_v = variance_series_exponent(model)
-    if p_v >= -1.0:
-        return FieldCov(value=total, tail_bound=math.inf)
-    c_lo, _ = _growth_constants(model.basis)
-    ct_lo, _ = _growth_constants(model.basis_tilde)
-    e_v = model.beta * (1.0 - 2.0 * model.gamma)
-    const = stationary_constant(model.gamma) * c_lo ** e_v * ct_lo ** -model.alpha \
-        * _sup_basis_bound(model)
-    tail = const * model.J ** (p_v + 1.0) / (-p_v - 1.0)
-    return FieldCov(value=total, tail_bound=float(tail))
+    # |q_j| <= stationary_constant * (the variance series' j-th term), which
+    # is hs_sum's term at n = tau = sigma = 0
+    tail = hs_sum(model, RegularityQuery()).tail
+    return FieldCov(value=total,
+                    tail_bound=stationary_constant(model.gamma) * _sup_basis_bound(model) * tail)
 
 
 class AsymptoticCoefficients(NamedTuple):
@@ -281,7 +275,8 @@ def estimate_holder(k: ModeKernel, t0: float, lags) -> HolderEstimate:
     """Least-squares slope of log mean-square increment against log lag.
 
     Increments E|Z(t0+h) - Z(t0)|^2 = q(t0+h, t0+h) + q(t0, t0) - 2 q(t0, t0+h)
-    are exact, from one gram on the grid t0 + [0, lags]. A finite t0 >= 1 keeps
+    are exact, from one gram on the grid t0 + [0, lags], and are fitted against
+    the lags that grid represents, (t0 + h) - t0. A finite t0 >= 1 keeps
     the fit away from the zero-initial-condition transient; lags must lie in
     (0, 1/4] with t0 + lags[0] != t0. Increments below 1e-10 q(t0, t0), mostly
     rounding, raise ArithmeticError.
@@ -297,10 +292,12 @@ def estimate_holder(k: ModeKernel, t0: float, lags) -> HolderEstimate:
         raise ValueError(f"lags must lie in (0, 1/4], got range [{hs[0]}, {hs[-1]}]")
     if t0 + hs[0] == t0:
         raise ValueError(f"lag {hs[0]} vanishes against t0 = {t0} in double precision")
-    G = gram(k, TimeGrid(t0 + np.concatenate(([0.0], hs)))).matrix
+    times = t0 + np.concatenate(([0.0], hs))
+    G = gram(k, TimeGrid(times)).matrix
     incr = G.diagonal()[1:] + G[0, 0] - 2.0 * G[0, 1:]
     if not np.all(incr > 1e-10 * G[0, 0]):
         raise ArithmeticError("mean-square increment below the rounding floor; use larger lags")
+    hs = times[1:] - t0  # the lags the Gram sits at; exact since h <= 1/4 <= t0
     x = np.log(hs)
     y = np.log(incr)
     slope, intercept = np.polyfit(x, y, 1)

@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: basis, sample, cov, limits, regularity, holder. Configuration
-comes from a JSON document (--config); randomized subcommands print their
-full seed record so any run can be replayed. Exit codes: 0 ok / condition
-satisfied, 1 condition unsatisfied, 2 config error, 3 model invalid
-(existence condition violated), 4 numerical failure.
+comes from a JSON document (--config). `main` loads it and builds the model
+once, refuses gamma <= 1/2 (model invalid) for the subcommands that need a
+finite-variance solution (sample, cov, limits, holder), and passes
+(args, doc, model) to the subcommand. Tables are written and numbers printed
+through fieldfile.write_csv and fieldfile.format_number. Randomized
+subcommands print their full seed record so any run can be replayed. Exit
+codes: 0 ok / condition satisfied, 1 condition unsatisfied, 2 config error,
+3 model invalid (existence condition violated), 4 numerical failure.
 """
 
 import argparse
@@ -15,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fieldfile
+from .fieldfile import format_number, write_csv
 from .kernel import stationary_variance, temporal_matern_limit
 from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, TimeGrid, gram, sample_field
 from .spectral import (ConfigError, SpectralModel, as_points, config_float, config_int,
@@ -25,12 +30,6 @@ EXIT_UNSATISFIED = 1
 EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_NUMERICAL = 4
-
-_FMT = ".17g"
-
-
-def _f(x) -> str:
-    return format(float(x), _FMT)
 
 
 class ModelInvalid(RuntimeError):
@@ -132,29 +131,21 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_basis(args) -> int:
-    doc = _load_config(args.config)
-    model = _model_from_config(doc)
+def cmd_basis(args, doc: dict, model: SpectralModel) -> int:
     out = _out_dir(args) / "basis.csv"
-    lam = model.basis.eigenvalues
-    lam_t = model.basis_tilde.eigenvalues
-    with open(out, "w") as fh:
-        fh.write("j,lambda,lambda_tilde,weyl_ratio\n")
-        for j in range(1, model.J + 1):
-            ratio = lam[j - 1] / j ** (2.0 / model.d)
-            fh.write(f"{j},{_f(lam[j - 1])},{_f(lam_t[j - 1])},{_f(ratio)}\n")
+    lams = zip(model.basis.eigenvalues, model.basis_tilde.eigenvalues)
+    write_csv(out, ("j", "lambda", "lambda_tilde", "weyl_ratio"),
+              ((j, lam, lam_t, lam / j ** (2.0 / model.d))
+               for j, (lam, lam_t) in enumerate(lams, start=1)))
     if model.J >= 10:
         lo, hi = weyl_ratio(model.basis)
-        print(f"weyl ratio extrema over upper half spectrum: [{_f(lo)}, {_f(hi)}]")
+        print(f"weyl ratio extrema over upper half spectrum: "
+              f"[{format_number(lo)}, {format_number(hi)}]")
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    doc = _load_config(args.config)
-    model = _model_from_config(doc)
-    if not model.gamma > 0.5:
-        raise ModelInvalid(f"sampling requires gamma > 1/2, got gamma={model.gamma}")
+def cmd_sample(args, doc: dict, model: SpectralModel) -> int:
     if analysis.variance_series_exponent(model) >= -1.0:
         if not args.force:
             raise ModelInvalid(
@@ -174,11 +165,9 @@ def cmd_sample(args) -> int:
     bin_path = out / "field.stwm"
     fieldfile.write_field(bin_path, sample)
     summary = out / "sample_summary.csv"
-    with open(summary, "w") as fh:
-        fh.write("time,mean,variance\n")
-        for it, t in enumerate(grid.points):
-            vals = sample.values[:, it, :]
-            fh.write(f"{_f(t)},{_f(vals.mean())},{_f(vals.var(ddof=1) if vals.size > 1 else 0.0)}\n")
+    write_csv(summary, ("time", "mean", "variance"),
+              ((t, v.mean(), v.var(ddof=1) if v.size > 1 else 0.0)
+               for t, v in zip(grid.points, sample.values.swapaxes(0, 1))))
     print(f"seed record: master={seed.master} paths=0..{n_paths - 1} "
           f"(stream format {STREAM_FORMAT})")
     print(f"wrote {bin_path}")
@@ -186,14 +175,10 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_cov(args) -> int:
+def cmd_cov(args, doc: dict, model: SpectralModel) -> int:
     """Covariance table on the grid's upper triangle (s ascending, t >= s):
     one mode's q_j(s, t) from sampler.gram, or the truncated field covariance
     sum_j q_j(s, t) e_j(x) e_j(y) from analysis.field_gram."""
-    doc = _load_config(args.config)
-    model = _model_from_config(doc)
-    if not model.gamma > 0.5:
-        raise ModelInvalid(f"covariance requires gamma > 1/2, got gamma={model.gamma}")
     grid = _grid_from_config(doc)
     opts = _section(doc, "cov")
     target = opts.get("mode", 1)
@@ -207,20 +192,13 @@ def cmd_cov(args) -> int:
         cov = gram(mode_params(model, _mode_index(model, target, "cov.mode")), grid).matrix
     out = _out_dir(args) / "cov.csv"
     pts = grid.points
-    with open(out, "w") as fh:
-        fh.write("s,t,value\n")
-        for i, s in enumerate(pts):
-            for j in range(i, pts.size):
-                fh.write(f"{_f(s)},{_f(pts[j])},{_f(cov[i, j])}\n")
+    write_csv(out, ("s", "t", "value"),
+              ((s, pts[j], cov[i, j]) for i, s in enumerate(pts) for j in range(i, pts.size)))
     print(f"wrote {out}")
     return EXIT_OK
 
 
-def cmd_limits(args) -> int:
-    doc = _load_config(args.config)
-    model = _model_from_config(doc)
-    if not model.gamma > 0.5:
-        raise ModelInvalid(f"asymptotics require gamma > 1/2, got gamma={model.gamma}")
+def cmd_limits(args, doc: dict, model: SpectralModel) -> int:
     opts = _section(doc, "limits")
     kappa = config_float(opts.get("temporal_kappa", 1.0), "limits.temporal_kappa")
     if not kappa > 0.0:
@@ -230,23 +208,17 @@ def cmd_limits(args) -> int:
         raise ConfigError("limits.lags", f"must be a list of numbers >= 0, got {lags!r}")
     out = _out_dir(args)
     stat_path = out / "limits_stationary.csv"
-    with open(stat_path, "w") as fh:
-        fh.write("j,stationary_var\n")
-        for j in range(1, model.J + 1):
-            fh.write(f"{j},{_f(stationary_variance(mode_params(model, j)))}\n")
+    write_csv(stat_path, ("j", "stationary_var"),
+              ((j, stationary_variance(mode_params(model, j))) for j in range(1, model.J + 1)))
     temp_path = out / "limits_temporal.csv"
-    with open(temp_path, "w") as fh:
-        fh.write("h,matern_value\n")
-        for h in lags:
-            fh.write(f"{_f(h)},{_f(temporal_matern_limit(model.gamma, kappa, h))}\n")
+    write_csv(temp_path, ("h", "matern_value"),
+              ((h, temporal_matern_limit(model.gamma, kappa, h)) for h in lags))
     print(f"wrote {stat_path}")
     print(f"wrote {temp_path}")
     return EXIT_OK
 
 
-def cmd_regularity(args) -> int:
-    doc = _load_config(args.config)
-    model = _model_from_config(doc)
+def cmd_regularity(args, doc: dict, model: SpectralModel) -> int:
     try:
         query = analysis.RegularityQuery(n=args.n, tau=args.tau, sigma=args.sigma)
     except ValueError as exc:
@@ -281,11 +253,7 @@ def _parse_lags(spec: str) -> np.ndarray:
     return vals
 
 
-def cmd_holder(args) -> int:
-    doc = _load_config(args.config)
-    model = _model_from_config(doc)
-    if not model.gamma > 0.5:
-        raise ModelInvalid(f"holder slopes require gamma > 1/2, got gamma={model.gamma}")
+def cmd_holder(args, doc: dict, model: SpectralModel) -> int:
     try:
         lags = _parse_lags(args.lags)
     except (ValueError, IndexError) as exc:
@@ -297,9 +265,9 @@ def cmd_holder(args) -> int:
     except ValueError as exc:
         raise ConfigError("--t0/--lags", str(exc)) from None
     theory = analysis.holder_theory_slope(model.gamma)
-    print(f"estimated slope: {_f(est.slope)}")
-    print(f"theory 2*min(gamma-1/2, 1): {_f(theory)}")
-    print(f"fit residual (rms): {_f(est.residual)}")
+    print(f"estimated slope: {format_number(est.slope)}")
+    print(f"theory 2*min(gamma-1/2, 1): {format_number(theory)}")
+    print(f"fit residual (rms): {format_number(est.residual)}")
     return EXIT_OK
 
 
@@ -339,12 +307,18 @@ _COMMANDS = {
     "holder": cmd_holder,
 }
 
+# subcommands whose covariances exist only for a finite-variance solution
+_NEED_FINITE_VARIANCE = ("sample", "cov", "limits", "holder")
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        doc = _load_config(args.config)
+        model = _model_from_config(doc)
+        if args.command in _NEED_FINITE_VARIANCE and not model.gamma > 0.5:
+            raise ModelInvalid(f"{args.command} requires gamma > 1/2, got gamma={model.gamma}")
+        return _COMMANDS[args.command](args, doc, model)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

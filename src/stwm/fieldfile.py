@@ -3,8 +3,11 @@
 Binary layout (little endian): magic b"STWM", u32 format version, u32 d,
 u32 n_times, u32 n_points, u32 n_paths, then the float64 values row-major
 as (path, time, point), then the time grid, then the space points (row-major
-(n_points, d)). CSV export uses '.' decimals and 17 significant digits so
-float64 values round-trip through text.
+(n_points, d)).
+
+Every CSV table and printed number of the package goes through
+format_number and write_csv: integers as integers, other numbers with '.'
+decimals and 17 significant digits, so float64 values round-trip through text.
 """
 
 import os
@@ -14,7 +17,8 @@ import numpy as np
 
 from .sampler import FieldSample, TimeGrid
 
-__all__ = ["write_field", "read_field", "write_field_csv", "FORMAT_VERSION", "MAGIC"]
+__all__ = ["write_field", "read_field", "write_field_csv", "write_csv", "format_number",
+           "FORMAT_VERSION", "MAGIC"]
 
 MAGIC = b"STWM"
 FORMAT_VERSION = 1
@@ -59,21 +63,27 @@ def read_field(path) -> FieldSample:
     return FieldSample(times=TimeGrid(times), space_points=pts, values=values, seed_record=None)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def format_number(x) -> str:
+    """An integer as itself; any other number as float64 with 17 significant digits."""
+    return str(x) if isinstance(x, (int, np.integer)) else format(float(x), ".17g")
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV file with the column names `header`, then one line per row of
+    numbers; `rows` may be a generator, written as it is consumed."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(format_number, row)) + "\n")
 
 
 def _point_label(coords) -> str:
-    return "x" + "_".join(_fmt(c) for c in np.atleast_1d(coords))
+    return "x" + "_".join(map(format_number, np.atleast_1d(coords)))
 
 
 def write_field_csv(path, sample: FieldSample) -> None:
     """One row per (path, time); one column per space point."""
     pts = np.atleast_2d(sample.space_points)
-    header = "path,time," + ",".join(_point_label(p) for p in pts)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for p in range(sample.values.shape[0]):
-            for it, t in enumerate(sample.times.points):
-                row = sample.values[p, it]
-                fh.write(f"{p},{_fmt(t)}," + ",".join(_fmt(v) for v in row) + "\n")
+    write_csv(path, ["path", "time", *(_point_label(p) for p in pts)],
+              ((p, t, *sample.values[p, it]) for p in range(sample.values.shape[0])
+               for it, t in enumerate(sample.times.points)))

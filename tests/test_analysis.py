@@ -253,6 +253,15 @@ class TestEstimateHolder:
         with pytest.raises(ValueError):  # t0 + lag rounds to t0
             estimate_holder(k, 1e300, self.LAGS)
 
+    def test_large_t0_fits_represented_lags(self):
+        # at t0 = 1e11 the grid t0 + h moves each lag by up to 0.7 %; the fit
+        # uses the lags the grid holds, so the slope matches the one at t0 = 5
+        k = ModeKernel(1.0, 1.0, 1.0)
+        lags = np.geomspace(1e-3, 1e-2, 8)
+        far = estimate_holder(k, 1e11, lags)
+        assert abs(far.slope - estimate_holder(k, 5.0, lags).slope) < 5e-4
+        assert np.array_equal(far.lags, (1e11 + lags) - 1e11)
+
     def test_increments_below_rounding_floor_raise(self):
         # at lags 2^-30..2^-45 the increment of the OU mode sinks below
         # 1e-10 q(t0, t0), where the covariance difference is mostly rounding

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stwm import analysis, cli, kernel
-from stwm.fieldfile import read_field, write_field, write_field_csv
+from stwm.fieldfile import read_field, write_csv, write_field, write_field_csv
 from stwm.kernel import ModeKernel, mode_cov
 from stwm.quadrature import QuadratureConfig
 from stwm.sampler import FieldSample, TimeGrid, gram
@@ -57,6 +57,14 @@ class TestBasisCommand:
         lams = [float(r.split(",")[1]) for r in
                 (tmp_path / "basis.csv").read_text().strip().splitlines()[1:]]
         assert lams == [2.0, 5.0, 5.0, 8.0]
+
+    def test_frozen_bytes(self, tmp_path):
+        doc = {"model": dict(BASE_CONFIG["model"], kappa2_tilde=0.5, J=3)}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path), "basis"]) == 0
+        assert (tmp_path / "basis.csv").read_bytes() == (
+            b"j,lambda,lambda_tilde,weyl_ratio\n1,1,1.5,1\n2,4,4.5,1\n3,9,9.5,1\n")
 
     def test_invalid_dimension_exit_2_names_field(self, tmp_path, capsys):
         doc = {"model": dict(BASE_CONFIG["model"], d=3)}
@@ -290,6 +298,33 @@ class TestLimitsCommand:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         assert run_cli(["--config", str(p), "--out", str(tmp_path), "limits"]) == 3
+
+
+class TestFiniteVarianceGate:
+    """main refuses gamma <= 1/2 once, before any gated subcommand runs."""
+
+    OUTPUTS = ("field.stwm", "sample_summary.csv", "cov.csv", "limits_stationary.csv",
+               "limits_temporal.csv")
+
+    def config(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], gamma=0.4))))
+        return str(p)
+
+    @pytest.mark.parametrize("command", ["sample", "cov", "limits", "holder"])
+    def test_gated_command_exit_3_writes_nothing(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert run_cli(["--config", self.config(tmp_path), "--out", str(out), command]) == 3
+        assert "model invalid" in capsys.readouterr().err
+        assert not any((out / name).exists() for name in self.OUTPUTS)
+
+    def test_basis_and_regularity_still_run(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli(["--config", self.config(tmp_path), "--out", str(out), "basis"]) == 0
+        assert (out / "basis.csv").exists()
+        capsys.readouterr()
+        assert run_cli(["--config", self.config(tmp_path), "regularity"]) == 1
+        assert json.loads(capsys.readouterr().out)["satisfied"] is False
 
 
 class TestRegularityCommand:
@@ -534,6 +569,15 @@ class TestFieldFile:
         assert rows[0].startswith("path,time,")
         cell = float(rows[2].split(",")[2])
         assert cell == fs.values[0, 1, 0]  # 17 significant digits round-trip
+
+
+def test_write_csv_formats(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("n", "x"), [(1, 0.1), (np.int64(2), 1.0 / 3.0)])
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["n,x", "1,0.10000000000000001"]
+    n, x = lines[2].split(",")
+    assert n == "2" and len(x.replace("0.", "", 1)) == 17 and float(x) == 1.0 / 3.0
 
 
 def test_console_entry_point():
