@@ -23,6 +23,7 @@ from .sampler import (
     GramMatrix,
     FieldSample,
     gram,
+    mode_grams,
     cholesky_psd,
     sample_modes,
     sample_field,

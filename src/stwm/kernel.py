@@ -12,13 +12,15 @@ covariance
 
 is computed here: for s = t by the incomplete-gamma closed form, and for
 s != t by two routes on the same integral. _lagged_integrals, one fixed
-Gauss-Jacobi and Gauss-Legendre rule batched over widths and lags, serves
-sampler.gram and so every library and CLI covariance; mode_cov, adaptive
+Gauss-Jacobi and Gauss-Legendre rule batched over decay rates, widths and
+lags, serves the sampler's Gram builder and so every library and CLI
+covariance; mode_cov, adaptive
 quadrature to a QuadratureConfig tolerance, is the tests' reference. Also
 here: the stationary (t -> infinity) variance and the Matern-type limit of
 the lagged covariance.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,10 +116,11 @@ def _lagged_integral(g: float, mu: float, width: float, lag: float, cfg: Quadrat
     return scale * integrate(f, 0.0, v_end, cfg, points=points)
 
 
+@functools.lru_cache(maxsize=16)
 def _gauss_jacobi(n: int, beta: float):
     """Nodes and weights of the n-point Gauss rule on [0, 1] for the weight
     u^beta, beta > -1: sum_i w_i f(u_i) = int_0^1 u^beta f(u) du for every
-    polynomial f of degree below 2n.
+    polynomial f of degree below 2n. Held per (n, beta) as read-only arrays.
 
     Golub-Welsch: the nodes are the eigenvalues of the closed-form Jacobi
     matrix of the Jacobi polynomials P^(0, beta) on [-1, 1], mapped by
@@ -129,12 +132,16 @@ def _gauss_jacobi(n: int, beta: float):
     k = np.arange(1, n)
     off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return 0.5 * (1.0 + x), v[0] ** 2 / (beta + 1.0)
+    nodes, weights = 0.5 * (1.0 + x), v[0] ** 2 / (beta + 1.0)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
-def _lagged_integrals(g: float, mu: float, widths, lags) -> np.ndarray:
-    """int_0^W u^{g-1} (u+l)^{g-1} e^{-2 mu u} du for 1-D arrays of widths
-    W > 0 and lags l > 0 (a scalar broadcasts), by one fixed rule.
+def _lagged_integrals(g: float, mu, widths, lags) -> np.ndarray:
+    """int_0^W u^{g-1} (u+l)^{g-1} e^{-2 mu u} du for arrays of decay rates
+    mu > 0, widths W > 0 and lags l > 0 that broadcast together, by one
+    fixed rule; the result has their broadcast shape.
 
     With W cut at _EFOLDS / (2 mu) and x = u / sigma, sigma = min(W, 1/(2 mu)),
     the integrand is x^{g-1} (a x + b)^{g-1} e^{-2 mu sigma x} on [0, W / sigma].
@@ -143,25 +150,25 @@ def _lagged_integrals(g: float, mu: float, widths, lags) -> np.ndarray:
     m = ceil(g / 6) per octave. Panels past an entry's own end have zero
     width, so one array shape serves every entry.
     """
-    widths, lags = np.broadcast_arrays(np.minimum(widths, 0.5 * _EFOLDS / mu), lags)
-    sigma = np.minimum(widths, 0.5 / mu)[:, None]
-    lags = lags[:, None]
+    mu, widths, lags = (a[..., None] for a in np.broadcast_arrays(mu, widths, lags))
+    widths = np.minimum(widths, 0.5 * _EFOLDS / mu)
+    sigma = np.minimum(widths, 0.5 / mu)
     a, b = sigma / (sigma + lags), lags / (sigma + lags)
 
     def smooth(x):
         return (a * x + b) ** (g - 1.0) * np.exp(-2.0 * mu * sigma * x)
 
     c = np.minimum(1.0, lags / sigma)
-    end = widths[:, None] / sigma
+    end = widths / sigma
     x, w = _gauss_jacobi(_JACOBI_NODES, g - 1.0)
-    total = c[:, 0] ** g * (smooth(c * x) @ w)
+    total = c[..., 0] ** g * (smooth(c * x) @ w)
     m = math.ceil(g / 6.0)
     n_panels = math.ceil(m * math.log2(float((end / c).max())))
     if n_panels > 0:
         edges = np.minimum(c * 2.0 ** (np.arange(n_panels + 1) / m), end)
-        x, w = (r.reshape(edges.shape[0], -1) for r in panel_rules(edges))
-        total += (x ** (g - 1.0) * smooth(x) * w).sum(axis=1)
-    return (sigma ** g * (sigma + lags) ** (g - 1.0))[:, 0] * total
+        x, w = (r.reshape(edges.shape[:-1] + (-1,)) for r in panel_rules(edges))
+        total += (x ** (g - 1.0) * smooth(x) * w).sum(axis=-1)
+    return (sigma ** g * (sigma + lags) ** (g - 1.0))[..., 0] * total
 
 
 def mode_cov(k: ModeKernel, s: float, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -199,12 +206,21 @@ def mode_var(k: ModeKernel, t):
     g = k.gamma
     if not g > 0.5:
         raise ValueError(f"mode_var requires gamma > 1/2 (infinite variance), got {g}")
-    a = 2.0 * g - 1.0
-    two_mu = 2.0 * k.mu
-    # log gamma(a, 0) = -inf, so t = 0 gives exactly 0
-    out = np.exp(math.log(k.weight) - 2.0 * log_gamma(g) - a * math.log(two_mu)
-                 + np.asarray(log_lower_incomplete_gamma(a, two_mu * t)))
+    out = _variance_rows(g, [k.mu], [k.weight], t)[0]
     return out if out.ndim else float(out)
+
+
+def _variance_rows(g: float, mu, weight, t) -> np.ndarray:
+    """mode_var at the times t (an array) of modes j = 0, 1, ... with decay
+    rates mu[j] and weights weight[j], in one incomplete-gamma call; shape
+    (len(mu),) + t.shape. Each mode's log prefactor is formed from Python
+    floats, so every row is bit-identical to that mode's mode_var."""
+    a = 2.0 * g - 1.0
+    two_mu = 2.0 * np.asarray(mu, dtype=float).reshape((-1,) + (1,) * np.ndim(t))
+    log_pre = [math.log(w) - 2.0 * log_gamma(g) - a * math.log(two_mu_j)
+               for two_mu_j, w in zip(two_mu.ravel().tolist(), weight)]
+    # log gamma(a, 0) = -inf, so t = 0 gives exactly 0
+    return np.exp(np.reshape(log_pre, two_mu.shape) + log_lower_incomplete_gamma(a, two_mu * t))
 
 
 def stationary_constant(gamma: float) -> float:

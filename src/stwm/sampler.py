@@ -1,9 +1,13 @@
 """Exact Gaussian sampling of mode paths and assembled space-time fields.
 
 Sampling is exact in law on the time grid: each mode's Gram matrix of true
-covariances is factorized (with an escalating-jitter Cholesky, since grids
-containing t = 0 make the matrix singular by construction) and applied to
-independent standard normals. Normals come from counter-based streams in
+covariances is factorized and applied to independent standard normals. All
+J modes share gamma and the grid, so their Gram matrices are built in one
+pass as a (J, n, n) stack (mode_grams; gram is its one-mode case). The
+stack's live blocks, past any t = 0 row (which makes a matrix singular by
+construction), are factored by one stacked Cholesky; if any block is not
+positive definite, every mode goes through the escalating-jitter Cholesky
+of cholesky_psd instead. Normals come from counter-based streams in
 format v2 (STREAM_FORMAT): one Philox4x64 stream per mode, keyed by (master
 seed, mode index), in which every path reads a fixed block of words at its
 own counter offset. All paths of a mode come from one draw, any path range
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ModeKernel, _lagged_integrals, mode_var
+from .kernel import ModeKernel, _lagged_integrals, _variance_rows
 from .quadrature import panel_rules
 from .specfun import gamma_fn, lower_incomplete_gamma
 from .spectral import EigenBasis, SpectralModel, as_points, evaluate_basis, mode_params
@@ -38,6 +42,7 @@ __all__ = [
     "SeedSpec",
     "CholeskyError",
     "gram",
+    "mode_grams",
     "cholesky_psd",
     "sample_modes",
     "sample_field",
@@ -177,72 +182,111 @@ def _stream_normals(master: int, path: int, mode: int, n: int, n_paths: int = 1)
 
 
 def gram(k: ModeKernel, grid: TimeGrid) -> GramMatrix:
-    """Gram matrix G[i, j] = q(t_i, t_j), symmetric, with mode_var diagonal.
+    """Gram matrix G[i, j] = q(t_i, t_j) of one mode, symmetric, with mode_var
+    diagonal: the one-mode case of mode_grams' stacked builder (see
+    _gram_stack)."""
+    return GramMatrix(matrix=_gram_stack(k.gamma, [k.mu], [k.weight], grid)[0])
 
-    Lagged entries come from kernel._lagged_integrals, one fixed
-    Gauss-Jacobi and Gauss-Legendre rule with no adaptive step. On a uniform
-    grid (any t_0 >= 0) the entries of row i at lags 1, 2, ... are that
-    rule's singular first chunk [0, t_0] ([0, h] when t_0 = 0), computed for
-    all lags in one call, plus the integrals over the cells below t_i, which
-    one fixed Gauss-Legendre rule per cell gives for every lag in one
-    matrix-vector product per row. On other grids the rule gives each row's
-    upper-triangle entries in one call. Rows fill the upper triangle, which
-    is mirrored once at the end. Lagged entries agree with TIGHT mode_cov to
-    1e-12 relative (tested over mu in [1e-2, 1e8], gamma in [0.5001, 20]);
-    entries whose factor e^{-mu |t - s|} underflows are exactly 0.
+
+def mode_grams(model: SpectralModel, grid: TimeGrid) -> np.ndarray:
+    """Gram matrices of modes 1..J over the grid, stacked with shape
+    (J, n, n): entry j - 1 is gram(mode_params(model, j), grid), built for
+    all modes at once (see _gram_stack)."""
+    ks = [mode_params(model, j) for j in range(1, model.J + 1)]
+    return _gram_stack(model.gamma, [k.mu for k in ks], [k.weight for k in ks], grid)
+
+
+def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
+    """Gram matrices of the modes with decay rates mu[j] and weights
+    weight[j], order g, over the grid, as one (J, n, n) stack.
+
+    The diagonals are mode_var, bit for bit, from one incomplete-gamma call.
+    Lagged entries come from kernel._lagged_integrals, one fixed Gauss-Jacobi
+    and Gauss-Legendre rule with no adaptive step, batched over modes. On a
+    uniform grid (any t_0 >= 0) the entries of row i at lags 1, 2, ... are
+    that rule's singular first chunk [0, t_0] ([0, h] when t_0 = 0),
+    computed for all modes and lags in one call, plus the integrals over the
+    cells below t_i, which one fixed Gauss-Legendre rule per cell gives for
+    every mode and lag in one matrix product per row. On other grids the
+    rule gives each row's upper-triangle entries of every mode in one call.
+    Rows fill the upper triangles in place, which are mirrored row by row at
+    the end. Lagged entries agree with TIGHT mode_cov to 1e-12 relative
+    (tested over mu in [1e-2, 1e8], gamma in [0.5001, 20]); entries whose
+    factor e^{-mu |t - s|} underflows are exactly 0, and modes whose every
+    lagged factor underflows get no rule evaluations.
     """
-    if not k.gamma > 0.5:
-        raise ValueError(f"gram requires gamma > 1/2, got {k.gamma}")
+    if not g > 0.5:
+        raise ValueError(f"gram requires gamma > 1/2, got {g}")
+    mu, weight = np.asarray(mu, dtype=float), np.asarray(weight, dtype=float)
     pts = grid.points
     n = pts.size
-    G = np.diag(mode_var(k, pts))
-    g, mu = k.gamma, k.mu
-    scale = k.weight / gamma_fn(g) ** 2
+    G = np.zeros((mu.size, n, n))
+    G.reshape(mu.size, -1)[:, ::n + 1] = _variance_rows(g, mu, weight, pts)  # the diagonals
+    scale = weight / gamma_fn(g) ** 2
     i0 = 1 if pts[0] == 0.0 else 0  # rows below i0 (t = 0) stay zero
     try:
         h = grid.step
     except ValueError:
-        # One call per row keeps the rule's node arrays O(n) in size. Lags
-        # grow along a row, so the entries whose prefactor survives are a prefix.
+        # One call per row keeps the rule's node arrays O(J n) in size. Lags
+        # grow along a row, so each mode's surviving prefactors are a prefix.
         for i in range(i0, n - 1):
-            pre = scale * np.exp(-mu * (pts[i + 1:] - pts[i]))
-            pre = pre[pre > 0.0]
-            if pre.size:
-                j = slice(i + 1, i + 1 + pre.size)
-                G[i, j] = pre * _lagged_integrals(g, mu, pts[i], pts[j] - pts[i])
+            lags = pts[i + 1:] - pts[i]
+            pre = scale[:, None] * np.exp(-mu[:, None] * lags)
+            live = pre > 0.0
+            if live.any():
+                G[:, i, i + 1:][live] = pre[live] * _live_integrals(g, mu, pts[i], lags, live)
     else:
         _uniform_upper(G, g, mu, scale, float(pts[i0]), h, i0)
     for i in range(n - 1):
-        G[i + 1:, i] = G[i, i + 1:]
-    return GramMatrix(matrix=G)
+        G[:, i + 1:, i] = G[:, i, i + 1:]
+    return G
 
 
-def _uniform_upper(G: np.ndarray, g: float, mu: float, scale: float, u0: float, h: float,
-                   i0: int):
-    """Upper triangle of gram's rows i0, i0 + 1, ... (times u0, u0 + h, ...)
-    on a uniform grid, written in place one row at a time."""
-    m = G.shape[0] - 1 - i0         # cells [u0 + c h, u0 + (c+1) h], c < m
+def _live_integrals(g: float, mu: np.ndarray, width: float, lags: np.ndarray,
+                    live: np.ndarray) -> np.ndarray:
+    """kernel._lagged_integrals of order g over [0, width] in one call, at
+    the (mode j, lag l) pairs where live[j, l] is set: decay rate mu[j], lag
+    lags[l]."""
+    mu_live, lags_live = (np.broadcast_to(a, live.shape)[live] for a in (mu[:, None], lags))
+    return _lagged_integrals(g, mu_live, width, lags_live)
+
+
+def _uniform_upper(G: np.ndarray, g: float, mu: np.ndarray, scale: np.ndarray, u0: float,
+                   h: float, i0: int):
+    """Upper triangles of rows i0, i0 + 1, ... (times u0, u0 + h, ...) of
+    the (J, n, n) stack G on a uniform grid, written in place one row at a
+    time for all modes."""
+    m = G.shape[1] - 1 - i0         # cells [u0 + c h, u0 + (c+1) h], c < m
     lag_steps = np.arange(1, m + 1)
-    pre = scale * np.exp(-mu * h * lag_steps)
-    n_lags = np.count_nonzero(pre)  # lags whose prefactor survives: a prefix
-    if n_lags == 0:
+    pre = scale[:, None] * np.exp(-mu[:, None] * h * lag_steps)
+    n_lags = np.count_nonzero(pre, axis=1)  # lags whose prefactor survives: a prefix
+    live = np.flatnonzero(n_lags)
+    if live.size == 0:
         return
-    first = _lagged_integrals(g, mu, u0, h * lag_steps[:n_lags])
+    rows = slice(None) if live.size == mu.size else live
+    k_max = int(n_lags.max())
+    mu, pre = mu[live], pre[live, :k_max]
+    # first[j, l - 1] is mode j's singular chunk at lag l, or 0 where the
+    # prefactor underflows
+    first = np.zeros(pre.shape)
+    first[pre > 0.0] = _live_integrals(g, mu, u0, h * lag_steps[:k_max], pre > 0.0)
     # Each cell's rule is graded towards its left end, below widths 1/mu and
-    # u0 (the distance to u = 0). Equal node layouts make the integrand on
-    # cell c at lag l h a product of per-node tables at cells c and c + l.
-    levels = max(0, math.ceil(math.log2(max(mu * h, h / u0))))
+    # u0 (the distance to u = 0), for the largest live mu: its edges include
+    # every smaller mu's. Equal node layouts make the integrand on cell c at
+    # lag l h a product of per-node tables at cells c and c + l; only the
+    # exponential factor has a mode axis.
+    levels = max(0, math.ceil(math.log2(max(float(mu.max()) * h, h / u0))))
     x, w = panel_rules(np.concatenate([[0.0], h * 2.0 ** -np.arange(levels, -1.0, -1.0)]))
     x = (u0 + h * np.arange(m))[:, None] + x.reshape(-1)
     u_pow = x ** (g - 1.0)
-    u_pow_exp = u_pow * np.exp(-2.0 * mu * x) * w.reshape(-1)
-    # acc[l - 1] is the sum of the lag-l cell integrals over the cells below
-    # the current row, added cell by cell in increasing order.
-    acc = np.zeros(n_lags)
+    u_pow_exp = u_pow[:, :, None] * np.exp(-2.0 * mu * x[:, :, None]) * w.reshape(-1, 1)
+    # acc[l - 1, j] is mode j's sum of the lag-l cell integrals over the
+    # cells below the current row, added cell by cell in increasing order.
+    acc = np.zeros((k_max, mu.size))
     for c in range(m):
-        r, k = i0 + c, min(n_lags, m - c)
-        G[r, r + 1:r + 1 + k] = pre[:k] * (first[:k] + acc[:k])
-        k = min(n_lags, m - 1 - c)
+        r, k = i0 + c, min(k_max, m - c)
+        G[rows, r, r + 1:r + 1 + k] = pre[:, :k] * (first[:, :k] + acc[:k].T)
+        k = min(k_max, m - 1 - c)
         acc[:k] += u_pow[c + 1:c + 1 + k] @ u_pow_exp[c]
 
 
@@ -327,29 +371,51 @@ def _check_sampling_pre(model: SpectralModel, grid: TimeGrid):
         raise ValueError(f"grid end {grid.points[-1]} exceeds the model horizon T={model.T}")
 
 
+def _cholesky_stack(G: np.ndarray, i0: int) -> np.ndarray:
+    """Lower-triangular factors of a (J, n, n) stack of Gram matrices whose
+    rows and columns below i0 (grid points at t = 0) are zero.
+
+    The live blocks G[:, i0:, i0:] are factored with one np.linalg.cholesky,
+    and the factors' rows below i0 are zero. If any live block is not
+    positive definite (a singular PSD member, or a variance that underflows
+    to 0 at t > 0), every member goes through cholesky_psd's jittered
+    factorization instead. A stack with an infinite or nan entry raises
+    ValueError."""
+    if not np.isfinite(G).all():
+        raise ValueError("matrix has non-finite entries")
+    L = np.zeros_like(G)
+    try:
+        L[:, i0:, i0:] = np.linalg.cholesky(G[:, i0:, i0:])
+    except np.linalg.LinAlgError:
+        for L_j, G_j in zip(L, G):
+            L_j[...] = _cholesky_with_jitter(G_j)[0]
+    return L
+
+
 def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedSpec) -> np.ndarray:
     """Sample mode paths, exact in law on the grid.
 
     Returns an array of shape (n_paths, J, n_times). Values at any t = 0 grid
-    point are exactly zero. Each mode owns one counter-based stream, from
-    which all paths are drawn in one call and multiplied by the mode's
-    Cholesky factor, so output depends only on the SeedSpec (for a fixed
-    numpy build and BLAS thread count).
+    point are exactly zero. The modes' Gram matrices are built as one stack
+    (mode_grams) and factored together (_cholesky_stack). Each mode owns one
+    counter-based stream, from which all paths are drawn in one call and
+    multiplied by the mode's Cholesky factor, so output depends only on the
+    SeedSpec (for a fixed numpy build and BLAS thread count).
     """
     _check_sampling_pre(model, grid)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n_times = grid.n
-    n_blocks = -(-n_paths // _PATH_BLOCK)
+    L = _cholesky_stack(mode_grams(model, grid), int(grid.points[0] == 0.0))
+    # Normals are zero-padded to whole blocks so every product is a BLAS call
+    # of one shape: BLAS may pick another kernel, and round differently, for
+    # another row count, and a path's values must not depend on it. Output
+    # rows do not depend on other rows, so the padding never shows.
+    Z = np.zeros((-(-n_paths // _PATH_BLOCK), _PATH_BLOCK, n_times))
     out = np.empty((n_paths, model.J, n_times))
-    for jm in range(model.J):
-        L = cholesky_psd(gram(mode_params(model, jm + 1), grid))
-        # Normals are drawn up to whole blocks so every product is a BLAS call
-        # of one shape: BLAS may pick another kernel, and round differently,
-        # for another row count, and a path's values must not depend on it.
-        Z = _stream_normals(seed.master, 0, jm, n_times, n_blocks * _PATH_BLOCK)
-        paths = Z.reshape(n_blocks, _PATH_BLOCK, n_times) @ L.T
-        out[:, jm, :] = paths.reshape(-1, n_times)[:n_paths]
+    for jm, L_j in enumerate(L):
+        Z.reshape(-1, n_times)[:n_paths] = _stream_normals(seed.master, 0, jm, n_times, n_paths)
+        out[:, jm, :] = (Z @ L_j.T).reshape(-1, n_times)[:n_paths]
     return out
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stwm import analysis, cli, kernel
+from stwm import analysis, cli, kernel, sampler
 from stwm.fieldfile import read_field, write_csv, write_field, write_field_csv
 from stwm.kernel import ModeKernel, mode_cov
 from stwm.quadrature import QuadratureConfig
@@ -206,6 +206,61 @@ class TestCovCommand:
             terms = [mode_cov(mode_params(model, j), s, t, TIGHT) * coeffs[j - 1]
                      for j in range(1, model.J + 1)]
             assert abs(value - math.fsum(terms)) <= 1e-10 * math.fsum(abs(z) for z in terms)
+
+
+    @pytest.mark.parametrize("gamma", [0.8, 1.6])
+    def test_field_table_at_benchmark_shape(self, tmp_path, gamma):
+        # the cov_table_cli shape (J = 64, 11 points on [0, 5]): every entry
+        # within 1e-9 sum_j |terms| of TIGHT mode_cov, the benchmark's COV_TOL
+        model_doc = dict(BASE_CONFIG["model"], J=64, gamma=gamma, T=5.0)
+        x, y = 0.7, 2.1
+        doc = dict(BASE_CONFIG, model=model_doc, grid={"t_start": 0.0, "t_end": 5.0, "steps": 10},
+                   cov={"mode": "field", "x": x, "y": y})
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path), "cov"]) == 0
+        rows = [tuple(float(v) for v in line.split(","))
+                for line in (tmp_path / "cov.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 66
+        model = model_from_dict(model_doc)
+        coeffs = evaluate_basis(model.basis, [x])[0] * evaluate_basis(model.basis, [y])[0]
+        for s, t, value in rows:
+            if s == 0.0:
+                assert value == 0.0
+                continue
+            terms = [mode_cov(mode_params(model, j), s, t, TIGHT) * coeffs[j - 1]
+                     for j in range(1, model.J + 1)]
+            assert abs(value - math.fsum(terms)) <= 1e-9 * math.fsum(abs(z) for z in terms)
+
+
+class TestOneGramStack:
+    """`stwm cov` on the field target and `stwm sample` build every mode's
+    Gram in one stack per op and never call the one-mode gram."""
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        calls = []
+        build = sampler._gram_stack
+
+        def counting_stack(*args):
+            calls.append(len(args[1]))
+            return build(*args)
+
+        def no_gram(*args):
+            raise AssertionError("per-mode gram called")
+
+        monkeypatch.setattr(sampler, "_gram_stack", counting_stack)
+        for module in (sampler, analysis, cli):
+            monkeypatch.setattr(module, "gram", no_gram)
+        return calls
+
+    @pytest.mark.parametrize("command", ["sample", "cov"])
+    def test_one_stack_per_op(self, tmp_path, stacks, command):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(BASE_CONFIG, cov={"mode": "field", "x": 1.0, "y": 2.0})))
+        for op in range(2):
+            assert run_cli(["--config", str(p), "--out", str(tmp_path), command]) == 0
+            assert stacks == [BASE_CONFIG["model"]["J"]] * (op + 1)
 
 
 class TestCovFieldTarget:
