@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import ModeKernel, stationary_constant, stationary_variance
-from .sampler import TimeGrid, gram, mode_grams
+from .sampler import TimeGrid, _mode_gram_chunks, gram
 from .spectral import EigenBasis, SpectralModel, evaluate_basis, mode_params, weyl_ratio
 
 __all__ = [
@@ -164,14 +164,18 @@ def variance_series_exponent(model: SpectralModel) -> float:
 
 def field_gram(model: SpectralModel, grid: TimeGrid, x, y) -> np.ndarray:
     """Truncated field covariance matrix [Cov(X(t_i, x), X(t_k, y))]_{ik},
-    the sum over modes j = 1..J, in order, of e_j(x) e_j(y) gram(mode j, grid),
-    contracted in one pass over the mode_grams stack. Warns when the variance
-    series fails the growth test."""
+    the sum over modes j = 1..J, in order, of e_j(x) e_j(y) times mode j's
+    Gram matrix, taken from the stacks of sampler._mode_gram_chunks. Warns
+    when the variance series fails the growth test."""
     if variance_series_exponent(model) >= -1.0:
         warnings.warn("field variance series fails the eigenvalue-growth summability test; "
                       "the covariance is the truncated sum", RuntimeWarning, stacklevel=2)
     coeffs = evaluate_basis(model.basis, [x])[0] * evaluate_basis(model.basis, [y])[0]
-    return (coeffs[:, None, None] * mode_grams(model, grid)).sum(axis=0)
+    out = np.zeros((grid.n, grid.n))
+    for j0, stack in _mode_gram_chunks(model, grid):
+        for c, G in zip(coeffs[j0:], stack):
+            out += c * G
+    return out
 
 
 def field_cov(model: SpectralModel, s: float, t: float, x, y) -> FieldCov:

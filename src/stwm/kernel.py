@@ -14,13 +14,11 @@ is computed here: for s = t by the incomplete-gamma closed form, and for
 s != t by two routes on the same integral. _lagged_integrals, one fixed
 Gauss-Jacobi and Gauss-Legendre rule batched over decay rates, widths and
 lags, serves the sampler's Gram builder and so every library and CLI
-covariance; mode_cov, adaptive
-quadrature to a QuadratureConfig tolerance, is the tests' reference. Also
-here: the stationary (t -> infinity) variance and the Matern-type limit of
-the lagged covariance.
+covariance; mode_cov, adaptive quadrature to a QuadratureConfig tolerance,
+is the tests' reference. Also here: the stationary (t -> infinity) variance
+and the Matern-type limit of the lagged covariance.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -116,11 +114,10 @@ def _lagged_integral(g: float, mu: float, width: float, lag: float, cfg: Quadrat
     return scale * integrate(f, 0.0, v_end, cfg, points=points)
 
 
-@functools.lru_cache(maxsize=16)
 def _gauss_jacobi(n: int, beta: float):
     """Nodes and weights of the n-point Gauss rule on [0, 1] for the weight
     u^beta, beta > -1: sum_i w_i f(u_i) = int_0^1 u^beta f(u) du for every
-    polynomial f of degree below 2n. Held per (n, beta) as read-only arrays.
+    polynomial f of degree below 2n.
 
     Golub-Welsch: the nodes are the eigenvalues of the closed-form Jacobi
     matrix of the Jacobi polynomials P^(0, beta) on [-1, 1], mapped by
@@ -132,10 +129,7 @@ def _gauss_jacobi(n: int, beta: float):
     k = np.arange(1, n)
     off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    nodes, weights = 0.5 * (1.0 + x), v[0] ** 2 / (beta + 1.0)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return 0.5 * (1.0 + x), v[0] ** 2 / (beta + 1.0)
 
 
 def _lagged_integrals(g: float, mu, widths, lags) -> np.ndarray:

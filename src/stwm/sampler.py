@@ -1,13 +1,12 @@
 """Exact Gaussian sampling of mode paths and assembled space-time fields.
 
 Sampling is exact in law on the time grid: each mode's Gram matrix of true
-covariances is factorized and applied to independent standard normals. All
-J modes share gamma and the grid, so their Gram matrices are built in one
-pass as a (J, n, n) stack (mode_grams; gram is its one-mode case). The
-stack's live blocks, past any t = 0 row (which makes a matrix singular by
-construction), are factored by one stacked Cholesky; if any block is not
-positive definite, every mode goes through the escalating-jitter Cholesky
-of cholesky_psd instead. Normals come from counter-based streams in
+covariances is factorized (with an escalating-jitter Cholesky, since grids
+containing t = 0 make the matrix singular by construction) and applied to
+independent standard normals. All J modes share gamma and the grid, so
+their Gram matrices are built together, as (J, n, n) stacks of consecutive
+modes, each of at most _STACK_ENTRIES entries (mode_grams; gram is the
+one-mode case). Normals come from counter-based streams in
 format v2 (STREAM_FORMAT): one Philox4x64 stream per mode, keyed by (master
 seed, mode index), in which every path reads a fixed block of words at its
 own counter offset. All paths of a mode come from one draw, any path range
@@ -144,6 +143,8 @@ class CholeskyError(np.linalg.LinAlgError):
 
 _MAX_JITTER_STEPS = 8
 _PATH_BLOCK = 256  # paths per BLAS call in sample_modes
+_STACK_ENTRIES = 2 ** 16  # largest Gram stack built at once (512 kB), one mode at least
+_RULE_ENTRIES = 256  # lagged integrals per rule call, one row's at least
 
 STREAM_FORMAT = ("v2: Philox4x64 key (master, mode index), path p reads words "
                  "[p*stride, (p+1)*stride) with stride = 4*ceil(n_times/4), "
@@ -183,17 +184,30 @@ def _stream_normals(master: int, path: int, mode: int, n: int, n_paths: int = 1)
 
 def gram(k: ModeKernel, grid: TimeGrid) -> GramMatrix:
     """Gram matrix G[i, j] = q(t_i, t_j) of one mode, symmetric, with mode_var
-    diagonal: the one-mode case of mode_grams' stacked builder (see
-    _gram_stack)."""
+    diagonal: the one-mode case of the stacked builder _gram_stack."""
     return GramMatrix(matrix=_gram_stack(k.gamma, [k.mu], [k.weight], grid)[0])
 
 
 def mode_grams(model: SpectralModel, grid: TimeGrid) -> np.ndarray:
     """Gram matrices of modes 1..J over the grid, stacked with shape
-    (J, n, n): entry j - 1 is gram(mode_params(model, j), grid), built for
-    all modes at once (see _gram_stack)."""
+    (J, n, n): entry j - 1 is mode j's, as sample_modes and
+    analysis.field_gram build it (see _mode_gram_chunks)."""
+    out = np.empty((model.J, grid.n, grid.n))
+    for j0, stack in _mode_gram_chunks(model, grid):
+        out[j0:j0 + len(stack)] = stack
+    return out
+
+
+def _mode_gram_chunks(model: SpectralModel, grid: TimeGrid):
+    """Yield (j0, stack) for consecutive chunks of modes that cover 1..J:
+    stack holds the Gram matrices of modes j0 + 1, j0 + 2, ..., built by one
+    _gram_stack call, with at most _STACK_ENTRIES entries (one mode at
+    least), so memory stays O(n^2) however many modes there are."""
+    size = max(1, _STACK_ENTRIES // grid.n ** 2)
     ks = [mode_params(model, j) for j in range(1, model.J + 1)]
-    return _gram_stack(model.gamma, [k.mu for k in ks], [k.weight for k in ks], grid)
+    for j0 in range(0, model.J, size):
+        chunk = ks[j0:j0 + size]
+        yield j0, _gram_stack(model.gamma, [k.mu for k in chunk], [k.weight for k in chunk], grid)
 
 
 def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
@@ -205,10 +219,11 @@ def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
     and Gauss-Legendre rule with no adaptive step, batched over modes. On a
     uniform grid (any t_0 >= 0) the entries of row i at lags 1, 2, ... are
     that rule's singular first chunk [0, t_0] ([0, h] when t_0 = 0),
-    computed for all modes and lags in one call, plus the integrals over the
-    cells below t_i, which one fixed Gauss-Legendre rule per cell gives for
-    every mode and lag in one matrix product per row. On other grids the
-    rule gives each row's upper-triangle entries of every mode in one call.
+    computed for all modes and lags at once (_live_integrals), plus the
+    integrals over the cells below t_i, which one fixed Gauss-Legendre rule
+    per cell gives for every mode and lag in one matrix product per row. On
+    other grids the rule gives each row's upper-triangle entries of every
+    mode at once.
     Rows fill the upper triangles in place, which are mirrored row by row at
     the end. Lagged entries agree with TIGHT mode_cov to 1e-12 relative
     (tested over mu in [1e-2, 1e8], gamma in [0.5001, 20]); entries whose
@@ -227,8 +242,8 @@ def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
     try:
         h = grid.step
     except ValueError:
-        # One call per row keeps the rule's node arrays O(J n) in size. Lags
-        # grow along a row, so each mode's surviving prefactors are a prefix.
+        # Lags grow along a row, so each mode's surviving prefactors are a
+        # prefix.
         for i in range(i0, n - 1):
             lags = pts[i + 1:] - pts[i]
             pre = scale[:, None] * np.exp(-mu[:, None] * lags)
@@ -244,11 +259,14 @@ def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
 
 def _live_integrals(g: float, mu: np.ndarray, width: float, lags: np.ndarray,
                     live: np.ndarray) -> np.ndarray:
-    """kernel._lagged_integrals of order g over [0, width] in one call, at
-    the (mode j, lag l) pairs where live[j, l] is set: decay rate mu[j], lag
-    lags[l]."""
+    """kernel._lagged_integrals of order g over [0, width] at the (mode j,
+    lag l) pairs where live[j, l] is set: decay rate mu[j], lag lags[l]. The
+    pairs go in calls of at most max(len(lags), _RULE_ENTRIES), so the
+    rule's node arrays stay O(n) in size, as for one mode."""
     mu_live, lags_live = (np.broadcast_to(a, live.shape)[live] for a in (mu[:, None], lags))
-    return _lagged_integrals(g, mu_live, width, lags_live)
+    size = max(lags.size, _RULE_ENTRIES)
+    return np.concatenate([_lagged_integrals(g, mu_live[s:s + size], width, lags_live[s:s + size])
+                           for s in range(0, mu_live.size, size)])
 
 
 def _uniform_upper(G: np.ndarray, g: float, mu: np.ndarray, scale: np.ndarray, u0: float,
@@ -279,7 +297,11 @@ def _uniform_upper(G: np.ndarray, g: float, mu: np.ndarray, scale: np.ndarray, u
     x, w = panel_rules(np.concatenate([[0.0], h * 2.0 ** -np.arange(levels, -1.0, -1.0)]))
     x = (u0 + h * np.arange(m))[:, None] + x.reshape(-1)
     u_pow = x ** (g - 1.0)
-    u_pow_exp = u_pow[:, :, None] * np.exp(-2.0 * mu * x[:, :, None]) * w.reshape(-1, 1)
+    # u_pow_exp = u_pow e^{-2 mu x} w, formed in one buffer of the table's size
+    u_pow_exp = np.multiply(-2.0 * mu, x[:, :, None])
+    np.exp(u_pow_exp, out=u_pow_exp)
+    u_pow_exp *= u_pow[:, :, None]
+    u_pow_exp *= w.reshape(-1, 1)
     # acc[l - 1, j] is mode j's sum of the lag-l cell integrals over the
     # cells below the current row, added cell by cell in increasing order.
     acc = np.zeros((k_max, mu.size))
@@ -371,51 +393,32 @@ def _check_sampling_pre(model: SpectralModel, grid: TimeGrid):
         raise ValueError(f"grid end {grid.points[-1]} exceeds the model horizon T={model.T}")
 
 
-def _cholesky_stack(G: np.ndarray, i0: int) -> np.ndarray:
-    """Lower-triangular factors of a (J, n, n) stack of Gram matrices whose
-    rows and columns below i0 (grid points at t = 0) are zero.
-
-    The live blocks G[:, i0:, i0:] are factored with one np.linalg.cholesky,
-    and the factors' rows below i0 are zero. If any live block is not
-    positive definite (a singular PSD member, or a variance that underflows
-    to 0 at t > 0), every member goes through cholesky_psd's jittered
-    factorization instead. A stack with an infinite or nan entry raises
-    ValueError."""
-    if not np.isfinite(G).all():
-        raise ValueError("matrix has non-finite entries")
-    L = np.zeros_like(G)
-    try:
-        L[:, i0:, i0:] = np.linalg.cholesky(G[:, i0:, i0:])
-    except np.linalg.LinAlgError:
-        for L_j, G_j in zip(L, G):
-            L_j[...] = _cholesky_with_jitter(G_j)[0]
-    return L
-
-
 def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedSpec) -> np.ndarray:
     """Sample mode paths, exact in law on the grid.
 
     Returns an array of shape (n_paths, J, n_times). Values at any t = 0 grid
-    point are exactly zero. The modes' Gram matrices are built as one stack
-    (mode_grams) and factored together (_cholesky_stack). Each mode owns one
-    counter-based stream, from which all paths are drawn in one call and
-    multiplied by the mode's Cholesky factor, so output depends only on the
-    SeedSpec (for a fixed numpy build and BLAS thread count).
+    point are exactly zero. The modes' Gram matrices are built in stacks
+    (_mode_gram_chunks), and each is factored by cholesky_psd. Each mode
+    owns one counter-based stream, from which all paths are drawn in one
+    call and multiplied by the mode's Cholesky factor, so output depends
+    only on the SeedSpec (for a fixed numpy build and BLAS thread count).
     """
     _check_sampling_pre(model, grid)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n_times = grid.n
-    L = _cholesky_stack(mode_grams(model, grid), int(grid.points[0] == 0.0))
-    # Normals are zero-padded to whole blocks so every product is a BLAS call
-    # of one shape: BLAS may pick another kernel, and round differently, for
-    # another row count, and a path's values must not depend on it. Output
-    # rows do not depend on other rows, so the padding never shows.
-    Z = np.zeros((-(-n_paths // _PATH_BLOCK), _PATH_BLOCK, n_times))
+    n_blocks = -(-n_paths // _PATH_BLOCK)
     out = np.empty((n_paths, model.J, n_times))
-    for jm, L_j in enumerate(L):
-        Z.reshape(-1, n_times)[:n_paths] = _stream_normals(seed.master, 0, jm, n_times, n_paths)
-        out[:, jm, :] = (Z @ L_j.T).reshape(-1, n_times)[:n_paths]
+    for j0, stack in _mode_gram_chunks(model, grid):
+        for jm, G in enumerate(stack, start=j0):
+            L = cholesky_psd(GramMatrix(matrix=G))
+            # Normals are drawn up to whole blocks so every product is a BLAS
+            # call of one shape: BLAS may pick another kernel, and round
+            # differently, for another row count, and a path's values must
+            # not depend on it.
+            Z = _stream_normals(seed.master, 0, jm, n_times, n_blocks * _PATH_BLOCK)
+            paths = Z.reshape(n_blocks, _PATH_BLOCK, n_times) @ L.T
+            out[:, jm, :] = paths.reshape(-1, n_times)[:n_paths]
     return out
 
 

@@ -10,12 +10,14 @@ from stwm.analysis import (
     check_exponents,
     estimate_holder,
     field_cov,
+    field_gram,
     holder_theory_slope,
     hs_sum,
     separability_check,
 )
 from stwm.kernel import ModeKernel, mode_cov, mode_var, temporal_matern_limit
-from stwm.sampler import SeedSpec, TimeGrid, cholesky_psd, sample_field
+from stwm import sampler
+from stwm.sampler import SeedSpec, TimeGrid, cholesky_psd, mode_grams, sample_field
 from stwm.spectral import SpectralModel, build_basis, evaluate_basis, mode_params
 
 PI = math.pi
@@ -169,6 +171,16 @@ class TestFieldCov:
                     continue
                 C[i, j] = C[j, i] = field_cov(m, s, t, x, y).value
         cholesky_psd(C)  # raises if not PSD
+
+    def test_field_gram_sums_modes_in_order_across_chunks(self, monkeypatch):
+        # chunks of 5 modes: the sum over the stacks is the in-order sum of
+        # c_j times mode j's Gram matrix, to the bit
+        m = make_model(alpha=1.0, J=12, T=5.0)
+        grid = TimeGrid.uniform(0.0, 4.0, 8)
+        monkeypatch.setattr(sampler, "_STACK_ENTRIES", 5 * grid.n ** 2)
+        c = evaluate_basis(m.basis, [0.7])[0] * evaluate_basis(m.basis, [2.1])[0]
+        want = sum(c_j * G_j for c_j, G_j in zip(c, mode_grams(m, grid)))
+        assert np.array_equal(field_gram(m, grid, 0.7, 2.1), want)
 
 
 class TestAsymptoticMarginalCov:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stwm import kernel, sampler
+from stwm import sampler
 from stwm.kernel import ModeKernel, mode_cov, mode_var
 from stwm.quadrature import QuadratureConfig
 from stwm.sampler import (
@@ -16,7 +16,6 @@ from stwm.sampler import (
     SeedSpec,
     TimeGrid,
     _box_muller,
-    _cholesky_stack,
     _inner_gram,
     _stream_normals,
     assemble_field,
@@ -102,33 +101,6 @@ class TestGram:
         with pytest.raises(ValueError):
             gram(ModeKernel(mu=1.0, weight=1.0, gamma=0.5), TimeGrid(np.array([0.0, 1.0])))
 
-    def test_non_uniform_gram_runs_eigh_once_per_gamma(self, monkeypatch):
-        # every row of a non-uniform grid calls the rule, which reuses one
-        # Gauss-Jacobi table per gamma
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a):
-            calls.append(a.shape)
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        kernel._gauss_jacobi.cache_clear()
-        grid = TimeGrid(np.array([0.0, 0.01, 0.3, 0.31, 1.7, 4.0]))
-        first = gram(ModeKernel(mu=2.0, weight=1.0, gamma=1.37), grid).matrix
-        assert len(calls) == 1
-        again = gram(ModeKernel(mu=5.0, weight=2.0, gamma=1.37), grid).matrix
-        assert len(calls) == 1 and np.all(again[1, 2:] > 0.0)
-        gram(ModeKernel(mu=2.0, weight=1.0, gamma=2.11), grid)
-        assert len(calls) == 2
-        kernel._gauss_jacobi.cache_clear()
-        assert np.array_equal(gram(ModeKernel(mu=2.0, weight=1.0, gamma=1.37), grid).matrix, first)
-        nodes, weights = kernel._gauss_jacobi(20, 0.37)
-        with pytest.raises(ValueError, match="read-only"):
-            nodes[0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            weights[0] = 0.0
-
 
 def spread_model(J=64, beta=1.0, gamma=1.3, T=5.0):
     # (0, pi) with mu_j = j^(2 beta): with J = 64 the largest mu is 4096 at beta 1
@@ -168,47 +140,41 @@ class TestModeGrams:
         S = mode_grams(spread_model(J=3), TimeGrid(np.array([0.0])))
         assert S.shape == (3, 1, 1) and np.all(S == 0.0)
 
-
-class TestCholeskyStack:
-    def test_pd_stack_matches_per_mode_lapack(self):
-        grid = TimeGrid.uniform(0.0, 5.0, 10)
-        S = mode_grams(spread_model(J=12), grid)
-        L = _cholesky_stack(S, 1)
-        assert np.all(L[:, 0, :] == 0.0) and np.all(L[:, :, 0] == 0.0)
-        for L_j, G_j in zip(L, S):
-            assert np.array_equal(L_j[1:, 1:], np.linalg.cholesky(G_j[1:, 1:]))
-
-    def test_singular_member_falls_back_to_jitter(self):
-        # the rank-1 matrix of test_jitter_recorded_for_singular_psd next to a
-        # positive definite one: every member goes through cholesky_psd
-        v = np.array([1.0, 2.0, 3.0])
-        rng = np.random.default_rng(3)
-        A = rng.standard_normal((3, 4))
-        S = np.stack([A @ A.T, np.outer(v, v)])
-        L = _cholesky_stack(S, 0)
-        for L_j, G_j in zip(L, S):
-            G = GramMatrix(matrix=G_j.copy())
-            assert np.array_equal(L_j, cholesky_psd(G))
-            tol = 1e-10 * (1.0 + np.abs(G_j).max())
-            assert np.abs(L_j @ L_j.T - (G_j + G.jitter_applied * np.eye(3))).max() < tol
-        assert G.jitter_applied > 0.0
-
-    def test_nan_entry_rejected(self):
-        S = np.stack([np.eye(3), np.eye(3)])
-        S[1, 2, 0] = S[1, 0, 2] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            _cholesky_stack(S, 0)
-
-    def test_variance_underflow_after_origin_gives_zero_rows(self):
-        # gamma(5, 2e-70) ~ 1e-351 underflows: q(t_1, t_1) is 0 at t_1 > 0
-        model = one_mode_model(mu=1.0, gamma=3.0)
-        grid = TimeGrid(np.array([0.0, 1e-70, 1.0]))
+    def test_chunks_stay_within_budget(self, monkeypatch):
+        # a budget of three 7 x 7 matrices: modes come in stacks of 3, 3 and
+        # 2, every one within 2e-15 of its one-mode gram
+        grid = TimeGrid.uniform(0.0, 3.0, 6)
+        model = spread_model(J=8, beta=0.5)
+        monkeypatch.setattr(sampler, "_STACK_ENTRIES", 3 * 49 + 48)
+        chunks = list(sampler._mode_gram_chunks(model, grid))
+        assert [(j0, len(S)) for j0, S in chunks] == [(0, 3), (3, 3), (6, 2)]
         S = mode_grams(model, grid)
-        assert S[0, 1, 1] == 0.0 and S[0, 2, 2] > 0.0
-        L = _cholesky_stack(S, 1)
-        assert np.all(L[0, :2] == 0.0) and L[0, 2, 2] == math.sqrt(S[0, 2, 2])
-        out = sample_modes(model, grid, 16, SeedSpec(4))
-        assert np.all(out[:, 0, :2] == 0.0) and np.all(out[:, 0, 2] != 0.0)
+        assert np.array_equal(S, np.concatenate([c for _, c in chunks]))
+        for j in range(1, model.J + 1):
+            G = gram(mode_params(model, j), grid).matrix
+            assert np.all(np.abs(S[j - 1] - G) <= 2e-15 * np.abs(G)), j
+        # one mode at least, however small the budget
+        monkeypatch.setattr(sampler, "_STACK_ENTRIES", 1)
+        assert [len(c) for _, c in sampler._mode_gram_chunks(model, grid)] == [1] * model.J
+
+    def test_rule_calls_stay_small(self, monkeypatch):
+        # the first chunks of 64 modes at 9 lags go to the rule in calls of
+        # at most _RULE_ENTRIES pairs, and agree with one call per mode
+        sizes = []
+        rule = sampler._lagged_integrals
+
+        def counting_rule(g, mu, widths, lags):
+            sizes.append(np.size(mu))
+            return rule(g, mu, widths, lags)
+
+        monkeypatch.setattr(sampler, "_lagged_integrals", counting_rule)
+        grid = TimeGrid.uniform(0.0, 0.5, 10)
+        model = spread_model(J=64, beta=0.5)
+        S = mode_grams(model, grid)
+        assert sum(sizes) == 576 and max(sizes) == sampler._RULE_ENTRIES
+        for j in range(1, model.J + 1):
+            G = gram(mode_params(model, j), grid).matrix
+            assert np.all(np.abs(S[j - 1] - G) <= 2e-15 * np.abs(G)), j
 
 
 class TestCholeskyPsd:
@@ -375,19 +341,14 @@ class TestSampleModes:
             head = sample_field(model, grid, [[1.0], [2.0]], m, SeedSpec(8))
             assert np.array_equal(full.values[:m], head.values)
 
-    @pytest.mark.parametrize("n_paths", [1, 100, 256, 300])
-    def test_padded_normals_match_whole_block_draws(self, n_paths):
-        # drawing n_paths normals and zero-padding gives the bits of drawing
-        # whole 256-path blocks, since an output row reads only its own normals
-        model = spread_model(J=5)
-        grid = TimeGrid.uniform(0.0, 2.0, 6)
-        out = sample_modes(model, grid, n_paths, SeedSpec(12))
-        L = _cholesky_stack(mode_grams(model, grid), 1)
-        n_rows = -(-n_paths // 256) * 256
-        for jm in range(model.J):
-            Z = _stream_normals(12, 0, jm, grid.n, n_rows).reshape(-1, 256, grid.n)
-            want = (Z @ L[jm].T).reshape(-1, grid.n)[:n_paths]
-            assert np.array_equal(out[:, jm, :], want)
+    def test_variance_underflow_after_origin_gives_zero_values(self):
+        # gamma(5, 2e-70) ~ 1e-351 underflows: q(t_1, t_1) is 0 at t_1 > 0
+        model = one_mode_model(mu=1.0, gamma=3.0)
+        grid = TimeGrid(np.array([0.0, 1e-70, 1.0]))
+        S = mode_grams(model, grid)
+        assert S[0, 1, 1] == 0.0 and S[0, 2, 2] > 0.0
+        out = sample_modes(model, grid, 16, SeedSpec(4))
+        assert np.all(out[:, 0, :2] == 0.0) and np.all(out[:, 0, 2] != 0.0)
 
     def test_empirical_covariance(self):
         # moderate-n sanity check; the full-strength law test is in acceptance
