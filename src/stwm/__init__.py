@@ -20,7 +20,6 @@ from .spectral import EigenBasis, SpectralModel, build_basis, evaluate_basis, mo
 from .sampler import (
     SeedSpec,
     TimeGrid,
-    GramMatrix,
     FieldSample,
     gram,
     mode_grams,

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import ModeKernel, stationary_constant, stationary_variance
-from .sampler import TimeGrid, _mode_gram_chunks, gram
+from .sampler import TimeGrid, gram, mode_grams
 from .spectral import EigenBasis, SpectralModel, evaluate_basis, mode_params, weyl_ratio
 
 __all__ = [
@@ -93,6 +93,12 @@ def _growth_constants(basis: EigenBasis) -> tuple:
     return ratio, ratio
 
 
+def _spectral_exponent(model: SpectralModel, q: RegularityQuery) -> float:
+    """hs_sum's comparison exponent p (see hs_sum)."""
+    a, b, g = model.alpha, model.beta, model.gamma
+    return (4.0 / model.d) * (b * (q.n + q.tau + (1.0 + q.sigma) / 2.0) - b * g - a / 2.0)
+
+
 def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     """Partial spectral sum sum_j lambda_j^{2 beta (sigma/2 + n + tau + 1/2 - gamma)}
     lambda_tilde_j^{-alpha} over the truncated basis, with an eigenvalue-growth
@@ -104,13 +110,12 @@ def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     on the resolved spectrum.
     """
     a, b, g = model.alpha, model.beta, model.gamma
-    d = model.d
     lam = model.basis.eigenvalues
     lam_t = model.basis_tilde.eigenvalues
     e1 = 2.0 * b * (q.sigma / 2.0 + q.n + q.tau + 0.5 - g)
     terms = lam ** e1 * lam_t ** -a
     partial = float(terms.sum())
-    p = (4.0 / d) * (b * (q.n + q.tau + (1.0 + q.sigma) / 2.0) - b * g - a / 2.0)
+    p = _spectral_exponent(model, q)
     if p >= -1.0:
         return HsSum(partial=partial, tail=math.inf, diverges=True, weyl_exponent=p)
     c_lo, c_hi = _growth_constants(model.basis)
@@ -158,21 +163,22 @@ def _sup_basis_bound(model: SpectralModel) -> float:
 
 def variance_series_exponent(model: SpectralModel) -> float:
     """Exponent p_v with sum_j lambda_j^{beta (1 - 2 gamma)} lambda_tilde_j^{-alpha}
-    ~ sum_j j^{p_v}: the field variance series is finite iff p_v < -1."""
-    return (2.0 / model.d) * (model.beta * (1.0 - 2.0 * model.gamma) - model.alpha)
+    ~ sum_j j^{p_v}: the field variance series is finite iff p_v < -1. It is
+    hs_sum's comparison exponent at n = tau = sigma = 0."""
+    return _spectral_exponent(model, RegularityQuery())
 
 
 def field_gram(model: SpectralModel, grid: TimeGrid, x, y) -> np.ndarray:
     """Truncated field covariance matrix [Cov(X(t_i, x), X(t_k, y))]_{ik},
     the sum over modes j = 1..J, in order, of e_j(x) e_j(y) times mode j's
-    Gram matrix, taken from the stacks of sampler._mode_gram_chunks. Warns
+    Gram matrix, taken from the stacks of sampler.mode_grams. Warns
     when the variance series fails the growth test."""
     if variance_series_exponent(model) >= -1.0:
         warnings.warn("field variance series fails the eigenvalue-growth summability test; "
                       "the covariance is the truncated sum", RuntimeWarning, stacklevel=2)
     coeffs = evaluate_basis(model.basis, [x])[0] * evaluate_basis(model.basis, [y])[0]
     out = np.zeros((grid.n, grid.n))
-    for j0, stack in _mode_gram_chunks(model, grid):
+    for j0, stack in mode_grams(model, grid):
         for c, G in zip(coeffs[j0:], stack):
             out += c * G
     return out
@@ -244,8 +250,8 @@ def separability_check(model: SpectralModel, seed: int = 0) -> SeparabilityResul
             times, idx = np.unique(st, return_inverse=True)
             grid = TimeGrid(times)
             i_s, i_t = idx.reshape(st.shape).T
-            lhs = gram(k, grid).matrix[i_s, i_t]
-            rhs = gram(rho, grid).matrix[i_s, i_t] * w
+            lhs = gram(k, grid)[i_s, i_t]
+            rhs = gram(rho, grid)[i_s, i_t] * w
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300))))
         return SeparabilityResult(separable=True, max_rel_error=worst, witness=None)
 
@@ -254,7 +260,7 @@ def separability_check(model: SpectralModel, seed: int = 0) -> SeparabilityResul
     distinct = np.nonzero(lam != lam[0])[0]
     if distinct.size:
         grid = TimeGrid(np.array([min(1.0, model.T / 2.0), min(2.0, model.T)]))
-        grams = (gram(mode_params(model, j), grid).matrix for j in (1, int(distinct[0]) + 1))
+        grams = (gram(mode_params(model, j), grid) for j in (1, int(distinct[0]) + 1))
         witness = tuple(G[0, 1] / G[0, 0] for G in grams)
     return SeparabilityResult(separable=False, max_rel_error=None, witness=witness)
 
@@ -298,7 +304,7 @@ def estimate_holder(k: ModeKernel, t0: float, lags) -> HolderEstimate:
     if t0 + hs[0] == t0:
         raise ValueError(f"lag {hs[0]} vanishes against t0 = {t0} in double precision")
     times = t0 + np.concatenate(([0.0], hs))
-    G = gram(k, TimeGrid(times)).matrix
+    G = gram(k, TimeGrid(times))
     incr = G.diagonal()[1:] + G[0, 0] - 2.0 * G[0, 1:]
     if not np.all(incr > 1e-10 * G[0, 0]):
         raise ArithmeticError("mean-square increment below the rounding floor; use larger lags")

@@ -189,7 +189,7 @@ def cmd_cov(args, doc: dict, model: SpectralModel) -> int:
         y = _config_list([opts["y"]], "cov.y")[0] if "y" in opts else x
         cov = analysis.field_gram(model, grid, x, y)
     else:
-        cov = gram(mode_params(model, _mode_index(model, target, "cov.mode")), grid).matrix
+        cov = gram(mode_params(model, _mode_index(model, target, "cov.mode")), grid)
     out = _out_dir(args) / "cov.csv"
     pts = grid.points
     write_csv(out, ("s", "t", "value"),

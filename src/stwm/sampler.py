@@ -4,9 +4,10 @@ Sampling is exact in law on the time grid: each mode's Gram matrix of true
 covariances is factorized (with an escalating-jitter Cholesky, since grids
 containing t = 0 make the matrix singular by construction) and applied to
 independent standard normals. All J modes share gamma and the grid, so
-their Gram matrices are built together, as (J, n, n) stacks of consecutive
-modes, each of at most _STACK_ENTRIES entries (mode_grams; gram is the
-one-mode case). Normals come from counter-based streams in
+their Gram matrices are built together: mode_grams yields them as (B, n, n)
+stacks of consecutive modes, each of at most _STACK_ENTRIES entries (gram
+is the one-mode case), and cholesky_psd returns each factor together with
+the jitter it needed. Normals come from counter-based streams in
 format v2 (STREAM_FORMAT): one Philox4x64 stream per mode, keyed by (master
 seed, mode index), in which every path reads a fixed block of words at its
 own counter offset. All paths of a mode come from one draw, any path range
@@ -36,7 +37,6 @@ from .spectral import EigenBasis, SpectralModel, as_points, evaluate_basis, mode
 
 __all__ = [
     "TimeGrid",
-    "GramMatrix",
     "FieldSample",
     "SeedSpec",
     "CholeskyError",
@@ -88,15 +88,6 @@ class TimeGrid:
         if np.abs(h - h[0]).max() > 1e-12 * h[0]:
             raise ValueError("grid is not uniform")
         return float(h[0])
-
-
-@dataclass
-class GramMatrix:
-    """Covariance matrix of one mode over a time grid. jitter_applied records
-    the diagonal shift (0 until a factorization needed one)."""
-
-    matrix: np.ndarray
-    jitter_applied: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -182,27 +173,19 @@ def _stream_normals(master: int, path: int, mode: int, n: int, n_paths: int = 1)
     return _box_muller(bitgen.random_raw(n_paths * stride)).reshape(n_paths, stride)[:, :n]
 
 
-def gram(k: ModeKernel, grid: TimeGrid) -> GramMatrix:
-    """Gram matrix G[i, j] = q(t_i, t_j) of one mode, symmetric, with mode_var
-    diagonal: the one-mode case of the stacked builder _gram_stack."""
-    return GramMatrix(matrix=_gram_stack(k.gamma, [k.mu], [k.weight], grid)[0])
+def gram(k: ModeKernel, grid: TimeGrid) -> np.ndarray:
+    """Gram matrix G[i, j] = q(t_i, t_j) of one mode, an (n, n) array,
+    symmetric, with mode_var diagonal: the one-mode case of the stacked
+    builder _gram_stack."""
+    return _gram_stack(k.gamma, [k.mu], [k.weight], grid)[0]
 
 
-def mode_grams(model: SpectralModel, grid: TimeGrid) -> np.ndarray:
-    """Gram matrices of modes 1..J over the grid, stacked with shape
-    (J, n, n): entry j - 1 is mode j's, as sample_modes and
-    analysis.field_gram build it (see _mode_gram_chunks)."""
-    out = np.empty((model.J, grid.n, grid.n))
-    for j0, stack in _mode_gram_chunks(model, grid):
-        out[j0:j0 + len(stack)] = stack
-    return out
-
-
-def _mode_gram_chunks(model: SpectralModel, grid: TimeGrid):
+def mode_grams(model: SpectralModel, grid: TimeGrid):
     """Yield (j0, stack) for consecutive chunks of modes that cover 1..J:
-    stack holds the Gram matrices of modes j0 + 1, j0 + 2, ..., built by one
-    _gram_stack call, with at most _STACK_ENTRIES entries (one mode at
-    least), so memory stays O(n^2) however many modes there are."""
+    stack is the (B, n, n) array of the Gram matrices of modes j0 + 1, ...,
+    j0 + B, built by one _gram_stack call, with at most _STACK_ENTRIES
+    entries (one mode at least), so memory stays O(n^2) however many modes
+    there are."""
     size = max(1, _STACK_ENTRIES // grid.n ** 2)
     ks = [mode_params(model, j) for j in range(1, model.J + 1)]
     for j0 in range(0, model.J, size):
@@ -312,7 +295,17 @@ def _uniform_upper(G: np.ndarray, g: float, mu: np.ndarray, scale: np.ndarray, u
         acc[:k] += u_pow[c + 1:c + 1 + k] @ u_pow_exp[c]
 
 
-def _cholesky_with_jitter(arr: np.ndarray) -> tuple[np.ndarray, float]:
+def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower-triangular factor of a symmetric PSD matrix, escalating a tiny
+    diagonal jitter when needed. Returns (L, jitter), jitter being the
+    diagonal shift the factorization applied (0.0 when none).
+
+    The symmetric part (A + A^T) / 2 is factorized. Indices with zero
+    variance, wherever they sit, give zero rows and columns of the factor.
+    A matrix with an infinite or nan entry, or one that is not symmetric to
+    1e-12 (1 + max |A|), raises ValueError; a matrix that is not PSD raises
+    CholeskyError."""
+    arr = np.asarray(arr, dtype=float)
     n = arr.shape[0]
     if arr.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -368,24 +361,6 @@ def _cholesky_with_jitter(arr: np.ndarray) -> tuple[np.ndarray, float]:
     raise CholeskyError("unreachable")  # pragma: no cover
 
 
-def cholesky_psd(G) -> np.ndarray:
-    """Lower-triangular factor of a symmetric PSD matrix, escalating a tiny
-    diagonal jitter when needed. Accepts a GramMatrix (whose jitter_applied
-    field is updated) or a plain array.
-
-    The symmetric part (A + A^T) / 2 is factorized. Indices with zero
-    variance, wherever they sit, give zero rows and columns of the factor.
-    A matrix with an infinite or nan entry, or one that is not symmetric to
-    1e-12 (1 + max |A|), raises ValueError; a matrix that is not PSD raises
-    CholeskyError."""
-    if isinstance(G, GramMatrix):
-        L, jitter = _cholesky_with_jitter(np.asarray(G.matrix, dtype=float))
-        G.jitter_applied = jitter
-        return L
-    L, _ = _cholesky_with_jitter(np.asarray(G, dtype=float))
-    return L
-
-
 def _check_sampling_pre(model: SpectralModel, grid: TimeGrid):
     if not model.gamma > 0.5:
         raise ValueError(f"sampling requires gamma > 1/2, got {model.gamma}")
@@ -397,8 +372,8 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
     """Sample mode paths, exact in law on the grid.
 
     Returns an array of shape (n_paths, J, n_times). Values at any t = 0 grid
-    point are exactly zero. The modes' Gram matrices are built in stacks
-    (_mode_gram_chunks), and each is factored by cholesky_psd. Each mode
+    point are exactly zero. The modes' Gram matrices come in stacks from
+    mode_grams, and each is factored by cholesky_psd. Each mode
     owns one counter-based stream, from which all paths are drawn in one
     call and multiplied by the mode's Cholesky factor, so output depends
     only on the SeedSpec (for a fixed numpy build and BLAS thread count).
@@ -409,9 +384,9 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
     n_times = grid.n
     n_blocks = -(-n_paths // _PATH_BLOCK)
     out = np.empty((n_paths, model.J, n_times))
-    for j0, stack in _mode_gram_chunks(model, grid):
+    for j0, stack in mode_grams(model, grid):
         for jm, G in enumerate(stack, start=j0):
-            L = cholesky_psd(GramMatrix(matrix=G))
+            L, _ = cholesky_psd(G)
             # Normals are drawn up to whole blocks so every product is a BLAS
             # call of one shape: BLAS may pick another kernel, and round
             # differently, for another row count, and a path's values must
@@ -509,7 +484,7 @@ def _inner_gram(k: ModeKernel, delta: float, fine_grid: TimeGrid) -> np.ndarray:
     matrix always matches its key.
     """
     _check_factorization_args(k, delta)
-    G = gram(ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta), fine_grid).matrix
+    G = gram(ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta), fine_grid)
     G.setflags(write=False)
     return G
 
@@ -521,9 +496,7 @@ def factorized_sample(k: ModeKernel, delta: float, fine_grid: TimeGrid, seed: Se
     exactly on the fine grid (Cholesky factor of its gram), then apply the
     singular convolution operator.
     """
-    # a fresh GramMatrix records this factorization's jitter; the held
-    # matrix itself is never written
-    L = cholesky_psd(GramMatrix(_inner_gram(k, delta, fine_grid)))
+    L, _ = cholesky_psd(_inner_gram(k, delta, fine_grid))
     z = _stream_normals(seed.master, path, 0, fine_grid.n)[0]
     return fractional_convolution(L @ z, delta, k.mu, fine_grid)
 

@@ -175,7 +175,7 @@ def test_c06_sampler_law():
     series = paths[:, 0, :]
     assert np.all(series[:, 0] == 0.0)
 
-    G = gram(ModeKernel(mu=2.0, weight=1.0, gamma=1.3), grid).matrix
+    G = gram(ModeKernel(mu=2.0, weight=1.0, gamma=1.3), grid)
     emp = series.T @ series / n
     se = np.sqrt((np.outer(np.diag(G), np.diag(G)) + G ** 2) / n)
     dev = np.abs(emp - G)

@@ -179,7 +179,8 @@ class TestFieldCov:
         grid = TimeGrid.uniform(0.0, 4.0, 8)
         monkeypatch.setattr(sampler, "_STACK_ENTRIES", 5 * grid.n ** 2)
         c = evaluate_basis(m.basis, [0.7])[0] * evaluate_basis(m.basis, [2.1])[0]
-        want = sum(c_j * G_j for c_j, G_j in zip(c, mode_grams(m, grid)))
+        S = np.concatenate([stack for _, stack in mode_grams(m, grid)])
+        want = sum(c_j * G_j for c_j, G_j in zip(c, S))
         assert np.array_equal(field_gram(m, grid, 0.7, 2.1), want)
 
 

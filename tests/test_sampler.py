@@ -12,7 +12,6 @@ from stwm.quadrature import QuadratureConfig
 from stwm.sampler import (
     CholeskyError,
     FieldSample,
-    GramMatrix,
     SeedSpec,
     TimeGrid,
     _box_muller,
@@ -65,8 +64,8 @@ class TestGram:
     def test_zero_row_from_initial_condition(self):
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.0)
         G = gram(k, TimeGrid(np.array([0.0, 1.0])))
-        assert G.matrix[0, 0] == 0.0 and G.matrix[0, 1] == 0.0
-        assert abs(G.matrix[1, 1] - 0.43233235838169365) < 1e-10
+        assert G[0, 0] == 0.0 and G[0, 1] == 0.0
+        assert abs(G[1, 1] - 0.43233235838169365) < 1e-10
 
     def test_closed_form_diagonal_and_reference_entries(self):
         # the diagonal is mode_var on every grid; off a uniform grid every
@@ -74,7 +73,7 @@ class TestGram:
         k = ModeKernel(mu=0.5, weight=2.0, gamma=0.8)
         other = TimeGrid(np.array([0.0, 0.3, 1.1, 2.0]))
         for grid in (TimeGrid.uniform(0.5, 2.0, 6), other):
-            G = gram(k, grid).matrix
+            G = gram(k, grid)
             assert np.array_equal(np.diag(G), [mode_var(k, t) for t in grid.points])
         pts = other.points
         for i in range(pts.size):
@@ -85,16 +84,16 @@ class TestGram:
     def test_single_origin_point(self):
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.0)
         G = gram(k, TimeGrid(np.array([0.0])))
-        assert G.matrix.tolist() == [[0.0]]
+        assert G.tolist() == [[0.0]]
 
     def test_ou_off_diagonal(self):
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.0)
         G = gram(k, TimeGrid(np.array([1.0, 2.0])))
-        assert abs(G.matrix[0, 1] - 0.15904618640178920) < 1e-10
+        assert abs(G[0, 1] - 0.15904618640178920) < 1e-10
 
     def test_symmetric(self):
         k = ModeKernel(mu=0.5, weight=2.0, gamma=0.8)
-        G = gram(k, TimeGrid(np.array([0.0, 0.3, 1.1, 2.0]))).matrix
+        G = gram(k, TimeGrid(np.array([0.0, 0.3, 1.1, 2.0])))
         assert np.array_equal(G, G.T)
 
     def test_requires_gamma_above_half(self):
@@ -108,8 +107,13 @@ def spread_model(J=64, beta=1.0, gamma=1.3, T=5.0):
     return SpectralModel(basis=b, basis_tilde=b, alpha=1.0, beta=beta, gamma=gamma, T=T)
 
 
+def stacked_grams(model, grid):
+    """Every mode's Gram matrix, the stacks of mode_grams joined in order."""
+    return np.concatenate([S for _, S in mode_grams(model, grid)])
+
+
 class TestModeGrams:
-    """The (J, n, n) stack against the one-mode builder, mode by mode."""
+    """The stacks of mode_grams against the one-mode builder, mode by mode."""
 
     @pytest.mark.parametrize("gamma", [0.8, 1.6, 2.7])
     @pytest.mark.parametrize("beta,grid", [
@@ -121,13 +125,13 @@ class TestModeGrams:
     ])
     def test_matches_per_mode_gram(self, beta, grid, gamma):
         model = spread_model(beta=beta, gamma=gamma)
-        S = mode_grams(model, grid)
+        S = stacked_grams(model, grid)
         assert S.shape == (model.J, grid.n, grid.n)
         lagged = np.triu(np.ones((grid.n, grid.n), dtype=bool), 1)
         underflowed = 0
         for j in range(1, model.J + 1):
             k = mode_params(model, j)
-            G = gram(k, grid).matrix
+            G = gram(k, grid)
             assert np.array_equal(np.diag(S[j - 1]), mode_var(k, grid.points))
             assert np.array_equal(S[j - 1], S[j - 1].T)
             assert np.array_equal(S[j - 1] == 0.0, G == 0.0), j
@@ -137,7 +141,7 @@ class TestModeGrams:
         assert 0 < underflowed < model.J
 
     def test_empty_grid_rows(self):
-        S = mode_grams(spread_model(J=3), TimeGrid(np.array([0.0])))
+        S = stacked_grams(spread_model(J=3), TimeGrid(np.array([0.0])))
         assert S.shape == (3, 1, 1) and np.all(S == 0.0)
 
     def test_chunks_stay_within_budget(self, monkeypatch):
@@ -146,16 +150,15 @@ class TestModeGrams:
         grid = TimeGrid.uniform(0.0, 3.0, 6)
         model = spread_model(J=8, beta=0.5)
         monkeypatch.setattr(sampler, "_STACK_ENTRIES", 3 * 49 + 48)
-        chunks = list(sampler._mode_gram_chunks(model, grid))
+        chunks = list(mode_grams(model, grid))
         assert [(j0, len(S)) for j0, S in chunks] == [(0, 3), (3, 3), (6, 2)]
-        S = mode_grams(model, grid)
-        assert np.array_equal(S, np.concatenate([c for _, c in chunks]))
+        S = np.concatenate([c for _, c in chunks])
         for j in range(1, model.J + 1):
-            G = gram(mode_params(model, j), grid).matrix
+            G = gram(mode_params(model, j), grid)
             assert np.all(np.abs(S[j - 1] - G) <= 2e-15 * np.abs(G)), j
         # one mode at least, however small the budget
         monkeypatch.setattr(sampler, "_STACK_ENTRIES", 1)
-        assert [len(c) for _, c in sampler._mode_gram_chunks(model, grid)] == [1] * model.J
+        assert [len(c) for _, c in mode_grams(model, grid)] == [1] * model.J
 
     def test_rule_calls_stay_small(self, monkeypatch):
         # the first chunks of 64 modes at 9 lags go to the rule in calls of
@@ -170,49 +173,50 @@ class TestModeGrams:
         monkeypatch.setattr(sampler, "_lagged_integrals", counting_rule)
         grid = TimeGrid.uniform(0.0, 0.5, 10)
         model = spread_model(J=64, beta=0.5)
-        S = mode_grams(model, grid)
+        S = stacked_grams(model, grid)
         assert sum(sizes) == 576 and max(sizes) == sampler._RULE_ENTRIES
         for j in range(1, model.J + 1):
-            G = gram(mode_params(model, j), grid).matrix
+            G = gram(mode_params(model, j), grid)
             assert np.all(np.abs(S[j - 1] - G) <= 2e-15 * np.abs(G)), j
 
 
 class TestCholeskyPsd:
     def test_identity(self):
-        assert np.array_equal(cholesky_psd(np.eye(3)), np.eye(3))
+        L, jitter = cholesky_psd(np.eye(3))
+        assert np.array_equal(L, np.eye(3)) and jitter == 0.0
 
     def test_semidefinite_zero_row(self):
-        L = cholesky_psd(np.array([[0.0, 0.0], [0.0, 4.0]]))
+        L, _ = cholesky_psd(np.array([[0.0, 0.0], [0.0, 4.0]]))
         assert L.tolist() == [[0.0, 0.0], [0.0, 2.0]]
 
     def test_wishart_reconstruction(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((8, 8))
         G = A @ A.T
-        L = cholesky_psd(G)
+        L, _ = cholesky_psd(G)
         assert np.abs(L @ L.T - G).max() < 1e-12 * (1.0 + np.abs(G).max())
 
     def test_jitter_recorded_for_singular_psd(self):
         # rank-1 PSD matrix needs jitter to factor
         v = np.array([1.0, 2.0, 3.0])
-        G = GramMatrix(matrix=np.outer(v, v))
-        L = cholesky_psd(G)
-        assert G.jitter_applied > 0.0
-        tol = 1e-10 * (1.0 + np.abs(G.matrix).max())
-        assert np.abs(L @ L.T - (G.matrix + G.jitter_applied * np.eye(3))).max() < tol
+        G = np.outer(v, v)
+        L, jitter = cholesky_psd(G)
+        assert jitter > 0.0
+        tol = 1e-10 * (1.0 + np.abs(G).max())
+        assert np.abs(L @ L.T - (G + jitter * np.eye(3))).max() < tol
 
     def test_symmetric_gram_factors_as_lapack(self):
         # an exactly symmetric matrix is factorized as it is
-        G = gram(ModeKernel(mu=2.0, weight=1.0, gamma=1.3), TimeGrid.uniform(0.5, 2.0, 12)).matrix
+        G = gram(ModeKernel(mu=2.0, weight=1.0, gamma=1.3), TimeGrid.uniform(0.5, 2.0, 12))
         assert np.array_equal(G, G.T)
-        assert np.array_equal(cholesky_psd(G), np.linalg.cholesky(G))
+        assert np.array_equal(cholesky_psd(G)[0], np.linalg.cholesky(G))
 
     def test_asymmetry_within_tolerance_factors_symmetric_part(self):
         rng = np.random.default_rng(14)
         A = rng.standard_normal((6, 8))
         G = A @ A.T
         G[3, 0] += 1e-13
-        L = cholesky_psd(G)
+        L, _ = cholesky_psd(G)
         assert np.abs(L @ L.T - (G + G.T) / 2.0).max() <= 1e-15 * np.abs(G).max()
 
     def test_non_psd_rejected(self):
@@ -232,17 +236,14 @@ class TestCholeskyPsd:
         for A in cases:
             with pytest.raises(ValueError, match="non-finite"):
                 cholesky_psd(A)
-            with pytest.raises(ValueError, match="non-finite"):
-                cholesky_psd(GramMatrix(matrix=A))
 
     @pytest.mark.parametrize("eps", [0.0, 1e-15])
     def test_interior_zero_variance_row(self, eps):
         # couplings of a zero-variance index within the symmetry tolerance
         # are dropped: its row and column of the factor are exactly zero
         A = np.array([[4.0, eps, 2.0], [eps, 0.0, eps], [2.0, eps, 5.0]])
-        G = GramMatrix(matrix=A)
-        L = cholesky_psd(G)
-        assert G.jitter_applied == 0.0
+        L, jitter = cholesky_psd(A)
+        assert jitter == 0.0
         assert np.all(L[1] == 0.0) and np.all(L[:, 1] == 0.0)
         assert np.array_equal(L, np.tril(L))
         assert np.abs(L @ L.T - A).max() < 1e-14
@@ -258,7 +259,7 @@ class TestCholeskyPsd:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n + 1))
         G = A @ A.T
-        L = cholesky_psd(G)
+        L, _ = cholesky_psd(G)
         assert np.abs(L @ L.T - G).max() <= 1e-10 * (1.0 + np.abs(G).max()) + 1e-13
 
 
@@ -345,10 +346,23 @@ class TestSampleModes:
         # gamma(5, 2e-70) ~ 1e-351 underflows: q(t_1, t_1) is 0 at t_1 > 0
         model = one_mode_model(mu=1.0, gamma=3.0)
         grid = TimeGrid(np.array([0.0, 1e-70, 1.0]))
-        S = mode_grams(model, grid)
+        S = stacked_grams(model, grid)
         assert S[0, 1, 1] == 0.0 and S[0, 2, 2] > 0.0
         out = sample_modes(model, grid, 16, SeedSpec(4))
         assert np.all(out[:, 0, :2] == 0.0) and np.all(out[:, 0, 2] != 0.0)
+
+    def test_jittered_modes(self):
+        # at gamma 8 on 121 points every mode's Gram is numerically singular,
+        # so each factor needs jitter; the grid stays below 128 points, where
+        # LAPACK potrf gives the same bits under 1 and 2 BLAS threads
+        model = spread_model(J=3, gamma=8.0)
+        grid = TimeGrid.uniform(0.0, 1.0, 120)
+        for j in range(1, model.J + 1):
+            assert cholesky_psd(gram(mode_params(model, j), grid))[1] > 0.0, j
+        out = sample_modes(model, grid, 40, SeedSpec(12))
+        assert np.all(np.isfinite(out))
+        assert np.all(out[:, :, 0] == 0.0)
+        assert np.array_equal(out, sample_modes(model, grid, 40, SeedSpec(12)))
 
     def test_empirical_covariance(self):
         # moderate-n sanity check; the full-strength law test is in acceptance
@@ -357,7 +371,7 @@ class TestSampleModes:
         n = 20000
         out = sample_modes(model, grid, n, SeedSpec(314))
         emp = out[:, 0, :].T @ out[:, 0, :] / n
-        G = gram(ModeKernel(mu=1.0, weight=1.0, gamma=1.0), grid).matrix
+        G = gram(ModeKernel(mu=1.0, weight=1.0, gamma=1.0), grid)
         se = np.sqrt((np.outer(np.diag(G), np.diag(G)) + G ** 2) / n)
         assert np.all(np.abs(emp - G) <= 5.0 * se + 1e-12)
 
@@ -428,7 +442,7 @@ class TestUniformModeGram:
         ]
         for mu_, grid, pairs in cases:
             k = ModeKernel(mu=mu_, weight=1.3, gamma=g)
-            G = gram(k, grid).matrix
+            G = gram(k, grid)
             for i, j in pairs:
                 want = mode_cov(k, grid.points[i], grid.points[j], TIGHT)
                 assert abs(G[i, j] - want) <= 1e-9 * (abs(want) + 1e-12)
@@ -438,14 +452,14 @@ class TestUniformModeGram:
         # the row recursion carries each lag's cell sums across 2047 cells
         grid = TimeGrid.uniform(0.0, 1.0, 2048)
         k = ModeKernel(mu=mu, weight=1.0, gamma=g)
-        G = gram(k, grid).matrix
+        G = gram(k, grid)
         assert np.array_equal(G, G.T)
         for i, j in [(1, 2048), (1024, 2048), (2047, 2048), (5, 6), (700, 1500)]:
             want = mode_cov(k, grid.points[i], grid.points[j], TIGHT)
             assert abs(G[i, j] - want) <= 1e-12 * want, (i, j)
 
     def test_zero_row(self):
-        G = gram(ModeKernel(1.0, 1.0, 0.9), TimeGrid.uniform(0.0, 1.0, 8)).matrix
+        G = gram(ModeKernel(1.0, 1.0, 0.9), TimeGrid.uniform(0.0, 1.0, 8))
         assert np.all(G[0] == 0.0) and np.all(G[:, 0] == 0.0)
 
     @staticmethod
@@ -458,7 +472,7 @@ class TestUniformModeGram:
         gammas = (0.5001, 0.51, 1.3, 2.5, 3.7, 5.0, 9.0, 14.0, 20.0)
         for mu, g in itertools.product(10.0 ** np.arange(-2.0, 8.5, 0.5), gammas):
             k = ModeKernel(mu=mu, weight=1.0, gamma=g)
-            G = gram(k, grid).matrix
+            G = gram(k, grid)
             for i in range(pts.size):
                 for j in range(i + 1, pts.size):
                     want = mode_cov(k, pts[i], pts[j], ref)
@@ -582,7 +596,7 @@ class TestFactorizedSampler:
         delta, n_cells, n_paths = 0.3, 128, 500
         grid = TimeGrid.uniform(0.0, 1.0, n_cells)
         inner = ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta)
-        L = cholesky_psd(gram(inner, grid))
+        L, _ = cholesky_psd(gram(inner, grid))
         finals = np.empty(n_paths)
         for p in range(n_paths):
             z = _stream_normals(4242, p, 0, grid.n)[0]
