@@ -136,6 +136,7 @@ _MAX_JITTER_STEPS = 8
 _PATH_BLOCK = 256  # paths per BLAS call in sample_modes
 _STACK_ENTRIES = 2 ** 16  # largest Gram stack built at once (512 kB), one mode at least
 _RULE_ENTRIES = 256  # lagged integrals per rule call, one row's at least
+_TILE = 128  # side of the square blocks in which Gram matrices are transposed
 
 STREAM_FORMAT = ("v2: Philox4x64 key (master, mode index), path p reads words "
                  "[p*stride, (p+1)*stride) with stride = 4*ceil(n_times/4), "
@@ -207,11 +208,12 @@ def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
     per cell gives for every mode and lag in one matrix product per row. On
     other grids the rule gives each row's upper-triangle entries of every
     mode at once.
-    Rows fill the upper triangles in place, which are mirrored row by row at
-    the end. Lagged entries agree with TIGHT mode_cov to 1e-12 relative
-    (tested over mu in [1e-2, 1e8], gamma in [0.5001, 20]); entries whose
-    factor e^{-mu |t - s|} underflows are exactly 0, and modes whose every
-    lagged factor underflows get no rule evaluations.
+    Rows fill the upper triangles in place, which are copied onto the lower
+    triangles at the end in square tiles (_mirror_upper). Lagged entries
+    agree with TIGHT mode_cov to 1e-12 relative (tested over mu in
+    [1e-2, 1e8], gamma in [0.5001, 20]); entries whose factor
+    e^{-mu |t - s|} underflows are exactly 0, and modes whose every lagged
+    factor underflows get no rule evaluations.
     """
     if not g > 0.5:
         raise ValueError(f"gram requires gamma > 1/2, got {g}")
@@ -235,9 +237,24 @@ def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
                 G[:, i, i + 1:][live] = pre[live] * _live_integrals(g, mu, pts[i], lags, live)
     else:
         _uniform_upper(G, g, mu, scale, float(pts[i0]), h, i0)
-    for i in range(n - 1):
-        G[:, i + 1:, i] = G[:, i, i + 1:]
+    _mirror_upper(G)
     return G
+
+
+def _mirror_upper(G: np.ndarray):
+    """Copy the upper triangles of the (B, n, n) stack G onto its lower
+    triangles in square tiles of side _TILE, so every transposed read stays
+    within one tile: a tile below the diagonal is the transpose of its
+    mirror tile, and a diagonal tile takes its own transpose where it lies
+    below the diagonal."""
+    n = G.shape[1]
+    for i0 in range(0, n, _TILE):
+        i1 = min(i0 + _TILE, n)
+        for j0 in range(i1, n, _TILE):
+            j1 = min(j0 + _TILE, n)
+            G[:, j0:j1, i0:i1] = G[:, i0:i1, j0:j1].transpose(0, 2, 1)
+        diag = G[:, i0:i1, i0:i1]
+        np.copyto(diag, diag.transpose(0, 2, 1), where=np.tri(i1 - i0, k=-1, dtype=bool))
 
 
 def _live_integrals(g: float, mu: np.ndarray, width: float, lags: np.ndarray,
@@ -304,18 +321,30 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     variance, wherever they sit, give zero rows and columns of the factor.
     A matrix with an infinite or nan entry, or one that is not symmetric to
     1e-12 (1 + max |A|), raises ValueError; a matrix that is not PSD raises
-    CholeskyError."""
+    CholeskyError.
+
+    The matrix handed to LAPACK is exactly symmetric, so its transpose is
+    the same matrix. numpy copies a C-ordered input into LAPACK's
+    column-major buffer one strided column at a time, but the transposed
+    view is column-major already and is copied in contiguous runs. potrf
+    gets the same numbers either way, so at any BLAS thread count the factor
+    is bit-identical to that of the C-ordered matrix."""
     arr = np.asarray(arr, dtype=float)
-    n = arr.shape[0]
-    if arr.shape != (n, n):
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    # sym first holds A - A^T, which is finite exactly where A is (an
-    # infinite or nan entry gives inf or nan there) and antisymmetric to the
-    # bit, so its largest entry is max |A - A^T|. The same buffer then
-    # becomes the symmetric part (A + A^T) / 2 that is factorized.
+    n = arr.shape[0]
     with np.errstate(invalid="ignore"):
-        sym = arr - arr.T
-        asym = 0.5 * float(sym.max()) if n else 0.0
+        if n <= _TILE:
+            # sym first holds A - A^T, which is finite exactly where A is
+            # (an infinite or nan entry gives inf or nan there) and
+            # antisymmetric to the bit, so its largest entry is
+            # max |A - A^T|. The same buffer then becomes the symmetric
+            # part (A + A^T) / 2 that is factorized.
+            sym = arr - arr.T
+            asym = 0.5 * float(sym.max()) if n else 0.0
+        else:
+            sym = np.empty_like(arr)
+            asym = 0.5 * _max_asymmetry(arr)
     if not math.isfinite(asym):
         raise ValueError("matrix has non-finite entries")
     scale = max(float(arr.max()), -float(arr.min())) if n else 0.0
@@ -348,7 +377,7 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     jitter = 0.0
     for step in range(_MAX_JITTER_STEPS + 2):
         try:
-            L = np.linalg.cholesky(sym)
+            L = np.linalg.cholesky(sym.T)  # sym is exactly symmetric: see above
         except np.linalg.LinAlgError:
             if step > _MAX_JITTER_STEPS:
                 raise CholeskyError(
@@ -359,6 +388,24 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
         L[dead] = 0.0
         return L, jitter
     raise CholeskyError("unreachable")  # pragma: no cover
+
+
+def _max_asymmetry(arr: np.ndarray) -> float:
+    """max |A - A^T| of a square matrix, taken over pairs of _TILE-sided
+    tiles A[I, J] and A[J, I] (I <= J), so every transposed read stays
+    within one tile. It equals the largest entry of A - A^T, because
+    fl(a - b) = -fl(b - a). An infinite or nan entry of A, in any tile,
+    makes its tile pair's maximum inf or nan, which is returned at once."""
+    n = arr.shape[0]
+    worst = 0.0
+    for i0 in range(0, n, _TILE):
+        for j0 in range(i0, n, _TILE):
+            d = arr[i0:i0 + _TILE, j0:j0 + _TILE] - arr[j0:j0 + _TILE, i0:i0 + _TILE].T
+            m = float(np.abs(d, out=d).max())
+            if not math.isfinite(m):
+                return m
+            worst = max(worst, m)
+    return worst
 
 
 def _check_sampling_pre(model: SpectralModel, grid: TimeGrid):

@@ -180,7 +180,49 @@ class TestModeGrams:
             assert np.all(np.abs(S[j - 1] - G) <= 2e-15 * np.abs(G)), j
 
 
+def row_mirror(G):
+    """Reference mirror of a (B, n, n) stack's upper triangles, one row at a time."""
+    for i in range(G.shape[1] - 1):
+        G[:, i + 1:, i] = G[:, i, i + 1:]
+
+
+class TestMirrorUpper:
+    """_gram_stack's tiled mirror against a row-by-row one, across tile boundaries."""
+
+    T = sampler._TILE
+
+    @pytest.mark.parametrize("n", [T - 1, T, T + 1, 2 * T + 1])
+    @pytest.mark.parametrize("t0,uniform", [(0.0, True), (0.4, True), (0.0, False), (0.4, False)])
+    def test_stack_matches_row_mirror(self, monkeypatch, n, t0, uniform):
+        if uniform:
+            grid = TimeGrid.uniform(t0, t0 + 2.0, n - 1)
+        else:
+            rng = np.random.default_rng(n)
+            grid = TimeGrid(np.concatenate([[t0], t0 + np.sort(rng.uniform(0.0, 2.0, n - 1))]))
+        mu, weight = [0.5, 3.0, 40.0], [1.0, 0.7, 0.2]
+        S = sampler._gram_stack(1.3, mu, weight, grid)
+        monkeypatch.setattr(sampler, "_mirror_upper", row_mirror)
+        ref = sampler._gram_stack(1.3, mu, weight, grid)
+        assert S.shape == (3, n, n)
+        assert S.tobytes() == ref.tobytes()
+        assert np.array_equal(S, S.transpose(0, 2, 1))
+        assert (t0 == 0.0) == np.all(S[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, T - 1, T, T + 1, 2 * T + 5])
+    def test_random_upper_triangles(self, n):
+        rng = np.random.default_rng(n)
+        U = rng.standard_normal((2, n, n))
+        U[:, ::3, 1::4] = -0.0  # signed zeros are mirrored too
+        U = np.triu(U)
+        S, ref = U.copy(), U.copy()
+        sampler._mirror_upper(S)
+        row_mirror(ref)
+        assert S.tobytes() == ref.tobytes()
+
+
 class TestCholeskyPsd:
+    T = sampler._TILE
+
     def test_identity(self):
         L, jitter = cholesky_psd(np.eye(3))
         assert np.array_equal(L, np.eye(3)) and jitter == 0.0
@@ -252,6 +294,70 @@ class TestCholeskyPsd:
         # two zero-variance indices coupled to each other: not PSD
         with pytest.raises(CholeskyError):
             cholesky_psd(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [5.0, np.ones(3), np.ones((2, 2, 2)), np.ones((2, 3))])
+    def test_non_square_rejected(self, bad):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            cholesky_psd(bad)
+
+    def tiled_wishart(self):
+        # n = 2T + 7: three tile rows, the last one partial; entries near 1
+        n = 2 * self.T + 7
+        A = np.random.default_rng(21).standard_normal((n, n + 1))
+        return A @ A.T / n
+
+    # one defect below the diagonal past the first tile row: in an
+    # off-diagonal tile, or in the last, partial diagonal tile
+    DEFECTS = [(2 * T + 3, 5), (2 * T + 5, 2 * T + 1)]
+
+    @pytest.mark.parametrize("at", DEFECTS)
+    def test_asymmetry_rejected_across_tiles(self, at):
+        G = self.tiled_wishart()
+        G[at] += 1e-9
+        with pytest.raises(ValueError, match="not symmetric"):
+            cholesky_psd(G)
+
+    @pytest.mark.parametrize("at", DEFECTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_across_tiles(self, bad, at):
+        G = self.tiled_wishart()
+        G[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cholesky_psd(G)
+
+    @pytest.mark.parametrize("at", DEFECTS)
+    def test_asymmetry_within_tolerance_across_tiles(self, at):
+        G = self.tiled_wishart()
+        G[at] += 1e-13
+        L, jitter = cholesky_psd(G)
+        assert jitter == 0.0
+        assert L.tobytes() == np.linalg.cholesky((G + G.T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("n", [T, T + 1, 2 * T + 3])
+    def test_symmetric_gram_factors_as_lapack_across_tiles(self, n):
+        # bit for bit at any tile count, and at the BLAS thread count the
+        # tests run under
+        G = gram(ModeKernel(mu=2.0, weight=1.0, gamma=1.3), TimeGrid.uniform(0.5, 2.0, n - 1))
+        assert np.array_equal(G, G.T)
+        L, jitter = cholesky_psd(G)
+        assert jitter == 0.0
+        assert L.tobytes() == np.linalg.cholesky(G).tobytes()
+
+    def test_origin_row_across_tiles(self):
+        G = gram(ModeKernel(mu=2.0, weight=1.0, gamma=1.3), TimeGrid.uniform(0.0, 2.0, self.T + 9))
+        L, _ = cholesky_psd(G)
+        assert np.all(L[0] == 0.0) and np.all(L[:, 0] == 0.0)
+        assert np.abs(L @ L.T - G).max() < 1e-12 * (1.0 + np.abs(G).max())
+
+    def test_jitter_recorded_across_tiles(self):
+        # rank-3 PSD matrix past one tile needs jitter to factor
+        n = self.T + 40
+        V = np.random.default_rng(3).standard_normal((n, 3))
+        G = V @ V.T
+        L, jitter = cholesky_psd(G)
+        assert jitter > 0.0
+        tol = 1e-10 * (1.0 + np.abs(G).max())
+        assert np.abs(L @ L.T - (G + jitter * np.eye(n))).max() < tol
 
     @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=60, deadline=None)
