@@ -245,16 +245,15 @@ def _mirror_upper(G: np.ndarray):
     """Copy the upper triangles of the (B, n, n) stack G onto its lower
     triangles in square tiles of side _TILE, so every transposed read stays
     within one tile: a tile below the diagonal is the transpose of its
-    mirror tile, and a diagonal tile takes its own transpose where it lies
-    below the diagonal."""
+    mirror tile, and a diagonal tile is mirrored row by row within it."""
     n = G.shape[1]
     for i0 in range(0, n, _TILE):
         i1 = min(i0 + _TILE, n)
         for j0 in range(i1, n, _TILE):
             j1 = min(j0 + _TILE, n)
             G[:, j0:j1, i0:i1] = G[:, i0:i1, j0:j1].transpose(0, 2, 1)
-        diag = G[:, i0:i1, i0:i1]
-        np.copyto(diag, diag.transpose(0, 2, 1), where=np.tri(i1 - i0, k=-1, dtype=bool))
+        for r in range(i0 + 1, i1):
+            G[:, r, i0:r] = G[:, i0:r, r]
 
 
 def _live_integrals(g: float, mu: np.ndarray, width: float, lags: np.ndarray,
@@ -333,18 +332,9 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
+    sym = np.empty(arr.shape)  # also the symmetry check's scratch space
     with np.errstate(invalid="ignore"):
-        if n <= _TILE:
-            # sym first holds A - A^T, which is finite exactly where A is
-            # (an infinite or nan entry gives inf or nan there) and
-            # antisymmetric to the bit, so its largest entry is
-            # max |A - A^T|. The same buffer then becomes the symmetric
-            # part (A + A^T) / 2 that is factorized.
-            sym = arr - arr.T
-            asym = 0.5 * float(sym.max()) if n else 0.0
-        else:
-            sym = np.empty_like(arr)
-            asym = 0.5 * _max_asymmetry(arr)
+        asym = 0.5 * _max_asymmetry(arr, sym.reshape(-1))
     if not math.isfinite(asym):
         raise ValueError("matrix has non-finite entries")
     scale = max(float(arr.max()), -float(arr.min())) if n else 0.0
@@ -390,18 +380,22 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     raise CholeskyError("unreachable")  # pragma: no cover
 
 
-def _max_asymmetry(arr: np.ndarray) -> float:
+def _max_asymmetry(arr: np.ndarray, scratch: np.ndarray) -> float:
     """max |A - A^T| of a square matrix, taken over pairs of _TILE-sided
     tiles A[I, J] and A[J, I] (I <= J), so every transposed read stays
-    within one tile. It equals the largest entry of A - A^T, because
-    fl(a - b) = -fl(b - a). An infinite or nan entry of A, in any tile,
-    makes its tile pair's maximum inf or nan, which is returned at once."""
+    within one tile. A diagonal tile's difference A[I, I] - A[I, I]^T is
+    antisymmetric to the bit, because fl(a - b) = -fl(b - a), so its largest
+    entry is its largest magnitude. An infinite or nan entry of A, in any
+    tile, makes its tile pair's maximum inf or nan, which is returned at
+    once. Tile differences are written to the front of the flat float
+    array scratch, of at least min(n, _TILE)^2 entries."""
     n = arr.shape[0]
     worst = 0.0
     for i0 in range(0, n, _TILE):
         for j0 in range(i0, n, _TILE):
-            d = arr[i0:i0 + _TILE, j0:j0 + _TILE] - arr[j0:j0 + _TILE, i0:i0 + _TILE].T
-            m = float(np.abs(d, out=d).max())
+            a, b = arr[i0:i0 + _TILE, j0:j0 + _TILE], arr[j0:j0 + _TILE, i0:i0 + _TILE]
+            d = np.subtract(a, b.T, out=scratch[:a.size].reshape(a.shape))
+            m = float(d.max() if i0 == j0 else np.abs(d, out=d).max())
             if not math.isfinite(m):
                 return m
             worst = max(worst, m)

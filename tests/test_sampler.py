@@ -333,6 +333,18 @@ class TestCholeskyPsd:
         assert jitter == 0.0
         assert L.tobytes() == np.linalg.cholesky((G + G.T) / 2.0).tobytes()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_read_only_input_across_tiles(self, order):
+        # the symmetry check works in a buffer of its own, whatever the
+        # input's memory order
+        G = np.array(self.tiled_wishart(), order=order)
+        G[self.DEFECTS[0]] += 1e-13
+        want = G.copy()
+        G.setflags(write=False)
+        L, _ = cholesky_psd(G)
+        assert np.array_equal(G, want)
+        assert L.tobytes() == np.linalg.cholesky((want + want.T) / 2.0).tobytes()
+
     @pytest.mark.parametrize("n", [T, T + 1, 2 * T + 3])
     def test_symmetric_gram_factors_as_lapack_across_tiles(self, n):
         # bit for bit at any tile count, and at the BLAS thread count the
