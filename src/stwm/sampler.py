@@ -24,7 +24,6 @@ fractional-integration operator by product integration (the weight
 constant path on every cell).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -320,7 +319,9 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     variance, wherever they sit, give zero rows and columns of the factor.
     A matrix with an infinite or nan entry, or one that is not symmetric to
     1e-12 (1 + max |A|), raises ValueError; a matrix that is not PSD raises
-    CholeskyError.
+    CholeskyError. The argument is never written: the symmetric part, zeroed
+    dead rows and a jittered diagonal go to a working copy, made only when
+    one of them is needed.
 
     The matrix handed to LAPACK is exactly symmetric, so its transpose is
     the same matrix. numpy copies a C-ordered input into LAPACK's
@@ -328,23 +329,29 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     view is column-major already and is copied in contiguous runs. potrf
     gets the same numbers either way, so at any BLAS thread count the factor
     is bit-identical to that of the C-ordered matrix."""
-    arr = np.asarray(arr, dtype=float)
+    return _factor_psd(np.asarray(arr, dtype=float), owned=False)
+
+
+def _factor_psd(arr: np.ndarray, owned: bool) -> tuple[np.ndarray, float]:
+    """cholesky_psd of the float array arr, with every check. When owned is
+    set, the caller gives arr up: zeroed dead rows and a jittered diagonal
+    are written into it, so no second n x n array is made beside it. When it
+    is not, arr is copied before the first such write."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
-    sym = np.empty(arr.shape)  # also the symmetry check's scratch space
     with np.errstate(invalid="ignore"):
-        asym = 0.5 * _max_asymmetry(arr, sym.reshape(-1))
+        asym = 0.5 * _max_asymmetry(arr)
     if not math.isfinite(asym):
         raise ValueError("matrix has non-finite entries")
     scale = max(float(arr.max()), -float(arr.min())) if n else 0.0
     if asym > 0.5e-12 * (1.0 + scale):  # asym = max |A - (A + A^T) / 2|
         raise ValueError("matrix is not symmetric")
-    if asym == 0.0:
-        np.copyto(sym, arr)
-    else:
-        np.add(arr, arr.T, out=sym)
+    sym = arr  # the exactly symmetric matrix to factor
+    if asym != 0.0:
+        sym = np.add(arr, arr.T, out=np.empty(arr.shape))
         sym *= 0.5
+        owned = True
 
     # Zero-variance indices (e.g. grid points at t = 0) factor to zero rows:
     # they get a unit diagonal and no off-diagonal entries for the
@@ -357,6 +364,8 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     if dead.size:
         if np.abs(sym[dead]).max() > 1e-12 * (1.0 + scale):
             raise CholeskyError("zero-diagonal row has nonzero off-diagonal entries; not PSD")
+        if not owned:
+            sym, owned = sym.copy(), True
         sym[dead] = 0.0
         sym[:, dead] = 0.0
         sym[dead, dead] = 1.0
@@ -367,11 +376,13 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     jitter = 0.0
     for step in range(_MAX_JITTER_STEPS + 2):
         try:
-            L = np.linalg.cholesky(sym.T)  # sym is exactly symmetric: see above
+            L = np.linalg.cholesky(sym.T)  # sym is exactly symmetric: see cholesky_psd
         except np.linalg.LinAlgError:
             if step > _MAX_JITTER_STEPS:
                 raise CholeskyError(
                     f"matrix not PSD after jitter escalation up to {jitter}") from None
+            if not owned:
+                sym, owned = sym.copy(), True
             jitter = base * 10.0 ** step
             sym[live, live] = diag[live] + jitter
             continue
@@ -380,16 +391,17 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     raise CholeskyError("unreachable")  # pragma: no cover
 
 
-def _max_asymmetry(arr: np.ndarray, scratch: np.ndarray) -> float:
+def _max_asymmetry(arr: np.ndarray) -> float:
     """max |A - A^T| of a square matrix, taken over pairs of _TILE-sided
     tiles A[I, J] and A[J, I] (I <= J), so every transposed read stays
     within one tile. A diagonal tile's difference A[I, I] - A[I, I]^T is
     antisymmetric to the bit, because fl(a - b) = -fl(b - a), so its largest
     entry is its largest magnitude. An infinite or nan entry of A, in any
     tile, makes its tile pair's maximum inf or nan, which is returned at
-    once. Tile differences are written to the front of the flat float
-    array scratch, of at least min(n, _TILE)^2 entries."""
+    once. Tile differences are written to the front of one scratch buffer
+    of min(n, _TILE)^2 entries."""
     n = arr.shape[0]
+    scratch = np.empty(min(n, _TILE) ** 2)
     worst = 0.0
     for i0 in range(0, n, _TILE):
         for j0 in range(i0, n, _TILE):
@@ -414,7 +426,7 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
 
     Returns an array of shape (n_paths, J, n_times). Values at any t = 0 grid
     point are exactly zero. The modes' Gram matrices come in stacks from
-    mode_grams, and each is factored by cholesky_psd. Each mode
+    mode_grams, and each is factored in place, as by cholesky_psd. Each mode
     owns one counter-based stream, from which all paths are drawn in one
     call and multiplied by the mode's Cholesky factor, so output depends
     only on the SeedSpec (for a fixed numpy build and BLAS thread count).
@@ -427,7 +439,7 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
     out = np.empty((n_paths, model.J, n_times))
     for j0, stack in mode_grams(model, grid):
         for jm, G in enumerate(stack, start=j0):
-            L, _ = cholesky_psd(G)
+            L, _ = _factor_psd(G, owned=True)  # the stack is ours
             # Normals are drawn up to whole blocks so every product is a BLAS
             # call of one shape: BLAS may pick another kernel, and round
             # differently, for another row count, and a path's values must
@@ -509,25 +521,51 @@ def fractional_convolution(values: np.ndarray, delta: float, mu: float, grid: Ti
     return out.reshape(values.shape)
 
 
-def _check_factorization_args(k: ModeKernel, delta: float):
+def _check_factorization_args(k: ModeKernel, delta: float, fine_grid: TimeGrid):
     if not 0.0 < delta < k.gamma - 0.5:
         raise ValueError(
             f"delta must lie in (0, gamma - 1/2) = (0, {k.gamma - 0.5}), got {delta}")
+    if fine_grid.points[0] != 0.0:
+        raise ValueError("the factorized sampler requires the grid to start at 0")
 
 
-@functools.lru_cache(maxsize=1)
-def _inner_gram(k: ModeKernel, delta: float, fine_grid: TimeGrid) -> np.ndarray:
-    """Read-only gram matrix of the order-(gamma - delta) process on the
-    fine grid, shared by factorized_covariance and factorized_sample.
+class _FactorSlot:
+    """Holds the read-only Cholesky factor of the order-(gamma - delta)
+    process on the fine grid, shared by factorized_covariance and
+    factorized_sample: the factor of the law that is sampled, jitter
+    included.
 
-    Only the latest (k, delta, grid) is held. ModeKernel is compared by value
-    and TimeGrid by identity; a TimeGrid's points are read-only, so a held
-    matrix always matches its key.
+    Only the latest (k, delta, fine_grid) is held. ModeKernel is compared by
+    value and TimeGrid by identity, and the key keeps a reference to the
+    grid; a TimeGrid's points are read-only, so a held factor always matches
+    its key. A miss drops the held factor before it builds the next one. The
+    Gram is factored in place and freed, so at most three n x n arrays are
+    alive: the Gram, LAPACK's buffer and the factor. The factor keeps the
+    order n of the grid, with the t = 0 row factored as a unit corner and
+    then zeroed, as cholesky_psd does.
     """
-    _check_factorization_args(k, delta)
-    G = gram(ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta), fine_grid)
-    G.setflags(write=False)
-    return G
+
+    def __init__(self):
+        self._held = None  # (key, factor), replaced as one object
+
+    def __call__(self, k: ModeKernel, delta: float, fine_grid: TimeGrid) -> np.ndarray:
+        key = (k, delta, fine_grid)
+        held = self._held
+        if held is not None and held[0] == key:
+            return held[1]
+        self._held = held = None  # the local reference too, or the old factor stays alive
+        _check_factorization_args(k, delta, fine_grid)
+        G = gram(ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta), fine_grid)
+        L, _ = _factor_psd(G, owned=True)
+        L.setflags(write=False)
+        self._held = (key, L)
+        return L
+
+    def clear(self):
+        self._held = None
+
+
+_inner_factor = _FactorSlot()
 
 
 def factorized_sample(k: ModeKernel, delta: float, fine_grid: TimeGrid, seed: SeedSpec,
@@ -537,7 +575,7 @@ def factorized_sample(k: ModeKernel, delta: float, fine_grid: TimeGrid, seed: Se
     exactly on the fine grid (Cholesky factor of its gram), then apply the
     singular convolution operator.
     """
-    L, _ = cholesky_psd(_inner_gram(k, delta, fine_grid))
+    L = _inner_factor(k, delta, fine_grid)
     z = _stream_normals(seed.master, path, 0, fine_grid.n)[0]
     return fractional_convolution(L @ z, delta, k.mu, fine_grid)
 
@@ -545,10 +583,16 @@ def factorized_sample(k: ModeKernel, delta: float, fine_grid: TimeGrid, seed: Se
 def factorized_covariance(k: ModeKernel, delta: float, fine_grid: TimeGrid) -> float:
     """Exact variance, at the final grid point, of the law produced by
     factorized_sample on this grid (the infinite-sample limit of its
-    empirical variance): c^T G c with G = gram of the inner process on the
-    fine grid and c the product-integration weights."""
-    G = _inner_gram(k, delta, fine_grid)
+    empirical variance): ||c L'||^2, with L' the factor that
+    factorized_sample applies, less its zero t = 0 row and column, and c the
+    product-integration weights. L' L'^T is the inner process's gram on the
+    grid's points after t = 0, plus the jitter its factorization needed.
+    """
+    L = _inner_factor(k, delta, fine_grid)
     n_cells = fine_grid.n - 1
     W = _frac_weights(delta, k.mu, fine_grid.step, n_cells)
-    c = W[::-1]  # weight of Z(s_i) in the estimator at t = t_end
-    return float(c @ (G[1:, 1:] @ c))
+    # weight of Z(s_i) in the estimator at t = t_end, contiguous: numpy hands
+    # BLAS no vector of negative stride and would loop in C instead
+    c = W[::-1].copy()
+    v = c @ L[1:, 1:]
+    return float(v @ v)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from stwm.sampler import (
     SeedSpec,
     TimeGrid,
     _box_muller,
-    _inner_gram,
+    _frac_weights,
+    _inner_factor,
     _stream_normals,
     assemble_field,
     cholesky_psd,
@@ -355,6 +357,18 @@ class TestCholeskyPsd:
         assert jitter == 0.0
         assert L.tobytes() == np.linalg.cholesky(G).tobytes()
 
+    def test_symmetric_gram_reaches_lapack_uncopied(self):
+        # no working copy beside the argument: the traced peak is the factor
+        # and the symmetry check's tile buffer (LAPACK's buffer is not traced)
+        G = gram(ModeKernel(mu=2.0, weight=1.0, gamma=1.3), TimeGrid.uniform(0.5, 2.0, 2 * self.T + 6))
+        tracemalloc.start()
+        try:
+            cholesky_psd(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * G.nbytes
+
     def test_origin_row_across_tiles(self):
         G = gram(ModeKernel(mu=2.0, weight=1.0, gamma=1.3), TimeGrid.uniform(0.0, 2.0, self.T + 9))
         L, _ = cholesky_psd(G)
@@ -675,7 +689,7 @@ class TestFactorizedSampler:
             return gram(k, grid)
 
         monkeypatch.setattr(sampler, "gram", counting_gram)
-        _inner_gram.cache_clear()
+        _inner_factor.clear()
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.2)
         grid = TimeGrid.uniform(0.0, 1.0, 64)
         var = factorized_covariance(k, 0.3, grid)
@@ -683,14 +697,45 @@ class TestFactorizedSampler:
         assert len(calls) == 1
         factorized_sample(ModeKernel(mu=1.0, weight=1.0, gamma=1.3), 0.3, grid, SeedSpec(31))
         assert len(calls) == 2
-        # cold-cache results, each from its own Gram, are the same bits
-        _inner_gram.cache_clear()
+        # cold-holder results, each from its own factor, are the same bits
+        _inner_factor.clear()
         assert factorized_sample(k, 0.3, grid, SeedSpec(31)).tobytes() == path.tobytes()
-        _inner_gram.cache_clear()
+        _inner_factor.clear()
         assert factorized_covariance(k, 0.3, grid) == var
         assert len(calls) == 4
         with pytest.raises(ValueError, match="read-only"):
-            _inner_gram(k, 0.3, grid)[1, 1] = 0.0
+            _inner_factor(k, 0.3, grid)[1, 1] = 0.0
+        # against the public path: the factor of a fresh gram, and the
+        # variance c^T G c of the gram itself
+        G = gram(ModeKernel(mu=1.0, weight=1.0, gamma=k.gamma - 0.3), grid)
+        z = _stream_normals(31, 0, 0, grid.n)[0]
+        want = fractional_convolution(cholesky_psd(G)[0] @ z, 0.3, 1.0, grid)
+        assert path.tobytes() == want.tobytes()
+        c = _frac_weights(0.3, 1.0, grid.step, grid.n - 1)[::-1]
+        want = c @ G[1:, 1:] @ c
+        assert abs(var - want) <= 1e-14 * want
+
+    def test_factor_rejects_grid_off_origin(self):
+        k = ModeKernel(mu=1.0, weight=1.0, gamma=1.2)
+        with pytest.raises(ValueError, match="start at 0"):
+            factorized_covariance(k, 0.3, TimeGrid.uniform(0.5, 1.0, 16))
+
+    def test_held_factor_dropped_before_the_next(self):
+        # after a cold op, an op on a new key holds at most the new Gram and
+        # the new factor (numpy's LAPACK buffer is not traced)
+        grid = TimeGrid.uniform(0.0, 1.0, 1024)
+        _inner_factor.clear()
+        tracemalloc.start()
+        try:
+            for gamma in (1.2, 1.4):
+                tracemalloc.reset_peak()
+                k = ModeKernel(mu=1.0, weight=1.0, gamma=gamma)
+                factorized_covariance(k, 0.3, grid)
+                factorized_sample(k, 0.3, grid, SeedSpec(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * grid.n ** 2 * 8
 
     def test_covariance_close_at_moderate_resolution(self):
         # 2^-10 grid reproduces the exact variance at t = 1 within 2 percent
