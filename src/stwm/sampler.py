@@ -7,15 +7,15 @@ independent standard normals. All J modes share gamma and the grid, so
 their Gram matrices are built together: mode_grams yields them as (B, n, n)
 stacks of consecutive modes, each of at most _STACK_ENTRIES entries (gram
 is the one-mode case), and cholesky_psd returns each factor together with
-the jitter it needed. Normals come from counter-based streams in
-format v2 (STREAM_FORMAT): one Philox4x64 stream per mode, keyed by (master
-seed, mode index), in which every path reads a fixed block of words at its
-own counter offset. All paths of a mode come from one draw, any path range
-replays on its own, and for a fixed numpy build and BLAS thread count output
-is bit-identical across reruns and path-count prefixes. Across BLAS thread
-counts it is bit-identical only on short grids: Gram matrices are, but LAPACK
-potrf threads the factorization of long ones (with OpenBLAS 0.3.31 on 2
-cores, factors under 1 and 2 threads first differ at 128 points).
+the jitter it needed. Normals come from counter-based streams in format v3
+(STREAM_FORMAT): one Philox4x64 stream per mode, keyed by (master seed, mode
+index), read sequentially by numpy's ziggurat normal sampler, path after
+path. Only the paths asked for are drawn, all in one call per mode, and for
+a fixed numpy build and BLAS thread count output is bit-identical across
+reruns and path-count prefixes. Across BLAS thread counts it is
+bit-identical only on short grids: Gram matrices are, but LAPACK potrf
+threads the factorization of long ones (with OpenBLAS 0.3.31 on 2 cores,
+factors under 1 and 2 threads first differ at 128 points).
 
 A second, alternative sampler realizes the factorization construction: draw
 the lower-order process on a fine uniform grid, then apply the singular
@@ -91,16 +91,18 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Master seed for counter-based stream derivation (stream format v2).
+    """Master seed for counter-based stream derivation (stream format v3).
 
-    Mode j (0-based) draws from the Philox4x64 stream with key (master, j).
-    Path p of an n_times grid takes the stride = 4*ceil(n_times/4) words from
-    word p * stride, turned into normals by Box-Muller on word pairs, so
-    |z| <= sqrt(106 ln 2) ~ 8.57. For a fixed numpy build and BLAS thread
-    count an identical SeedSpec yields bit-identical output (across BLAS
-    thread counts only on short grids; see the module docstring), and the
-    first m of n paths equal an m-path run. Seeds recorded under the earlier
-    format v1 (key (master, path << 32 | mode)) do not replay.
+    Mode j (0-based) draws from the Philox4x64 stream with key (master, j),
+    turned into standard normals by numpy's Generator.standard_normal (a
+    ziggurat, so the normals have no fixed bound) and read path-major: on
+    an n_times grid, path p takes normals p * n_times .. (p + 1) * n_times
+    - 1. For a fixed numpy build and BLAS thread count an identical SeedSpec
+    yields bit-identical output (across BLAS thread counts only on short
+    grids; see the module docstring), and the first m of n paths equal an
+    m-path run. Seeds recorded under the earlier formats v1 (key (master,
+    path << 32 | mode)) and v2 (Box-Muller on fixed-stride words) do not
+    replay.
     """
 
     master: int
@@ -137,40 +139,25 @@ _STACK_ENTRIES = 2 ** 16  # largest Gram stack built at once (512 kB), one mode 
 _RULE_ENTRIES = 256  # lagged integrals per rule call, one row's at least
 _TILE = 128  # side of the square blocks in which Gram matrices are transposed
 
-STREAM_FORMAT = ("v2: Philox4x64 key (master, mode index), path p reads words "
-                 "[p*stride, (p+1)*stride) with stride = 4*ceil(n_times/4), "
-                 "Box-Muller on word pairs")
+STREAM_FORMAT = ("v3: Philox4x64 key (master, mode index), numpy Generator.standard_normal "
+                 "(ziggurat), path-major: path p takes normals [p*n_times, (p+1)*n_times)")
 
 
-def _box_muller(words: np.ndarray) -> np.ndarray:
-    """Two standard normals per word pair (w0, w1): r cos(2 pi u2), r sin(2 pi u2)
-    with r = sqrt(-2 ln u1), u1 = ((w0 >> 11) + 1) 2^-53 in (0, 1] and
-    u2 = (w1 >> 11) 2^-53, so every value is finite and |z| <= sqrt(106 ln 2)."""
-    r = np.sqrt(-2.0 * np.log(((words[0::2] >> 11) + 1) * 2.0 ** -53))
-    theta = (2.0 * math.pi * 2.0 ** -53) * (words[1::2] >> 11)
-    z = np.empty((words.size // 2, 2))
-    z[:, 0] = r * np.cos(theta)
-    z[:, 1] = r * np.sin(theta)
-    return z.reshape(-1)
+def _stream_normals(master: int, mode: int, out: np.ndarray, path: int = 0) -> np.ndarray:
+    """Fill out, a C-contiguous (n_paths, n) float array, with the standard
+    normals of paths path .. path + n_paths - 1 of one mode in stream format
+    v3 (see STREAM_FORMAT), and return it.
 
-
-def _stream_normals(master: int, path: int, mode: int, n: int, n_paths: int = 1) -> np.ndarray:
-    """Standard normals of paths path .. path + n_paths - 1 of one mode, shape
-    (n_paths, n), in stream format v2 (see STREAM_FORMAT).
-
-    The mode's Philox4x64 stream has key (master, mode). Path p reads the
-    `stride` words from word p * stride, with stride = n rounded up to a
-    multiple of 4 because Philox.advance moves in 4-word blocks, and turns
-    them into normals by _box_muller. Consumption is fixed, so any path range
-    replays without drawing earlier paths, and one random_raw call serves
-    all of them.
+    The stream is sequential: the normals of the paths before `path` are
+    drawn into out and dropped, so a replay from path p costs p * n draws.
     """
     if path < 0:
         raise ValueError(f"path index must be >= 0, got {path}")
-    stride = -(-n // 4) * 4
-    bitgen = np.random.Philox(key=[master, mode])
-    bitgen.advance(path * stride // 4)
-    return _box_muller(bitgen.random_raw(n_paths * stride)).reshape(n_paths, stride)[:, :n]
+    gen = np.random.Generator(np.random.Philox(key=[master, mode]))
+    flat, skip = out.reshape(-1), path * out.shape[1]
+    for s in range(0, skip, flat.size):
+        gen.standard_normal(out=flat[:min(flat.size, skip - s)])
+    return gen.standard_normal(out=out)
 
 
 def gram(k: ModeKernel, grid: TimeGrid) -> np.ndarray:
@@ -436,15 +423,16 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     n_times = grid.n
     n_blocks = -(-n_paths // _PATH_BLOCK)
+    # Products go in whole blocks of paths so every one is a BLAS call of one
+    # shape: BLAS may pick another kernel, and round differently, for another
+    # row count, and a path's values must not depend on it. Rows past n_paths
+    # stay 0 and their products are dropped.
+    Z = np.zeros((n_blocks * _PATH_BLOCK, n_times))
     out = np.empty((n_paths, model.J, n_times))
     for j0, stack in mode_grams(model, grid):
         for jm, G in enumerate(stack, start=j0):
             L, _ = _factor_psd(G, owned=True)  # the stack is ours
-            # Normals are drawn up to whole blocks so every product is a BLAS
-            # call of one shape: BLAS may pick another kernel, and round
-            # differently, for another row count, and a path's values must
-            # not depend on it.
-            Z = _stream_normals(seed.master, 0, jm, n_times, n_blocks * _PATH_BLOCK)
+            _stream_normals(seed.master, jm, Z[:n_paths])
             paths = Z.reshape(n_blocks, _PATH_BLOCK, n_times) @ L.T
             out[:, jm, :] = paths.reshape(-1, n_times)[:n_paths]
     return out
@@ -576,7 +564,7 @@ def factorized_sample(k: ModeKernel, delta: float, fine_grid: TimeGrid, seed: Se
     singular convolution operator.
     """
     L = _inner_factor(k, delta, fine_grid)
-    z = _stream_normals(seed.master, path, 0, fine_grid.n)[0]
+    z = _stream_normals(seed.master, 0, np.empty((1, fine_grid.n)), path)[0]
     return fractional_convolution(L @ z, delta, k.mu, fine_grid)
 
 

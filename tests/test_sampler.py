@@ -15,7 +15,6 @@ from stwm.sampler import (
     FieldSample,
     SeedSpec,
     TimeGrid,
-    _box_muller,
     _frac_weights,
     _inner_factor,
     _stream_normals,
@@ -395,50 +394,61 @@ class TestCholeskyPsd:
         assert np.abs(L @ L.T - G).max() <= 1e-10 * (1.0 + np.abs(G).max()) + 1e-13
 
 
-# stream (master 77, path 5, mode 2, n = 8) in format v2; the tolerance only
-# admits last-bit differences between numpy's log/sin/cos on other CPUs
-V2_FROZEN = [-0.07617870512249728, 0.4099179807018283, 0.43692315235270696,
-             1.5980059720435458, -2.100966576398043, -0.6566240920053058,
-             -1.9751934992234605, -1.1778955835893148]
+# path 5 of stream (master 77, mode 2) at n = 8 in format v3; the tolerance
+# only admits last-bit differences of the ziggurat's exp/log tail on other CPUs
+V3_FROZEN = [-0.02646500343339521, 1.1727850157327562, -0.8038219782311298,
+             -0.17881669963771052, -0.9154897984159776, -0.9455334441233445,
+             1.3747582475293165, 2.0784948033726955]
 
 
 class TestStreams:
-    def test_v2_matches_philox_rebuild_and_frozen_values(self):
-        bitgen = np.random.Philox(key=[77, 2])
-        bitgen.advance(10)  # path 5 starts at word 5 * stride = 40, block 10
-        w = bitgen.random_raw(8)
-        u1 = ((w[0::2] >> np.uint64(11)) + np.uint64(1)).astype(float) * 2.0 ** -53
-        u2 = (w[1::2] >> np.uint64(11)).astype(float) * 2.0 ** -53
-        r = np.sqrt(-2.0 * np.log(u1))
-        want = np.column_stack([r * np.cos(2.0 * np.pi * u2),
-                                r * np.sin(2.0 * np.pi * u2)]).reshape(-1)
-        got = _stream_normals(77, 5, 2, 8)
-        assert got.shape == (1, 8)
-        assert np.array_equal(got[0], want)
-        np.testing.assert_allclose(got[0], V2_FROZEN, rtol=1e-14, atol=0.0)
+    def test_v3_matches_generator_rebuild_and_frozen_values(self):
+        want = np.random.Generator(np.random.Philox(key=[77, 2])).standard_normal((6, 8))
+        got = _stream_normals(77, 2, np.empty((6, 8)))
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got[5], V3_FROZEN, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("n", [3, 5, 6, 8])
     def test_batched_rows_equal_single_path_draws(self, n):
-        # odd n and n not a multiple of 4 leave unused words in each stride
-        batch = _stream_normals(9, 0, 3, n, 40)
-        assert batch.shape == (40, n)
+        # a replay from path p draws the p earlier paths and drops them
+        batch = _stream_normals(9, 3, np.empty((40, n)))
         for p in (0, 1, 17, 39):
-            assert np.array_equal(batch[p], _stream_normals(9, p, 3, n)[0])
-        assert np.array_equal(batch[17:], _stream_normals(9, 17, 3, n, 23))
+            assert np.array_equal(batch[p], _stream_normals(9, 3, np.empty((1, n)), p)[0])
+        assert np.array_equal(batch[17:], _stream_normals(9, 3, np.empty((23, n)), 17))
 
-    def test_extreme_words_finite_and_bounded(self):
-        top = 2 ** 64 - 1
-        z = _box_muller(np.array([0, 0, 0, top, top, 0, top, top], dtype=np.uint64))
-        bound = math.sqrt(106.0 * math.log(2.0))  # u1 = 2^-53
-        assert np.all(np.isfinite(z))
-        assert np.all(np.abs(z) <= bound * (1.0 + 1e-15))
-        assert z[0] == pytest.approx(bound, rel=1e-15)
-        assert np.all(z[4:] == 0.0)  # u1 = 1
+    def test_prefix_identity_across_block_edges(self):
+        model = spread_model(J=2, gamma=1.2)
+        grid = TimeGrid(np.array([0.0, 0.5, 2.0]))
+        full = sample_modes(model, grid, 4097, SeedSpec(23))
+        for m in (1, 255, 256, 257, 4000):
+            assert np.array_equal(full[:m], sample_modes(model, grid, m, SeedSpec(23))), m
+
+    def test_padded_rows_never_reach_output(self, monkeypatch):
+        # the rows that pad the last block of paths are 0; poisoned with nan
+        # after the draw, they must still leave every output value untouched
+        model = one_mode_model()
+        grid = TimeGrid(np.array([0.0, 0.5, 1.0, 2.0]))
+        want = sample_modes(model, grid, 257, SeedSpec(6))
+        draw = sampler._stream_normals
+        padding = []
+
+        def poisoned(master, mode, out, path=0):
+            draw(master, mode, out, path)
+            pad = out.base[out.shape[0]:]
+            padding.append(pad.shape[0])
+            assert np.all(pad == 0.0)
+            pad[:] = np.nan
+            return out
+
+        monkeypatch.setattr(sampler, "_stream_normals", poisoned)
+        got = sample_modes(model, grid, 257, SeedSpec(6))
+        assert padding == [255]
+        assert np.array_equal(got, want)
 
     def test_distinct_streams(self):
-        a = _stream_normals(1, 0, 0, 4)
-        b = _stream_normals(1, 0, 1, 4)
-        c = _stream_normals(1, 1, 0, 4)
+        a = _stream_normals(1, 0, np.empty((1, 4)))
+        b = _stream_normals(1, 1, np.empty((1, 4)))
+        c = _stream_normals(1, 0, np.empty((1, 4)), 1)
         assert not np.array_equal(a, b) and not np.array_equal(a, c)
 
     def test_seed_spec_validation(self):
@@ -708,7 +718,7 @@ class TestFactorizedSampler:
         # against the public path: the factor of a fresh gram, and the
         # variance c^T G c of the gram itself
         G = gram(ModeKernel(mu=1.0, weight=1.0, gamma=k.gamma - 0.3), grid)
-        z = _stream_normals(31, 0, 0, grid.n)[0]
+        z = _stream_normals(31, 0, np.empty((1, grid.n)))[0]
         want = fractional_convolution(cholesky_psd(G)[0] @ z, 0.3, 1.0, grid)
         assert path.tobytes() == want.tobytes()
         c = _frac_weights(0.3, 1.0, grid.step, grid.n - 1)[::-1]
@@ -760,10 +770,8 @@ class TestFactorizedSampler:
         grid = TimeGrid.uniform(0.0, 1.0, n_cells)
         inner = ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta)
         L, _ = cholesky_psd(gram(inner, grid))
-        finals = np.empty(n_paths)
-        for p in range(n_paths):
-            z = _stream_normals(4242, p, 0, grid.n)[0]
-            finals[p] = fractional_convolution(L @ z, delta, k.mu, grid)[-1]
+        Z = _stream_normals(4242, 0, np.empty((n_paths, grid.n)))
+        finals = fractional_convolution(Z @ L.T, delta, k.mu, grid)[:, -1]
         want = factorized_covariance(k, delta, grid)
         emp = float(np.mean(finals ** 2))
         se = want * math.sqrt(2.0 / n_paths)
