@@ -143,6 +143,12 @@ STREAM_FORMAT = ("v3: Philox4x64 key (master, mode index), numpy Generator.stand
                  "(ziggurat), path-major: path p takes normals [p*n_times, (p+1)*n_times)")
 
 
+def _mode_stream(master: int, mode: int) -> np.random.Generator:
+    """The normal stream of one mode in stream format v3 (see
+    STREAM_FORMAT), at its start: Philox4x64 keyed by (master, mode)."""
+    return np.random.Generator(np.random.Philox(key=[master, mode]))
+
+
 def _stream_normals(master: int, mode: int, out: np.ndarray, path: int = 0) -> np.ndarray:
     """Fill out, a C-contiguous (n_paths, n) float array, with the standard
     normals of paths path .. path + n_paths - 1 of one mode in stream format
@@ -153,7 +159,7 @@ def _stream_normals(master: int, mode: int, out: np.ndarray, path: int = 0) -> n
     """
     if path < 0:
         raise ValueError(f"path index must be >= 0, got {path}")
-    gen = np.random.Generator(np.random.Philox(key=[master, mode]))
+    gen = _mode_stream(master, mode)
     flat, skip = out.reshape(-1), path * out.shape[1]
     for s in range(0, skip, flat.size):
         gen.standard_normal(out=flat[:min(flat.size, skip - s)])
@@ -308,7 +314,7 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     1e-12 (1 + max |A|), raises ValueError; a matrix that is not PSD raises
     CholeskyError. The argument is never written: the symmetric part, zeroed
     dead rows and a jittered diagonal go to a working copy, made only when
-    one of them is needed.
+    one of them is needed. This is the one-matrix case of _factor_psd.
 
     The matrix handed to LAPACK is exactly symmetric, so its transpose is
     the same matrix. numpy copies a C-ordered input into LAPACK's
@@ -316,88 +322,110 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     view is column-major already and is copied in contiguous runs. potrf
     gets the same numbers either way, so at any BLAS thread count the factor
     is bit-identical to that of the C-ordered matrix."""
-    return _factor_psd(np.asarray(arr, dtype=float), owned=False)
-
-
-def _factor_psd(arr: np.ndarray, owned: bool) -> tuple[np.ndarray, float]:
-    """cholesky_psd of the float array arr, with every check. When owned is
-    set, the caller gives arr up: zeroed dead rows and a jittered diagonal
-    are written into it, so no second n x n array is made beside it. When it
-    is not, arr is copied before the first such write."""
+    arr = np.asarray(arr, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    n = arr.shape[0]
+    L, jitter = _factor_psd(arr[None], owned=False)
+    return L[0], float(jitter[0])
+
+
+def _factor_psd(arr: np.ndarray, owned: bool) -> tuple[np.ndarray, np.ndarray]:
+    """cholesky_psd of every matrix of the (B, n, n) float stack arr, with
+    every check made per member. Returns the (B, n, n) stack of factors and
+    the (B,) array of jitters. A defect in any member raises as cholesky_psd
+    raises on that member.
+
+    The stack is factored by one stacked LAPACK call. If that fails, every
+    member escalates its own jitter, from its own diagonal as it was before
+    its dead rows were zeroed, and its factor overwrites it in the working
+    stack. When owned is set, the caller gives arr up: symmetric parts,
+    zeroed dead rows, jittered diagonals and fallback factors are written
+    into it, so no second stack is made beside it. When it is not, arr is
+    copied before the first such write."""
+    B = len(arr)
     with np.errstate(invalid="ignore"):
-        asym = 0.5 * _max_asymmetry(arr)
-    if not math.isfinite(asym):
+        asym = 0.5 * _max_asymmetry(arr)  # asym = max |A - (A + A^T) / 2|
+    if not math.isfinite(float(asym.max(initial=0.0))):
         raise ValueError("matrix has non-finite entries")
-    scale = max(float(arr.max()), -float(arr.min())) if n else 0.0
-    if asym > 0.5e-12 * (1.0 + scale):  # asym = max |A - (A + A^T) / 2|
+    scale = np.maximum(arr.max(axis=(1, 2), initial=0.0), -arr.min(axis=(1, 2), initial=0.0))
+    if np.any(asym > 0.5e-12 * (1.0 + scale)):
         raise ValueError("matrix is not symmetric")
-    sym = arr  # the exactly symmetric matrix to factor
-    if asym != 0.0:
-        sym = np.add(arr, arr.T, out=np.empty(arr.shape))
-        sym *= 0.5
-        owned = True
+    sym = arr  # the stack of exactly symmetric matrices to factor
+    for b in np.flatnonzero(asym):
+        if not owned:
+            sym, owned = arr.copy(), True
+        np.add(arr[b], arr[b].T, out=sym[b])
+        sym[b] *= 0.5
 
     # Zero-variance indices (e.g. grid points at t = 0) factor to zero rows:
     # they get a unit diagonal and no off-diagonal entries for the
     # factorization, and their rows of the factor are zeroed after it.
-    diag = sym.diagonal().copy()
+    diag = sym.diagonal(0, 1, 2).copy()
     if np.any(diag < 0.0):
         raise CholeskyError("negative diagonal entry; matrix is not PSD")
-    dead = np.flatnonzero(diag == 0.0)
-    live = np.flatnonzero(diag)
-    if dead.size:
-        if np.abs(sym[dead]).max() > 1e-12 * (1.0 + scale):
+    dead_b, dead_i = np.nonzero(diag == 0.0)  # member and index of each dead row
+    if dead_b.size:
+        if np.any(np.abs(sym[dead_b, dead_i]).max(axis=1) > 1e-12 * (1.0 + scale[dead_b])):
             raise CholeskyError("zero-diagonal row has nonzero off-diagonal entries; not PSD")
         if not owned:
             sym, owned = sym.copy(), True
-        sym[dead] = 0.0
-        sym[:, dead] = 0.0
-        sym[dead, dead] = 1.0
-    if live.size == 0:
-        return np.zeros_like(arr), 0.0
+        sym[dead_b, dead_i] = 0.0
+        sym[dead_b, :, dead_i] = 0.0
+        sym[dead_b, dead_i, dead_i] = 1.0
 
-    base = 1e-14 * float(diag.sum()) / live.size
+    try:
+        L = np.linalg.cholesky(sym.transpose(0, 2, 1))  # sym is exactly symmetric: see cholesky_psd
+        jitter = np.zeros(B)
+    except np.linalg.LinAlgError:
+        if not owned:
+            sym = sym.copy()
+        L, jitter = sym, np.empty(B)
+        for b in range(B):
+            L[b], jitter[b] = _jittered_factor(sym[b], diag[b])
+    L[dead_b, dead_i] = 0.0
+    return L, jitter
+
+
+def _jittered_factor(sym: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, float]:
+    """Factor of the exactly symmetric matrix sym, with dead rows already
+    unit, escalating a jitter on the live indices of its original diagonal
+    diag, which is written into sym's diagonal. Returns (L, jitter)."""
+    live = np.flatnonzero(diag)
     jitter = 0.0
     for step in range(_MAX_JITTER_STEPS + 2):
         try:
-            L = np.linalg.cholesky(sym.T)  # sym is exactly symmetric: see cholesky_psd
+            return np.linalg.cholesky(sym.T), jitter
         except np.linalg.LinAlgError:
             if step > _MAX_JITTER_STEPS:
                 raise CholeskyError(
                     f"matrix not PSD after jitter escalation up to {jitter}") from None
-            if not owned:
-                sym, owned = sym.copy(), True
-            jitter = base * 10.0 ** step
+            # an all-dead matrix is the identity and never gets here
+            jitter = 1e-14 * float(diag.sum()) / live.size * 10.0 ** step
             sym[live, live] = diag[live] + jitter
-            continue
-        L[dead] = 0.0
-        return L, jitter
     raise CholeskyError("unreachable")  # pragma: no cover
 
 
-def _max_asymmetry(arr: np.ndarray) -> float:
-    """max |A - A^T| of a square matrix, taken over pairs of _TILE-sided
-    tiles A[I, J] and A[J, I] (I <= J), so every transposed read stays
-    within one tile. A diagonal tile's difference A[I, I] - A[I, I]^T is
-    antisymmetric to the bit, because fl(a - b) = -fl(b - a), so its largest
-    entry is its largest magnitude. An infinite or nan entry of A, in any
-    tile, makes its tile pair's maximum inf or nan, which is returned at
-    once. Tile differences are written to the front of one scratch buffer
-    of min(n, _TILE)^2 entries."""
-    n = arr.shape[0]
-    scratch = np.empty(min(n, _TILE) ** 2)
-    worst = 0.0
+def _max_asymmetry(arr: np.ndarray) -> np.ndarray:
+    """max |A - A^T| of every matrix A of the (B, n, n) stack arr, as a (B,)
+    array, taken over pairs of _TILE-sided tiles A[I, J] and A[J, I]
+    (I <= J), so every transposed read stays within one tile. A diagonal
+    tile's difference A[I, I] - A[I, I]^T is antisymmetric to the bit,
+    because fl(a - b) = -fl(b - a), so its largest entry is its largest
+    magnitude. An infinite or nan entry of any member, in any tile, makes
+    its tile pair's maximum inf or nan, and the maxima are returned at once.
+    Tile differences of all members are written to the front of one scratch
+    buffer of B min(n, _TILE)^2 entries."""
+    B, n = arr.shape[:2]
+    scratch = np.empty(B * min(n, _TILE) ** 2)
+    worst = np.zeros(B)
     for i0 in range(0, n, _TILE):
         for j0 in range(i0, n, _TILE):
-            a, b = arr[i0:i0 + _TILE, j0:j0 + _TILE], arr[j0:j0 + _TILE, i0:i0 + _TILE]
-            d = np.subtract(a, b.T, out=scratch[:a.size].reshape(a.shape))
-            m = float(d.max() if i0 == j0 else np.abs(d, out=d).max())
-            if not math.isfinite(m):
+            a, b = arr[:, i0:i0 + _TILE, j0:j0 + _TILE], arr[:, j0:j0 + _TILE, i0:i0 + _TILE]
+            d = np.subtract(a, b.transpose(0, 2, 1), out=scratch[:a.size].reshape(a.shape))
+            m = (d if i0 == j0 else np.abs(d, out=d)).max(axis=(1, 2))
+            if not math.isfinite(float(m.max())):
                 return m
-            worst = max(worst, m)
+            np.maximum(worst, m, out=worst)
     return worst
 
 
@@ -413,29 +441,49 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
 
     Returns an array of shape (n_paths, J, n_times). Values at any t = 0 grid
     point are exactly zero. The modes' Gram matrices come in stacks from
-    mode_grams, and each is factored in place, as by cholesky_psd. Each mode
-    owns one counter-based stream, from which all paths are drawn in one
-    call and multiplied by the mode's Cholesky factor, so output depends
+    mode_grams, and each stack is factored in place by one stacked
+    _factor_psd call, as cholesky_psd factors each member. Each mode owns
+    one counter-based stream, read 256 paths at a time, so output depends
     only on the SeedSpec (for a fixed numpy build and BLAS thread count).
     """
     _check_sampling_pre(model, grid)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    n_times = grid.n
-    n_blocks = -(-n_paths // _PATH_BLOCK)
-    # Products go in whole blocks of paths so every one is a BLAS call of one
-    # shape: BLAS may pick another kernel, and round differently, for another
-    # row count, and a path's values must not depend on it. Rows past n_paths
-    # stay 0 and their products are dropped.
-    Z = np.zeros((n_blocks * _PATH_BLOCK, n_times))
-    out = np.empty((n_paths, model.J, n_times))
+    # modes per product: their normals for one block of paths fill at most
+    # _STACK_ENTRIES entries (one mode at least)
+    group = max(1, _STACK_ENTRIES // (_PATH_BLOCK * grid.n))
+    out = np.empty((n_paths, model.J, grid.n))
     for j0, stack in mode_grams(model, grid):
-        for jm, G in enumerate(stack, start=j0):
-            L, _ = _factor_psd(G, owned=True)  # the stack is ours
-            _stream_normals(seed.master, jm, Z[:n_paths])
-            paths = Z.reshape(n_blocks, _PATH_BLOCK, n_times) @ L.T
-            out[:, jm, :] = paths.reshape(-1, n_times)[:n_paths]
+        L, _ = _factor_psd(stack, owned=True)  # the stack is ours
+        for g0 in range(0, len(L), group):
+            _sample_group(out, L[g0:g0 + group], j0 + g0, seed.master)
     return out
+
+
+def _sample_group(out: np.ndarray, L: np.ndarray, j0: int, master: int):
+    """Write the paths of modes j0 .. j0 + B - 1, whose factors make the
+    (B, n, n) stack L, into out[:, j0:j0 + B], one 256-path block at a time.
+
+    Each block's normals go to one (B, 256, n) buffer, and one stacked
+    product writes them, times the factors, straight into out. Products go
+    in whole blocks of paths so every one is a BLAS call of one shape: BLAS
+    may pick another kernel, and round differently, for another row count,
+    and a path's values must not depend on it. The rows that pad the last
+    block are 0, and their products are dropped."""
+    n_paths, n = out.shape[0], L.shape[1]
+    streams = [_mode_stream(master, j) for j in range(j0, j0 + len(L))]
+    LT = L.transpose(0, 2, 1)
+    Z = np.empty((len(L), _PATH_BLOCK, n))
+    for p0 in range(0, n_paths, _PATH_BLOCK):
+        rows = min(_PATH_BLOCK, n_paths - p0)
+        Z[:, rows:] = 0.0
+        for z, stream in zip(Z, streams):
+            stream.standard_normal(out=z[:rows])
+        paths = out[p0:p0 + rows, j0:j0 + len(L)].transpose(1, 0, 2)
+        if rows == _PATH_BLOCK:
+            np.matmul(Z, LT, out=paths)  # BLAS writes rows J * n apart
+        else:
+            paths[...] = np.matmul(Z, LT)[:, :rows]
 
 
 def assemble_field(mode_paths: np.ndarray, basis: EigenBasis, space_points,
@@ -544,7 +592,7 @@ class _FactorSlot:
         self._held = held = None  # the local reference too, or the old factor stays alive
         _check_factorization_args(k, delta, fine_grid)
         G = gram(ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta), fine_grid)
-        L, _ = _factor_psd(G, owned=True)
+        L = _factor_psd(G[None], owned=True)[0][0]
         L.setflags(write=False)
         self._held = (key, L)
         return L

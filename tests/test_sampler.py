@@ -394,6 +394,84 @@ class TestCholeskyPsd:
         assert np.abs(L @ L.T - G).max() <= 1e-10 * (1.0 + np.abs(G).max()) + 1e-13
 
 
+def wishart(n, seed, rank=None):
+    A = np.random.default_rng(seed).standard_normal((n, rank or n + 1))
+    return A @ A.T
+
+
+def with_dead_row(G, i):
+    G = G.copy()
+    G[i] = 0.0
+    G[:, i] = 0.0
+    return G
+
+
+class TestStackedFactor:
+    """_factor_psd on a stack against cholesky_psd on each member."""
+
+    # 4 x 4 members: plain, dead row 0, dead row 2, asymmetric within the
+    # tolerance, all dead
+    def good_stack(self):
+        skew = wishart(4, 3)
+        skew[3, 1] += 1e-13
+        return np.stack([wishart(4, 1), with_dead_row(wishart(4, 2), 0),
+                         with_dead_row(wishart(4, 5), 2), skew, np.zeros((4, 4))])
+
+    def assert_members_factor_as_cholesky_psd(self, S):
+        want = [cholesky_psd(G) for G in S]
+        for owned in (False, True):
+            arg = S.copy()
+            L, jitter = sampler._factor_psd(arg, owned=owned)
+            if not owned:
+                assert np.array_equal(arg, S)
+            for b, (Lb, jb) in enumerate(want):
+                assert L[b].tobytes() == Lb.tobytes(), (owned, b)
+                assert jitter[b] == jb, (owned, b)
+        return [jb for _, jb in want]
+
+    def test_stack_factors_as_members(self):
+        jitters = self.assert_members_factor_as_cholesky_psd(self.good_stack())
+        assert jitters == [0.0] * 5
+
+    def test_failed_stack_falls_back_per_member(self):
+        # rank-deficient members make the stacked potrf fail; each member
+        # then gets the factor and jitter of cholesky_psd, the dead row of
+        # a singular member included
+        S = self.good_stack()
+        S[1] = with_dead_row(wishart(4, 6, rank=2), 0)
+        S = np.concatenate([S, wishart(4, 7, rank=1)[None]])
+        jitters = self.assert_members_factor_as_cholesky_psd(S)
+        assert jitters[1] > 0.0 and jitters[-1] > 0.0 and jitters[0] == 0.0
+        # the jitter steps come from the live diagonal: the dead row's unit
+        # stand-in neither counts nor gets jitter
+        d = np.diag(S[1])
+        base = 1e-14 * d.sum() / np.count_nonzero(d)
+        assert jitters[1] in [base * 10.0 ** k for k in range(sampler._MAX_JITTER_STEPS + 1)]
+        L = cholesky_psd(S[1])[0]
+        assert np.abs(L @ L.T - (S[1] + jitters[1] * np.diag(d > 0.0))).max() < 1e-12
+
+    NAN = np.nan
+    DEFECTS = {
+        "non-finite": [[1.0, NAN, 0.0, 0.0], [NAN, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        "asymmetric": [[1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        "negative diagonal": np.diag([1.0, -1.0, 1.0, 1.0]),
+        "coupled dead rows": [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        "not PSD": [[1.0, 2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+    }
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("defect", list(DEFECTS))
+    def test_defective_member_raises_as_cholesky_psd(self, defect, at):
+        bad = np.array(self.DEFECTS[defect], dtype=float)
+        with pytest.raises((ValueError, np.linalg.LinAlgError)) as want:
+            cholesky_psd(bad)
+        S = self.good_stack()
+        S[at] = bad
+        with pytest.raises(type(want.value)) as got:
+            sampler._factor_psd(S, owned=True)
+        assert str(got.value) == str(want.value)
+
+
 # path 5 of stream (master 77, mode 2) at n = 8 in format v3; the tolerance
 # only admits last-bit differences of the ziggurat's exp/log tail on other CPUs
 V3_FROZEN = [-0.02646500343339521, 1.1727850157327562, -0.8038219782311298,
@@ -429,20 +507,26 @@ class TestStreams:
         model = one_mode_model()
         grid = TimeGrid(np.array([0.0, 0.5, 1.0, 2.0]))
         want = sample_modes(model, grid, 257, SeedSpec(6))
-        draw = sampler._stream_normals
+        make = sampler._mode_stream
         padding = []
 
-        def poisoned(master, mode, out, path=0):
-            draw(master, mode, out, path)
-            pad = out.base[out.shape[0]:]
-            padding.append(pad.shape[0])
-            assert np.all(pad == 0.0)
-            pad[:] = np.nan
-            return out
+        class Poisoned:
+            # each block's draw fills the leading rows of the mode's
+            # (256, n) slice of the block buffer
+            def __init__(self, master, mode):
+                self.stream = make(master, mode)
 
-        monkeypatch.setattr(sampler, "_stream_normals", poisoned)
+            def standard_normal(self, out):
+                self.stream.standard_normal(out=out)
+                pad = out.base.reshape(-1, out.shape[1])[out.shape[0]:]
+                padding.append(pad.shape[0])
+                assert np.all(pad == 0.0)
+                pad[:] = np.nan
+                return out
+
+        monkeypatch.setattr(sampler, "_mode_stream", Poisoned)
         got = sample_modes(model, grid, 257, SeedSpec(6))
-        assert padding == [255]
+        assert padding == [0, 255]
         assert np.array_equal(got, want)
 
     def test_distinct_streams(self):
@@ -526,6 +610,64 @@ class TestSampleModes:
         model = one_mode_model(gamma=0.5)
         with pytest.raises(ValueError):
             sample_modes(model, TimeGrid(np.array([0.0, 0.5])), 1, SeedSpec(0))
+
+
+def reference_modes(model, grid, n_paths, seed):
+    """sample_modes one mode at a time: cholesky_psd of each Gram, the
+    mode's whole stream in one draw and one product per 256-path block."""
+    n, block = grid.n, sampler._PATH_BLOCK
+    n_blocks = -(-n_paths // block)
+    out = np.empty((n_paths, model.J, n))
+    for j0, stack in mode_grams(model, grid):
+        for j, G in enumerate(stack, start=j0):
+            L = cholesky_psd(G)[0]
+            Z = np.zeros((n_blocks * block, n))
+            _stream_normals(seed.master, j, Z[:n_paths])
+            out[:, j] = (Z.reshape(n_blocks, block, n) @ L.T).reshape(-1, n)[:n_paths]
+    return out
+
+
+def underflow_model():
+    # at t_1 = 1e-60 the variance of modes 1-3 is subnormal and that of
+    # mode 4 underflows to 0: one stack, different dead rows
+    b = build_basis(1, PI, 0.0, 4)
+    return SpectralModel(basis=b, basis_tilde=b, alpha=20.0, beta=1.0, gamma=3.0, T=5.0)
+
+
+class TestSampleModesAgainstPerModeLoop:
+    """The stacked factor and per-block products against one mode at a time."""
+
+    CASES = {
+        # 12 modes per stack and 3 per product: stacks of 12 and 8, groups
+        # of 3, 3, 3, 3 and 3, 3, 2
+        "several stacks": (lambda: spread_model(J=20, beta=0.5), TimeGrid.uniform(0.0, 3.0, 63),
+                           3 * 256 * 64),
+        "jittered stack": (lambda: spread_model(J=3, gamma=8.0), TimeGrid.uniform(0.0, 1.0, 120), None),
+        "dead rows differ": (underflow_model, TimeGrid(np.array([0.0, 1e-60, 1.0])), None),
+        "t_0 > 0": (lambda: spread_model(J=5), TimeGrid.uniform(0.5, 2.0, 7), None),
+    }
+
+    @pytest.mark.parametrize("n_paths", [1, 256, 257, 4097])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bit_identical(self, monkeypatch, case, n_paths):
+        make, grid, entries = self.CASES[case]
+        if entries is not None:
+            monkeypatch.setattr(sampler, "_STACK_ENTRIES", entries)
+        model = make()
+        got = sample_modes(model, grid, n_paths, SeedSpec(19))
+        assert got.tobytes() == reference_modes(model, grid, n_paths, SeedSpec(19)).tobytes()
+
+    def test_cases_cover_their_shapes(self, monkeypatch):
+        make, grid, entries = self.CASES["several stacks"]
+        monkeypatch.setattr(sampler, "_STACK_ENTRIES", entries)
+        assert [len(S) for _, S in mode_grams(make(), grid)] == [12, 8]
+        monkeypatch.undo()
+        make, grid, _ = self.CASES["jittered stack"]
+        (_, S), = mode_grams(make(), grid)
+        assert np.all(sampler._factor_psd(S, owned=True)[1] > 0.0)
+        make, grid, _ = self.CASES["dead rows differ"]
+        (_, S), = mode_grams(make(), grid)
+        assert np.all(S[:3, 1, 1] > 0.0) and S[3, 1, 1] == 0.0
 
 
 class TestAssembleField:
