@@ -6,13 +6,15 @@ containing t = 0 make the matrix singular by construction) and applied to
 independent standard normals. All J modes share gamma and the grid, so
 their Gram matrices are built together: mode_grams yields them as (B, n, n)
 stacks of consecutive modes, each of at most _STACK_ENTRIES entries (gram
-is the one-mode case), and cholesky_psd returns each factor together with
-the jitter it needed. Normals come from counter-based streams in format v3
-(STREAM_FORMAT): one Philox4x64 stream per mode, keyed by (master seed, mode
-index), read sequentially by numpy's ziggurat normal sampler, path after
-path. Only the paths asked for are drawn, all in one call per mode, and for
-a fixed numpy build and BLAS thread count output is bit-identical across
-reruns and path-count prefixes. Across BLAS thread counts it is
+is the one-mode case), and each stack is factored by one stacked LAPACK
+call (cholesky_psd is the one-matrix case, and returns the factor together
+with the jitter it needed). Normals come from counter-based streams in
+format v3 (STREAM_FORMAT): one Philox4x64 stream per mode, keyed by (master
+seed, mode index), read sequentially by numpy's ziggurat normal sampler,
+path after path. Only the paths asked for are drawn, 256 paths at a time,
+and each such block of a group of modes goes through one stacked product.
+For a fixed numpy build and BLAS thread count output is bit-identical
+across reruns and path-count prefixes. Across BLAS thread counts it is
 bit-identical only on short grids: Gram matrices are, but LAPACK potrf
 threads the factorization of long ones (with OpenBLAS 0.3.31 on 2 cores,
 factors under 1 and 2 threads first differ at 128 points).
@@ -143,7 +145,7 @@ STREAM_FORMAT = ("v3: Philox4x64 key (master, mode index), numpy Generator.stand
                  "(ziggurat), path-major: path p takes normals [p*n_times, (p+1)*n_times)")
 
 
-def _mode_stream(master: int, mode: int) -> np.random.Generator:
+def _mode_stream(master: int, mode: int):
     """The normal stream of one mode in stream format v3 (see
     STREAM_FORMAT), at its start: Philox4x64 keyed by (master, mode)."""
     return np.random.Generator(np.random.Philox(key=[master, mode]))
