@@ -5,10 +5,10 @@ times against the limiting curve, for a few fractional orders. The gap decays
 like e^{-2 mu t}, so double precision saturates around t ~ 40 / mu.
 """
 
-import csv
 import sys
 
 from stwm import ModeKernel, mode_cov, temporal_matern_limit
+from stwm.fieldfile import write_csv
 
 GAMMAS = [0.75, 1.0, 1.5, 2.5]
 BASE_TIMES = [1.0, 2.0, 5.0, 10.0, 20.0, 40.0]
@@ -17,15 +17,16 @@ MU = 1.0
 
 out = sys.argv[1] if len(sys.argv) > 1 else "temporal_matern_study.csv"
 
-with open(out, "w", newline="") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(["gamma", "t", "h", "cov", "limit", "gap"])
+
+def rows():
     for g in GAMMAS:
         k = ModeKernel(mu=MU, weight=1.0, gamma=g)
         for h in LAGS:
             lim = temporal_matern_limit(g, MU, h)
             for t in BASE_TIMES:
                 q = mode_cov(k, t, t + h)
-                writer.writerow([g, t, h, f"{q:.17g}", f"{lim:.17g}", f"{q - lim:.3e}"])
+                yield g, t, h, q, lim, q - lim
 
+
+write_csv(out, ("gamma", "t", "h", "cov", "limit", "gap"), rows())
 print(f"wrote {out}")

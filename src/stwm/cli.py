@@ -2,13 +2,14 @@
 
 Subcommands: basis, sample, cov, limits, regularity, holder. Configuration
 comes from a JSON document (--config). `main` loads it and builds the model
-once, refuses gamma <= 1/2 (model invalid) for the subcommands that need a
-finite-variance solution (sample, cov, limits, holder), and passes
-(args, doc, model) to the subcommand. Tables are written and numbers printed
-through fieldfile.write_csv and fieldfile.format_number. Randomized
-subcommands print their full seed record so any run can be replayed. Exit
-codes: 0 ok / condition satisfied, 1 condition unsatisfied, 2 config error,
-3 model invalid (existence condition violated), 4 numerical failure.
+once (spectral.load_config, spectral.model_from_dict), refuses gamma <= 1/2
+(model invalid) for the subcommands that need a finite-variance solution
+(sample, cov, limits, holder), and passes (args, doc, model) to the
+subcommand. Tables are written and numbers printed through
+fieldfile.write_csv and fieldfile.format_number. Randomized subcommands
+print their full seed record so any run can be replayed. Exit codes: 0 ok /
+condition satisfied, 1 condition unsatisfied, 2 config error, 3 model
+invalid (existence condition violated), 4 numerical failure.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from .fieldfile import format_number, write_csv
 from .kernel import stationary_variance, temporal_matern_limit
 from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, TimeGrid, gram, sample_field
 from .spectral import (ConfigError, SpectralModel, as_points, config_float, config_int,
-                       model_from_dict, mode_params, weyl_ratio)
+                       load_config, model_from_dict, mode_params, weyl_ratio)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -34,28 +35,6 @@ EXIT_NUMERICAL = 4
 
 class ModelInvalid(RuntimeError):
     pass
-
-
-def _load_config(path) -> dict:
-    if path is None:
-        raise ConfigError("--config", "a config file is required")
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("--config", f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("--config", f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    return doc
-
-
-def _model_from_config(doc: dict) -> SpectralModel:
-    model_doc = doc.get("model", doc)
-    if not isinstance(model_doc, dict):
-        raise ConfigError("model", "must be a JSON object")
-    return model_from_dict(model_doc)
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -100,10 +79,7 @@ def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
         if n < 1:
             raise ConfigError("space.lattice", f"must be >= 1, got {n}")
         axes = [np.linspace(0.0, ell, n + 2)[1:-1] for ell in model.basis.extents]
-        if model.d == 1:
-            return axes[0][:, None]
-        xx, yy = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     raise ConfigError("space", "must contain 'points' or 'lattice'")
 
 
@@ -314,8 +290,10 @@ _NEED_FINITE_VARIANCE = ("sample", "cov", "limits", "holder")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = _load_config(args.config)
-        model = _model_from_config(doc)
+        if args.config is None:
+            raise ConfigError("--config", "a config file is required")
+        doc = load_config(args.config)
+        model = model_from_dict(doc)
         if args.command in _NEED_FINITE_VARIANCE and not model.gamma > 0.5:
             raise ModelInvalid(f"{args.command} requires gamma > 1/2, got gamma={model.gamma}")
         return _COMMANDS[args.command](args, doc, model)

@@ -27,9 +27,7 @@ FORMAT_VERSION = 1
 def write_field(path, sample: FieldSample) -> None:
     values = np.ascontiguousarray(sample.values, dtype="<f8")
     n_paths, n_times, n_points = values.shape
-    pts = np.ascontiguousarray(np.atleast_2d(sample.space_points), dtype="<f8")
-    if pts.shape[0] != n_points:
-        pts = pts.T
+    pts = np.ascontiguousarray(sample.space_points, dtype="<f8")
     d = pts.shape[1]
     times = np.ascontiguousarray(sample.times.points, dtype="<f8")
     with open(path, "wb") as fh:
@@ -77,13 +75,9 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(map(format_number, row)) + "\n")
 
 
-def _point_label(coords) -> str:
-    return "x" + "_".join(map(format_number, np.atleast_1d(coords)))
-
-
 def write_field_csv(path, sample: FieldSample) -> None:
     """One row per (path, time); one column per space point."""
-    pts = np.atleast_2d(sample.space_points)
-    write_csv(path, ["path", "time", *(_point_label(p) for p in pts)],
+    labels = ("x" + "_".join(map(format_number, p)) for p in sample.space_points)
+    write_csv(path, ["path", "time", *labels],
               ((p, t, *sample.values[p, it]) for p in range(sample.values.shape[0])
                for it, t in enumerate(sample.times.points)))

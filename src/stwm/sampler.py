@@ -121,11 +121,15 @@ class FieldSample:
     Arrays are frozen: samples are safe to share across threads."""
 
     times: TimeGrid
-    space_points: np.ndarray
+    space_points: np.ndarray  # (n_points, d), one point per row as spectral.as_points gives
     values: np.ndarray  # (n_paths, n_times, n_points)
     seed_record: tuple | None = None  # (master seed, first path index)
 
     def __post_init__(self):
+        pts, vals = np.shape(self.space_points), np.shape(self.values)
+        if len(pts) != 2 or len(vals) != 3 or pts[0] != vals[2]:
+            raise ValueError(f"space_points must have shape (n_points, d) to match values of shape "
+                             f"(n_paths, n_times, n_points), got {pts} and {vals}")
         for arr in (self.space_points, self.values):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
@@ -497,9 +501,9 @@ def assemble_field(mode_paths: np.ndarray, basis: EigenBasis, space_points,
         raise ValueError(f"mode_paths must have shape (n_paths, J, n_times), got {mode_paths.shape}")
     if mode_paths.shape[1] != basis.J:
         raise ValueError(f"mode count {mode_paths.shape[1]} does not match basis J={basis.J}")
-    E = evaluate_basis(basis, space_points)  # (P, J)
-    values = np.swapaxes(mode_paths, 1, 2) @ E.T
     pts = as_points(space_points, basis.d)
+    E = evaluate_basis(basis, pts)  # (P, J)
+    values = np.swapaxes(mode_paths, 1, 2) @ E.T
     if times is None:
         times = TimeGrid(np.arange(mode_paths.shape[2], dtype=float))
     return FieldSample(times=times, space_points=pts, values=values, seed_record=seed_record)

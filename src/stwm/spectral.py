@@ -24,6 +24,7 @@ __all__ = [
     "evaluate_basis",
     "weyl_ratio",
     "mode_params",
+    "load_config",
     "model_from_dict",
     "model_from_json",
     "model_to_dict",
@@ -61,14 +62,14 @@ def build_basis(d: int, extents, kappa2: float, J: int) -> EigenBasis:
         raise ValueError(f"J must be >= 1, got {J}")
     if J > MAX_MODES:
         raise ValueError(f"J={J} exceeds the supported cap {MAX_MODES}")
-    if kappa2 < 0.0:
-        raise ValueError(f"kappa2 must be >= 0, got {kappa2}")
+    if not (kappa2 >= 0.0 and math.isfinite(kappa2)):
+        raise ValueError(f"kappa2 must be finite and >= 0, got {kappa2}")
     if np.isscalar(extents):
         extents = (float(extents),) * d
     else:
         extents = tuple(float(e) for e in extents)
-    if len(extents) != d or any(e <= 0.0 for e in extents):
-        raise ValueError(f"extents must be {d} positive lengths, got {extents}")
+    if len(extents) != d or not all(e > 0.0 and math.isfinite(e) for e in extents):
+        raise ValueError(f"extents must be {d} finite positive lengths, got {extents}")
 
     if d == 1:
         js = np.arange(1, J + 1)
@@ -103,7 +104,7 @@ def evaluate_basis(basis: EigenBasis, points) -> np.ndarray:
         raise ValueError(f"points must have {basis.d} coordinates, got shape {pts.shape}")
     for axis, ell in enumerate(basis.extents):
         coord = pts[:, axis]
-        if np.any(coord <= 0.0) or np.any(coord >= ell):
+        if not np.all((coord > 0.0) & (coord < ell)):
             raise ValueError(f"points must lie inside the open domain (0, {ell}) along axis {axis}")
     idx = np.asarray(basis.index_map)  # (J, d)
     out = np.ones((pts.shape[0], basis.J))
@@ -149,10 +150,10 @@ class SpectralModel:
         b, bt = self.basis, self.basis_tilde
         if (b.d, b.extents, b.J, b.index_map) != (bt.d, bt.extents, bt.J, bt.index_map):
             raise ValueError("basis and basis_tilde must share dimension, extents, J and index map")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (self.beta >= 0.0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if not self.T > 0.0:
@@ -214,12 +215,32 @@ def _checked(doc: dict, name: str, predicate, message: str, read=config_float):
     return value
 
 
+def load_config(path) -> dict:
+    """The JSON object in file `path`. A missing file, invalid JSON or a
+    root that is not an object is a ConfigError; the first two name the
+    field '--config', the CLI option that passes `path`."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError("--config", f"no such file: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError("--config", f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("<root>", "config must be a JSON object")
+    return doc
+
+
 def model_from_dict(doc: dict) -> SpectralModel:
-    """Build a SpectralModel from a configuration mapping with fields
-    {d, extents, kappa2, kappa2_tilde, J, alpha, beta, gamma, T}.
+    """Build a SpectralModel from a bare model document with fields
+    {d, extents, kappa2, kappa2_tilde, J, alpha, beta, gamma, T}, or from a
+    run configuration whose "model" member is one.
 
     d and J are read by config_int, the other fields by config_float.
     Raises ConfigError naming the first offending field."""
+    doc = doc.get("model", doc)
+    if not isinstance(doc, dict):
+        raise ConfigError("model", "must be a JSON object")
     for name in _MODEL_FIELDS:
         if name not in doc:
             raise ConfigError(name, "missing")
@@ -244,11 +265,9 @@ def model_from_dict(doc: dict) -> SpectralModel:
 
 
 def model_from_json(path) -> SpectralModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "config document must be a JSON object")
-    return model_from_dict(doc)
+    """The model of the bare model document or run configuration in file
+    `path`; every defect is a ConfigError, as for `stwm --config`."""
+    return model_from_dict(load_config(path))
 
 
 def model_to_dict(model: SpectralModel) -> dict:

@@ -146,6 +146,12 @@ class TestFieldCov:
         want = mode_cov(k, s, t) * e[0, 0] * e[1, 0]
         assert abs(got.value - want) < 1e-12
 
+    def test_nan_point_rejected(self):
+        m = make_model(alpha=1.0, J=8)
+        for x, y in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="open domain"):
+                field_cov(m, 1.0, 1.0, x, y)
+
     def test_tail_bound_dominates_extension(self):
         # enlarging J moves mass from the bound into the partial sum
         mJ = make_model(alpha=1.0, J=16)

@@ -936,6 +936,19 @@ def test_2d_field_variance_consistency():
     assert abs(emp - want) <= 4.0 * se
 
 
+@pytest.mark.parametrize("pts", [np.array([0.7, 1.1]), np.array([[0.7, 1.1]]),
+                                 np.array([[[0.7]], [[1.1]]])], ids=["1d", "transposed", "3d"])
+def test_field_sample_rejects_points_not_one_per_row(pts):
+    with pytest.raises(ValueError, match="n_points, d"):
+        FieldSample(times=TimeGrid(np.array([0.0, 1.0])), space_points=pts,
+                    values=np.zeros((1, 2, 2)))
+
+
+def test_sample_field_rejects_nan_point():
+    with pytest.raises(ValueError, match="open domain"):
+        sample_field(one_mode_model(), TimeGrid.uniform(0.0, 1.0, 2), [math.nan], 3, SeedSpec(1))
+
+
 def test_field_sample_immutable_record():
     fs = FieldSample(times=TimeGrid(np.array([0.0, 1.0])), space_points=np.array([[1.0]]),
                      values=np.zeros((1, 2, 1)), seed_record=(3, 0))

@@ -76,6 +76,13 @@ class TestBuildBasis:
             build_basis(1, -PI, 0.0, 4)
         with pytest.raises(ValueError):
             build_basis(1, PI, 0.0, 10 ** 7 + 1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                build_basis(1, PI, bad, 4)
+            with pytest.raises(ValueError):
+                build_basis(1, bad, 0.0, 4)
+            with pytest.raises(ValueError):
+                build_basis(2, (PI, bad), 0.0, 4)
 
     def test_eigenvalues_read_only(self):
         b = build_basis(1, PI, 0.0, 4)
@@ -118,9 +125,11 @@ class TestEvaluateBasis:
 
     def test_outside_domain_rejected(self):
         b = build_basis(1, PI, 0.0, 2)
-        for bad in (0.0, PI, -0.1, 4.0):
+        for bad in (0.0, PI, -0.1, 4.0, math.nan):
             with pytest.raises(ValueError):
                 evaluate_basis(b, [bad])
+        with pytest.raises(ValueError, match="axis 1"):
+            evaluate_basis(build_basis(2, (PI, PI), 0.0, 2), [(1.0, math.nan)])
 
 
 class TestWeylRatio:
@@ -183,7 +192,9 @@ class TestSpectralModel:
         assert m.basis_tilde.eigenvalues[0] == m.basis.eigenvalues[0] + 2.0
 
     def test_parameter_validation(self):
-        for kw in ({"alpha": -1.0}, {"beta": -0.5}, {"gamma": 0.0}, {"T": 0.0}):
+        for kw in ({"alpha": -1.0}, {"beta": -0.5}, {"gamma": 0.0}, {"T": 0.0},
+                   {"alpha": math.nan}, {"alpha": math.inf}, {"beta": math.nan},
+                   {"beta": math.inf}):
             with pytest.raises(ValueError):
                 make_model(**kw)
 
@@ -200,6 +211,24 @@ class TestModelConfig:
         assert np.array_equal(m.basis.eigenvalues, m2.basis.eigenvalues)
         assert (m2.alpha, m2.beta, m2.gamma, m2.T) == (1.0, 1.0, 1.2, 5.0)
         assert m2.basis_tilde.kappa2 == 1.0
+
+    def test_json_reads_full_run_config(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": self.DOC, "grid": {"t_start": 0.0, "t_end": 1.0,
+                                                                 "steps": 4}}))
+        m = model_from_json(path)
+        assert (m.J, m.gamma, m.basis_tilde.kappa2) == (8, 1.2, 1.0)
+
+    @pytest.mark.parametrize("text,field", [
+        (None, "--config"), ("{not json", "--config"), ("[1, 2]", "<root>"),
+        ('{"model": 3}', "model"),
+    ], ids=["missing-file", "invalid-json", "list-root", "model-not-object"])
+    def test_json_defects_are_config_errors(self, tmp_path, text, field):
+        path = tmp_path / "run.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            model_from_json(path)
 
     def test_missing_field_named(self):
         doc = dict(self.DOC)
