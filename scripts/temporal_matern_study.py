@@ -2,12 +2,16 @@
 
 Writes temporal_matern_study.csv with the exact covariance at increasing base
 times against the limiting curve, for a few fractional orders. The gap decays
-like e^{-2 mu t}, so double precision saturates around t ~ 40 / mu.
+like e^{-2 mu t}, so double precision saturates around t ~ 40 / mu. The
+covariances are read from one gram per (gamma, h), on the grid of the base
+times t and t + h.
 """
 
 import sys
 
-from stwm import ModeKernel, mode_cov, temporal_matern_limit
+import numpy as np
+
+from stwm import ModeKernel, TimeGrid, gram, temporal_matern_limit
 from stwm.fieldfile import write_csv
 
 GAMMAS = [0.75, 1.0, 1.5, 2.5]
@@ -23,8 +27,10 @@ def rows():
         k = ModeKernel(mu=MU, weight=1.0, gamma=g)
         for h in LAGS:
             lim = temporal_matern_limit(g, MU, h)
+            times = np.unique(BASE_TIMES + [t + h for t in BASE_TIMES])
+            G = gram(k, TimeGrid(times))
             for t in BASE_TIMES:
-                q = mode_cov(k, t, t + h)
+                q = G[np.searchsorted(times, t), np.searchsorted(times, t + h)]
                 yield g, t, h, q, lim, q - lim
 
 

@@ -171,16 +171,17 @@ def variance_series_exponent(model: SpectralModel) -> float:
 def field_gram(model: SpectralModel, grid: TimeGrid, x, y) -> np.ndarray:
     """Truncated field covariance matrix [Cov(X(t_i, x), X(t_k, y))]_{ik},
     the sum over modes j = 1..J, in order, of e_j(x) e_j(y) times mode j's
-    Gram matrix, taken from the stacks of sampler.mode_grams. Warns
-    when the variance series fails the growth test."""
-    if variance_series_exponent(model) >= -1.0:
-        warnings.warn("field variance series fails the eigenvalue-growth summability test; "
-                      "the covariance is the truncated sum", RuntimeWarning, stacklevel=2)
+    Gram matrix, taken from the stacks of sampler.mode_grams. Warns,
+    once the Grams are built, when the variance series fails the growth
+    test."""
     coeffs = evaluate_basis(model.basis, [x])[0] * evaluate_basis(model.basis, [y])[0]
     out = np.zeros((grid.n, grid.n))
     for j0, stack in mode_grams(model, grid):
         for c, G in zip(coeffs[j0:], stack):
             out += c * G
+    if variance_series_exponent(model) >= -1.0:
+        warnings.warn("field variance series fails the eigenvalue-growth summability test; "
+                      "the covariance is the truncated sum", RuntimeWarning, stacklevel=2)
     return out
 
 
@@ -189,18 +190,17 @@ def field_cov(model: SpectralModel, s: float, t: float, x, y) -> FieldCov:
     the grid {s, t}), with a tail bound from the stationary-variance majorant
     of |q_j| and the measured eigenvalue growth constants. The bound is
     infinite when the variance series fails the growth test."""
-    if not model.gamma > 0.5:
-        raise ValueError(f"field_cov requires gamma > 1/2, got {model.gamma}")
     if min(s, t) < 0.0:
         raise ValueError(f"field_cov requires s, t >= 0, got ({s}, {t})")
+    # |q_j| <= stationary_constant * (the variance series' j-th term), which
+    # is hs_sum's term at n = tau = sigma = 0; stationary_constant raises for
+    # gamma <= 1/2, also at s = 0
+    bound = stationary_constant(model.gamma) * _sup_basis_bound(model) \
+        * hs_sum(model, RegularityQuery()).tail
     if min(s, t) == 0.0:
         return FieldCov(value=0.0, tail_bound=0.0)
     total = float(field_gram(model, TimeGrid(np.unique([s, t])), x, y)[0, -1])
-    # |q_j| <= stationary_constant * (the variance series' j-th term), which
-    # is hs_sum's term at n = tau = sigma = 0
-    tail = hs_sum(model, RegularityQuery()).tail
-    return FieldCov(value=total,
-                    tail_bound=stationary_constant(model.gamma) * _sup_basis_bound(model) * tail)
+    return FieldCov(value=total, tail_bound=bound)
 
 
 class AsymptoticCoefficients(NamedTuple):
@@ -213,8 +213,6 @@ def asymptotic_marginal_cov(model: SpectralModel) -> AsymptoticCoefficients:
     operator: stationary variances, together with the closed-form expression
     c * lambda_j^{beta (1 - 2 gamma)} lambda_tilde_j^{-alpha}. The two routes
     agree to ~1e-12 relative."""
-    if not model.gamma > 0.5:
-        raise ValueError(f"asymptotic_marginal_cov requires gamma > 1/2, got {model.gamma}")
     coeffs = np.array([stationary_variance(mode_params(model, j)) for j in range(1, model.J + 1)])
     g = model.gamma
     power = stationary_constant(g) * model.basis.eigenvalues ** (model.beta * (1.0 - 2.0 * g)) \
@@ -292,8 +290,6 @@ def estimate_holder(k: ModeKernel, t0: float, lags) -> HolderEstimate:
     (0, 1/4] with t0 + lags[0] != t0. Increments below 1e-10 q(t0, t0), mostly
     rounding, raise ArithmeticError.
     """
-    if not k.gamma > 0.5:
-        raise ValueError(f"estimate_holder requires gamma > 1/2, got {k.gamma}")
     if not (math.isfinite(t0) and t0 >= 1.0):
         raise ValueError(f"t0 must be finite and >= 1, got {t0}")
     hs = np.sort(np.unique(np.asarray(lags, dtype=float)))

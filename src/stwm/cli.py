@@ -182,10 +182,11 @@ def cmd_limits(args, doc: dict, model: SpectralModel) -> int:
     lags = _config_list(opts.get("lags", list(np.geomspace(1e-2, 4.0, 25))), "limits.lags")
     if not all(isinstance(h, float) and h >= 0.0 for h in lags):
         raise ConfigError("limits.lags", f"must be a list of numbers >= 0, got {lags!r}")
+    # computed before any file is written: a mode's rate or weight may overflow
+    stat = [stationary_variance(mode_params(model, j)) for j in range(1, model.J + 1)]
     out = _out_dir(args)
     stat_path = out / "limits_stationary.csv"
-    write_csv(stat_path, ("j", "stationary_var"),
-              ((j, stationary_variance(mode_params(model, j))) for j in range(1, model.J + 1)))
+    write_csv(stat_path, ("j", "stationary_var"), enumerate(stat, start=1))
     temp_path = out / "limits_temporal.csv"
     write_csv(temp_path, ("h", "matern_value"),
               ((h, temporal_matern_limit(model.gamma, kappa, h)) for h in lags))

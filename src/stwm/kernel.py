@@ -51,9 +51,11 @@ class ModeKernel:
     """One eigenmode's temporal law: decay rate mu = lambda^beta, noise weight
     w = lambda_tilde^{-alpha}, fractional order gamma.
 
-    gamma > 1/2 is required by every operation touching pointwise variances
-    (finite-variance condition with delta = 0 at mode level); the lagged
-    covariance alone is defined for all gamma > 0.
+    All three are finite and positive. gamma > 1/2, the finite-variance
+    condition with delta = 0 at mode level, is required by every pointwise
+    variance and checked where they are formed, by _variance_rows and
+    stationary_constant; the lagged covariance alone is defined for all
+    gamma > 0.
     """
 
     mu: float
@@ -61,12 +63,10 @@ class ModeKernel:
     gamma: float
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError(f"ModeKernel requires mu > 0, got {self.mu}")
-        if not self.weight > 0.0:
-            raise ValueError(f"ModeKernel requires weight > 0, got {self.weight}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"ModeKernel requires gamma > 0, got {self.gamma}")
+        for name in ("mu", "weight", "gamma"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"ModeKernel requires finite {name} > 0, got {value}")
 
 
 def _dyadic_breaks(width: float, mu: float, p: float = 1.0):
@@ -197,10 +197,7 @@ def mode_var(k: ModeKernel, t):
     t = np.asarray(t, dtype=float)
     if (t < 0.0).any():
         raise ValueError(f"mode_var requires t >= 0, got {t[t < 0.0].flat[0]}")
-    g = k.gamma
-    if not g > 0.5:
-        raise ValueError(f"mode_var requires gamma > 1/2 (infinite variance), got {g}")
-    out = _variance_rows(g, [k.mu], [k.weight], t)[0]
+    out = _variance_rows(k.gamma, [k.mu], [k.weight], t)[0]
     return out if out.ndim else float(out)
 
 
@@ -208,7 +205,12 @@ def _variance_rows(g: float, mu, weight, t) -> np.ndarray:
     """mode_var at the times t (an array) of modes j = 0, 1, ... with decay
     rates mu[j] and weights weight[j], in one incomplete-gamma call; shape
     (len(mu),) + t.shape. Each mode's log prefactor is formed from Python
-    floats, so every row is bit-identical to that mode's mode_var."""
+    floats, so every row is bit-identical to that mode's mode_var.
+
+    This is the finite-variance gate of every variance and Gram: it raises
+    ValueError for g <= 1/2, where the variance is infinite."""
+    if not g > 0.5:
+        raise ValueError(f"pointwise variances require gamma > 1/2 (infinite variance), got {g}")
     a = 2.0 * g - 1.0
     two_mu = 2.0 * np.asarray(mu, dtype=float).reshape((-1,) + (1,) * np.ndim(t))
     log_pre = [math.log(w) - 2.0 * log_gamma(g) - a * math.log(two_mu_j)
@@ -218,16 +220,16 @@ def _variance_rows(g: float, mu, weight, t) -> np.ndarray:
 
 
 def stationary_constant(gamma: float) -> float:
-    """Gamma(g - 1/2) / (2 sqrt(pi) Gamma(g)), stationary_variance at w = mu = 1."""
+    """Gamma(g - 1/2) / (2 sqrt(pi) Gamma(g)), stationary_variance at w = mu = 1.
+    The gate of every stationary value: raises ValueError for gamma <= 1/2."""
+    if not gamma > 0.5:
+        raise ValueError(f"stationary variances require gamma > 1/2, got {gamma}")
     return math.exp(log_gamma(gamma - 0.5) - log_gamma(gamma)) / (2.0 * math.sqrt(math.pi))
 
 
 def stationary_variance(k: ModeKernel) -> float:
     """Limit of mode_var(k, t) as t -> infinity."""
-    g = k.gamma
-    if not g > 0.5:
-        raise ValueError(f"stationary_variance requires gamma > 1/2, got {g}")
-    return k.weight * stationary_constant(g) * k.mu ** (1.0 - 2.0 * g)
+    return k.weight * stationary_constant(k.gamma) * k.mu ** (1.0 - 2.0 * k.gamma)
 
 
 def temporal_matern_limit(gamma: float, kappa: float, h: float) -> float:
@@ -236,8 +238,6 @@ def temporal_matern_limit(gamma: float, kappa: float, h: float) -> float:
     specfun.matern_cov of the lag with smoothness gamma - 1/2, which is the
     continuous extension at h = 0.
     """
-    if not gamma > 0.5:
-        raise ValueError(f"temporal_matern_limit requires gamma > 1/2, got {gamma}")
     if not kappa > 0.0:
         raise ValueError(f"temporal_matern_limit requires kappa > 0, got {kappa}")
     return (stationary_variance(ModeKernel(mu=kappa, weight=1.0, gamma=gamma))
@@ -256,18 +256,21 @@ def square_function_ratio(k: ModeKernel, delta: float, cfg: QuadratureConfig = D
     """
     if delta < 0.0:
         raise ValueError(f"square_function_ratio requires delta >= 0, got {delta}")
-    g, mu = k.gamma, k.mu
-    p = 2.0 * (g - delta) - 1.0
-    if not p > 0.0:
-        raise ValueError(
-            f"square_function_ratio requires gamma > 1/2 + delta, got gamma={g}, delta={delta}")
-    return _lagged_integral(g - delta, mu, math.inf, 0.0, cfg) * mu ** p
+    p = _square_function_exponent(k.gamma, delta)
+    return _lagged_integral(k.gamma - delta, k.mu, math.inf, 0.0, cfg) * k.mu ** p
 
 
 def square_function_ratio_closed_form(gamma: float, delta: float) -> float:
     """Gamma(2 gamma - 2 delta - 1) / 2^{2 gamma - 2 delta - 1}."""
+    p = _square_function_exponent(gamma, delta)
+    return gamma_fn(p) / 2.0 ** p
+
+
+def _square_function_exponent(gamma: float, delta: float) -> float:
+    """p = 2 (gamma - delta) - 1, the square function's exponent, which must
+    be positive: raises ValueError unless gamma > 1/2 + delta."""
     p = 2.0 * (gamma - delta) - 1.0
     if not p > 0.0:
         raise ValueError(
             f"square_function_ratio requires gamma > 1/2 + delta, got gamma={gamma}, delta={delta}")
-    return gamma_fn(p) / 2.0 ** p
+    return p

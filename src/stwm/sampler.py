@@ -213,8 +213,6 @@ def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
     e^{-mu |t - s|} underflows are exactly 0, and modes whose every lagged
     factor underflows get no rule evaluations.
     """
-    if not g > 0.5:
-        raise ValueError(f"gram requires gamma > 1/2, got {g}")
     mu, weight = np.asarray(mu, dtype=float), np.asarray(weight, dtype=float)
     pts = grid.points
     n = pts.size
@@ -435,13 +433,6 @@ def _max_asymmetry(arr: np.ndarray) -> np.ndarray:
     return worst
 
 
-def _check_sampling_pre(model: SpectralModel, grid: TimeGrid):
-    if not model.gamma > 0.5:
-        raise ValueError(f"sampling requires gamma > 1/2, got {model.gamma}")
-    if grid.points[-1] > model.T:
-        raise ValueError(f"grid end {grid.points[-1]} exceeds the model horizon T={model.T}")
-
-
 def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedSpec) -> np.ndarray:
     """Sample mode paths, exact in law on the grid.
 
@@ -452,7 +443,8 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
     one counter-based stream, read 256 paths at a time, so output depends
     only on the SeedSpec (for a fixed numpy build and BLAS thread count).
     """
-    _check_sampling_pre(model, grid)
+    if grid.points[-1] > model.T:
+        raise ValueError(f"grid end {grid.points[-1]} exceeds the model horizon T={model.T}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     # modes per product: their normals for one block of paths fill at most

@@ -134,9 +134,10 @@ class SpectralModel:
     basis carries the dynamics operator (decay rates lambda_j^beta),
     basis_tilde the noise-coloring operator (weights lambda_tilde_j^{-alpha});
     both must share dimension, extents, mode count, and index map. gamma is
-    the fractional order of the parabolic operator, T the time horizon.
-    gamma > 1/2 is required before any sampling-type operation and is checked
-    there, not at construction.
+    the fractional order of the parabolic operator, T the time horizon; both
+    are finite and positive. gamma > 1/2, which every variance needs, is
+    checked where variances are formed (kernel._variance_rows and
+    kernel.stationary_constant), not at construction.
     """
 
     basis: EigenBasis
@@ -154,10 +155,10 @@ class SpectralModel:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (self.beta >= 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be finite and > 0, got {self.T}")
 
     @property
     def J(self) -> int:
@@ -170,12 +171,18 @@ class SpectralModel:
 
 def mode_params(model: SpectralModel, j: int) -> ModeKernel:
     """Temporal kernel of mode j (1-based): mu = lambda_j^beta,
-    w = lambda_tilde_j^{-alpha}, order gamma."""
+    w = lambda_tilde_j^{-alpha}, order gamma. A power that overflows a
+    double raises OverflowError naming the mode."""
     if not 1 <= j <= model.J:
         raise IndexError(f"mode index {j} out of range [1, {model.J}]")
-    lam = model.basis.eigenvalues[j - 1]
-    lam_t = model.basis_tilde.eigenvalues[j - 1]
-    return ModeKernel(mu=lam ** model.beta, weight=lam_t ** -model.alpha, gamma=model.gamma)
+    lam = float(model.basis.eigenvalues[j - 1])
+    lam_t = float(model.basis_tilde.eigenvalues[j - 1])
+    try:  # Python float powers raise on overflow where numpy's would warn
+        mu, weight = lam ** float(model.beta), lam_t ** -float(model.alpha)
+    except ArithmeticError:
+        raise OverflowError(f"mode {j}: decay rate lambda^beta = {lam}^{model.beta} or weight "
+                            f"lambda_tilde^-alpha = {lam_t}^-{model.alpha} overflows") from None
+    return ModeKernel(mu=mu, weight=weight, gamma=model.gamma)
 
 
 class ConfigError(ValueError):

@@ -291,6 +291,22 @@ class TestNumericalFailureExit:
         assert run_cli(["--config", str(p), "--out", str(tmp_path), "cov"]) == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sample", "cov", "limits"])
+    @pytest.mark.parametrize("model", [
+        {"beta": 400.0},                       # lambda_8^beta = 64^400
+        {"alpha": 100.0, "extents": 1000.0},   # every lambda_tilde^-alpha overflows
+    ], ids=["rate", "weight"])
+    def test_overflowing_mode_exit_4_writes_nothing(self, tmp_path, capsys, model, command):
+        doc = dict(BASE_CONFIG, grid={"t_start": 0.0, "t_end": 1.0, "steps": 2},
+                   cov={"mode": 8}, model=dict(BASE_CONFIG["model"], **model))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli(["--config", str(p), "--out", str(out), command]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: mode ") and "overflows" in err
+        assert not out.exists()
+
 
 class TestNoAdaptiveCalls:
     """gram, the analysis functions and the CLI use the fixed lagged-integral

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stwm.analysis import (asymptotic_marginal_cov, estimate_holder, field_cov, field_gram,
+                           separability_check)
 from stwm.kernel import (
     ModeKernel,
     _gauss_jacobi,
@@ -17,8 +20,9 @@ from stwm.kernel import (
     temporal_matern_limit,
 )
 from stwm.quadrature import QuadratureConfig, integrate
-from stwm.sampler import TimeGrid, gram
+from stwm.sampler import SeedSpec, TimeGrid, gram, mode_grams, sample_field, sample_modes
 from stwm.specfun import gamma_fn
+from stwm.spectral import SpectralModel, build_basis
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
 
@@ -87,6 +91,10 @@ class TestModeKernelType:
             ModeKernel(mu=1.0, weight=-1.0, gamma=1.0)
         with pytest.raises(ValueError):
             ModeKernel(mu=1.0, weight=1.0, gamma=0.0)
+        for bad in (math.inf, math.nan):
+            for kw in ({"mu": bad}, {"weight": bad}, {"gamma": bad}):
+                with pytest.raises(ValueError, match="finite"):
+                    ModeKernel(**dict(dict(mu=1.0, weight=1.0, gamma=1.0), **kw))
 
     def test_frozen(self):
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.0)
@@ -231,10 +239,6 @@ class TestModeVar:
         vs = [mode_var(k, t) for t in ts]
         assert np.all(np.diff(vs) >= 0.0)
 
-    def test_infinite_variance_signalled(self):
-        with pytest.raises(ValueError):
-            mode_var(ModeKernel(mu=1.0, weight=1.0, gamma=0.5), 1.0)
-
     def test_array_times_match_scalar_calls(self):
         # one array call gives each scalar call's value bit for bit, across
         # the series, continued-fraction and saturated ranges of 2 mu t
@@ -266,10 +270,6 @@ class TestStationaryVariance:
         for g in (0.75, 1.2, 2.0):
             k = ModeKernel(mu=1.0, weight=0.9, gamma=g)
             assert rel(mode_var(k, 60.0), stationary_variance(k)) < 1e-12
-
-    def test_requires_gamma_above_half(self):
-        with pytest.raises(ValueError):
-            stationary_variance(ModeKernel(mu=1.0, weight=1.0, gamma=0.5))
 
 
 class TestTemporalMaternLimit:
@@ -310,8 +310,6 @@ class TestTemporalMaternLimit:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            temporal_matern_limit(0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
             temporal_matern_limit(1.0, 0.0, 1.0)
 
 
@@ -344,6 +342,53 @@ class TestSquareFunctionRatio:
             square_function_ratio(ModeKernel(1.0, 1.0, 0.7), 0.2)
         with pytest.raises(ValueError):
             square_function_ratio_closed_form(0.7, 0.2)
+
+
+def gate_model(gamma):
+    # alpha = 0: the variance series diverges for gamma <= 1/2, so field_gram
+    # has a warning to give, and it must not come before the gate's error
+    b = build_basis(1, math.pi, 0.0, 3)
+    return SpectralModel(basis=b, basis_tilde=b, alpha=0.0, beta=1.0, gamma=gamma, T=2.0)
+
+
+GATE_GRID = TimeGrid(np.array([0.0, 0.5, 1.0]))
+
+# every public entry point that forms a variance, a Gram or a stationary value
+GATE_ENTRIES = {
+    "mode_var": lambda g: mode_var(ModeKernel(1.0, 1.0, g), 1.0),
+    "gram": lambda g: gram(ModeKernel(1.0, 1.0, g), GATE_GRID),
+    "mode_grams": lambda g: list(mode_grams(gate_model(g), GATE_GRID)),
+    "sample_modes": lambda g: sample_modes(gate_model(g), GATE_GRID, 2, SeedSpec(0)),
+    "sample_field": lambda g: sample_field(gate_model(g), GATE_GRID, [1.0], 2, SeedSpec(0)),
+    "field_gram": lambda g: field_gram(gate_model(g), GATE_GRID, 1.0, 2.0),
+    "field_cov": lambda g: field_cov(gate_model(g), 0.5, 1.0, 1.0, 2.0),
+    "field_cov_s0": lambda g: field_cov(gate_model(g), 0.0, 1.0, 1.0, 2.0),
+    "estimate_holder": lambda g: estimate_holder(ModeKernel(1.0, 1.0, g), 5.0, [2e-3, 1e-2]),
+    "separability_check": lambda g: separability_check(gate_model(g)),
+    "stationary_variance": lambda g: stationary_variance(ModeKernel(1.0, 1.0, g)),
+    "temporal_matern_limit": lambda g: temporal_matern_limit(g, 1.0, 0.5),
+    "asymptotic_marginal_cov": lambda g: asymptotic_marginal_cov(gate_model(g)),
+}
+
+
+class TestFiniteVarianceGate:
+    """gamma <= 1/2 raises at every entry point, from kernel._variance_rows or
+    kernel.stationary_constant (both messages read "variances require gamma >
+    1/2"), before any warning."""
+
+    @pytest.mark.parametrize("gamma", [0.4, 0.5])
+    @pytest.mark.parametrize("entry", list(GATE_ENTRIES))
+    def test_raises(self, entry, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"variances require gamma > 1/2"):
+                GATE_ENTRIES[entry](gamma)
+
+    @pytest.mark.parametrize("entry", list(GATE_ENTRIES))
+    def test_runs_above_gate(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            GATE_ENTRIES[entry](1.0)
 
 
 @given(st.floats(min_value=0.55, max_value=2.5),

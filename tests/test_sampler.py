@@ -97,10 +97,6 @@ class TestGram:
         G = gram(k, TimeGrid(np.array([0.0, 0.3, 1.1, 2.0])))
         assert np.array_equal(G, G.T)
 
-    def test_requires_gamma_above_half(self):
-        with pytest.raises(ValueError):
-            gram(ModeKernel(mu=1.0, weight=1.0, gamma=0.5), TimeGrid(np.array([0.0, 1.0])))
-
 
 def spread_model(J=64, beta=1.0, gamma=1.3, T=5.0):
     # (0, pi) with mu_j = j^(2 beta): with J = 64 the largest mu is 4096 at beta 1

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,20 @@ class TestSpectralModel:
         with pytest.raises(IndexError):
             mode_params(m, 5)
 
+    @pytest.mark.parametrize("kw,first_bad", [
+        ({"J": 8, "beta": 400.0}, 3),                  # lambda_3^beta = 9^400
+        ({"J": 8, "alpha": 100.0, "extents": 1000.0}, 1),  # lambda_tilde_1^-alpha ~ 1e500
+    ], ids=["rate", "weight"])
+    def test_overflowing_power_raises_naming_mode(self, kw, first_bad):
+        m = make_model(**kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            for j in range(1, first_bad):
+                mode_params(m, j)
+            for j in range(first_bad, m.J + 1):
+                with pytest.raises(OverflowError, match=f"mode {j}:"):
+                    mode_params(m, j)
+
     def test_mismatched_bases_rejected(self):
         with pytest.raises(ValueError):
             SpectralModel(basis=build_basis(1, PI, 0.0, 4),
@@ -194,7 +209,8 @@ class TestSpectralModel:
     def test_parameter_validation(self):
         for kw in ({"alpha": -1.0}, {"beta": -0.5}, {"gamma": 0.0}, {"T": 0.0},
                    {"alpha": math.nan}, {"alpha": math.inf}, {"beta": math.nan},
-                   {"beta": math.inf}):
+                   {"beta": math.inf}, {"gamma": math.nan}, {"gamma": math.inf},
+                   {"T": math.nan}, {"T": math.inf}):
             with pytest.raises(ValueError):
                 make_model(**kw)
 
