@@ -107,23 +107,36 @@ def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     The comparison exponent p = (4/d)[beta(n + tau + (1+sigma)/2) - beta gamma
     - alpha/2] decides convergence: the full series is finite iff p < -1, and
     the tail beyond J is bounded using the two-sided growth constants measured
-    on the resolved spectrum.
+    on the resolved spectrum. Powers are formed in log space, so a factor
+    that overflows alone still gives a finite product; a term, partial sum
+    or tail bound beyond the double range raises OverflowError naming it.
     """
     a, b, g = model.alpha, model.beta, model.gamma
     lam = model.basis.eigenvalues
     lam_t = model.basis_tilde.eigenvalues
     e1 = 2.0 * b * (q.sigma / 2.0 + q.n + q.tau + 0.5 - g)
-    terms = lam ** e1 * lam_t ** -a
+    with np.errstate(over="ignore"):
+        terms = np.exp(e1 * np.log(lam) - a * np.log(lam_t))
+    over = np.flatnonzero(terms == math.inf)
+    if over.size:
+        j = int(over[0])
+        raise OverflowError(f"mode {j + 1}: spectral-sum term lambda^{e1} lambda_tilde^-{a} = "
+                            f"{lam[j]}^{e1} {lam_t[j]}^-{a} overflows")
     partial = float(terms.sum())
+    if partial == math.inf:
+        raise OverflowError(f"spectral partial sum over {model.J} modes overflows")
     p = _spectral_exponent(model, q)
     if p >= -1.0:
         return HsSum(partial=partial, tail=math.inf, diverges=True, weyl_exponent=p)
     c_lo, c_hi = _growth_constants(model.basis)
     ct_lo, _ = _growth_constants(model.basis_tilde)
     c_sel = c_hi if e1 >= 0.0 else c_lo
-    const = c_sel ** e1 * ct_lo ** -a
-    tail = const * model.J ** (p + 1.0) / (-p - 1.0)
-    return HsSum(partial=partial, tail=float(tail), diverges=False, weyl_exponent=p)
+    try:
+        const = math.exp(e1 * math.log(c_sel) - a * math.log(ct_lo) + (p + 1.0) * math.log(model.J))
+    except OverflowError:
+        raise OverflowError(f"spectral tail bound: growth-constant term {c_sel}^{e1} {ct_lo}^-{a} "
+                            f"J^{p + 1.0} overflows") from None
+    return HsSum(partial=partial, tail=const / (-p - 1.0), diverges=False, weyl_exponent=p)
 
 
 def check_exponents(model: SpectralModel, q: RegularityQuery) -> RegularityReport:

@@ -228,8 +228,14 @@ def stationary_constant(gamma: float) -> float:
 
 
 def stationary_variance(k: ModeKernel) -> float:
-    """Limit of mode_var(k, t) as t -> infinity."""
-    return k.weight * stationary_constant(k.gamma) * k.mu ** (1.0 - 2.0 * k.gamma)
+    """Limit of mode_var(k, t) as t -> infinity. A power mu^(1 - 2 gamma)
+    beyond the double range raises OverflowError naming mu and gamma."""
+    c = stationary_constant(k.gamma)
+    try:
+        return k.weight * c * k.mu ** (1.0 - 2.0 * k.gamma)
+    except OverflowError:
+        raise OverflowError(f"stationary variance: mu^(1 - 2 gamma) with mu = {k.mu}, "
+                            f"gamma = {k.gamma} overflows") from None
 
 
 def temporal_matern_limit(gamma: float, kappa: float, h: float) -> float:

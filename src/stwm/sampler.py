@@ -8,11 +8,15 @@ their Gram matrices are built together: mode_grams yields them as (B, n, n)
 stacks of consecutive modes, each of at most _STACK_ENTRIES entries (gram
 is the one-mode case), and each stack is factored by one stacked LAPACK
 call (cholesky_psd is the one-matrix case, and returns the factor together
-with the jitter it needed). Normals come from counter-based streams in
-format v3 (STREAM_FORMAT): one Philox4x64 stream per mode, keyed by (master
-seed, mode index), read sequentially by numpy's ziggurat normal sampler,
-path after path. Only the paths asked for are drawn, 256 paths at a time,
-and each such block of a group of modes goes through one stacked product.
+with the jitter it needed). Normals come from streams in format v4
+(STREAM_FORMAT): one SFC64 stream per mode, seeded by numpy's SeedSequence
+spawn rule from (master seed, mode index), read sequentially by numpy's
+ziggurat normal sampler, path after path. A mode draws normals only for its
+live indices, those of positive variance: mode_var grows with t, so they
+are a suffix of the grid, and the dead ones (t = 0, or a variance that
+underflows) stay exact zeros and draw nothing. Only the paths asked for are
+drawn, 256 paths at a time, and each such block of a group of modes with
+one live suffix goes through one stacked product.
 For a fixed numpy build and BLAS thread count output is bit-identical
 across reruns and path-count prefixes. Across BLAS thread counts it is
 bit-identical only on short grids: Gram matrices are, but LAPACK potrf
@@ -93,18 +97,22 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Master seed for counter-based stream derivation (stream format v3).
+    """Master seed of the normal streams (stream format v4, see STREAM_FORMAT).
 
-    Mode j (0-based) draws from the Philox4x64 stream with key (master, j),
-    turned into standard normals by numpy's Generator.standard_normal (a
-    ziggurat, so the normals have no fixed bound) and read path-major: on
-    an n_times grid, path p takes normals p * n_times .. (p + 1) * n_times
-    - 1. For a fixed numpy build and BLAS thread count an identical SeedSpec
-    yields bit-identical output (across BLAS thread counts only on short
-    grids; see the module docstring), and the first m of n paths equal an
-    m-path run. Seeds recorded under the earlier formats v1 (key (master,
-    path << 32 | mode)) and v2 (Box-Muller on fixed-stride words) do not
-    replay.
+    Mode j (0-based) draws from the SFC64 stream seeded by
+    SeedSequence(master, spawn_key=(j,)), which is child j of
+    SeedSequence(master).spawn, turned into standard normals by numpy's
+    Generator.standard_normal (a ziggurat, so the normals have no fixed
+    bound). It draws only for its live indices, the suffix of the grid where
+    its variance is positive, and reads them path-major: with n_live of
+    them, path p takes normals p * n_live .. (p + 1) * n_live - 1, and a mode
+    with none draws nothing. For a fixed numpy build and BLAS thread count
+    an identical SeedSpec yields bit-identical output (across BLAS thread
+    counts only on short grids; see the module docstring), and the first m
+    of n paths equal an m-path run. Seeds recorded under the earlier formats
+    v1 (key (master, path << 32 | mode)), v2 (Box-Muller on fixed-stride
+    words) and v3 (Philox4x64 keyed by (master, mode), every index drawn) do
+    not replay.
     """
 
     master: int
@@ -145,31 +153,49 @@ _STACK_ENTRIES = 2 ** 16  # largest Gram stack built at once (512 kB), one mode 
 _RULE_ENTRIES = 256  # lagged integrals per rule call, one row's at least
 _TILE = 128  # side of the square blocks in which Gram matrices are transposed
 
-STREAM_FORMAT = ("v3: Philox4x64 key (master, mode index), numpy Generator.standard_normal "
-                 "(ziggurat), path-major: path p takes normals [p*n_times, (p+1)*n_times)")
+STREAM_FORMAT = ("v4: SFC64 seeded by SeedSequence(master, spawn_key=(mode index,)), numpy "
+                 "Generator.standard_normal (ziggurat), live indices only (the suffix of "
+                 "positive variance), path-major: path p takes normals [p*n_live, (p+1)*n_live)")
 
 
 def _mode_stream(master: int, mode: int):
-    """The normal stream of one mode in stream format v3 (see
-    STREAM_FORMAT), at its start: Philox4x64 keyed by (master, mode)."""
-    return np.random.Generator(np.random.Philox(key=[master, mode]))
+    """The normal stream of one mode in stream format v4 (see
+    STREAM_FORMAT), at its start: SFC64 seeded by child `mode` of
+    SeedSequence(master). numpy.random is reached only here, when a stream
+    is built, so importing the sampler does not load it."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(master, spawn_key=(mode,))))
 
 
 def _stream_normals(master: int, mode: int, out: np.ndarray, path: int = 0) -> np.ndarray:
-    """Fill out, a C-contiguous (n_paths, n) float array, with the standard
-    normals of paths path .. path + n_paths - 1 of one mode in stream format
-    v3 (see STREAM_FORMAT), and return it.
+    """Fill out, a C-contiguous (n_paths, n_live) float array, with the
+    standard normals of paths path .. path + n_paths - 1 of one mode in
+    stream format v4 (see STREAM_FORMAT), and return it. n_live is the
+    number of the mode's live indices; with none, nothing is drawn.
 
     The stream is sequential: the normals of the paths before `path` are
-    drawn into out and dropped, so a replay from path p costs p * n draws.
+    drawn into out and dropped, so a replay from path p costs p * n_live
+    draws.
     """
     if path < 0:
         raise ValueError(f"path index must be >= 0, got {path}")
+    if out.size == 0:
+        return out
     gen = _mode_stream(master, mode)
     flat, skip = out.reshape(-1), path * out.shape[1]
     for s in range(0, skip, flat.size):
         gen.standard_normal(out=flat[:min(flat.size, skip - s)])
     return gen.standard_normal(out=out)
+
+
+def _first_live(diag: np.ndarray) -> np.ndarray:
+    """Start of the live suffix of each factor diagonal along the last axis
+    of diag: the index of its first positive entry, or its length when
+    there is none. A factor's diagonal is positive exactly where its Gram's
+    is, and mode_var grows with t, so every later index is live too; a dead
+    index inside the suffix would have a zero factor column, and its normal
+    would add nothing."""
+    live = diag > 0.0
+    return np.where(live.any(axis=-1), live.argmax(axis=-1), diag.shape[-1])
 
 
 def gram(k: ModeKernel, grid: TimeGrid) -> np.ndarray:
@@ -437,11 +463,12 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
     """Sample mode paths, exact in law on the grid.
 
     Returns an array of shape (n_paths, J, n_times). Values at any t = 0 grid
-    point are exactly zero. The modes' Gram matrices come in stacks from
-    mode_grams, and each stack is factored in place by one stacked
-    _factor_psd call, as cholesky_psd factors each member. Each mode owns
-    one counter-based stream, read 256 paths at a time, so output depends
-    only on the SeedSpec (for a fixed numpy build and BLAS thread count).
+    point, and wherever a mode's variance underflows to 0, are exactly zero.
+    The modes' Gram matrices come in stacks from mode_grams, and each stack
+    is factored in place by one stacked _factor_psd call, as cholesky_psd
+    factors each member. Each mode owns one stream, read 256 paths at a time
+    for its live indices only, so output depends only on the SeedSpec (for a
+    fixed numpy build and BLAS thread count).
     """
     if grid.points[-1] > model.T:
         raise ValueError(f"grid end {grid.points[-1]} exceeds the model horizon T={model.T}")
@@ -453,31 +480,42 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
     out = np.empty((n_paths, model.J, grid.n))
     for j0, stack in mode_grams(model, grid):
         L, _ = _factor_psd(stack, owned=True)  # the stack is ours
-        for g0 in range(0, len(L), group):
-            _sample_group(out, L[g0:g0 + group], j0 + g0, seed.master)
+        first = _first_live(L.diagonal(0, 1, 2))
+        # runs of consecutive modes with one live suffix, cut into groups
+        starts = np.flatnonzero(np.diff(first, prepend=-1))
+        for a, end in zip(starts, [*starts[1:], len(L)]):
+            for g0 in range(a, end, group):
+                _sample_group(out, L[g0:min(g0 + group, end)], int(first[a]), j0 + g0, seed.master)
     return out
 
 
-def _sample_group(out: np.ndarray, L: np.ndarray, j0: int, master: int):
+def _sample_group(out: np.ndarray, L: np.ndarray, i: int, j0: int, master: int):
     """Write the paths of modes j0 .. j0 + B - 1, whose factors make the
-    (B, n, n) stack L, into out[:, j0:j0 + B], one 256-path block at a time.
+    (B, n, n) stack L and whose live indices are [i, n), into
+    out[:, j0:j0 + B], one 256-path block at a time.
 
-    Each block's normals go to one (B, 256, n) buffer, and one stacked
-    product writes them, times the factors, straight into out. Products go
-    in whole blocks of paths so every one is a BLAS call of one shape: BLAS
-    may pick another kernel, and round differently, for another row count,
-    and a path's values must not depend on it. The rows that pad the last
-    block are 0, and their products are dropped."""
-    n_paths, n = out.shape[0], L.shape[1]
-    streams = [_mode_stream(master, j) for j in range(j0, j0 + len(L))]
-    LT = L.transpose(0, 2, 1)
-    Z = np.empty((len(L), _PATH_BLOCK, n))
+    Each block's normals, n - i per path and mode, go to one (B, 256, n - i)
+    buffer, and one stacked product by L[:, :, i:]^T writes them, times the
+    factors, straight into out; the factors' rows at dead indices are zero,
+    and so are the values there. Modes with no live index (i = n) draw
+    nothing and are zero. Products go in whole blocks of paths so every one
+    is a BLAS call of one shape: BLAS may pick another kernel, and round
+    differently, for another row count, and a path's values must not depend
+    on it. The rows that pad the last block are 0, and their products are
+    dropped."""
+    (n_paths, _, n), B = out.shape, len(L)
+    if i == n:
+        out[:, j0:j0 + B] = 0.0
+        return
+    streams = [_mode_stream(master, j) for j in range(j0, j0 + B)]
+    LT = L[:, :, i:].transpose(0, 2, 1)
+    Z = np.empty((B, _PATH_BLOCK, n - i))
     for p0 in range(0, n_paths, _PATH_BLOCK):
         rows = min(_PATH_BLOCK, n_paths - p0)
         Z[:, rows:] = 0.0
         for z, stream in zip(Z, streams):
             stream.standard_normal(out=z[:rows])
-        paths = out[p0:p0 + rows, j0:j0 + len(L)].transpose(1, 0, 2)
+        paths = out[p0:p0 + rows, j0:j0 + B].transpose(1, 0, 2)
         if rows == _PATH_BLOCK:
             np.matmul(Z, LT, out=paths)  # BLAS writes rows J * n apart
         else:
@@ -607,11 +645,15 @@ def factorized_sample(k: ModeKernel, delta: float, fine_grid: TimeGrid, seed: Se
     """Sample one path whose law approximates the order-gamma mode process by
     the factorization construction: draw the order-(gamma - delta) process
     exactly on the fine grid (Cholesky factor of its gram), then apply the
-    singular convolution operator.
+    singular convolution operator. Normals are drawn for the live indices
+    only, from the stream of mode 0 (see STREAM_FORMAT): on an n-point grid
+    whose only dead index is t = 0, path p takes normals p (n - 1) ..
+    (p + 1)(n - 1) - 1, and the path is 0 at t = 0.
     """
     L = _inner_factor(k, delta, fine_grid)
-    z = _stream_normals(seed.master, 0, np.empty((1, fine_grid.n)), path)[0]
-    return fractional_convolution(L @ z, delta, k.mu, fine_grid)
+    i = int(_first_live(L.diagonal()))  # 1 or more: the grid starts at t = 0
+    z = _stream_normals(seed.master, 0, np.empty((1, fine_grid.n - i)), path)[0]
+    return fractional_convolution(L[:, i:] @ z, delta, k.mu, fine_grid)
 
 
 def factorized_covariance(k: ModeKernel, delta: float, fine_grid: TimeGrid) -> float:

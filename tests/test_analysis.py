@@ -116,6 +116,14 @@ class TestHsSum:
         s4 = hs_sum(m4, RegularityQuery()).partial
         assert s4 - s1 > 1.0  # harmonic growth ~ log 4
 
+    def test_overflowing_factor_with_finite_term(self):
+        # lambda^294 overflows for lambda > 11 while lambda^294 lambda^-290
+        # = lambda^4 does not
+        m = make_model(alpha=290.0, beta=300.0, gamma=0.01, J=64)
+        res = hs_sum(m, RegularityQuery())  # with no RuntimeWarning (pyproject.toml)
+        want = math.fsum(float(lam) ** 4 for lam in m.basis.eigenvalues)
+        assert abs(res.partial - want) <= 1e-11 * want and res.diverges
+
     def test_beta_zero_alpha_d(self):
         m = make_model(beta=0.0, alpha=1.0, J=128)
         res = hs_sum(m, RegularityQuery())

@@ -307,6 +307,24 @@ class TestNumericalFailureExit:
         assert err.startswith("numerical failure: mode ") and "overflows" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,model,message", [
+        # lambda_tilde_1^-100 ~ 1e500 in hs_sum's first term
+        ("regularity", {"alpha": 100.0, "extents": 1000.0},
+         "mode 1: spectral-sum term lambda^-1.0 lambda_tilde^-100.0 = "),
+        # mu_1^(1 - 2 gamma) ~ 1e995 in the first stationary variance
+        ("limits", {"gamma": 100.0, "extents": 1000.0},
+         "stationary variance: mu^(1 - 2 gamma) with mu = 9.869604401089359e-06, gamma = 100.0"),
+    ], ids=["hs_sum", "stationary_variance"])
+    def test_overflow_names_its_term(self, tmp_path, capsys, command, model, message):
+        doc = dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], **model))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        # a numpy RuntimeWarning on the way would fail the run (pyproject.toml)
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {message}") and err.endswith("overflows\n")
+        assert err.count("\n") == 1
+
 
 class TestNoAdaptiveCalls:
     """gram, the analysis functions and the CLI use the fixed lagged-integral
@@ -658,3 +676,14 @@ def test_console_entry_point():
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "basis" in proc.stdout and "regularity" in proc.stdout
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random costs the CLI memory and start-up time on every command;
+    # only drawing a stream may load it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, stwm.cli; sys.exit('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr or "import stwm.cli loaded numpy.random"

@@ -468,19 +468,27 @@ class TestStackedFactor:
         assert str(got.value) == str(want.value)
 
 
-# path 5 of stream (master 77, mode 2) at n = 8 in format v3; the tolerance
-# only admits last-bit differences of the ziggurat's exp/log tail on other CPUs
-V3_FROZEN = [-0.02646500343339521, 1.1727850157327562, -0.8038219782311298,
-             -0.17881669963771052, -0.9154897984159776, -0.9455334441233445,
-             1.3747582475293165, 2.0784948033726955]
+# path 5 of stream (master 77, mode 2) with 8 live indices in format v4; the
+# tolerance only admits last-bit differences of the ziggurat's exp/log tail
+# on other CPUs
+V4_FROZEN = [0.6476508713084829, 1.1081182939407703, -0.26510307348894857,
+             -0.7513501852521615, -1.706418983218605, 0.8292626155238796,
+             0.23461616554310397, -0.8357516219996435]
+
+
+def v4_stream(master, mode):
+    """The v4 stream of one mode, rebuilt from its definition: SFC64 seeded
+    by child `mode` of SeedSequence(master)."""
+    child = np.random.SeedSequence(master).spawn(mode + 1)[mode]
+    return np.random.Generator(np.random.SFC64(child))
 
 
 class TestStreams:
-    def test_v3_matches_generator_rebuild_and_frozen_values(self):
-        want = np.random.Generator(np.random.Philox(key=[77, 2])).standard_normal((6, 8))
+    def test_v4_matches_generator_rebuild_and_frozen_values(self):
+        want = v4_stream(77, 2).standard_normal((6, 8))
         got = _stream_normals(77, 2, np.empty((6, 8)))
         assert np.array_equal(got, want)
-        np.testing.assert_allclose(got[5], V3_FROZEN, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(got[5], V4_FROZEN, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("n", [3, 5, 6, 8])
     def test_batched_rows_equal_single_path_draws(self, n):
@@ -530,6 +538,15 @@ class TestStreams:
         b = _stream_normals(1, 1, np.empty((1, 4)))
         c = _stream_normals(1, 0, np.empty((1, 4)), 1)
         assert not np.array_equal(a, b) and not np.array_equal(a, c)
+        # SeedSequence([master, mode]) would give these two the same stream
+        d = _stream_normals(1, 5, np.empty((1, 4)))
+        e = _stream_normals(1 + 5 * 2 ** 32, 0, np.empty((1, 4)))
+        assert not np.array_equal(d, e)
+
+    def test_no_live_index_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_mode_stream", None)  # any stream built would fail
+        for path in (0, 3):
+            assert _stream_normals(4, 0, np.empty((1, 0)), path).shape == (1, 0)
 
     def test_seed_spec_validation(self):
         with pytest.raises(ValueError):
@@ -608,18 +625,42 @@ class TestSampleModes:
             sample_modes(model, TimeGrid(np.array([0.0, 0.5])), 1, SeedSpec(0))
 
 
+def count_draws(monkeypatch):
+    """Route every stream the sampler builds through a counter, and return
+    the dict of normals drawn per mode: it has an entry for each stream
+    built."""
+    make, drawn = sampler._mode_stream, {}
+
+    class Counted:
+        def __init__(self, master, mode):
+            self.stream, self.mode = make(master, mode), mode
+            drawn.setdefault(mode, 0)
+
+        def standard_normal(self, out):
+            drawn[self.mode] += out.size
+            return self.stream.standard_normal(out=out)
+
+    monkeypatch.setattr(sampler, "_mode_stream", Counted)
+    return drawn
+
+
 def reference_modes(model, grid, n_paths, seed):
-    """sample_modes one mode at a time: cholesky_psd of each Gram, the
-    mode's whole stream in one draw and one product per 256-path block."""
+    """sample_modes from the v4 definition, one mode at a time: cholesky_psd
+    of each Gram; the live suffix [i, n) from the Gram's positive diagonal;
+    the mode's rebuilt stream read for the live indices of all paths in one
+    draw; and one product by L[:, i:]^T per zero-padded 256-path block."""
     n, block = grid.n, sampler._PATH_BLOCK
     n_blocks = -(-n_paths // block)
     out = np.empty((n_paths, model.J, n))
     for j0, stack in mode_grams(model, grid):
         for j, G in enumerate(stack, start=j0):
             L = cholesky_psd(G)[0]
-            Z = np.zeros((n_blocks * block, n))
-            _stream_normals(seed.master, j, Z[:n_paths])
-            out[:, j] = (Z.reshape(n_blocks, block, n) @ L.T).reshape(-1, n)[:n_paths]
+            live = np.flatnonzero(np.diag(G) > 0.0)
+            i = live[0] if live.size else n
+            assert np.array_equal(live, np.arange(i, n))  # a suffix
+            Z = np.zeros((n_blocks * block, n - i))
+            Z[:n_paths] = v4_stream(seed.master, j).standard_normal((n_paths, n - i))
+            out[:, j] = (Z.reshape(n_blocks, block, n - i) @ L[:, i:].T).reshape(-1, n)[:n_paths]
     return out
 
 
@@ -641,9 +682,14 @@ class TestSampleModesAgainstPerModeLoop:
         "jittered stack": (lambda: spread_model(J=3, gamma=8.0), TimeGrid.uniform(0.0, 1.0, 120), None),
         "dead rows differ": (underflow_model, TimeGrid(np.array([0.0, 1e-60, 1.0])), None),
         "t_0 > 0": (lambda: spread_model(J=5), TimeGrid.uniform(0.5, 2.0, 7), None),
+        # modes 1-3 live from t_1, mode 4 from t_2: two runs in one group
+        "late live suffix": (underflow_model, TimeGrid(np.array([0.0, 1e-60, 1e-50, 1.0])), None),
+        # mode 4 underflows at its one t > 0 point: all dead, beside live modes
+        "all-dead mode": (underflow_model, TimeGrid(np.array([0.0, 1e-60])), None),
+        "one point at t = 0": (lambda: spread_model(J=3), TimeGrid(np.array([0.0])), None),
     }
 
-    @pytest.mark.parametrize("n_paths", [1, 256, 257, 4097])
+    @pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 4097])
     @pytest.mark.parametrize("case", list(CASES))
     def test_bit_identical(self, monkeypatch, case, n_paths):
         make, grid, entries = self.CASES[case]
@@ -664,6 +710,30 @@ class TestSampleModesAgainstPerModeLoop:
         make, grid, _ = self.CASES["dead rows differ"]
         (_, S), = mode_grams(make(), grid)
         assert np.all(S[:3, 1, 1] > 0.0) and S[3, 1, 1] == 0.0
+        for case, want in (("late live suffix", [1, 1, 1, 2]), ("all-dead mode", [1, 1, 1, 2]),
+                           ("one point at t = 0", [1, 1, 1])):
+            make, grid, _ = self.CASES[case]
+            (_, S), = mode_grams(make(), grid)
+            assert sampler._first_live(S.diagonal(0, 1, 2)).tolist() == want, case
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_dead_indices_draw_nothing(self, monkeypatch, case):
+        # every mode draws n_paths normals per live index, in 256-path
+        # blocks, and a mode with none builds no stream
+        make, grid, entries = self.CASES[case]
+        if entries is not None:
+            monkeypatch.setattr(sampler, "_STACK_ENTRIES", entries)
+        model, n_paths = make(), 300
+        drawn = count_draws(monkeypatch)
+        out = sample_modes(model, grid, n_paths, SeedSpec(19))
+        want = {}
+        for j0, S in mode_grams(model, grid):
+            for j, G in enumerate(S, start=j0):
+                n_live = np.count_nonzero(np.diag(G) > 0.0)
+                assert np.all(out[:, j, :grid.n - n_live] == 0.0)
+                if n_live:
+                    want[j] = n_paths * n_live
+        assert drawn == want
 
 
 class TestAssembleField:
@@ -822,6 +892,16 @@ class TestFactorizedSampler:
         assert path.shape == (129,)
         assert path[0] == 0.0
 
+    def test_draws_live_indices_only(self, monkeypatch):
+        # a replay from path p draws p + 1 paths of n - 1 normals each
+        drawn = count_draws(monkeypatch)
+        k = ModeKernel(mu=1.0, weight=1.0, gamma=1.2)
+        grid = TimeGrid.uniform(0.0, 1.0, 32)
+        for path in (0, 3):
+            drawn.clear()
+            assert factorized_sample(k, 0.3, grid, SeedSpec(8), path)[0] == 0.0
+            assert drawn == {0: (path + 1) * (grid.n - 1)}
+
     def test_deterministic(self):
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.2)
         grid = TimeGrid.uniform(0.0, 1.0, 64)
@@ -856,8 +936,8 @@ class TestFactorizedSampler:
         # against the public path: the factor of a fresh gram, and the
         # variance c^T G c of the gram itself
         G = gram(ModeKernel(mu=1.0, weight=1.0, gamma=k.gamma - 0.3), grid)
-        z = _stream_normals(31, 0, np.empty((1, grid.n)))[0]
-        want = fractional_convolution(cholesky_psd(G)[0] @ z, 0.3, 1.0, grid)
+        z = _stream_normals(31, 0, np.empty((1, grid.n - 1)))[0]  # no draw at t = 0
+        want = fractional_convolution(cholesky_psd(G)[0][:, 1:] @ z, 0.3, 1.0, grid)
         assert path.tobytes() == want.tobytes()
         c = _frac_weights(0.3, 1.0, grid.step, grid.n - 1)[::-1]
         want = c @ G[1:, 1:] @ c
@@ -908,8 +988,8 @@ class TestFactorizedSampler:
         grid = TimeGrid.uniform(0.0, 1.0, n_cells)
         inner = ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta)
         L, _ = cholesky_psd(gram(inner, grid))
-        Z = _stream_normals(4242, 0, np.empty((n_paths, grid.n)))
-        finals = fractional_convolution(Z @ L.T, delta, k.mu, grid)[:, -1]
+        Z = _stream_normals(4242, 0, np.empty((n_paths, grid.n - 1)))  # no draw at t = 0
+        finals = fractional_convolution(Z @ L[:, 1:].T, delta, k.mu, grid)[:, -1]
         want = factorized_covariance(k, delta, grid)
         emp = float(np.mean(finals ** 2))
         se = want * math.sqrt(2.0 / n_paths)
