@@ -12,7 +12,6 @@ from .kernel import (
     mode_var,
     stationary_variance,
     temporal_matern_limit,
-    square_function_ratio,
     square_function_ratio_closed_form,
 )
 from .quadrature import QuadratureConfig, QuadratureError

@@ -54,10 +54,11 @@ def read_field(path) -> FieldSample:
         expected = 24 + 8 * (n_paths * n_times * n_points + n_times + n_points * d)
         if size != expected:
             raise ValueError(f"field file is {size} bytes, its header implies {expected}")
+        # read-only views of the bytes read, with no copy
         values = np.frombuffer(fh.read(8 * n_paths * n_times * n_points), dtype="<f8")
-        values = values.reshape(n_paths, n_times, n_points).copy()
-        times = np.frombuffer(fh.read(8 * n_times), dtype="<f8").copy()
-        pts = np.frombuffer(fh.read(8 * n_points * d), dtype="<f8").reshape(n_points, d).copy()
+        values = values.reshape(n_paths, n_times, n_points)
+        times = np.frombuffer(fh.read(8 * n_times), dtype="<f8")
+        pts = np.frombuffer(fh.read(8 * n_points * d), dtype="<f8").reshape(n_points, d)
     return FieldSample(times=TimeGrid(times), space_points=pts, values=values, seed_record=None)
 
 

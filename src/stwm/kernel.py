@@ -15,8 +15,10 @@ s != t by two routes on the same integral. _lagged_integrals, one fixed
 Gauss-Jacobi and Gauss-Legendre rule batched over decay rates, widths and
 lags, serves the sampler's Gram builder and so every library and CLI
 covariance; mode_cov, adaptive quadrature to a QuadratureConfig tolerance,
-is the tests' reference. Also here: the stationary (t -> infinity) variance
-and the Matern-type limit of the lagged covariance.
+is the tests' reference and the package's only caller of the adaptive
+integrator. Also here: the stationary (t -> infinity) variance, the
+Matern-type limit of the lagged covariance and the closed form of the
+weighted-semigroup square-function ratio.
 """
 
 import math
@@ -34,7 +36,6 @@ __all__ = [
     "stationary_constant",
     "stationary_variance",
     "temporal_matern_limit",
-    "square_function_ratio",
     "square_function_ratio_closed_form",
 ]
 
@@ -250,33 +251,17 @@ def temporal_matern_limit(gamma: float, kappa: float, h: float) -> float:
             * matern_cov(gamma - 0.5, kappa, 1.0, abs(h)))
 
 
-def square_function_ratio(k: ModeKernel, delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def square_function_ratio_closed_form(gamma: float, delta: float) -> float:
     """Ratio of the squared weighted-semigroup time integral to the matching
     power of the decay rate,
 
-        int_0^infty t^{2(g-1-delta)} e^{-2 mu t} dt  /  mu^{1+2delta-2g},
+        int_0^infty t^{2(g-1-delta)} e^{-2 mu t} dt  /  mu^{1+2delta-2g}
+            = Gamma(p) / 2^p,  p = 2 (gamma - delta) - 1,
 
-    evaluated as the lag-0 case of the lagged covariance integral
-    (_lagged_integral with an infinite width). The value is independent of mu
-    and equals square_function_ratio_closed_form(g, delta).
-    """
-    if delta < 0.0:
-        raise ValueError(f"square_function_ratio requires delta >= 0, got {delta}")
-    p = _square_function_exponent(k.gamma, delta)
-    return _lagged_integral(k.gamma - delta, k.mu, math.inf, 0.0, cfg) * k.mu ** p
-
-
-def square_function_ratio_closed_form(gamma: float, delta: float) -> float:
-    """Gamma(2 gamma - 2 delta - 1) / 2^{2 gamma - 2 delta - 1}."""
-    p = _square_function_exponent(gamma, delta)
-    return gamma_fn(p) / 2.0 ** p
-
-
-def _square_function_exponent(gamma: float, delta: float) -> float:
-    """p = 2 (gamma - delta) - 1, the square function's exponent, which must
-    be positive: raises ValueError unless gamma > 1/2 + delta."""
+    which is independent of mu. Raises ValueError unless delta >= 0 and the
+    integral converges, gamma > 1/2 + delta."""
     p = 2.0 * (gamma - delta) - 1.0
-    if not p > 0.0:
-        raise ValueError(
-            f"square_function_ratio requires gamma > 1/2 + delta, got gamma={gamma}, delta={delta}")
-    return p
+    if not (delta >= 0.0 and p > 0.0):
+        raise ValueError("square_function_ratio_closed_form requires delta >= 0 and "
+                         f"gamma > 1/2 + delta, got gamma={gamma}, delta={delta}")
+    return gamma_fn(p) / 2.0 ** p

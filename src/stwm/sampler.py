@@ -244,7 +244,10 @@ def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
     n = pts.size
     G = np.zeros((mu.size, n, n))
     G.reshape(mu.size, -1)[:, ::n + 1] = _variance_rows(g, mu, weight, pts)  # the diagonals
-    scale = weight / gamma_fn(g) ** 2
+    try:
+        scale = weight / gamma_fn(g) ** 2
+    except OverflowError:
+        raise OverflowError(f"Gram scale: Gamma(gamma)^2 with gamma = {g} overflows") from None
     i0 = 1 if pts[0] == 0.0 else 0  # rows below i0 (t = 0) stay zero
     try:
         h = grid.step
@@ -593,51 +596,39 @@ def fractional_convolution(values: np.ndarray, delta: float, mu: float, grid: Ti
     return out.reshape(values.shape)
 
 
-def _check_factorization_args(k: ModeKernel, delta: float, fine_grid: TimeGrid):
+_held_factor = None  # (key, factor) of _inner_factor's latest law, replaced as one object
+
+
+def _inner_factor(k: ModeKernel, delta: float, fine_grid: TimeGrid) -> np.ndarray:
+    """The read-only Cholesky factor of the order-(gamma - delta) process on
+    the fine grid, shared by factorized_covariance and factorized_sample: the
+    factor of the law that is sampled, jitter included.
+
+    Only the latest (k, delta, fine_grid) is held, in _held_factor.
+    ModeKernel is compared by value and TimeGrid by identity, and the key
+    keeps a reference to the grid; a TimeGrid's points are read-only, so a
+    held factor always matches its key. A miss drops the held factor before
+    it builds the next one. The Gram is factored in place and freed, so at
+    most three n x n arrays are alive: the Gram, LAPACK's buffer and the
+    factor. The factor keeps the order n of the grid, with the t = 0 row
+    factored as a unit corner and then zeroed, as cholesky_psd does.
+    """
+    global _held_factor
+    key = (k, delta, fine_grid)
+    held = _held_factor
+    if held is not None and held[0] == key:
+        return held[1]
+    _held_factor = held = None  # the local reference too, or the old factor stays alive
     if not 0.0 < delta < k.gamma - 0.5:
         raise ValueError(
             f"delta must lie in (0, gamma - 1/2) = (0, {k.gamma - 0.5}), got {delta}")
     if fine_grid.points[0] != 0.0:
         raise ValueError("the factorized sampler requires the grid to start at 0")
-
-
-class _FactorSlot:
-    """Holds the read-only Cholesky factor of the order-(gamma - delta)
-    process on the fine grid, shared by factorized_covariance and
-    factorized_sample: the factor of the law that is sampled, jitter
-    included.
-
-    Only the latest (k, delta, fine_grid) is held. ModeKernel is compared by
-    value and TimeGrid by identity, and the key keeps a reference to the
-    grid; a TimeGrid's points are read-only, so a held factor always matches
-    its key. A miss drops the held factor before it builds the next one. The
-    Gram is factored in place and freed, so at most three n x n arrays are
-    alive: the Gram, LAPACK's buffer and the factor. The factor keeps the
-    order n of the grid, with the t = 0 row factored as a unit corner and
-    then zeroed, as cholesky_psd does.
-    """
-
-    def __init__(self):
-        self._held = None  # (key, factor), replaced as one object
-
-    def __call__(self, k: ModeKernel, delta: float, fine_grid: TimeGrid) -> np.ndarray:
-        key = (k, delta, fine_grid)
-        held = self._held
-        if held is not None and held[0] == key:
-            return held[1]
-        self._held = held = None  # the local reference too, or the old factor stays alive
-        _check_factorization_args(k, delta, fine_grid)
-        G = gram(ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta), fine_grid)
-        L = _factor_psd(G[None], owned=True)[0][0]
-        L.setflags(write=False)
-        self._held = (key, L)
-        return L
-
-    def clear(self):
-        self._held = None
-
-
-_inner_factor = _FactorSlot()
+    G = gram(ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta), fine_grid)
+    L = _factor_psd(G[None], owned=True)[0][0]
+    L.setflags(write=False)
+    _held_factor = (key, L)
+    return L
 
 
 def factorized_sample(k: ModeKernel, delta: float, fine_grid: TimeGrid, seed: SeedSpec,

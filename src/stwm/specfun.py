@@ -34,7 +34,6 @@ GAMMA_OVERFLOW_X = 171.6
 
 _MAX_ITER = 500
 _EPS = 1e-16
-_SERIES_BLOCK = 32
 _NEGLIGIBLE_Q = 2.0 ** -60
 
 
@@ -63,33 +62,23 @@ def _max_terms(a: float) -> int:
 
 def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
     """Sums S of the series gamma(a, x) = x^a e^{-x} S for a 1-D array of
-    x < a + 1.
-
-    The terms x^k / (a (a+1) ... (a+k)) come _SERIES_BLOCK at a time from
-    running products and sums along a second axis, and each entry stops at
-    its first term below _EPS times its running sum, so its value does not
-    depend on the other entries.
+    x < a + 1. Each entry stops at its first term x^k / (a (a+1) ... (a+k))
+    below _EPS times its running sum, so its value does not depend on the
+    other entries.
     """
+    term = total = np.full_like(x, 1.0 / a)
     out = np.empty_like(x)
     idx = np.arange(x.size)
-    term = total = 1.0 / a
-    k = np.arange(1.0, _SERIES_BLOCK + 1.0)
-    for start in range(0, _max_terms(a), _SERIES_BLOCK):
-        terms = x[:, None] / (a + (start + k))
-        terms[:, 0] *= term
-        terms = np.cumprod(terms, axis=1)
-        sums = terms.copy()
-        sums[:, 0] += total
-        sums = np.cumsum(sums, axis=1)
-        # Terms fall and sums rise (x < a + 1), so once a term is small
-        # every later one is, and the last column tells which entries are done.
-        small = terms < sums * _EPS
-        out[idx] = sums[np.arange(idx.size), small.argmax(axis=1)]
-        live = ~small[:, -1]
-        if not np.count_nonzero(live):
-            return out
-        idx, x = idx[live], x[live]
-        term, total = terms[live, -1], sums[live, -1]
+    for k in range(1, _max_terms(a)):
+        term = term * (x / (a + k))
+        total = total + term
+        done = term < total * _EPS
+        if np.count_nonzero(done):
+            out[idx[done]] = total[done]
+            live = ~done
+            idx, x, term, total = idx[live], x[live], term[live], total[live]
+            if not idx.size:
+                return out
     out[idx] = total
     return out
 

@@ -68,25 +68,46 @@ def build_basis(d: int, extents, kappa2: float, J: int) -> EigenBasis:
         extents = (float(extents),) * d
     else:
         extents = tuple(float(e) for e in extents)
-    if len(extents) != d or not all(e > 0.0 and math.isfinite(e) for e in extents):
-        raise ValueError(f"extents must be {d} finite positive lengths, got {extents}")
+    if len(extents) != d or not all(1e-100 <= e <= 1e100 for e in extents):
+        raise ValueError(f"extents must be {d} lengths in [1e-100, 1e100], got {extents}")
 
     if d == 1:
         js = np.arange(1, J + 1)
         lam = kappa2 + (js * math.pi / extents[0]) ** 2
         index_map = tuple((int(j),) for j in js)
     else:
-        # enumerate a square of multi-indices large enough to contain the
-        # J smallest eigenvalues, then sort with lexicographic tie-break
-        m = math.ceil(math.sqrt(J)) + 8
-        j1, j2 = np.meshgrid(np.arange(1, m + 1), np.arange(1, m + 1), indexing="ij")
-        j1, j2 = j1.ravel(), j2.ravel()
+        # candidates that hold the J smallest, sorted with lexicographic tie-break
+        j1, j2 = _lowest_pairs((math.pi / extents[0]) ** 2, (math.pi / extents[1]) ** 2,
+                               kappa2, J)
         lam_all = kappa2 + (j1 * math.pi / extents[0]) ** 2 + (j2 * math.pi / extents[1]) ** 2
         order = np.lexsort((j2, j1, lam_all))[:J]
         lam = lam_all[order]
         index_map = tuple((int(a), int(b)) for a, b in zip(j1[order], j2[order]))
     return EigenBasis(d=d, extents=extents, kappa2=float(kappa2), J=int(J),
                       eigenvalues=np.asarray(lam, dtype=float), index_map=index_map)
+
+
+def _lowest_pairs(s1: float, s2: float, kappa2: float, J: int):
+    """Arrays j1, j2 of the multi-indices (j1, j2) >= 1 with s1 j1^2 + s2 j2^2
+    at most the least bound under which J pairs lie (by bisection), widened
+    by 1e-9 (kappa2 + bound) so that no eigenvalue that rounds to a tie with
+    the J-th is dropped. A pair has j1 j2 - 1 pairs before it, as the sums
+    grow in each index, so only pairs with j1 j2 <= J are formed: at most
+    J (1 + ln J) of them, and O(J) unless many eigenvalues tie."""
+    def row_counts(bound):
+        rows = np.arange(1, min(J, int(math.sqrt(max(bound - s2, 0.0) / s1)) + 1) + 1)
+        counts = np.floor(np.sqrt(np.maximum(bound - s1 * rows ** 2.0, 0.0) / s2))
+        return np.minimum(counts, J // rows).astype(np.int64)
+
+    # the first J pairs of row j2 = 1, of column j1 = 1 and of the square
+    # [1, ceil(sqrt(J))]^2 each lie under hi
+    lo, hi = 0.0, min(s1 * J ** 2 + s2, s1 + s2 * J ** 2, (s1 + s2) * math.ceil(math.sqrt(J)) ** 2)
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if row_counts(mid).sum() >= J else (mid, hi)
+    counts = row_counts(hi + 1e-9 * (kappa2 + hi))
+    j1 = np.repeat(np.arange(1, counts.size + 1), counts)
+    return j1, np.arange(j1.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
 
 
 def as_points(points, d: int) -> np.ndarray:
@@ -172,17 +193,25 @@ class SpectralModel:
 def mode_params(model: SpectralModel, j: int) -> ModeKernel:
     """Temporal kernel of mode j (1-based): mu = lambda_j^beta,
     w = lambda_tilde_j^{-alpha}, order gamma. A power that overflows a
-    double raises OverflowError naming the mode."""
+    double raises OverflowError, and one that underflows to 0
+    ArithmeticError, naming the mode and the term."""
     if not 1 <= j <= model.J:
         raise IndexError(f"mode index {j} out of range [1, {model.J}]")
     lam = float(model.basis.eigenvalues[j - 1])
     lam_t = float(model.basis_tilde.eigenvalues[j - 1])
-    try:  # Python float powers raise on overflow where numpy's would warn
-        mu, weight = lam ** float(model.beta), lam_t ** -float(model.alpha)
-    except ArithmeticError:
-        raise OverflowError(f"mode {j}: decay rate lambda^beta = {lam}^{model.beta} or weight "
-                            f"lambda_tilde^-alpha = {lam_t}^-{model.alpha} overflows") from None
+    mu = _mode_power(j, "decay rate lambda^beta", lam, float(model.beta))
+    weight = _mode_power(j, "weight lambda_tilde^-alpha", lam_t, -float(model.alpha))
     return ModeKernel(mu=mu, weight=weight, gamma=model.gamma)
+
+
+def _mode_power(j: int, term: str, base: float, exponent: float) -> float:
+    try:  # Python float powers raise on overflow where numpy's would warn
+        value = base ** exponent
+    except ArithmeticError:
+        raise OverflowError(f"mode {j}: {term} = {base}^{exponent} overflows") from None
+    if value == 0.0:
+        raise ArithmeticError(f"mode {j}: {term} = {base}^{exponent} underflows to 0")
+    return value
 
 
 class ConfigError(ValueError):

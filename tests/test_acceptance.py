@@ -26,9 +26,9 @@ from stwm.analysis import (
 )
 from stwm.kernel import (
     ModeKernel,
+    _lagged_integral,
     mode_cov,
     mode_var,
-    square_function_ratio,
     square_function_ratio_closed_form,
     stationary_variance,
     temporal_matern_limit,
@@ -138,7 +138,9 @@ def test_c04_legendre_duplication():
 
 
 def test_c05_square_function_ratio():
-    """Quadrature ratio equals Gamma(2g-2d-1)/2^{2g-2d-1} and is mu-free."""
+    """Quadrature ratio equals Gamma(2g-2d-1)/2^{2g-2d-1} and is mu-free: the
+    ratio int_0^inf t^{2(g-1-d)} e^{-2 mu t} dt * mu^{2g-2d-1} by the
+    adaptive reference, the lag-0 lagged integral at infinite width."""
     rng = np.random.default_rng(55)
     worst_cf = 0.0
     worst_spread = 0.0
@@ -146,7 +148,8 @@ def test_c05_square_function_ratio():
         delta = rng.uniform(0.0, 1.0)
         g = delta + rng.uniform(0.56, 2.5)
         want = square_function_ratio_closed_form(g, delta)
-        vals = [square_function_ratio(ModeKernel(mu, 1.0, g), delta, TIGHT)
+        p = 2.0 * (g - delta) - 1.0
+        vals = [_lagged_integral(g - delta, mu, math.inf, 0.0, TIGHT) * mu ** p
                 for mu in (0.01, 1.0, 100.0)]
         worst_cf = max(worst_cf, max(rel_err(v, want) for v in vals))
         worst_spread = max(worst_spread, (max(vals) - min(vals)) / min(vals))

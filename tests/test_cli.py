@@ -289,14 +289,22 @@ class TestNumericalFailureExit:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         assert run_cli(["--config", str(p), "--out", str(tmp_path), "cov"]) == 4
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "numerical failure: Gram scale: Gamma(gamma)^2 with gamma = 120.0 overflows\n"
 
     @pytest.mark.parametrize("command", ["sample", "cov", "limits"])
-    @pytest.mark.parametrize("model", [
-        {"beta": 400.0},                       # lambda_8^beta = 64^400
-        {"alpha": 100.0, "extents": 1000.0},   # every lambda_tilde^-alpha overflows
-    ], ids=["rate", "weight"])
-    def test_overflowing_mode_exit_4_writes_nothing(self, tmp_path, capsys, model, command):
+    @pytest.mark.parametrize("model,term,outcome", [
+        # lambda_8^beta = 64^400
+        ({"beta": 400.0}, "decay rate lambda^beta", "overflows"),
+        # every lambda_tilde^-alpha overflows
+        ({"alpha": 100.0, "extents": 1000.0}, "weight lambda_tilde^-alpha", "overflows"),
+        # every lambda^beta <= (8 pi / 1e4)^200 underflows
+        ({"beta": 100.0, "extents": 1e4}, "decay rate lambda^beta", "underflows to 0"),
+        # every lambda_tilde^-alpha <= (pi / 1e-3)^-200 underflows
+        ({"alpha": 100.0, "extents": 1e-3}, "weight lambda_tilde^-alpha", "underflows to 0"),
+    ], ids=["rate", "weight", "rate_underflow", "weight_underflow"])
+    def test_overflowing_mode_exit_4_writes_nothing(self, tmp_path, capsys, model, term, outcome,
+                                                    command):
         doc = dict(BASE_CONFIG, grid={"t_start": 0.0, "t_end": 1.0, "steps": 2},
                    cov={"mode": 8}, model=dict(BASE_CONFIG["model"], **model))
         p = tmp_path / "c.json"
@@ -304,7 +312,8 @@ class TestNumericalFailureExit:
         out = tmp_path / "o"
         assert run_cli(["--config", str(p), "--out", str(out), command]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: mode ") and "overflows" in err
+        assert err.startswith("numerical failure: mode ") and f": {term} = " in err
+        assert err.endswith(f" {outcome}\n") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command,model,message", [
@@ -616,6 +625,18 @@ class TestFieldFile:
         assert np.array_equal(back.values, fs.values)
         assert np.array_equal(back.times.points, fs.times.points)
         assert np.array_equal(back.space_points, fs.space_points)
+
+    def test_read_arrays_read_only(self, tmp_path):
+        fs = self.make_sample()
+        path = tmp_path / "f.stwm"
+        write_field(path, fs)
+        back = read_field(path)
+        for got, want in ((back.values, fs.values), (back.times.points, fs.times.points),
+                          (back.space_points, fs.space_points)):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got.flat[0] = 1.0
 
     def test_round_trip_2d(self, tmp_path):
         fs = self.make_sample(d=2)

@@ -11,15 +11,15 @@ from stwm.analysis import (asymptotic_marginal_cov, estimate_holder, field_cov, 
 from stwm.kernel import (
     ModeKernel,
     _gauss_jacobi,
+    _lagged_integral,
     _lagged_integrals,
     mode_cov,
     mode_var,
-    square_function_ratio,
     square_function_ratio_closed_form,
     stationary_variance,
     temporal_matern_limit,
 )
-from stwm.quadrature import QuadratureConfig, integrate
+from stwm.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
 from stwm.sampler import SeedSpec, TimeGrid, gram, mode_grams, sample_field, sample_modes
 from stwm.specfun import gamma_fn
 from stwm.spectral import SpectralModel, build_basis
@@ -313,14 +313,23 @@ class TestTemporalMaternLimit:
             temporal_matern_limit(1.0, 0.0, 1.0)
 
 
+def quadrature_ratio(gamma, delta, mu, cfg=DEFAULT_CONFIG):
+    """The square-function ratio int_0^inf t^{2(gamma-1-delta)} e^{-2 mu t} dt
+    * mu^{2 (gamma - delta) - 1} by the adaptive reference: the lag-0 lagged
+    integral of order gamma - delta at infinite width."""
+    p = 2.0 * (gamma - delta) - 1.0
+    return _lagged_integral(gamma - delta, mu, math.inf, 0.0, cfg) * mu ** p
+
+
 class TestSquareFunctionRatio:
     def test_trivial_values(self):
-        assert rel(square_function_ratio(ModeKernel(1.0, 1.0, 1.0), 0.0), 0.5) < 1e-10
-        assert rel(square_function_ratio(ModeKernel(1.0, 1.0, 1.5), 0.0), 0.25) < 1e-10
+        assert rel(quadrature_ratio(1.0, 0.0, 1.0), 0.5) < 1e-10
+        assert rel(quadrature_ratio(1.5, 0.0, 1.0), 0.25) < 1e-10
+        assert square_function_ratio_closed_form(1.0, 0.0) == 0.5
+        assert square_function_ratio_closed_form(1.5, 0.0) == 0.25
 
     def test_mu_invariance(self):
-        vals = [square_function_ratio(ModeKernel(mu, 1.0, 1.25), 0.25, TIGHT)
-                for mu in (0.1, 1.0, 10.0)]
+        vals = [quadrature_ratio(1.25, 0.25, mu, TIGHT) for mu in (0.1, 1.0, 10.0)]
         assert rel(max(vals), min(vals)) < 1e-9
         assert rel(vals[0], 0.5) < 1e-8
 
@@ -330,18 +339,18 @@ class TestSquareFunctionRatio:
             delta = rng.uniform(0.0, 1.0)
             g = delta + rng.uniform(0.55, 2.5)
             mu = 10.0 ** rng.uniform(-1.5, 1.5)
-            got = square_function_ratio(ModeKernel(mu, 1.0, g), delta, TIGHT)
+            got = quadrature_ratio(g, delta, mu, TIGHT)
             assert rel(got, square_function_ratio_closed_form(g, delta)) < 1e-8
         # large exponent 2(gamma - delta) - 1 = 7.2, default tolerance, mu over six decades
         for mu in (1.0, 100.0, 1e4, 1e6):
-            got = square_function_ratio(ModeKernel(mu, 1.0, 4.3), 0.2)
+            got = quadrature_ratio(4.3, 0.2, mu)
             assert rel(got, square_function_ratio_closed_form(4.3, 0.2)) < 1e-10
 
     def test_divergent_signalled(self):
-        with pytest.raises(ValueError):
-            square_function_ratio(ModeKernel(1.0, 1.0, 0.7), 0.2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gamma > 1/2 \\+ delta"):
             square_function_ratio_closed_form(0.7, 0.2)
+        with pytest.raises(ValueError, match="delta >= 0"):
+            square_function_ratio_closed_form(1.2, -0.1)
 
 
 def gate_model(gamma):

@@ -917,7 +917,7 @@ class TestFactorizedSampler:
             return gram(k, grid)
 
         monkeypatch.setattr(sampler, "gram", counting_gram)
-        _inner_factor.clear()
+        sampler._held_factor = None
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.2)
         grid = TimeGrid.uniform(0.0, 1.0, 64)
         var = factorized_covariance(k, 0.3, grid)
@@ -926,9 +926,9 @@ class TestFactorizedSampler:
         factorized_sample(ModeKernel(mu=1.0, weight=1.0, gamma=1.3), 0.3, grid, SeedSpec(31))
         assert len(calls) == 2
         # cold-holder results, each from its own factor, are the same bits
-        _inner_factor.clear()
+        sampler._held_factor = None
         assert factorized_sample(k, 0.3, grid, SeedSpec(31)).tobytes() == path.tobytes()
-        _inner_factor.clear()
+        sampler._held_factor = None
         assert factorized_covariance(k, 0.3, grid) == var
         assert len(calls) == 4
         with pytest.raises(ValueError, match="read-only"):
@@ -952,7 +952,7 @@ class TestFactorizedSampler:
         # after a cold op, an op on a new key holds at most the new Gram and
         # the new factor (numpy's LAPACK buffer is not traced)
         grid = TimeGrid.uniform(0.0, 1.0, 1024)
-        _inner_factor.clear()
+        sampler._held_factor = None
         tracemalloc.start()
         try:
             for gamma in (1.2, 1.4):

@@ -26,6 +26,48 @@ INCOMPLETE_GAMMA_REFERENCE_ROWS = [
     (20.0, 3.0, 10114088.922271405),
 ]
 
+# Bit pins of the series branch (x < a + 1) of the lower incomplete gamma,
+# frozen from its earlier 32-term-block form: (a, x, log gamma(a, x),
+# gamma(a, x) or None where it overflows), all as float.hex. x runs over 0,
+# 1e-8, 0.37 a, a and the largest double below a + 1.
+SERIES_BIT_PINS = [
+    (0.01, '0x0.0p+0', '-inf', '0x0.0p+0'),
+    (0.01, '0x1.5798ee2308c3ap-27', '0x1.1af11061d04a1p+2', '0x1.4cb49c32f3f58p+6'),
+    (0.01, '0x1.e4f765fd8adacp-9', '0x1.2325196b3485fp+2', '0x1.7a3439163bd03p+6'),
+    (0.01, '0x1.47ae147ae147bp-7', '0x1.23c6faa32d88fp+2', '0x1.7df595310c32dp+6'),
+    (0.01, '0x1.028f5c28f5c28p+0', '0x1.263a20f5d4993p+2', '0x1.8cdd0ad7a5602p+6'),
+    (0.5, '0x0.0p+0', '-inf', '0x0.0p+0'),
+    (0.5, '0x1.5798ee2308c3ap-27', '-0x1.108cd8be2538bp+3', '0x1.a36e2e9a4f65ap-13'),
+    (0.5, '0x1.7ae147ae147aep-3', '-0x1.af8c04fb6d3c8p-3', '0x1.9eb8d2edf969bp-1'),
+    (0.5, '0x1.0000000000000p-1', '0x1.8673668bdd328p-3', '0x1.35c4e4f3efb29p+0'),
+    (0.5, '0x1.7ffffffffffffp+0', '0x1.f114344e08f28p-2', '0x1.9ff79167a2a7bp+0'),
+    (2.5, '0x0.0p+0', '-inf', '0x0.0p+0'),
+    (2.5, '0x1.5798ee2308c3ap-27', '-0x1.77be72e7584b2p+5', '0x1.2e3b407cb1bc1p-68'),
+    (2.5, '0x1.d99999999999ap-1', '-0x1.c068a2d40c656p+0', '0x1.63523ec3f84b5p-3'),
+    (2.5, '0x1.4000000000000p+1', '-0x1.0309982eadfd6p-2', '0x1.8d90a119908a4p-1'),
+    (2.5, '0x1.bffffffffffffp+1', '0x1.21ffbd5354a48p-5', '0x1.09398b7ef19aep+0'),
+    (17.3, '0x0.0p+0', '-inf', '0x0.0p+0'),
+    (17.3, '0x1.5798ee2308c3ap-27', '-0x1.41874aafd74e5p+8', '0x1.189d9976bc9eep-464'),
+    (17.3, '0x1.99a9fbe76c8b4p+2', '0x1.7483a52b1bccbp+4', '0x1.81156614eb278p+33'),
+    (17.3, '0x1.14ccccccccccdp+4', '0x1.ee26d04a4628bp+4', '0x1.78990243ec28fp+44'),
+    (17.3, '0x1.24cccccccccccp+4', '0x1.f0b3d4d2ef80bp+4', '0x1.b9b0575c67e51p+44'),
+    (60.0, '0x0.0p+0', '-inf', '0x0.0p+0'),
+    (60.0, '0x1.5798ee2308c3ap-27', '-0x1.155573bd70df3p+10', '0x0.0p+0'),
+    (60.0, '0x1.6333333333333p+4', '0x1.405134e15a71ep+7', '0x1.0ae056102abaap+231'),
+    (60.0, '0x1.e000000000000p+5', '0x1.6fbfb71994f36p+7', '0x1.35b455f6c194bp+265'),
+    (60.0, '0x1.e7fffffffffffp+5', '0x1.6fefbfea36e47p+7', '0x1.542aaa0ae0b35p+265'),
+    (120.0, '0x0.0p+0', '-inf', '0x0.0p+0'),
+    (120.0, '0x1.5798ee2308c3ap-27', '-0x1.14e89d2187732p+11', '0x0.0p+0'),
+    (120.0, '0x1.6333333333333p+5', '0x1.9674ac279f6cep+8', '0x1.4fdb0d17faa78p+586'),
+    (120.0, '0x1.e000000000000p+6', '0x1.c45b11b51534bp+8', '0x1.8718bcabe971dp+652'),
+    (120.0, '0x1.e3fffffffffffp+6', '0x1.c46c8cb9a6e17p+8', '0x1.a2bc223563fd9p+652'),
+    (180.0, '0x0.0p+0', '-inf', None),
+    (180.0, '0x1.5798ee2308c3ap-27', '-0x1.9f1d4bb34dd4dp+11', None),
+    (180.0, '0x1.0a66666666666p+6', '0x1.56372582c0992p+9', None),
+    (180.0, '0x1.6800000000000p+7', '0x1.7830d98e9c14ep+9', None),
+    (180.0, '0x1.69fffffffffffp+7', '0x1.7838134921669p+9', None),
+]
+
 # (a, x, log gamma(a, x)) at large orders, where the series (x < a + 1)
 # and the continued fraction (x >= a + 1) need O(sqrt(a)) terms near x = a;
 # frozen 40-digit references
@@ -165,6 +207,17 @@ class TestLowerIncompleteGamma:
     @pytest.mark.parametrize("a,x,expected", LARGE_ORDER_LOG_ROWS)
     def test_large_order_log_reference(self, a, x, expected):
         assert abs(log_lower_incomplete_gamma(a, x) - expected) <= 1e-15 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("a", sorted({row[0] for row in SERIES_BIT_PINS}))
+    def test_series_bit_pins(self, a):
+        rows = [row for row in SERIES_BIT_PINS if row[0] == a]
+        x = np.array([float.fromhex(row[1]) for row in rows])
+        assert (x < a + 1.0).all()
+        logs = log_lower_incomplete_gamma(a, x)
+        for v, got, (_, _, log_hex, lower_hex) in zip(x, logs, rows):
+            assert float(got).hex() == log_lower_incomplete_gamma(a, float(v)).hex() == log_hex
+            if lower_hex is not None:
+                assert lower_incomplete_gamma(a, float(v)).hex() == lower_hex
 
     def test_reference_values_as_arrays(self):
         for a, x, expected in INCOMPLETE_GAMMA_REFERENCE_ROWS:

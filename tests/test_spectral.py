@@ -49,6 +49,24 @@ class TestBuildBasis:
         brute = sorted(j * j + k * k for j in range(1, 80) for k in range(1, 80))[:J]
         assert np.allclose(b.eigenvalues, brute, rtol=1e-12)
 
+    @pytest.mark.parametrize("extents,kappa2,J", [
+        ((PI, PI), 0.5, 4000), ((PI, PI), 0.5, 10 ** 4), ((PI, PI), 0.5, 4 * 10 ** 4),
+        ((1.0, 3.0), 0.5, 100), ((1.0, 100.0), 0.5, 100), ((100.0, 1.0), 0.5, 100),
+        # eigenvalues that tie as doubles, so (j1, j2) orders them
+        ((1e100, 1.0), 0.0, 60), ((1.0, 1e12), 0.0, 60), ((1e100, 1e100), 1e6, 60),
+        ((PI, PI), 1e20, 60),
+    ])
+    def test_2d_matches_brute_force(self, extents, kappa2, J):
+        # eigenvalues grow in each index, so (j1, j2) has j1 j2 - 1 pairs
+        # before it, and the J smallest lie among the pairs with j1 j2 <= J
+        j1 = np.concatenate([np.full(J // a, a) for a in range(1, J + 1)])
+        j2 = np.concatenate([np.arange(1, J // a + 1) for a in range(1, J + 1)])
+        lam = kappa2 + (j1 * PI / extents[0]) ** 2 + (j2 * PI / extents[1]) ** 2
+        order = np.lexsort((j2, j1, lam))[:J]
+        b = build_basis(2, extents, kappa2, J)
+        assert np.array_equal(b.eigenvalues, lam[order])
+        assert b.index_map == tuple(zip(j1[order].tolist(), j2[order].tolist()))
+
     def test_2d_rectangle(self):
         b = build_basis(2, (1.0, 2.0), 0.0, 3)
         lam = lambda j, k: (j * PI) ** 2 + (k * PI / 2.0) ** 2
@@ -83,6 +101,10 @@ class TestBuildBasis:
             with pytest.raises(ValueError):
                 build_basis(1, bad, 0.0, 4)
             with pytest.raises(ValueError):
+                build_basis(2, (PI, bad), 0.0, 4)
+        # (pi / extent)^2 must stay a normal double
+        for bad in (1e-101, 1e101):
+            with pytest.raises(ValueError, match=r"\[1e-100, 1e100\]"):
                 build_basis(2, (PI, bad), 0.0, 4)
 
     def test_eigenvalues_read_only(self):
@@ -191,6 +213,20 @@ class TestSpectralModel:
             for j in range(first_bad, m.J + 1):
                 with pytest.raises(OverflowError, match=f"mode {j}:"):
                     mode_params(m, j)
+
+    @pytest.mark.parametrize("kw,bad", [
+        # lambda_j^beta = (9.87e-6 j^2)^100 is below the least double for j <= 7
+        ({"J": 8, "beta": 100.0, "extents": 1000.0}, range(1, 8)),
+        ({"J": 8, "alpha": 100.0, "extents": 1e-3}, range(1, 9)),  # lambda_tilde_1^-alpha ~ 1e-700
+    ], ids=["rate", "weight"])
+    def test_underflowing_power_raises_naming_mode(self, kw, bad):
+        m = make_model(**kw)
+        for j in range(1, m.J + 1):
+            if j in bad:
+                with pytest.raises(ArithmeticError, match=f"mode {j}: .* underflows to 0"):
+                    mode_params(m, j)
+            else:
+                assert mode_params(m, j).mu > 0.0
 
     def test_mismatched_bases_rejected(self):
         with pytest.raises(ValueError):
