@@ -23,8 +23,8 @@ from . import analysis, fieldfile
 from .fieldfile import format_number, write_csv
 from .kernel import stationary_variance, temporal_matern_limit
 from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, TimeGrid, gram, sample_field
-from .spectral import (ConfigError, SpectralModel, as_points, config_float, config_int,
-                       load_config, model_from_dict, mode_params, weyl_ratio)
+from .spectral import (ConfigError, SpectralModel, as_points, config_checked, config_float,
+                       config_int, load_config, model_from_dict, mode_params, weyl_ratio)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -51,9 +51,7 @@ def _grid_from_config(doc: dict) -> TimeGrid:
         raise ConfigError("grid", "missing grid spec {t_start, t_end, steps}")
     t0 = config_float(spec.get("t_start"), "grid.t_start")
     t1 = config_float(spec.get("t_end"), "grid.t_end")
-    steps = config_int(spec.get("steps"), "grid.steps")
-    if steps < 1:
-        raise ConfigError("grid.steps", f"must be >= 1, got {steps}")
+    steps = _at_least_one(spec.get("steps"), "grid.steps")
     try:
         return TimeGrid.uniform(t0, t1, steps)
     except ValueError as exc:
@@ -75,30 +73,28 @@ def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
     if isinstance(spec, dict) and "points" in spec:
         return as_points(_config_list(spec["points"], "space.points"), model.d)
     if isinstance(spec, dict) and "lattice" in spec:
-        n = config_int(spec["lattice"], "space.lattice")
-        if n < 1:
-            raise ConfigError("space.lattice", f"must be >= 1, got {n}")
+        n = _at_least_one(spec["lattice"], "space.lattice")
         axes = [np.linspace(0.0, ell, n + 2)[1:-1] for ell in model.basis.extents]
         return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     raise ConfigError("space", "must contain 'points' or 'lattice'")
 
 
+def _at_least_one(raw, field: str) -> int:
+    """Count from config field or option `field`, checked to be >= 1."""
+    return config_checked(raw, field, lambda v: v >= 1, "must be >= 1", config_int)
+
+
 def _mode_index(model: SpectralModel, raw, field: str) -> int:
     """Mode index (1-based) from config field `field`, checked against [1, J]."""
-    j = config_int(raw, field)
-    if not 1 <= j <= model.J:
-        raise ConfigError(field, f"mode index {j} out of range [1, {model.J}]")
-    return j
+    return config_checked(raw, field, lambda j: 1 <= j <= model.J, f"must be in [1, {model.J}]",
+                          config_int)
 
 
 def _seed_from(args, doc: dict) -> SeedSpec:
-    if args.seed is not None:
-        return SeedSpec(args.seed)
-    master = config_int(doc.get("seed", 0), "seed")
-    try:
-        return SeedSpec(master)
-    except ValueError as exc:
-        raise ConfigError("seed", str(exc)) from None
+    """The master seed: --seed when given, else config field `seed` (default 0)."""
+    field, raw = ("seed", doc.get("seed", 0)) if args.seed is None else ("--seed", args.seed)
+    return SeedSpec(config_checked(raw, field, lambda v: 0 <= v < 2 ** 64, "must be in [0, 2^64)",
+                                   config_int))
 
 
 def _out_dir(args) -> Path:
@@ -130,12 +126,10 @@ def cmd_sample(args, doc: dict, model: SpectralModel) -> int:
         print("warning: variance series diverges; sampling the truncated model (--force)")
     grid = _grid_from_config(doc)
     space = _space_from_config(doc, model)
-    n_paths = config_int(doc.get("n_paths", 1), "n_paths")
-    if n_paths < 1:
-        raise ConfigError("n_paths", f"must be >= 1, got {n_paths}")
+    n_paths = _at_least_one(doc.get("n_paths", 1), "n_paths")
     seed = _seed_from(args, doc)
-    if args.threads is not None and args.threads < 1:
-        raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
+    if args.threads is not None:
+        _at_least_one(args.threads, "--threads")
     sample = sample_field(model, grid, space, n_paths, seed)
     out = _out_dir(args)
     bin_path = out / "field.stwm"
@@ -176,9 +170,8 @@ def cmd_cov(args, doc: dict, model: SpectralModel) -> int:
 
 def cmd_limits(args, doc: dict, model: SpectralModel) -> int:
     opts = _section(doc, "limits")
-    kappa = config_float(opts.get("temporal_kappa", 1.0), "limits.temporal_kappa")
-    if not kappa > 0.0:
-        raise ConfigError("limits.temporal_kappa", f"must be > 0, got {kappa!r}")
+    kappa = config_checked(opts.get("temporal_kappa", 1.0), "limits.temporal_kappa",
+                           lambda v: v > 0.0, "must be > 0")
     lags = _config_list(opts.get("lags", list(np.geomspace(1e-2, 4.0, 25))), "limits.lags")
     if not all(isinstance(h, float) and h >= 0.0 for h in lags):
         raise ConfigError("limits.lags", f"must be a list of numbers >= 0, got {lags!r}")
@@ -298,9 +291,6 @@ def main(argv=None) -> int:
         if args.command in _NEED_FINITE_VARIANCE and not model.gamma > 0.5:
             raise ModelInvalid(f"{args.command} requires gamma > 1/2, got gamma={model.gamma}")
         return _COMMANDS[args.command](args, doc, model)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ModelInvalid as exc:
         print(f"model invalid: {exc}", file=sys.stderr)
         return EXIT_MODEL
@@ -310,7 +300,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"numerical failure: the host refused an allocation ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -33,9 +33,8 @@ def write_field(path, sample: FieldSample) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<5I", FORMAT_VERSION, d, n_times, n_points, n_paths))
-        fh.write(values.tobytes())
-        fh.write(times.tobytes())
-        fh.write(pts.tobytes())
+        for arr in (values, times, pts):  # C-contiguous "<f8": their buffers are the bytes
+            fh.write(arr)
 
 
 def read_field(path) -> FieldSample:

@@ -146,8 +146,9 @@ def _lagged_integrals(g: float, mu, widths, lags) -> np.ndarray:
     width, so one array shape serves every entry.
     """
     mu, widths, lags = (a[..., None] for a in np.broadcast_arrays(mu, widths, lags))
-    widths = np.minimum(widths, 0.5 * _EFOLDS / mu)
-    sigma = np.minimum(widths, 0.5 / mu)
+    with np.errstate(over="ignore"):  # a subnormal mu gives an infinite cap, never the minimum
+        widths = np.minimum(widths, 0.5 * _EFOLDS / mu)
+        sigma = np.minimum(widths, 0.5 / mu)
     a, b = sigma / (sigma + lags), lags / (sigma + lags)
 
     def smooth(x):

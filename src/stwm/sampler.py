@@ -109,10 +109,7 @@ class SeedSpec:
     with none draws nothing. For a fixed numpy build and BLAS thread count
     an identical SeedSpec yields bit-identical output (across BLAS thread
     counts only on short grids; see the module docstring), and the first m
-    of n paths equal an m-path run. Seeds recorded under the earlier formats
-    v1 (key (master, path << 32 | mode)), v2 (Box-Muller on fixed-stride
-    words) and v3 (Philox4x64 keyed by (master, mode), every index drawn) do
-    not replay.
+    of n paths equal an m-path run.
     """
 
     master: int
@@ -164,27 +161,6 @@ def _mode_stream(master: int, mode: int):
     SeedSequence(master). numpy.random is reached only here, when a stream
     is built, so importing the sampler does not load it."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(master, spawn_key=(mode,))))
-
-
-def _stream_normals(master: int, mode: int, out: np.ndarray, path: int = 0) -> np.ndarray:
-    """Fill out, a C-contiguous (n_paths, n_live) float array, with the
-    standard normals of paths path .. path + n_paths - 1 of one mode in
-    stream format v4 (see STREAM_FORMAT), and return it. n_live is the
-    number of the mode's live indices; with none, nothing is drawn.
-
-    The stream is sequential: the normals of the paths before `path` are
-    drawn into out and dropped, so a replay from path p costs p * n_live
-    draws.
-    """
-    if path < 0:
-        raise ValueError(f"path index must be >= 0, got {path}")
-    if out.size == 0:
-        return out
-    gen = _mode_stream(master, mode)
-    flat, skip = out.reshape(-1), path * out.shape[1]
-    for s in range(0, skip, flat.size):
-        gen.standard_normal(out=flat[:min(flat.size, skip - s)])
-    return gen.standard_normal(out=out)
 
 
 def _first_live(diag: np.ndarray) -> np.ndarray:
@@ -637,13 +613,19 @@ def factorized_sample(k: ModeKernel, delta: float, fine_grid: TimeGrid, seed: Se
     the factorization construction: draw the order-(gamma - delta) process
     exactly on the fine grid (Cholesky factor of its gram), then apply the
     singular convolution operator. Normals are drawn for the live indices
-    only, from the stream of mode 0 (see STREAM_FORMAT): on an n-point grid
-    whose only dead index is t = 0, path p takes normals p (n - 1) ..
-    (p + 1)(n - 1) - 1, and the path is 0 at t = 0.
+    only, from the stream of mode 0 read path after path as sample_modes
+    reads it (see STREAM_FORMAT): on an n-point grid whose only dead index
+    is t = 0, path p takes normals p (n - 1) .. (p + 1)(n - 1) - 1, so a
+    replay from path p first draws p (n - 1) normals, and the path is 0 at
+    t = 0.
     """
+    if path < 0:
+        raise ValueError(f"path index must be >= 0, got {path}")
     L = _inner_factor(k, delta, fine_grid)
     i = int(_first_live(L.diagonal()))  # 1 or more: the grid starts at t = 0
-    z = _stream_normals(seed.master, 0, np.empty((1, fine_grid.n - i)), path)[0]
+    z, stream = np.empty(fine_grid.n - i), _mode_stream(seed.master, 0)
+    for _ in range(path + 1):  # the paths before `path` are drawn and dropped
+        stream.standard_normal(out=z)
     return fractional_convolution(L[:, i:] @ z, delta, k.mu, fine_grid)
 
 

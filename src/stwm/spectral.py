@@ -244,10 +244,13 @@ def config_float(raw, field_name: str) -> float:
 _MODEL_FIELDS = ("d", "extents", "kappa2", "kappa2_tilde", "J", "alpha", "beta", "gamma", "T")
 
 
-def _checked(doc: dict, name: str, predicate, message: str, read=config_float):
-    value = read(doc[name], name)
+def config_checked(raw, field_name: str, predicate, message: str, read=config_float):
+    """Value of config field `field_name`, read by `read` (config_float or
+    config_int); one for which `predicate` fails is a ConfigError naming the
+    field, with `message` stating the rule."""
+    value = read(raw, field_name)
     if not predicate(value):
-        raise ConfigError(name, f"{message}, got {value!r}")
+        raise ConfigError(field_name, f"{message}, got {value!r}")
     return value
 
 
@@ -280,20 +283,19 @@ def model_from_dict(doc: dict) -> SpectralModel:
     for name in _MODEL_FIELDS:
         if name not in doc:
             raise ConfigError(name, "missing")
-    d = _checked(doc, "d", lambda v: v in (1, 2), "must be 1 or 2", config_int)
-    J = _checked(doc, "J", lambda v: 1 <= v <= MAX_MODES, f"must be in [1, {MAX_MODES}]",
-                 config_int)
+    d = config_checked(doc["d"], "d", lambda v: v in (1, 2), "must be 1 or 2", config_int)
+    J = config_checked(doc["J"], "J", lambda v: 1 <= v <= MAX_MODES,
+                       f"must be in [1, {MAX_MODES}]", config_int)
     extents = doc["extents"]
     extents = [config_float(e, "extents")
                for e in (extents if isinstance(extents, (list, tuple)) else [extents])]
     if len(extents) != d or any(not e > 0.0 for e in extents):
         raise ConfigError("extents", f"must be {d} positive length(s), got {doc['extents']!r}")
-    kappa2 = _checked(doc, "kappa2", lambda v: v >= 0.0, "must be >= 0")
-    kappa2_t = _checked(doc, "kappa2_tilde", lambda v: v >= 0.0, "must be >= 0")
-    alpha = _checked(doc, "alpha", lambda v: v >= 0.0, "must be >= 0")
-    beta = _checked(doc, "beta", lambda v: v >= 0.0, "must be >= 0")
-    gamma = _checked(doc, "gamma", lambda v: v > 0.0, "must be > 0")
-    horizon = _checked(doc, "T", lambda v: v > 0.0, "must be > 0")
+    kappa2, kappa2_t, alpha, beta = (
+        config_checked(doc[name], name, lambda v: v >= 0.0, "must be >= 0")
+        for name in ("kappa2", "kappa2_tilde", "alpha", "beta"))
+    gamma, horizon = (config_checked(doc[name], name, lambda v: v > 0.0, "must be > 0")
+                      for name in ("gamma", "T"))
     return SpectralModel(
         basis=build_basis(d, extents, kappa2, J),
         basis_tilde=build_basis(d, extents, kappa2_t, J),

@@ -1,19 +1,21 @@
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stwm import analysis, cli, kernel, sampler
-from stwm.fieldfile import read_field, write_csv, write_field, write_field_csv
+from stwm.fieldfile import format_number, read_field, write_csv, write_field, write_field_csv
 from stwm.kernel import ModeKernel, mode_cov
 from stwm.quadrature import QuadratureConfig
 from stwm.sampler import FieldSample, TimeGrid, gram
-from stwm.spectral import evaluate_basis, model_from_dict, mode_params
+from stwm.spectral import evaluate_basis, model_from_dict, mode_params, weyl_ratio
 
 PI = math.pi
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
@@ -66,6 +68,14 @@ class TestBasisCommand:
         assert (tmp_path / "basis.csv").read_bytes() == (
             b"j,lambda,lambda_tilde,weyl_ratio\n1,1,1.5,1\n2,4,4.5,1\n3,9,9.5,1\n")
 
+    def test_weyl_ratio_printed_from_ten_modes(self, tmp_path, capsys):
+        doc = {"model": dict(BASE_CONFIG["model"], J=10)}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path), "basis"]) == 0
+        lo, hi = weyl_ratio(model_from_dict(doc).basis)
+        assert f"[{format_number(lo)}, {format_number(hi)}]\n" in capsys.readouterr().out
+
     def test_invalid_dimension_exit_2_names_field(self, tmp_path, capsys):
         doc = {"model": dict(BASE_CONFIG["model"], d=3)}
         p = tmp_path / "bad.json"
@@ -75,6 +85,11 @@ class TestBasisCommand:
 
     def test_missing_config_exit_2(self, tmp_path):
         assert run_cli(["--config", str(tmp_path / "nope.json"), "basis"]) == 2
+
+    def test_no_config_exit_2(self, tmp_path, capsys):
+        assert run_cli(["--out", str(tmp_path / "o"), "basis"]) == 2
+        assert "'--config'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSampleCommand:
@@ -136,15 +151,36 @@ class TestSampleCommand:
         assert run_cli(["--config", str(p), "--out", str(tmp_path / "x"), "sample"]) == 3
 
     def test_config_file_not_mutated(self, config_path, tmp_path):
-        before = open(config_path).read()
+        before = Path(config_path).read_text()
         run_cli(["--config", config_path, "--out", str(tmp_path / "r"), "sample"])
-        assert open(config_path).read() == before
+        assert Path(config_path).read_text() == before
+
+    @pytest.mark.parametrize("extents", [PI, [PI, 2.0]], ids=["1d", "2d"])
+    def test_lattice_points(self, tmp_path, extents):
+        # n interior points ell k / (n + 1) per axis, in ij order
+        n, ells = 3, np.atleast_1d(extents)
+        model = dict(BASE_CONFIG["model"], d=ells.size, extents=extents, J=4, alpha=2.0)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(BASE_CONFIG, model=model, n_paths=2, space={"lattice": n})))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path), "sample"]) == 0
+        fs = read_field(tmp_path / "field.stwm")
+        axes = [[ell * k / (n + 1) for k in range(1, n + 1)] for ell in ells]
+        np.testing.assert_allclose(fs.space_points, list(itertools.product(*axes)),
+                                   rtol=1e-15, atol=0.0)
+        assert fs.values.shape == (2, 5, n ** ells.size)
 
     def test_threads_below_one_exit_2(self, config_path, tmp_path, capsys):
         assert run_cli(["--config", config_path, "--out", str(tmp_path), "--threads", "-3",
                         "sample"]) == 2
         assert "'--threads'" in capsys.readouterr().err
         assert not (tmp_path / "field.stwm").exists()
+
+    def test_seed_flag_out_of_range_exit_2(self, config_path, tmp_path, capsys):
+        assert run_cli(["--config", config_path, "--out", str(tmp_path / "o"), "--seed", "-1",
+                        "sample"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config field '--seed': must be in [0, 2^64), got -1\n")
+        assert not (tmp_path / "o").exists()
 
     def test_threads_flag_has_no_effect(self, config_path, tmp_path):
         fields = []
@@ -178,6 +214,16 @@ class TestCovCommand:
         p.write_text(json.dumps(doc))
         assert run_cli(["--config", str(p), "--out", str(tmp_path), "cov"]) == 2
         assert "cov.mode" in capsys.readouterr().err
+
+    def test_subnormal_rate_silent(self, tmp_path, capsys):
+        # mu_8 = (8 pi / 1000)^200 = 1.1e-320: a warning on the way would
+        # fail the run (pyproject.toml) and print to stderr under python
+        doc = dict(BASE_CONFIG, cov={"mode": 8},
+                   model=dict(BASE_CONFIG["model"], extents=1000.0, beta=100.0, gamma=1.2))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path), "cov"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("target", [3, "field"])
     @pytest.mark.parametrize("gamma", [0.8, 1.6])
@@ -498,6 +544,15 @@ class TestIntegerConfigFields:
         "n_paths": (lambda v: {"n_paths": v}, ["sample"]),
         "seed": (lambda v: {"seed": v}, ["sample"]),
     }
+    # each field's out-of-range value and the rule that rejects it
+    RANGES = {
+        "cov.mode": (9, "must be in [1, 8]"),
+        "holder.mode": (0, "must be in [1, 8]"),
+        "grid.steps": (0, "must be >= 1"),
+        "space.lattice": (0, "must be >= 1"),
+        "n_paths": (0, "must be >= 1"),
+        "seed": (2 ** 64, "must be in [0, 2^64)"),
+    }
 
     @pytest.mark.parametrize("bad", [2.7, True])
     @pytest.mark.parametrize("field", list(FIELDS))
@@ -509,6 +564,16 @@ class TestIntegerConfigFields:
         assert f"'{field}'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "field.stwm").exists()
         assert not (tmp_path / "o" / "cov.csv").exists()
+
+    @pytest.mark.parametrize("field", list(FIELDS))
+    def test_out_of_range_exit_2_names_field(self, tmp_path, capsys, field):
+        (override, command), (bad, rule) = self.FIELDS[field], self.RANGES[field]
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(BASE_CONFIG, **override(bad))))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), *command]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config field '{field}': {rule}, got {bad}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_integral_float_accepted(self, tmp_path):
         p = tmp_path / "c.json"
@@ -568,6 +633,11 @@ class TestRealConfigFields:
         pytest.param("limits.temporal_kappa", {"limits": {"temporal_kappa": 0.0}}, ["limits"],
                      id="kappa-zero"),
         pytest.param("holder", {"holder": 3}, ["holder"], id="holder-not-object"),
+        pytest.param("grid", {"grid": None}, ["sample"], id="grid-missing"),
+        pytest.param("grid", {"grid": {"t_start": 2.0, "t_end": 2.0, "steps": 4}}, ["sample"],
+                     id="grid-empty"),
+        pytest.param("space", {"space": None}, ["sample"], id="space-missing"),
+        pytest.param("space", {"space": {"point": [1.0]}}, ["sample"], id="space-without-key"),
     ])
     def test_bad_shape_or_range_exit_2_names_field(self, tmp_path, capsys, field, override,
                                                     command):
@@ -654,6 +724,19 @@ class TestFieldFile:
         assert raw[:4] == b"STWM"
         header = np.frombuffer(raw[4:24], dtype="<u4")
         assert list(header) == [1, 1, 3, 2, 3]  # version, d, n_times, n_points, n_paths
+
+    def test_write_copies_no_array(self, tmp_path):
+        fs = self.make_sample(n_paths=4000)
+        tracemalloc.start()
+        try:
+            alive = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_field(tmp_path / "f.stwm", fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - alive < 0.5 * fs.values.nbytes
+        assert read_field(tmp_path / "f.stwm").values.tobytes() == fs.values.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

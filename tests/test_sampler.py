@@ -17,7 +17,7 @@ from stwm.sampler import (
     TimeGrid,
     _frac_weights,
     _inner_factor,
-    _stream_normals,
+    _mode_stream,
     assemble_field,
     cholesky_psd,
     factorized_covariance,
@@ -80,6 +80,17 @@ class TestGram:
         for i in range(pts.size):
             for j in range(pts.size):
                 want = mode_cov(k, pts[i], pts[j], TIGHT)
+                assert abs(G[i, j] - want) <= 1e-12 * want, (i, j)
+
+    def test_subnormal_rate_matches_reference(self):
+        # at mu = 1e-320 the rule's width caps 380 / mu and 0.5 / mu are
+        # infinite; they must be formed without an overflow warning
+        k = ModeKernel(mu=1e-320, weight=1.0, gamma=1.2)
+        grid = TimeGrid.uniform(0.0, 2.0, 4)
+        G = gram(k, grid)
+        for i, s in enumerate(grid.points):
+            for j, t in enumerate(grid.points):
+                want = mode_cov(k, s, t, TIGHT)
                 assert abs(G[i, j] - want) <= 1e-12 * want, (i, j)
 
     def test_single_origin_point(self):
@@ -486,17 +497,21 @@ def v4_stream(master, mode):
 class TestStreams:
     def test_v4_matches_generator_rebuild_and_frozen_values(self):
         want = v4_stream(77, 2).standard_normal((6, 8))
-        got = _stream_normals(77, 2, np.empty((6, 8)))
+        got = _mode_stream(77, 2).standard_normal((6, 8))
         assert np.array_equal(got, want)
         np.testing.assert_allclose(got[5], V4_FROZEN, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("n", [3, 5, 6, 8])
     def test_batched_rows_equal_single_path_draws(self, n):
-        # a replay from path p draws the p earlier paths and drops them
-        batch = _stream_normals(9, 3, np.empty((40, n)))
+        # a replay of factorized_sample from path p draws the p earlier paths
+        # of mode 0's stream and drops them; the grid has n live indices
+        k, grid = ModeKernel(mu=1.0, weight=1.0, gamma=1.2), TimeGrid.uniform(0.0, 1.0, n)
+        L = _inner_factor(k, 0.3, grid)
+        batch = v4_stream(9, 0).standard_normal((40, n))
         for p in (0, 1, 17, 39):
-            assert np.array_equal(batch[p], _stream_normals(9, 3, np.empty((1, n)), p)[0])
-        assert np.array_equal(batch[17:], _stream_normals(9, 3, np.empty((23, n)), 17))
+            want = fractional_convolution(L[:, 1:] @ batch[p], 0.3, k.mu, grid)
+            got = factorized_sample(k, 0.3, grid, SeedSpec(9), path=p)
+            assert got.tobytes() == want.tobytes(), p
 
     def test_prefix_identity_across_block_edges(self):
         model = spread_model(J=2, gamma=1.2)
@@ -534,19 +549,13 @@ class TestStreams:
         assert np.array_equal(got, want)
 
     def test_distinct_streams(self):
-        a = _stream_normals(1, 0, np.empty((1, 4)))
-        b = _stream_normals(1, 1, np.empty((1, 4)))
-        c = _stream_normals(1, 0, np.empty((1, 4)), 1)
+        a, c = _mode_stream(1, 0).standard_normal((2, 4))  # paths 0 and 1 of 4 live indices
+        b = _mode_stream(1, 1).standard_normal(4)
         assert not np.array_equal(a, b) and not np.array_equal(a, c)
         # SeedSequence([master, mode]) would give these two the same stream
-        d = _stream_normals(1, 5, np.empty((1, 4)))
-        e = _stream_normals(1 + 5 * 2 ** 32, 0, np.empty((1, 4)))
+        d = _mode_stream(1, 5).standard_normal(4)
+        e = _mode_stream(1 + 5 * 2 ** 32, 0).standard_normal(4)
         assert not np.array_equal(d, e)
-
-    def test_no_live_index_draws_nothing(self, monkeypatch):
-        monkeypatch.setattr(sampler, "_mode_stream", None)  # any stream built would fail
-        for path in (0, 3):
-            assert _stream_normals(4, 0, np.empty((1, 0)), path).shape == (1, 0)
 
     def test_seed_spec_validation(self):
         with pytest.raises(ValueError):
@@ -885,6 +894,12 @@ class TestFactorizedSampler:
             with pytest.raises(ValueError):
                 factorized_sample(k, bad, grid, SeedSpec(0))
 
+    def test_negative_path_rejected_before_the_factor(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_inner_factor", None)  # any factor built would fail
+        k = ModeKernel(mu=1.0, weight=1.0, gamma=1.2)
+        with pytest.raises(ValueError, match="path index must be >= 0, got -1"):
+            factorized_sample(k, 0.3, TimeGrid.uniform(0.0, 1.0, 8), SeedSpec(0), path=-1)
+
     def test_path_shape_and_origin(self):
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.2)
         grid = TimeGrid.uniform(0.0, 1.0, 128)
@@ -936,7 +951,7 @@ class TestFactorizedSampler:
         # against the public path: the factor of a fresh gram, and the
         # variance c^T G c of the gram itself
         G = gram(ModeKernel(mu=1.0, weight=1.0, gamma=k.gamma - 0.3), grid)
-        z = _stream_normals(31, 0, np.empty((1, grid.n - 1)))[0]  # no draw at t = 0
+        z = v4_stream(31, 0).standard_normal(grid.n - 1)  # no draw at t = 0
         want = fractional_convolution(cholesky_psd(G)[0][:, 1:] @ z, 0.3, 1.0, grid)
         assert path.tobytes() == want.tobytes()
         c = _frac_weights(0.3, 1.0, grid.step, grid.n - 1)[::-1]
@@ -988,7 +1003,7 @@ class TestFactorizedSampler:
         grid = TimeGrid.uniform(0.0, 1.0, n_cells)
         inner = ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta)
         L, _ = cholesky_psd(gram(inner, grid))
-        Z = _stream_normals(4242, 0, np.empty((n_paths, grid.n - 1)))  # no draw at t = 0
+        Z = v4_stream(4242, 0).standard_normal((n_paths, grid.n - 1))  # no draw at t = 0
         finals = fractional_convolution(Z @ L[:, 1:].T, delta, k.mu, grid)[:, -1]
         want = factorized_covariance(k, delta, grid)
         emp = float(np.mean(finals ** 2))
