@@ -117,12 +117,12 @@ def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     e1 = 2.0 * b * (q.sigma / 2.0 + q.n + q.tau + 0.5 - g)
     with np.errstate(over="ignore"):
         terms = np.exp(e1 * np.log(lam) - a * np.log(lam_t))
+        partial = float(terms.sum())
     over = np.flatnonzero(terms == math.inf)
     if over.size:
         j = int(over[0])
         raise OverflowError(f"mode {j + 1}: spectral-sum term lambda^{e1} lambda_tilde^-{a} = "
                             f"{lam[j]}^{e1} {lam_t[j]}^-{a} overflows")
-    partial = float(terms.sum())
     if partial == math.inf:
         raise OverflowError(f"spectral partial sum over {model.J} modes overflows")
     p = _spectral_exponent(model, q)

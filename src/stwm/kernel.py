@@ -230,14 +230,17 @@ def stationary_constant(gamma: float) -> float:
 
 
 def stationary_variance(k: ModeKernel) -> float:
-    """Limit of mode_var(k, t) as t -> infinity. A power mu^(1 - 2 gamma)
-    beyond the double range raises OverflowError naming mu and gamma."""
+    """Limit of mode_var(k, t) as t -> infinity. A value beyond the double
+    range raises OverflowError naming w, mu and gamma."""
     c = stationary_constant(k.gamma)
     try:
-        return k.weight * c * k.mu ** (1.0 - 2.0 * k.gamma)
+        value = k.weight * c * k.mu ** (1.0 - 2.0 * k.gamma)
     except OverflowError:
-        raise OverflowError(f"stationary variance: mu^(1 - 2 gamma) with mu = {k.mu}, "
-                            f"gamma = {k.gamma} overflows") from None
+        value = math.inf
+    if value == math.inf:
+        raise OverflowError(f"stationary variance: w mu^(1 - 2 gamma) with w = {k.weight}, "
+                            f"mu = {k.mu}, gamma = {k.gamma} overflows")
+    return value
 
 
 def temporal_matern_limit(gamma: float, kappa: float, h: float) -> float:

@@ -35,12 +35,12 @@ MAX_MODES = 10 ** 7
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """Sorted Dirichlet eigenpairs of kappa2 - Laplacian on an interval (d=1)
-    or rectangle (d=2).
-
-    eigenvalues[j] = kappa2 + sum_i (m_i pi / extent_i)^2 for the multi-index
-    m = index_map[j]; ties in 2D are broken lexicographically so the ordering
-    is deterministic.
+    """Dirichlet eigenpairs of kappa2 - Laplacian on an interval (d=1) or
+    rectangle (d=2): row j of the read-only (J, d) integer array index_map is
+    the multi-index m of mode j, and eigenvalues[j] = kappa2 + s_j with
+    s_j = sum_i (m_i pi / extent_i)^2. The modes are the J smallest by s,
+    sorted by it with ties broken by (m_1, m_2), so every shift on one domain
+    gives the same index_map.
     """
 
     d: int
@@ -48,14 +48,16 @@ class EigenBasis:
     kappa2: float
     J: int
     eigenvalues: np.ndarray = field(repr=False)
-    index_map: tuple = field(repr=False)
+    index_map: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
+        self.index_map.setflags(write=False)
 
 
 def build_basis(d: int, extents, kappa2: float, J: int) -> EigenBasis:
-    """Construct the smallest J eigenpairs."""
+    """The J modes of the domain with the smallest Laplacian eigenvalues, in
+    EigenBasis order, with eigenvalues shifted by kappa2."""
     if d not in (1, 2):
         raise ValueError(f"unsupported dimension d={d} (only 1 and 2 ship)")
     if not J >= 1:
@@ -72,28 +74,22 @@ def build_basis(d: int, extents, kappa2: float, J: int) -> EigenBasis:
         raise ValueError(f"extents must be {d} lengths in [1e-100, 1e100], got {extents}")
 
     if d == 1:
-        js = np.arange(1, J + 1)
-        lam = kappa2 + (js * math.pi / extents[0]) ** 2
-        index_map = tuple((int(j),) for j in js)
-    else:
-        # candidates that hold the J smallest, sorted with lexicographic tie-break
-        j1, j2 = _lowest_pairs((math.pi / extents[0]) ** 2, (math.pi / extents[1]) ** 2,
-                               kappa2, J)
-        lam_all = kappa2 + (j1 * math.pi / extents[0]) ** 2 + (j2 * math.pi / extents[1]) ** 2
-        order = np.lexsort((j2, j1, lam_all))[:J]
-        lam = lam_all[order]
-        index_map = tuple((int(a), int(b)) for a, b in zip(j1[order], j2[order]))
+        modes = np.arange(1, J + 1).reshape(J, 1)
+    else:  # candidates that hold the J smallest
+        modes = _lowest_pairs((math.pi / extents[0]) ** 2, (math.pi / extents[1]) ** 2, J)
+    lap = sum((m * math.pi / ell) ** 2 for m, ell in zip(modes.T, extents))
+    order = np.lexsort((*modes.T[::-1], lap))[:J]  # ties broken by (j1, j2)
     return EigenBasis(d=d, extents=extents, kappa2=float(kappa2), J=int(J),
-                      eigenvalues=np.asarray(lam, dtype=float), index_map=index_map)
+                      eigenvalues=kappa2 + lap[order], index_map=modes[order])
 
 
-def _lowest_pairs(s1: float, s2: float, kappa2: float, J: int):
-    """Arrays j1, j2 of the multi-indices (j1, j2) >= 1 with s1 j1^2 + s2 j2^2
+def _lowest_pairs(s1: float, s2: float, J: int):
+    """(n, 2) array of the multi-indices (j1, j2) >= 1 with s1 j1^2 + s2 j2^2
     at most the least bound under which J pairs lie (by bisection), widened
-    by 1e-9 (kappa2 + bound) so that no eigenvalue that rounds to a tie with
-    the J-th is dropped. A pair has j1 j2 - 1 pairs before it, as the sums
-    grow in each index, so only pairs with j1 j2 <= J are formed: at most
-    J (1 + ln J) of them, and O(J) unless many eigenvalues tie."""
+    by 1e-9 bound so that no sum that rounds to a tie with the J-th is
+    dropped. A pair has j1 j2 - 1 pairs before it, as the sums grow in each
+    index, so only pairs with j1 j2 <= J are formed: at most J (1 + ln J) of
+    them, and O(J) unless many sums tie."""
     def row_counts(bound):
         rows = np.arange(1, min(J, int(math.sqrt(max(bound - s2, 0.0) / s1)) + 1) + 1)
         counts = np.floor(np.sqrt(np.maximum(bound - s1 * rows ** 2.0, 0.0) / s2))
@@ -105,9 +101,10 @@ def _lowest_pairs(s1: float, s2: float, kappa2: float, J: int):
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if row_counts(mid).sum() >= J else (mid, hi)
-    counts = row_counts(hi + 1e-9 * (kappa2 + hi))
+    counts = row_counts(hi + 1e-9 * hi)
     j1 = np.repeat(np.arange(1, counts.size + 1), counts)
-    return j1, np.arange(j1.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    j2 = np.arange(j1.size) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    return np.column_stack((j1, j2))
 
 
 def as_points(points, d: int) -> np.ndarray:
@@ -127,10 +124,9 @@ def evaluate_basis(basis: EigenBasis, points) -> np.ndarray:
         coord = pts[:, axis]
         if not np.all((coord > 0.0) & (coord < ell)):
             raise ValueError(f"points must lie inside the open domain (0, {ell}) along axis {axis}")
-    idx = np.asarray(basis.index_map)  # (J, d)
     out = np.ones((pts.shape[0], basis.J))
-    for axis, ell in enumerate(basis.extents):
-        out *= math.sqrt(2.0 / ell) * np.sin(np.outer(pts[:, axis], idx[:, axis]) * math.pi / ell)
+    for x, ell, m in zip(pts.T, basis.extents, basis.index_map.T):
+        out *= math.sqrt(2.0 / ell) * np.sin(np.outer(x, m) * math.pi / ell)
     return out
 
 
@@ -170,7 +166,7 @@ class SpectralModel:
 
     def __post_init__(self):
         b, bt = self.basis, self.basis_tilde
-        if (b.d, b.extents, b.J, b.index_map) != (bt.d, bt.extents, bt.J, bt.index_map):
+        if b.extents != bt.extents or not np.array_equal(b.index_map, bt.index_map):
             raise ValueError("basis and basis_tilde must share dimension, extents, J and index map")
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")

@@ -154,6 +154,12 @@ class TestFieldCov:
         want = mode_cov(k, s, t) * e[0, 0] * e[1, 0]
         assert abs(got.value - want) < 1e-12
 
+    @pytest.mark.parametrize("s,t", [(-1.0, 2.0), (2.0, -1e-300)])
+    def test_negative_time_rejected(self, s, t):
+        m = make_model(alpha=1.0, J=8)
+        with pytest.raises(ValueError, match="field_cov requires s, t >= 0"):
+            field_cov(m, s, t, 1.0, 1.0)
+
     def test_nan_point_rejected(self):
         m = make_model(alpha=1.0, J=8)
         for x, y in ((math.nan, 1.0), (1.0, math.nan)):

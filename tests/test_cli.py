@@ -362,23 +362,34 @@ class TestNumericalFailureExit:
         assert err.endswith(f" {outcome}\n") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,model,message", [
+    @pytest.mark.parametrize("command,flags,model,message", [
         # lambda_tilde_1^-100 ~ 1e500 in hs_sum's first term
-        ("regularity", {"alpha": 100.0, "extents": 1000.0},
+        ("regularity", [], {"alpha": 100.0, "extents": 1000.0},
          "mode 1: spectral-sum term lambda^-1.0 lambda_tilde^-100.0 = "),
+        # every term is finite and their sum is not
+        ("regularity", ["--n", "26"],
+         {"kappa2": 1e6, "kappa2_tilde": 1e6, "J": 200, "alpha": 0.0},
+         "spectral partial sum over 200 modes"),
         # mu_1^(1 - 2 gamma) ~ 1e995 in the first stationary variance
-        ("limits", {"gamma": 100.0, "extents": 1000.0},
-         "stationary variance: mu^(1 - 2 gamma) with mu = 9.869604401089359e-06, gamma = 100.0"),
-    ], ids=["hs_sum", "stationary_variance"])
-    def test_overflow_names_its_term(self, tmp_path, capsys, command, model, message):
+        ("limits", [], {"gamma": 100.0, "extents": 1000.0},
+         "stationary variance: w mu^(1 - 2 gamma) with w = 101321.18364233777, "
+         "mu = 9.869604401089359e-06, gamma = 100.0"),
+        # w = 1e198 and mu^(1 - 2 gamma) = 1e198 are finite, their product is not
+        ("limits", [], {"extents": 1e50, "alpha": 2.0, "gamma": 1.5},
+         "stationary variance: w mu^(1 - 2 gamma) with w = 1.026598225468434e+198, "
+         "mu = 9.869604401089356e-100, gamma = 1.5"),
+    ], ids=["hs_sum", "hs_sum_partial", "stationary_variance", "stationary_variance_product"])
+    def test_overflow_names_its_term(self, tmp_path, capsys, command, flags, model, message):
         doc = dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], **model))
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
+        out = tmp_path / "o"
         # a numpy RuntimeWarning on the way would fail the run (pyproject.toml)
-        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 4
+        assert run_cli(["--config", str(p), "--out", str(out), command, *flags]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: {message}") and err.endswith("overflows\n")
         assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestNoAdaptiveCalls:
@@ -742,6 +753,17 @@ class TestFieldFile:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(ValueError):
+            read_field(path)
+
+    @pytest.mark.parametrize("header,message", [
+        (b"STWM" + b"\x00" * 8, r"header is truncated \(12 bytes\)"),
+        (b"STWM" + np.array([99, 1, 1, 1, 1], dtype="<u4").tobytes(),
+         "unsupported field file version 99"),
+    ], ids=["truncated", "version"])
+    def test_bad_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "f.stwm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=message):
             read_field(path)
 
     def test_header_sizes_checked_against_file_size(self, tmp_path):

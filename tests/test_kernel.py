@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -270,6 +271,16 @@ class TestStationaryVariance:
         for g in (0.75, 1.2, 2.0):
             k = ModeKernel(mu=1.0, weight=0.9, gamma=g)
             assert rel(mode_var(k, 60.0), stationary_variance(k)) < 1e-12
+
+    @pytest.mark.parametrize("w,mu,gamma", [
+        (1.0, 1e-10, 100.0),  # the power mu^(1 - 2 gamma) overflows alone
+        (1e198, 1e-99, 1.5),  # w and the power are finite, their product is not
+    ], ids=["power", "product"])
+    def test_overflow_names_w_mu_gamma(self, w, mu, gamma):
+        message = (f"stationary variance: w mu^(1 - 2 gamma) with w = {w}, mu = {mu}, "
+                   f"gamma = {gamma} overflows")
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            stationary_variance(ModeKernel(mu=mu, weight=w, gamma=gamma))
 
 
 class TestTemporalMaternLimit:

@@ -50,6 +50,9 @@ class TestTimeGrid:
             TimeGrid(np.array([-1.0, 1.0]))
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, np.inf]))
+        for bad in (np.array([]), np.array([[0.0, 1.0], [2.0, 3.0]])):
+            with pytest.raises(ValueError, match="1-D, non-empty"):
+                TimeGrid(bad)
 
     def test_uniform(self):
         g = TimeGrid.uniform(0.0, 1.0, 4)
@@ -628,6 +631,10 @@ class TestSampleModes:
         with pytest.raises(ValueError):
             sample_modes(model, TimeGrid(np.array([0.0, 2.0])), 1, SeedSpec(0))
 
+    def test_no_paths_rejected(self):
+        with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
+            sample_modes(one_mode_model(), TimeGrid(np.array([0.0, 0.5])), 0, SeedSpec(0))
+
     def test_gamma_at_existence_boundary_rejected(self):
         model = one_mode_model(gamma=0.5)
         with pytest.raises(ValueError):
@@ -776,6 +783,11 @@ class TestAssembleField:
         with pytest.raises(ValueError):
             assemble_field(np.zeros((1, 4, 2)), b, [1.0])
 
+    def test_paths_without_a_path_axis_rejected(self):
+        b = build_basis(1, PI, 0.0, 3)
+        with pytest.raises(ValueError, match=r"shape \(n_paths, J, n_times\)"):
+            assemble_field(np.zeros((3, 2)), b, [1.0])
+
     def test_sample_field_shape_and_seed_record(self):
         model = one_mode_model()
         grid = TimeGrid(np.array([0.0, 1.0]))
@@ -876,6 +888,18 @@ class TestFractionalConvolution:
         out = fractional_convolution(vals, 0.5, 1.0, grid)
         assert out.shape == vals.shape
         assert np.all(out[..., 0] == 0.0)
+
+    @pytest.mark.parametrize("delta,mu,start,n_values,message", [
+        (0.0, 1.0, 0.0, 5, "delta > 0, got 0.0"),
+        (math.nan, 1.0, 0.0, 5, "delta > 0, got nan"),
+        (0.5, -1.0, 0.0, 5, "mu >= 0, got -1.0"),
+        (0.5, 1.0, 0.5, 5, "grid to start at 0"),
+        (0.5, 1.0, 0.0, 4, "values last axis 4 must match grid size 5"),
+    ], ids=["delta-zero", "delta-nan", "mu-negative", "grid-off-origin", "values-length"])
+    def test_argument_checks(self, delta, mu, start, n_values, message):
+        grid = TimeGrid.uniform(start, start + 1.0, 4)
+        with pytest.raises(ValueError, match=message):
+            fractional_convolution(np.ones(n_values), delta, mu, grid)
 
     def test_linearity(self):
         rng = np.random.default_rng(2)

@@ -363,6 +363,13 @@ class TestMaternCov:
     def test_nonincreasing_in_distance(self, nu, kappa, r):
         assert matern_cov(nu, kappa, 1.0, r + 0.3) <= matern_cov(nu, kappa, 1.0, r) + 1e-15
 
+    @pytest.mark.parametrize("nu,kappa,dist", [(0.5, 1.0, 706.0), (1.5, 2.0, 400.0),
+                                               (0.5, 1e6, 1.0)])
+    def test_far_tail_is_zero(self, nu, kappa, dist):
+        # beyond kappa dist = 705 the value is 0.0 and no rule is run; for
+        # these orders the exact value is below 1e-300
+        assert matern_cov(nu, kappa, 1.0, dist) == 0.0
+
     def test_domain(self):
         for bad in [(-1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0),
                     (1.0, 1.0, -2.0, 1.0), (1.0, 1.0, 1.0, -0.5)]:

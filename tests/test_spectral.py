@@ -40,7 +40,7 @@ class TestBuildBasis:
     def test_2d_square(self):
         b = build_basis(2, (PI, PI), 0.0, 4)
         assert np.allclose(b.eigenvalues, [2.0, 5.0, 5.0, 8.0], rtol=1e-14)
-        assert b.index_map == ((1, 1), (1, 2), (2, 1), (2, 2))
+        assert b.index_map.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
 
     def test_2d_brute_force_agreement(self):
         # smallest J of j^2 + k^2 enumerated over a generous square
@@ -52,20 +52,22 @@ class TestBuildBasis:
     @pytest.mark.parametrize("extents,kappa2,J", [
         ((PI, PI), 0.5, 4000), ((PI, PI), 0.5, 10 ** 4), ((PI, PI), 0.5, 4 * 10 ** 4),
         ((1.0, 3.0), 0.5, 100), ((1.0, 100.0), 0.5, 100), ((100.0, 1.0), 0.5, 100),
-        # eigenvalues that tie as doubles, so (j1, j2) orders them
-        ((1e100, 1.0), 0.0, 60), ((1.0, 1e12), 0.0, 60), ((1e100, 1e100), 1e6, 60),
-        ((PI, PI), 1e20, 60),
+        # Laplacian eigenvalues that tie as doubles, so (j1, j2) orders them
+        ((1e100, 1.0), 0.0, 60), ((1.0, 1e12), 0.0, 60),
+        # shifts that swamp the Laplacian eigenvalues: the shifted values tie,
+        # and the modes stay the J smallest by the shift-free sum
+        ((1e100, 1e100), 1e6, 60), ((PI, PI), 1e20, 60),
     ])
     def test_2d_matches_brute_force(self, extents, kappa2, J):
         # eigenvalues grow in each index, so (j1, j2) has j1 j2 - 1 pairs
         # before it, and the J smallest lie among the pairs with j1 j2 <= J
         j1 = np.concatenate([np.full(J // a, a) for a in range(1, J + 1)])
         j2 = np.concatenate([np.arange(1, J // a + 1) for a in range(1, J + 1)])
-        lam = kappa2 + (j1 * PI / extents[0]) ** 2 + (j2 * PI / extents[1]) ** 2
-        order = np.lexsort((j2, j1, lam))[:J]
+        lap = (j1 * PI / extents[0]) ** 2 + (j2 * PI / extents[1]) ** 2
+        order = np.lexsort((j2, j1, lap))[:J]
         b = build_basis(2, extents, kappa2, J)
-        assert np.array_equal(b.eigenvalues, lam[order])
-        assert b.index_map == tuple(zip(j1[order].tolist(), j2[order].tolist()))
+        assert np.array_equal(b.eigenvalues, kappa2 + lap[order])
+        assert np.array_equal(b.index_map, np.column_stack((j1[order], j2[order])))
 
     def test_2d_rectangle(self):
         b = build_basis(2, (1.0, 2.0), 0.0, 3)
@@ -76,8 +78,18 @@ class TestBuildBasis:
     def test_deterministic_tie_break(self):
         a = build_basis(2, (PI, PI), 0.0, 50)
         b = build_basis(2, (PI, PI), 0.0, 50)
-        assert a.index_map == b.index_map
+        assert np.array_equal(a.index_map, b.index_map)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+    @pytest.mark.parametrize("J", [50, 200, 1000])
+    @pytest.mark.parametrize("extents", [(1.0, 1.0), (PI, PI), (1.0, 2.0), (2.0, 3.0), (3.0, 1.5)])
+    def test_shifts_share_index_map(self, extents, J):
+        # the mode order belongs to the domain: any two shifts pair up
+        ref = build_basis(2, extents, 0.0, J)
+        for kappa2 in (0.1, 1.0, 3.7, 25.0, 1e20):
+            b = build_basis(2, extents, kappa2, J)
+            assert np.array_equal(b.index_map, ref.index_map)
+            SpectralModel(basis=ref, basis_tilde=b, alpha=1.0, beta=1.0, gamma=1.2, T=1.0)
 
     def test_sorted_nondecreasing_positive(self):
         b = build_basis(2, (1.3, 0.7), 0.5, 300)
@@ -112,6 +124,14 @@ class TestBuildBasis:
         with pytest.raises(ValueError):
             b.eigenvalues[0] = 99.0
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_index_map_read_only_int_array(self, d):
+        b = build_basis(d, PI, 0.0, 5)
+        assert b.index_map.shape == (5, d) and b.index_map.dtype.kind == "i"
+        assert b.index_map[0].tolist() == [1] * d
+        with pytest.raises(ValueError):
+            b.index_map[0, 0] = 2
+
 
 class TestEvaluateBasis:
     def test_1d_values(self):
@@ -145,6 +165,14 @@ class TestEvaluateBasis:
         E = evaluate_basis(b, pts)
         G = (PI / n) ** 2 * (E.T @ E)
         assert np.abs(G - np.eye(20)).max() < 1e-6
+
+    @pytest.mark.parametrize("d,points", [
+        (1, [(1.0, 1.0), (2.0, 2.0)]), (2, [(1.0, 1.0, 1.0)]), (2, [[1.0], [2.0]]),
+    ], ids=["1d-pairs", "2d-triples", "2d-singles"])
+    def test_wrong_coordinate_count_rejected(self, d, points):
+        b = build_basis(d, PI, 0.0, 2)
+        with pytest.raises(ValueError, match=f"points must have {d} coordinates"):
+            evaluate_basis(b, points)
 
     def test_outside_domain_rejected(self):
         b = build_basis(1, PI, 0.0, 2)
@@ -297,6 +325,14 @@ class TestModelConfig:
     def test_non_numeric_field_named(self, field, bad):
         with pytest.raises(ConfigError, match=f"'{field}'"):
             model_from_dict(dict(self.DOC, **{field: bad}))
+
+    @pytest.mark.parametrize("d,extents", [
+        (1, 0.0), (1, -PI), (1, [PI, PI]), (2, [PI]), (2, [PI, -1.0]),
+    ], ids=["zero", "negative", "too-many", "too-few", "negative-second"])
+    def test_bad_extents_named(self, d, extents):
+        doc = dict(self.DOC, d=d, extents=extents)
+        with pytest.raises(ConfigError, match=rf"'extents': must be {d} positive length\(s\)"):
+            model_from_dict(doc)
 
     def test_bad_dimension_named(self):
         doc = dict(self.DOC, d=3)
