@@ -230,17 +230,17 @@ def stationary_constant(gamma: float) -> float:
 
 
 def stationary_variance(k: ModeKernel) -> float:
-    """Limit of mode_var(k, t) as t -> infinity. A value beyond the double
+    """Limit of mode_var(k, t) as t -> infinity, w c mu^(1 - 2 gamma) with c
+    the stationary_constant, formed in log space, so it is finite wherever
+    the value is, however large the power alone. A value beyond the double
     range raises OverflowError naming w, mu and gamma."""
-    c = stationary_constant(k.gamma)
+    log_value = (math.log(k.weight) + math.log(stationary_constant(k.gamma))
+                 + (1.0 - 2.0 * k.gamma) * math.log(k.mu))
     try:
-        value = k.weight * c * k.mu ** (1.0 - 2.0 * k.gamma)
+        return math.exp(log_value)
     except OverflowError:
-        value = math.inf
-    if value == math.inf:
         raise OverflowError(f"stationary variance: w mu^(1 - 2 gamma) with w = {k.weight}, "
-                            f"mu = {k.mu}, gamma = {k.gamma} overflows")
-    return value
+                            f"mu = {k.mu}, gamma = {k.gamma} overflows") from None
 
 
 def temporal_matern_limit(gamma: float, kappa: float, h: float) -> float:

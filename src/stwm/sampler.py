@@ -6,9 +6,10 @@ containing t = 0 make the matrix singular by construction) and applied to
 independent standard normals. All J modes share gamma and the grid, so
 their Gram matrices are built together: mode_grams yields them as (B, n, n)
 stacks of consecutive modes, each of at most _STACK_ENTRIES entries (gram
-is the one-mode case), and each stack is factored by one stacked LAPACK
-call (cholesky_psd is the one-matrix case, and returns the factor together
-with the jitter it needed). Normals come from streams in format v4
+is the one-mode case), and each stack is factored in place by one stacked
+LAPACK call. A matrix is checked where it enters: the builder guarantees its
+Grams finite and exactly symmetric, and cholesky_psd checks matrices from
+outside. Normals come from streams in format v4
 (STREAM_FORMAT): one SFC64 stream per mode, seeded by numpy's SeedSequence
 spawn rule from (master seed, mode index), read sequentially by numpy's
 ziggurat normal sampler, path after path. A mode draws normals only for its
@@ -214,30 +215,45 @@ def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
     [1e-2, 1e8], gamma in [0.5001, 20]); entries whose factor
     e^{-mu |t - s|} underflows are exactly 0, and modes whose every lagged
     factor underflows get no rule evaluations.
+
+    Every Gram the library factors comes from here, as _factor_psd takes
+    it: an entry that overflows raises OverflowError naming the mode's mu
+    and w, gamma and the grid end, and the lower triangles are copies. No
+    diagonal entry (an exponential) is negative, and on a zero-variance row
+    |q(s, t)| <= sqrt(q(s, s) q(t, t)) keeps every entry far below
+    cholesky_psd's tolerance.
     """
     mu, weight = np.asarray(mu, dtype=float), np.asarray(weight, dtype=float)
     pts = grid.points
     n = pts.size
     G = np.zeros((mu.size, n, n))
-    G.reshape(mu.size, -1)[:, ::n + 1] = _variance_rows(g, mu, weight, pts)  # the diagonals
-    try:
-        scale = weight / gamma_fn(g) ** 2
-    except OverflowError:
-        raise OverflowError(f"Gram scale: Gamma(gamma)^2 with gamma = {g} overflows") from None
-    i0 = 1 if pts[0] == 0.0 else 0  # rows below i0 (t = 0) stay zero
-    try:
-        h = grid.step
-    except ValueError:
-        # Lags grow along a row, so each mode's surviving prefactors are a
-        # prefix.
-        for i in range(i0, n - 1):
-            lags = pts[i + 1:] - pts[i]
-            pre = scale[:, None] * np.exp(-mu[:, None] * lags)
-            live = pre > 0.0
-            if live.any():
-                G[:, i, i + 1:][live] = pre[live] * _live_integrals(g, mu, pts[i], lags, live)
-    else:
-        _uniform_upper(G, g, mu, scale, float(pts[i0]), h, i0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are caught below
+        G.reshape(mu.size, -1)[:, ::n + 1] = _variance_rows(g, mu, weight, pts)  # the diagonals
+        try:
+            scale = weight / gamma_fn(g) ** 2
+        except OverflowError:
+            raise OverflowError(f"Gram scale: Gamma(gamma)^2 with gamma = {g} overflows") from None
+        i0 = 1 if pts[0] == 0.0 else 0  # rows below i0 (t = 0) stay zero
+        try:
+            h = grid.step
+        except ValueError:
+            # Lags grow along a row, so each mode's surviving prefactors are
+            # a prefix.
+            for i in range(i0, n - 1):
+                lags = pts[i + 1:] - pts[i]
+                pre = scale[:, None] * np.exp(-mu[:, None] * lags)
+                live = pre > 0.0
+                if live.any():
+                    G[:, i, i + 1:][live] = pre[live] * _live_integrals(g, mu, pts[i], lags, live)
+        else:
+            _uniform_upper(G, g, mu, scale, float(pts[i0]), h, i0)
+    # entries are >= 0 and max propagates nan, so a member's maximum is
+    # finite exactly when all its entries are
+    bad = np.flatnonzero(~np.isfinite(G.max(axis=(1, 2))))
+    if bad.size:
+        b = bad[0]
+        raise OverflowError(f"Gram of the mode with mu = {mu[b]}, w = {weight[b]}, gamma = {g} "
+                            f"overflows on the grid ending at t = {pts[-1]}")
     _mirror_upper(G)
     return G
 
@@ -317,13 +333,14 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     diagonal jitter when needed. Returns (L, jitter), jitter being the
     diagonal shift the factorization applied (0.0 when none).
 
-    The symmetric part (A + A^T) / 2 is factorized. Indices with zero
+    Matrices from outside enter the library here, so every check on them
+    is made here. One that is not square, has an infinite or nan entry, or
+    is not symmetric to 1e-12 (1 + max |A|) raises ValueError; one with a
+    negative diagonal entry, a zero-diagonal row with off-diagonal entries
+    above that tolerance, or that is not PSD raises CholeskyError. The
+    symmetric part (A + A^T) / 2, in a working copy, is factored by
+    _factor_psd, so the argument is never written. Indices with zero
     variance, wherever they sit, give zero rows and columns of the factor.
-    A matrix with an infinite or nan entry, or one that is not symmetric to
-    1e-12 (1 + max |A|), raises ValueError; a matrix that is not PSD raises
-    CholeskyError. The argument is never written: the symmetric part, zeroed
-    dead rows and a jittered diagonal go to a working copy, made only when
-    one of them is needed. This is the one-matrix case of _factor_psd.
 
     The matrix handed to LAPACK is exactly symmetric, so its transpose is
     the same matrix. numpy copies a C-ordered input into LAPACK's
@@ -334,63 +351,47 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    L, jitter = _factor_psd(arr[None], owned=False)
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix has non-finite entries")
+    scale = float(np.abs(arr).max(initial=0.0))
+    asym = float(np.abs(arr - arr.T).max(initial=0.0))
+    if asym > 1e-12 * (1.0 + scale):
+        raise ValueError("matrix is not symmetric")
+    sym = arr.copy() if asym == 0.0 else 0.5 * (arr + arr.T)
+    diag = sym.diagonal()
+    if np.any(diag < 0.0):
+        raise CholeskyError("negative diagonal entry; matrix is not PSD")
+    dead = diag == 0.0
+    if np.any(np.abs(sym[dead]).max(axis=1, initial=0.0) > 1e-12 * (1.0 + scale)):
+        raise CholeskyError("zero-diagonal row has nonzero off-diagonal entries; not PSD")
+    L, jitter = _factor_psd(sym[None])
     return L[0], float(jitter[0])
 
 
-def _factor_psd(arr: np.ndarray, owned: bool) -> tuple[np.ndarray, np.ndarray]:
-    """cholesky_psd of every matrix of the (B, n, n) float stack arr, with
-    every check made per member. Returns the (B, n, n) stack of factors and
-    the (B,) array of jitters. A defect in any member raises as cholesky_psd
-    raises on that member.
+def _factor_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of the (B, n, n) stack of exactly symmetric, finite matrices,
+    which the caller gives up: the stack is overwritten. Returns the
+    (B, n, n) stack of factors and the (B,) array of jitters. Nothing is
+    checked: _gram_stack and cholesky_psd do that for their matrices.
 
-    The stack is factored by one stacked LAPACK call. If that fails, every
+    Zero-variance indices (e.g. grid points at t = 0) factor to zero rows:
+    they get a unit diagonal and no off-diagonal entries for the
+    factorization, and their rows of the factor are zeroed after it. The
+    stack is factored by one stacked LAPACK call. If that fails, every
     member escalates its own jitter, from its own diagonal as it was before
-    its dead rows were zeroed, and its factor overwrites it in the working
-    stack. When owned is set, the caller gives arr up: symmetric parts,
-    zeroed dead rows, jittered diagonals and fallback factors are written
-    into it, so no second stack is made beside it. When it is not, arr is
-    copied before the first such write."""
-    B = len(arr)
-    with np.errstate(invalid="ignore"):
-        asym = 0.5 * _max_asymmetry(arr)  # asym = max |A - (A + A^T) / 2|
-    if not math.isfinite(float(asym.max(initial=0.0))):
-        raise ValueError("matrix has non-finite entries")
-    scale = np.maximum(arr.max(axis=(1, 2), initial=0.0), -arr.min(axis=(1, 2), initial=0.0))
-    if np.any(asym > 0.5e-12 * (1.0 + scale)):
-        raise ValueError("matrix is not symmetric")
-    sym = arr  # the stack of exactly symmetric matrices to factor
-    for b in np.flatnonzero(asym):
-        if not owned:
-            sym, owned = arr.copy(), True
-        np.add(arr[b], arr[b].T, out=sym[b])
-        sym[b] *= 0.5
-
-    # Zero-variance indices (e.g. grid points at t = 0) factor to zero rows:
-    # they get a unit diagonal and no off-diagonal entries for the
-    # factorization, and their rows of the factor are zeroed after it.
-    diag = sym.diagonal(0, 1, 2).copy()
-    if np.any(diag < 0.0):
-        raise CholeskyError("negative diagonal entry; matrix is not PSD")
+    its dead rows were set, and its factor overwrites it in the stack."""
+    diag = stack.diagonal(0, 1, 2).copy()
     dead_b, dead_i = np.nonzero(diag == 0.0)  # member and index of each dead row
-    if dead_b.size:
-        if np.any(np.abs(sym[dead_b, dead_i]).max(axis=1) > 1e-12 * (1.0 + scale[dead_b])):
-            raise CholeskyError("zero-diagonal row has nonzero off-diagonal entries; not PSD")
-        if not owned:
-            sym, owned = sym.copy(), True
-        sym[dead_b, dead_i] = 0.0
-        sym[dead_b, :, dead_i] = 0.0
-        sym[dead_b, dead_i, dead_i] = 1.0
-
+    stack[dead_b, dead_i] = 0.0
+    stack[dead_b, :, dead_i] = 0.0
+    stack[dead_b, dead_i, dead_i] = 1.0
     try:
-        L = np.linalg.cholesky(sym.transpose(0, 2, 1))  # sym is exactly symmetric: see cholesky_psd
-        jitter = np.zeros(B)
+        L = np.linalg.cholesky(stack.transpose(0, 2, 1))  # exactly symmetric: see cholesky_psd
+        jitter = np.zeros(len(stack))
     except np.linalg.LinAlgError:
-        if not owned:
-            sym = sym.copy()
-        L, jitter = sym, np.empty(B)
-        for b in range(B):
-            L[b], jitter[b] = _jittered_factor(sym[b], diag[b])
+        L, jitter = stack, np.empty(len(stack))
+        for b in range(len(stack)):
+            L[b], jitter[b] = _jittered_factor(stack[b], diag[b])
     L[dead_b, dead_i] = 0.0
     return L, jitter
 
@@ -414,30 +415,6 @@ def _jittered_factor(sym: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, flo
     raise CholeskyError("unreachable")  # pragma: no cover
 
 
-def _max_asymmetry(arr: np.ndarray) -> np.ndarray:
-    """max |A - A^T| of every matrix A of the (B, n, n) stack arr, as a (B,)
-    array, taken over pairs of _TILE-sided tiles A[I, J] and A[J, I]
-    (I <= J), so every transposed read stays within one tile. A diagonal
-    tile's difference A[I, I] - A[I, I]^T is antisymmetric to the bit,
-    because fl(a - b) = -fl(b - a), so its largest entry is its largest
-    magnitude. An infinite or nan entry of any member, in any tile, makes
-    its tile pair's maximum inf or nan, and the maxima are returned at once.
-    Tile differences of all members are written to the front of one scratch
-    buffer of B min(n, _TILE)^2 entries."""
-    B, n = arr.shape[:2]
-    scratch = np.empty(B * min(n, _TILE) ** 2)
-    worst = np.zeros(B)
-    for i0 in range(0, n, _TILE):
-        for j0 in range(i0, n, _TILE):
-            a, b = arr[:, i0:i0 + _TILE, j0:j0 + _TILE], arr[:, j0:j0 + _TILE, i0:i0 + _TILE]
-            d = np.subtract(a, b.transpose(0, 2, 1), out=scratch[:a.size].reshape(a.shape))
-            m = (d if i0 == j0 else np.abs(d, out=d)).max(axis=(1, 2))
-            if not math.isfinite(float(m.max())):
-                return m
-            np.maximum(worst, m, out=worst)
-    return worst
-
-
 def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedSpec) -> np.ndarray:
     """Sample mode paths, exact in law on the grid.
 
@@ -458,7 +435,7 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
     group = max(1, _STACK_ENTRIES // (_PATH_BLOCK * grid.n))
     out = np.empty((n_paths, model.J, grid.n))
     for j0, stack in mode_grams(model, grid):
-        L, _ = _factor_psd(stack, owned=True)  # the stack is ours
+        L, _ = _factor_psd(stack)  # the stack is ours
         first = _first_live(L.diagonal(0, 1, 2))
         # runs of consecutive modes with one live suffix, cut into groups
         starts = np.flatnonzero(np.diff(first, prepend=-1))
@@ -601,7 +578,7 @@ def _inner_factor(k: ModeKernel, delta: float, fine_grid: TimeGrid) -> np.ndarra
     if fine_grid.points[0] != 0.0:
         raise ValueError("the factorized sampler requires the grid to start at 0")
     G = gram(ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta), fine_grid)
-    L = _factor_psd(G[None], owned=True)[0][0]
+    L = _factor_psd(G[None])[0][0]
     L.setflags(write=False)
     _held_factor = (key, L)
     return L

@@ -392,6 +392,29 @@ class TestNumericalFailureExit:
         assert not out.exists()
 
 
+    # mode 1's Gram overflows: w = 3.2e298 and the grid runs to t = 1e12
+    OVERFLOWING_GRAM = {
+        "model": {"d": 1, "extents": 1e100, "kappa2": 0.0, "kappa2_tilde": 0.0, "J": 4,
+                  "alpha": 1.5, "beta": 1.0, "gamma": 1.2, "T": 1e12},
+        "grid": {"t_start": 0.0, "t_end": 1e12, "steps": 4},
+        "space": {"points": [1e99]}, "n_paths": 3, "cov": {"mode": 1},
+    }
+
+    @pytest.mark.parametrize("command", [["cov"], ["sample"], ["holder", "--t0", "1e11"]],
+                             ids=["cov", "sample", "holder"])
+    def test_overflowing_gram_exit_4_writes_nothing(self, tmp_path, capsys, command):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(self.OVERFLOWING_GRAM))
+        out = tmp_path / "o"
+        # a numpy RuntimeWarning on the way would fail the run (pyproject.toml)
+        assert run_cli(["--config", str(p), "--out", str(out), *command]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Gram of the mode with mu = 9.869604401089358e-200, "
+                              "w = 3.2251534433199492e+298, gamma = 1.2 overflows")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestNoAdaptiveCalls:
     """gram, the analysis functions and the CLI use the fixed lagged-integral
     rule only and never reach the adaptive quadrature behind mode_cov."""
@@ -447,6 +470,20 @@ class TestLimitsCommand:
         rows = (tmp_path / "limits_temporal.csv").read_text().strip().splitlines()[1:]
         vals = [float(r.split(",")[1]) for r in rows]
         assert len(vals) == 2 and all(math.isfinite(v) and v > 0.0 for v in vals)
+
+    def test_overflowing_power_tiny_weight_exit_0(self, tmp_path, capsys):
+        # mode 1: w = 1e-300 and mu^(1 - 2 gamma) ~ 1e320, whose product is
+        # finite; 30-digit mpmath reference
+        doc = {"model": dict(BASE_CONFIG["model"], extents=314159.27, kappa2_tilde=1e100,
+                             J=4, alpha=3.0, gamma=16.5)}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path), "limits"]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "limits_stationary.csv").read_text().strip().splitlines()[1:]
+        vals = [float(r.split(",")[1]) for r in rows]
+        assert len(vals) == 4 and all(math.isfinite(v) for v in vals)
+        assert abs(vals[0] / 7107679908891027438.896 - 1.0) < 1e-13
 
     def test_gamma_half_exit_3(self, tmp_path):
         doc = {"model": dict(BASE_CONFIG["model"], gamma=0.4)}

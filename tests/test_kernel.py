@@ -272,6 +272,12 @@ class TestStationaryVariance:
             k = ModeKernel(mu=1.0, weight=0.9, gamma=g)
             assert rel(mode_var(k, 60.0), stationary_variance(k)) < 1e-12
 
+    def test_overflowing_power_tiny_weight(self):
+        # mu^(1 - 2 gamma) = 1e320 overflows alone, w times it does not;
+        # 30-digit mpmath reference
+        k = ModeKernel(mu=1e-10, weight=1e-300, gamma=16.5)
+        assert rel(stationary_variance(k), 7107673188860307747.087) < 1e-13
+
     @pytest.mark.parametrize("w,mu,gamma", [
         (1.0, 1e-10, 100.0),  # the power mu^(1 - 2 gamma) overflows alone
         (1e198, 1e-99, 1.5),  # w and the power are finite, their product is not

@@ -102,6 +102,26 @@ BESSEL_K_CORNER_ROWS = [
     (5.6, 700.0, 4.775482915640428e-306),
 ]
 
+# (nu, x, K_nu(x)) past x = 705, where e^{-x} is subnormal or 0 but K_nu(x)
+# is not, and at x = 700 with e^{peak} past the double range; 30-digit
+# mpmath, Gauss-Legendre on DLMF 10.32.9 about t = asinh(nu/x)
+# (mp.besselk does not converge at (1e3, 706))
+BESSEL_K_LARGE_ORDER_ROWS = [
+    (1e3, 706.0, 1.9160465242227595e-35),
+    (800.0, 710.0, 2.8045139788039017e-130),
+    (1500.0, 700.0, 3.2820832162332925e+260),
+]
+
+# (nu, z, unit Matern covariance, tolerance) past z = 705 at large nu; the
+# value is formed in log space from terms of size nu log nu, whose rounding
+# sets the tolerance; 30-digit mpmath, as BESSEL_K_LARGE_ORDER_ROWS
+MATERN_PAST_705_ROWS = [
+    (1e4, 704.9, 4.0546879492251597e-06, 1e-10),
+    (1e4, 705.1, 4.0262352847073378e-06, 1e-10),
+    (1e3, 705.1, 7.5439244395947564e-52, 1e-11),
+    (0.5, 706.0, 2.4439694694070770e-307, 1e-13),  # e^{-706}
+]
+
 # (nu, z, unit Matern covariance at kappa * dist = z) at large nu, where
 # K_nu(z) overflows for small z although the covariance is close to 1;
 # frozen 40-digit references
@@ -304,13 +324,24 @@ class TestBesselK:
             bessel_k(120.0, 1e-3)
 
     def test_underflow_documented(self):
-        assert bessel_k(1.0, 800.0) == 0.0
+        # values below half the smallest subnormal (K_1(800) = 1.6e-349,
+        # K_1e4(1e4) = 8.5e-2317) round to 0
+        for nu, x in [(1.0, 800.0), (1e4, 1e4), (1.0, 1e300), (1.0, math.inf)]:
+            assert bessel_k(nu, x) == 0.0
+
+    @pytest.mark.parametrize("nu,x,expected", BESSEL_K_LARGE_ORDER_ROWS)
+    def test_large_order_past_705(self, nu, x, expected):
+        assert rel(bessel_k(nu, x), expected) < 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):
             bessel_k(1.0, 0.0)
         with pytest.raises(ValueError):
             bessel_k(-0.5, 1.0)
+        # an infinite or nan order would pass the rule's log bound as 0.0
+        for nu in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite nu"):
+                bessel_k(nu, 1.0)
 
     @given(st.floats(min_value=0.0, max_value=15.0),
            st.floats(min_value=0.05, max_value=50.0))
@@ -363,15 +394,22 @@ class TestMaternCov:
     def test_nonincreasing_in_distance(self, nu, kappa, r):
         assert matern_cov(nu, kappa, 1.0, r + 0.3) <= matern_cov(nu, kappa, 1.0, r) + 1e-15
 
-    @pytest.mark.parametrize("nu,kappa,dist", [(0.5, 1.0, 706.0), (1.5, 2.0, 400.0),
-                                               (0.5, 1e6, 1.0)])
+    @pytest.mark.parametrize("nu,kappa,dist", [(0.5, 1.0, 746.0), (1.5, 2.0, 400.0),
+                                               (0.5, 1e6, 1.0), (1e3, 1.0, 2000.0),
+                                               (0.5, 1e300, 1e300)])
     def test_far_tail_is_zero(self, nu, kappa, dist):
-        # beyond kappa dist = 705 the value is 0.0 and no rule is run; for
-        # these orders the exact value is below 1e-300
+        # the exact values are below 2^-1075, half the smallest subnormal
+        # (e^{-746} = 1.0e-324, and 9.9e-329 at nu = 1e3), so they round to
+        # 0.0, which the log bound returns without running the rule
         assert matern_cov(nu, kappa, 1.0, dist) == 0.0
+
+    @pytest.mark.parametrize("nu,z,expected,tol", MATERN_PAST_705_ROWS)
+    def test_past_705(self, nu, z, expected, tol):
+        assert rel(matern_cov(nu, 1.0, 1.0, z), expected) < tol
 
     def test_domain(self):
         for bad in [(-1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0),
-                    (1.0, 1.0, -2.0, 1.0), (1.0, 1.0, 1.0, -0.5)]:
+                    (1.0, 1.0, -2.0, 1.0), (1.0, 1.0, 1.0, -0.5), (math.inf, 1.0, 1.0, 1.0),
+                    (math.nan, 1.0, 1.0, 1.0)]:
             with pytest.raises(ValueError):
                 matern_cov(*bad)
