@@ -16,7 +16,7 @@ import numpy as np
 
 from .kernel import ModeKernel, stationary_constant, stationary_variance
 from .sampler import TimeGrid, gram, mode_grams
-from .spectral import EigenBasis, SpectralModel, evaluate_basis, mode_params, weyl_ratio
+from .spectral import EigenBasis, SpectralModel, evaluate_basis, mode_columns, mode_params, weyl_ratio
 
 __all__ = [
     "RegularityQuery",
@@ -79,12 +79,6 @@ class RegularityReport:
         }
 
 
-def _noise_smoothing_r(model: SpectralModel, sigma: float) -> float:
-    if model.beta > 0.0:
-        return min(model.alpha / model.beta, sigma)
-    return sigma
-
-
 def _growth_constants(basis: EigenBasis) -> tuple:
     """weyl_ratio(basis), or with too few modes (J < 10) the last ratio twice."""
     if basis.J >= 10:
@@ -99,6 +93,21 @@ def _spectral_exponent(model: SpectralModel, q: RegularityQuery) -> float:
     return (4.0 / model.d) * (b * (q.n + q.tau + (1.0 + q.sigma) / 2.0) - b * g - a / 2.0)
 
 
+def _spectral_terms(model: SpectralModel, e1: float, log_scale: float = 0.0) -> np.ndarray:
+    """e^log_scale lambda_j^e1 lambda_tilde_j^-alpha over the modes, formed in
+    log space, so a factor that overflows alone still gives a finite term;
+    a term beyond the double range raises OverflowError naming its mode."""
+    a, lam, lam_t = model.alpha, model.basis.eigenvalues, model.basis_tilde.eigenvalues
+    with np.errstate(over="ignore"):
+        terms = np.exp(e1 * np.log(lam) - a * np.log(lam_t) + log_scale)
+    over = np.flatnonzero(terms == math.inf)
+    if over.size:
+        j = int(over[0])
+        raise OverflowError(f"mode {j + 1}: spectral-sum term lambda^{e1} lambda_tilde^-{a} = "
+                            f"{lam[j]}^{e1} {lam_t[j]}^-{a} overflows")
+    return terms
+
+
 def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     """Partial spectral sum sum_j lambda_j^{2 beta (sigma/2 + n + tau + 1/2 - gamma)}
     lambda_tilde_j^{-alpha} over the truncated basis, with an eigenvalue-growth
@@ -107,22 +116,13 @@ def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     The comparison exponent p = (4/d)[beta(n + tau + (1+sigma)/2) - beta gamma
     - alpha/2] decides convergence: the full series is finite iff p < -1, and
     the tail beyond J is bounded using the two-sided growth constants measured
-    on the resolved spectrum. Powers are formed in log space, so a factor
-    that overflows alone still gives a finite product; a term, partial sum
-    or tail bound beyond the double range raises OverflowError naming it.
+    on the resolved spectrum. Terms come from _spectral_terms; a term, partial
+    sum or tail bound beyond the double range raises OverflowError naming it.
     """
     a, b, g = model.alpha, model.beta, model.gamma
-    lam = model.basis.eigenvalues
-    lam_t = model.basis_tilde.eigenvalues
     e1 = 2.0 * b * (q.sigma / 2.0 + q.n + q.tau + 0.5 - g)
     with np.errstate(over="ignore"):
-        terms = np.exp(e1 * np.log(lam) - a * np.log(lam_t))
-        partial = float(terms.sum())
-    over = np.flatnonzero(terms == math.inf)
-    if over.size:
-        j = int(over[0])
-        raise OverflowError(f"mode {j + 1}: spectral-sum term lambda^{e1} lambda_tilde^-{a} = "
-                            f"{lam[j]}^{e1} {lam_t[j]}^-{a} overflows")
+        partial = float(_spectral_terms(model, e1).sum())
     if partial == math.inf:
         raise OverflowError(f"spectral partial sum over {model.J} modes overflows")
     p = _spectral_exponent(model, q)
@@ -152,7 +152,7 @@ def check_exponents(model: SpectralModel, q: RegularityQuery) -> RegularityRepor
     """
     a, b, g = model.alpha, model.beta, model.gamma
     d = model.d
-    r = _noise_smoothing_r(model, q.sigma)
+    r = min(a / b, q.sigma) if b > 0.0 else q.sigma
     gap = q.sigma - r
     strict_gamma = g - (q.n + max(gap, 1.0) / 2.0)
     holder_gamma = g - (q.n + (1.0 + max(gap, 2.0 * q.tau)) / 2.0)
@@ -165,13 +165,6 @@ def check_exponents(model: SpectralModel, q: RegularityQuery) -> RegularityRepor
 class FieldCov(NamedTuple):
     value: float
     tail_bound: float
-
-
-def _sup_basis_bound(model: SpectralModel) -> float:
-    out = 1.0
-    for ell in model.basis.extents:
-        out *= 2.0 / ell
-    return out
 
 
 def variance_series_exponent(model: SpectralModel) -> float:
@@ -208,7 +201,7 @@ def field_cov(model: SpectralModel, s: float, t: float, x, y) -> FieldCov:
     # |q_j| <= stationary_constant * (the variance series' j-th term), which
     # is hs_sum's term at n = tau = sigma = 0; stationary_constant raises for
     # gamma <= 1/2, also at s = 0
-    bound = stationary_constant(model.gamma) * _sup_basis_bound(model) \
+    bound = stationary_constant(model.gamma) * math.prod(2.0 / ell for ell in model.basis.extents) \
         * hs_sum(model, RegularityQuery()).tail
     if min(s, t) == 0.0:
         return FieldCov(value=0.0, tail_bound=0.0)
@@ -223,13 +216,14 @@ class AsymptoticCoefficients(NamedTuple):
 
 def asymptotic_marginal_cov(model: SpectralModel) -> AsymptoticCoefficients:
     """Per-mode coefficients of the long-time marginal spatial covariance
-    operator: stationary variances, together with the closed-form expression
-    c * lambda_j^{beta (1 - 2 gamma)} lambda_tilde_j^{-alpha}. The two routes
-    agree to ~1e-12 relative."""
-    coeffs = np.array([stationary_variance(mode_params(model, j)) for j in range(1, model.J + 1)])
+    operator: stationary variances, together with the closed form c
+    lambda_j^{beta (1 - 2 gamma)} lambda_tilde_j^{-alpha}, hs_sum's term at
+    n = tau = sigma = 0 with c = stationary_constant(gamma) added to its log.
+    The two routes agree to ~1e-12 relative."""
     g = model.gamma
-    power = stationary_constant(g) * model.basis.eigenvalues ** (model.beta * (1.0 - 2.0 * g)) \
-        * model.basis_tilde.eigenvalues ** -model.alpha
+    coeffs = np.array([stationary_variance(ModeKernel(mu=mu, weight=w, gamma=g))
+                       for mu, w in mode_columns(model).T.tolist()])
+    power = _spectral_terms(model, model.beta * (1.0 - 2.0 * g), math.log(stationary_constant(g)))
     return AsymptoticCoefficients(coefficients=coeffs, power_form=power)
 
 
@@ -256,13 +250,12 @@ def separability_check(model: SpectralModel, seed: int = 0) -> SeparabilityResul
         worst = 0.0
         for j in modes:
             k = mode_params(model, int(j))
-            w = model.basis_tilde.eigenvalues[int(j) - 1] ** -model.alpha
             st = rng.uniform(model.T / 100.0, model.T, size=(10, 2))
             times, idx = np.unique(st, return_inverse=True)
             grid = TimeGrid(times)
             i_s, i_t = idx.reshape(st.shape).T
             lhs = gram(k, grid)[i_s, i_t]
-            rhs = gram(rho, grid)[i_s, i_t] * w
+            rhs = gram(rho, grid)[i_s, i_t] * k.weight
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300))))
         return SeparabilityResult(separable=True, max_rel_error=worst, witness=None)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, fieldfile
 from .fieldfile import format_number, write_csv
-from .kernel import stationary_variance, temporal_matern_limit
+from .kernel import temporal_matern_limit
 from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, TimeGrid, gram, sample_field
 from .spectral import (ConfigError, SpectralModel, as_points, config_checked, config_float,
                        config_int, load_config, model_from_dict, mode_params, weyl_ratio)
@@ -176,7 +176,7 @@ def cmd_limits(args, doc: dict, model: SpectralModel) -> int:
     if not all(isinstance(h, float) and h >= 0.0 for h in lags):
         raise ConfigError("limits.lags", f"must be a list of numbers >= 0, got {lags!r}")
     # computed before any file is written: a mode's rate or weight may overflow
-    stat = [stationary_variance(mode_params(model, j)) for j in range(1, model.J + 1)]
+    stat = analysis.asymptotic_marginal_cov(model).coefficients
     out = _out_dir(args)
     stat_path = out / "limits_stationary.csv"
     write_csv(stat_path, ("j", "stationary_var"), enumerate(stat, start=1))

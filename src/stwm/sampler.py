@@ -39,7 +39,7 @@ import numpy as np
 from .kernel import ModeKernel, _lagged_integrals, _variance_rows
 from .quadrature import panel_rules
 from .specfun import gamma_fn, lower_incomplete_gamma
-from .spectral import EigenBasis, SpectralModel, as_points, evaluate_basis, mode_params
+from .spectral import EigenBasis, SpectralModel, as_points, evaluate_basis, mode_columns
 
 __all__ = [
     "TimeGrid",
@@ -189,10 +189,9 @@ def mode_grams(model: SpectralModel, grid: TimeGrid):
     entries (one mode at least), so memory stays O(n^2) however many modes
     there are."""
     size = max(1, _STACK_ENTRIES // grid.n ** 2)
-    ks = [mode_params(model, j) for j in range(1, model.J + 1)]
+    mu, weight = mode_columns(model)
     for j0 in range(0, model.J, size):
-        chunk = ks[j0:j0 + size]
-        yield j0, _gram_stack(model.gamma, [k.mu for k in chunk], [k.weight for k in chunk], grid)
+        yield j0, _gram_stack(model.gamma, mu[j0:j0 + size], weight[j0:j0 + size], grid)
 
 
 def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:

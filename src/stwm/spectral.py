@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "evaluate_basis",
     "weyl_ratio",
     "mode_params",
+    "mode_columns",
     "load_config",
     "model_from_dict",
     "model_from_json",
@@ -185,29 +187,51 @@ class SpectralModel:
     def d(self) -> int:
         return self.basis.d
 
+    @cached_property
+    def mode_table(self) -> np.ndarray:
+        """Read-only (J, 2) array whose row j - 1 holds mode j's decay rate
+        lambda_j^beta and weight lambda_tilde_j^-alpha: Python float powers,
+        formed on first use, inf where one overflows and 0 where it underflows."""
+        lams = zip(self.basis.eigenvalues.tolist(), self.basis_tilde.eigenvalues.tolist())
+        table = np.array([(_power(lam, self.beta), _power(lam_t, -self.alpha))
+                          for lam, lam_t in lams])
+        table.setflags(write=False)
+        return table
+
 
 def mode_params(model: SpectralModel, j: int) -> ModeKernel:
-    """Temporal kernel of mode j (1-based): mu = lambda_j^beta,
-    w = lambda_tilde_j^{-alpha}, order gamma. A power that overflows a
-    double raises OverflowError, and one that underflows to 0
-    ArithmeticError, naming the mode and the term."""
+    """Temporal kernel of mode j (1-based), from row j - 1 of model.mode_table:
+    mu = lambda_j^beta, w = lambda_tilde_j^{-alpha}, order gamma. The table's
+    one check: a power that overflows a double raises OverflowError, and one
+    that underflows to 0 ArithmeticError, naming the mode and the term."""
     if not 1 <= j <= model.J:
         raise IndexError(f"mode index {j} out of range [1, {model.J}]")
-    lam = float(model.basis.eigenvalues[j - 1])
-    lam_t = float(model.basis_tilde.eigenvalues[j - 1])
-    mu = _mode_power(j, "decay rate lambda^beta", lam, float(model.beta))
-    weight = _mode_power(j, "weight lambda_tilde^-alpha", lam_t, -float(model.alpha))
+    mu, weight = model.mode_table[j - 1].tolist()
+    for value, term, basis, exponent in ((mu, "decay rate lambda^beta", model.basis, model.beta),
+                                         (weight, "weight lambda_tilde^-alpha", model.basis_tilde,
+                                          -model.alpha)):
+        if value in (0.0, math.inf):
+            message = f"mode {j}: {term} = {float(basis.eigenvalues[j - 1])}^{float(exponent)}"
+            raise (OverflowError(f"{message} overflows") if value == math.inf
+                   else ArithmeticError(f"{message} underflows to 0"))
     return ModeKernel(mu=mu, weight=weight, gamma=model.gamma)
 
 
-def _mode_power(j: int, term: str, base: float, exponent: float) -> float:
-    try:  # Python float powers raise on overflow where numpy's would warn
-        value = base ** exponent
+def mode_columns(model: SpectralModel) -> np.ndarray:
+    """(mu, w), the columns of model.mode_table. Its first mode with a zero or
+    infinite entry raises, as mode_params raises for it."""
+    table = model.mode_table
+    bad = np.flatnonzero(((table == 0.0) | (table == math.inf)).any(axis=1))
+    if bad.size:
+        mode_params(model, int(bad[0]) + 1)
+    return table.T
+
+
+def _power(base: float, exponent: float) -> float:
+    try:  # a Python float power raises on overflow where numpy's would warn
+        return base ** exponent
     except ArithmeticError:
-        raise OverflowError(f"mode {j}: {term} = {base}^{exponent} overflows") from None
-    if value == 0.0:
-        raise ArithmeticError(f"mode {j}: {term} = {base}^{exponent} underflows to 0")
-    return value
+        return math.inf
 
 
 class ConfigError(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,17 @@ class TestAsymptoticMarginalCov:
     def test_routes_agree(self):
         m = make_model(alpha=1.0, beta=1.0, gamma=1.3, J=64)
         res = asymptotic_marginal_cov(m)
+        assert np.max(np.abs(res.coefficients / res.power_form - 1.0)) < 1e-12
+
+    def test_routes_agree_tiny_weight(self):
+        # mode 1: w = 1e-300 and mu^(1 - 2 gamma) ~ 1e320; the power form
+        # used to overflow to inf with a numpy warning
+        basis, basis_t = (build_basis(1, 314159.27, k2, 4) for k2 in (0.0, 1e100))
+        m = SpectralModel(basis=basis, basis_tilde=basis_t, alpha=3.0, beta=1.0, gamma=16.5, T=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = asymptotic_marginal_cov(m)
+        assert np.all(np.isfinite(res.power_form))
         assert np.max(np.abs(res.coefficients / res.power_form - 1.0)) < 1e-12
 
     def test_ou_coefficients(self):

@@ -348,7 +348,11 @@ class TestNumericalFailureExit:
         ({"beta": 100.0, "extents": 1e4}, "decay rate lambda^beta", "underflows to 0"),
         # every lambda_tilde^-alpha <= (pi / 1e-3)^-200 underflows
         ({"alpha": 100.0, "extents": 1e-3}, "weight lambda_tilde^-alpha", "underflows to 0"),
-    ], ids=["rate", "weight", "rate_underflow", "weight_underflow"])
+        # every lambda^beta underflows and every lambda_tilde^-alpha
+        # overflows: the rate is reported first
+        ({"alpha": 100.0, "beta": 400.0, "extents": 1000.0}, "decay rate lambda^beta",
+         "underflows to 0"),
+    ], ids=["rate", "weight", "rate_underflow", "weight_underflow", "rate_before_weight"])
     def test_overflowing_mode_exit_4_writes_nothing(self, tmp_path, capsys, model, term, outcome,
                                                     command):
         doc = dict(BASE_CONFIG, grid={"t_start": 0.0, "t_end": 1.0, "steps": 2},
@@ -361,6 +365,16 @@ class TestNumericalFailureExit:
         assert err.startswith("numerical failure: mode ") and f": {term} = " in err
         assert err.endswith(f" {outcome}\n") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["basis", "regularity"])
+    def test_overflowing_mode_unread_exit_0(self, tmp_path, capsys, command):
+        # lambda_8^beta = 64^400 overflows, but basis and regularity never
+        # form a mode's rate or weight, and the model forms none when built
+        doc = dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], beta=400.0))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command,flags,model,message", [
         # lambda_tilde_1^-100 ~ 1e500 in hs_sum's first term

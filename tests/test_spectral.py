@@ -13,6 +13,7 @@ from stwm.spectral import (
     model_from_dict,
     model_from_json,
     model_to_dict,
+    mode_columns,
     mode_params,
     weyl_ratio,
 )
@@ -255,6 +256,34 @@ class TestSpectralModel:
                     mode_params(m, j)
             else:
                 assert mode_params(m, j).mu > 0.0
+
+    @pytest.mark.parametrize("d,beta,alpha", [(1, 1.5, 2.0), (2, 0.7, 3.3)])
+    def test_mode_table_is_python_float_powers(self, d, beta, alpha):
+        # numpy's array power differs from these in the last bit on some of
+        # the 512 modes at such exponents; the table must not
+        m = make_model(d=d, extents=PI if d == 1 else (1.0, 1.5), kappa2_t=0.3, J=512,
+                       alpha=alpha, beta=beta)
+        for j, (lam, lam_t) in enumerate(zip(m.basis.eigenvalues.tolist(),
+                                             m.basis_tilde.eigenvalues.tolist()), start=1):
+            k = mode_params(m, j)
+            assert k.mu == lam ** beta and k.weight == lam_t ** -alpha
+        mu, weight = mode_columns(m)
+        assert mu.tolist() == [mode_params(m, j).mu for j in range(1, 513)]
+        assert weight.tolist() == [mode_params(m, j).weight for j in range(1, 513)]
+        assert not m.mode_table.flags.writeable
+
+    def test_whole_table_raises_for_first_bad_mode(self):
+        # mode 1's weight (lambda_tilde_1 = 0.0987)^-400 overflows and so does
+        # mode 8's rate (1 + lambda_8)^400; modes 2..7 are good
+        m = make_model(extents=10.0, kappa2=1.0, J=8, alpha=400.0, beta=400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(2, 8):
+                mode_params(m, j)
+            with pytest.raises(OverflowError, match="^mode 8: decay rate lambda\\^beta = "):
+                mode_params(m, 8)
+            with pytest.raises(OverflowError, match="^mode 1: weight lambda_tilde\\^-alpha = "):
+                mode_columns(m)
 
     def test_mismatched_bases_rejected(self):
         with pytest.raises(ValueError):
