@@ -23,8 +23,9 @@ from . import analysis, fieldfile
 from .fieldfile import format_number, write_csv
 from .kernel import temporal_matern_limit
 from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, TimeGrid, gram, sample_field
-from .spectral import (ConfigError, SpectralModel, as_points, config_checked, config_float,
-                       config_int, load_config, model_from_dict, mode_params, weyl_ratio)
+from .spectral import (ConfigError, SpectralModel, config_checked, config_float, config_int,
+                       config_numbers, config_points, load_config, model_from_dict, mode_params,
+                       weyl_ratio)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -45,12 +46,13 @@ def _section(doc: dict, name: str) -> dict:
     return opts
 
 
-def _grid_from_config(doc: dict) -> TimeGrid:
+def _grid_from_config(doc: dict, model: SpectralModel) -> TimeGrid:
     spec = doc.get("grid")
     if not isinstance(spec, dict):
         raise ConfigError("grid", "missing grid spec {t_start, t_end, steps}")
     t0 = config_float(spec.get("t_start"), "grid.t_start")
-    t1 = config_float(spec.get("t_end"), "grid.t_end")
+    t1 = config_checked(spec.get("t_end"), "grid.t_end", lambda v: v <= model.T,
+                        f"must not exceed the model horizon T = {model.T}")
     steps = _at_least_one(spec.get("steps"), "grid.steps")
     try:
         return TimeGrid.uniform(t0, t1, steps)
@@ -58,20 +60,12 @@ def _grid_from_config(doc: dict) -> TimeGrid:
         raise ConfigError("grid", str(exc)) from None
 
 
-def _config_list(raw, field: str) -> list:
-    """JSON list, possibly nested, from config field `field`, with every
-    number in it read by config_float."""
-    if not isinstance(raw, list):
-        raise ConfigError(field, f"must be a JSON list, got {raw!r}")
-    return [_config_list(v, field) if isinstance(v, list) else config_float(v, field) for v in raw]
-
-
 def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
     spec = doc.get("space")
     if spec is None:
         raise ConfigError("space", "missing space spec ({points: [...]} or {lattice: n})")
     if isinstance(spec, dict) and "points" in spec:
-        return as_points(_config_list(spec["points"], "space.points"), model.d)
+        return config_points(spec["points"], "space.points", model.basis)
     if isinstance(spec, dict) and "lattice" in spec:
         n = _at_least_one(spec["lattice"], "space.lattice")
         axes = [np.linspace(0.0, ell, n + 2)[1:-1] for ell in model.basis.extents]
@@ -124,7 +118,7 @@ def cmd_sample(args, doc: dict, model: SpectralModel) -> int:
                 "field variance series fails the eigenvalue-growth summability test "
                 "(pass --force to sample the truncated model anyway)")
         print("warning: variance series diverges; sampling the truncated model (--force)")
-    grid = _grid_from_config(doc)
+    grid = _grid_from_config(doc, model)
     space = _space_from_config(doc, model)
     n_paths = _at_least_one(doc.get("n_paths", 1), "n_paths")
     seed = _seed_from(args, doc)
@@ -149,14 +143,14 @@ def cmd_cov(args, doc: dict, model: SpectralModel) -> int:
     """Covariance table on the grid's upper triangle (s ascending, t >= s):
     one mode's q_j(s, t) from sampler.gram, or the truncated field covariance
     sum_j q_j(s, t) e_j(x) e_j(y) from analysis.field_gram."""
-    grid = _grid_from_config(doc)
+    grid = _grid_from_config(doc, model)
     opts = _section(doc, "cov")
     target = opts.get("mode", 1)
     if target == "field":
         if "x" not in opts:
             raise ConfigError("cov.x", "field covariance needs spatial points x (and optional y)")
-        x = _config_list([opts["x"]], "cov.x")[0]
-        y = _config_list([opts["y"]], "cov.y")[0] if "y" in opts else x
+        x = config_points(opts["x"], "cov.x", model.basis, single=True)[0]
+        y = config_points(opts["y"], "cov.y", model.basis, single=True)[0] if "y" in opts else x
         cov = analysis.field_gram(model, grid, x, y)
     else:
         cov = gram(mode_params(model, _mode_index(model, target, "cov.mode")), grid)
@@ -172,68 +166,45 @@ def cmd_limits(args, doc: dict, model: SpectralModel) -> int:
     opts = _section(doc, "limits")
     kappa = config_checked(opts.get("temporal_kappa", 1.0), "limits.temporal_kappa",
                            lambda v: v > 0.0, "must be > 0")
-    lags = _config_list(opts.get("lags", list(np.geomspace(1e-2, 4.0, 25))), "limits.lags")
-    if not all(isinstance(h, float) and h >= 0.0 for h in lags):
-        raise ConfigError("limits.lags", f"must be a list of numbers >= 0, got {lags!r}")
-    # computed before any file is written: a mode's rate or weight may overflow
+    lags = config_numbers(opts.get("lags", list(np.geomspace(1e-2, 4.0, 25))), "limits.lags")
+    if min(lags, default=0.0) < 0.0:
+        raise ConfigError("limits.lags", f"must be >= 0, got {min(lags)!r}")
+    # formed before any file is written: a rate, weight or variance may overflow
     stat = analysis.asymptotic_marginal_cov(model).coefficients
+    temporal = [(h, temporal_matern_limit(model.gamma, kappa, h)) for h in lags]
     out = _out_dir(args)
     stat_path = out / "limits_stationary.csv"
     write_csv(stat_path, ("j", "stationary_var"), enumerate(stat, start=1))
     temp_path = out / "limits_temporal.csv"
-    write_csv(temp_path, ("h", "matern_value"),
-              ((h, temporal_matern_limit(model.gamma, kappa, h)) for h in lags))
+    write_csv(temp_path, ("h", "matern_value"), temporal)
     print(f"wrote {stat_path}")
     print(f"wrote {temp_path}")
     return EXIT_OK
 
 
 def cmd_regularity(args, doc: dict, model: SpectralModel) -> int:
+    opts = _section(doc, "regularity")
+    n, tau, sigma = (read(opts.get(name, 0), f"regularity.{name}") for name, read in
+                     (("n", config_int), ("tau", config_float), ("sigma", config_float)))
     try:
-        query = analysis.RegularityQuery(n=args.n, tau=args.tau, sigma=args.sigma)
+        query = analysis.RegularityQuery(n=n, tau=tau, sigma=sigma)
     except ValueError as exc:
-        raise ConfigError("query", str(exc)) from None
+        raise ConfigError("regularity", str(exc)) from None
     report = analysis.check_exponents(model, query)
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK if report.satisfied else EXIT_UNSATISFIED
 
 
-def _parse_lags(spec: str) -> np.ndarray:
-    """Either comma-separated positive floats or a dyadic range '2^-6..2^-12'
-    whose exponents lie in [-1074, -2] (positive lags up to 1/4)."""
-    spec = spec.strip()
-    if ".." in spec:
-        lo_s, hi_s = spec.split("..", 1)
-
-        def dyadic(tok):
-            tok = tok.strip()
-            if not tok.startswith("2^"):
-                raise ValueError(f"expected '2^<exp>', got {tok!r}")
-            e = int(tok[2:])
-            if not -1074 <= e <= -2:
-                raise ValueError(f"dyadic exponent must lie in [-1074, -2], got {e}")
-            return e
-
-        e_lo, e_hi = dyadic(lo_s), dyadic(hi_s)
-        step = -1 if e_hi < e_lo else 1
-        return 2.0 ** np.arange(e_lo, e_hi + step, step, dtype=float)
-    vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
-    if vals.size == 0:
-        raise ValueError("empty lag list")
-    return vals
-
-
 def cmd_holder(args, doc: dict, model: SpectralModel) -> int:
-    try:
-        lags = _parse_lags(args.lags)
-    except (ValueError, IndexError) as exc:
-        raise ConfigError("--lags", str(exc)) from None
     opts = _section(doc, "holder")
     k = mode_params(model, _mode_index(model, opts.get("mode", 1), "holder.mode"))
+    t0 = config_float(opts.get("t0", 5.0), "holder.t0")
+    lags = config_numbers(opts.get("lags", [2.0 ** -e for e in range(6, 13)]), "holder.lags")
     try:
-        est = analysis.estimate_holder(k, args.t0, lags)
-    except ValueError as exc:
-        raise ConfigError("--t0/--lags", str(exc)) from None
+        est = analysis.estimate_holder(k, t0, lags)
+    except ValueError as exc:  # estimate_holder checks t0 first, then the lags against it
+        raise ConfigError("holder.t0" if str(exc).startswith("t0 ") else "holder.lags",
+                          str(exc)) from None
     theory = analysis.holder_theory_slope(model.gamma)
     print(f"estimated slope: {format_number(est.slope)}")
     print(f"theory 2*min(gamma-1/2, 1): {format_number(theory)}")
@@ -253,28 +224,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--force", action="store_true",
                         help="sample even when the variance series diverges")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("basis", help="eigenvalue table with growth-law ratios")
-    sub.add_parser("sample", help="sample field paths; writes binary field + summary CSV")
-    sub.add_parser("cov", help="per-mode or field covariance table")
-    sub.add_parser("limits", help="stationary variances and the temporal Matern curve")
-    reg = sub.add_parser("regularity", help="exponent-condition report (exit 0 iff satisfied)")
-    reg.add_argument("--n", type=int, default=0, help="time derivatives")
-    reg.add_argument("--tau", type=float, default=0.0, help="Holder exponent in [0,1)")
-    reg.add_argument("--sigma", type=float, default=0.0, help="spatial exponent")
-    hold = sub.add_parser("holder", help="mean-square Holder slope from exact increments")
-    hold.add_argument("--t0", type=float, default=5.0, help="base time (>= 1)")
-    hold.add_argument("--lags", default="2^-6..2^-12",
-                      help="comma-separated lags or dyadic range like 2^-6..2^-12")
+    for name, (_, text) in _COMMANDS.items():
+        sub.add_parser(name, help=text)
     return parser
 
 
+# each subcommand's function and help; its inputs beyond the global flags are config fields
 _COMMANDS = {
-    "basis": cmd_basis,
-    "sample": cmd_sample,
-    "cov": cmd_cov,
-    "limits": cmd_limits,
-    "regularity": cmd_regularity,
-    "holder": cmd_holder,
+    "basis": (cmd_basis, "eigenvalue table with growth-law ratios"),
+    "sample": (cmd_sample, "sample field paths; writes binary field + summary CSV"),
+    "cov": (cmd_cov, "per-mode or field covariance table"),
+    "limits": (cmd_limits, "stationary variances and the temporal Matern curve"),
+    "regularity": (cmd_regularity, "exponent-condition report (exit 0 iff satisfied)"),
+    "holder": (cmd_holder, "mean-square Holder slope from exact increments"),
 }
 
 # subcommands whose covariances exist only for a finite-variance solution
@@ -290,7 +252,7 @@ def main(argv=None) -> int:
         model = model_from_dict(doc)
         if args.command in _NEED_FINITE_VARIANCE and not model.gamma > 0.5:
             raise ModelInvalid(f"{args.command} requires gamma > 1/2, got gamma={model.gamma}")
-        return _COMMANDS[args.command](args, doc, model)
+        return _COMMANDS[args.command][0](args, doc, model)
     except ModelInvalid as exc:
         print(f"model invalid: {exc}", file=sys.stderr)
         return EXIT_MODEL

@@ -247,7 +247,7 @@ def config_int(raw, field_name: str) -> int:
     non-integral numbers are a ConfigError rather than truncated."""
     if isinstance(raw, bool) or not (isinstance(raw, int)
                                      or isinstance(raw, float) and raw.is_integer()):
-        raise ConfigError(field_name, f"must be an integer, got {raw!r}")
+        raise ConfigError(field_name, f"must be an integer, got {_shown(raw)}")
     return int(raw)
 
 
@@ -257,8 +257,44 @@ def config_float(raw, field_name: str) -> float:
     a ConfigError rather than converted."""
     if isinstance(raw, bool) or not (isinstance(raw, (int, float))
                                      and abs(raw) <= sys.float_info.max):
-        raise ConfigError(field_name, f"must be a finite number, got {raw!r}")
+        raise ConfigError(field_name, f"must be a finite number, got {_shown(raw)}")
     return float(raw)
+
+
+def _shown(raw) -> str:
+    """repr of config value `raw`, or the JSON type of a non-empty list or
+    object, whose repr may be long or nested deeper than repr can go."""
+    kind = {list: "list", dict: "object"}.get(type(raw))
+    return f"a non-empty JSON {kind}" if kind and raw else repr(raw)
+
+
+def config_numbers(raw, field_name: str) -> list:
+    """Numbers in config field `field_name`, a JSON list, each read by config_float."""
+    if not isinstance(raw, list):
+        raise ConfigError(field_name, f"must be a JSON list, got {_shown(raw)}")
+    return [config_float(v, field_name) for v in raw]
+
+
+def config_points(raw, field_name: str, basis: EigenBasis, single: bool = False) -> np.ndarray:
+    """Points in config field `field_name` (a non-empty list of numbers or of
+    equally long lists of numbers; with `single`, one point, in 1-D also a
+    bare number) as as_points gives them, each number read by config_float
+    and the points checked by evaluate_basis against `basis`."""
+    rows = [raw] if single and not isinstance(raw, list) else raw
+    if not (isinstance(rows, list) and rows):
+        raise ConfigError(field_name, f"must be a non-empty JSON list, got {_shown(raw)}")
+    width = len(rows[0]) if isinstance(rows[0], list) else 0  # 0: one number per point
+    if width and not all(isinstance(row, list) and len(row) == width for row in rows):
+        raise ConfigError(field_name, "must hold numbers or equally long lists of numbers")
+    values = [config_float(v, field_name) for row in rows for v in (row if width else [row])]
+    pts = as_points(np.reshape(values, (len(rows), width)) if width else values, basis.d)
+    if single and pts.shape[0] != 1:
+        raise ConfigError(field_name, f"must be one point, got {pts.shape[0]} points")
+    try:
+        evaluate_basis(basis, pts)
+    except ValueError as exc:
+        raise ConfigError(field_name, str(exc)) from None
+    return pts
 
 
 _MODEL_FIELDS = ("d", "extents", "kappa2", "kappa2_tilde", "J", "alpha", "beta", "gamma", "T")
@@ -275,15 +311,15 @@ def config_checked(raw, field_name: str, predicate, message: str, read=config_fl
 
 
 def load_config(path) -> dict:
-    """The JSON object in file `path`. A missing file, invalid JSON or a
-    root that is not an object is a ConfigError; the first two name the
-    field '--config', the CLI option that passes `path`."""
+    """The JSON object in file `path`. A file that cannot be read, invalid or
+    too deeply nested JSON or a root that is not an object is a ConfigError;
+    the first two name the field '--config', the CLI option that passes `path`."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("--config", f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ConfigError("--config", f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:  # the decoder recurses per nesting level
         raise ConfigError("--config", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("<root>", "config must be a JSON object")

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stwm import analysis, cli, kernel, sampler
 from stwm.fieldfile import format_number, read_field, write_csv, write_field, write_field_csv
@@ -85,6 +91,11 @@ class TestBasisCommand:
 
     def test_missing_config_exit_2(self, tmp_path):
         assert run_cli(["--config", str(tmp_path / "nope.json"), "basis"]) == 2
+
+    def test_config_directory_exit_2(self, tmp_path, capsys):
+        assert run_cli(["--config", str(tmp_path), "basis"]) == 2
+        assert capsys.readouterr().err == (f"config error: config field '--config': cannot read "
+                                           f"{tmp_path}: Is a directory\n")
 
     def test_no_config_exit_2(self, tmp_path, capsys):
         assert run_cli(["--out", str(tmp_path / "o"), "basis"]) == 2
@@ -355,8 +366,9 @@ class TestNumericalFailureExit:
     ], ids=["rate", "weight", "rate_underflow", "weight_underflow", "rate_before_weight"])
     def test_overflowing_mode_exit_4_writes_nothing(self, tmp_path, capsys, model, term, outcome,
                                                     command):
+        # a one-point lattice lies inside every domain, also extents 1e-3
         doc = dict(BASE_CONFIG, grid={"t_start": 0.0, "t_end": 1.0, "steps": 2},
-                   cov={"mode": 8}, model=dict(BASE_CONFIG["model"], **model))
+                   space={"lattice": 1}, cov={"mode": 8}, model=dict(BASE_CONFIG["model"], **model))
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         out = tmp_path / "o"
@@ -376,30 +388,36 @@ class TestNumericalFailureExit:
         assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("command,flags,model,message", [
+    @pytest.mark.parametrize("command,section,model,message", [
         # lambda_tilde_1^-100 ~ 1e500 in hs_sum's first term
-        ("regularity", [], {"alpha": 100.0, "extents": 1000.0},
+        ("regularity", {}, {"alpha": 100.0, "extents": 1000.0},
          "mode 1: spectral-sum term lambda^-1.0 lambda_tilde^-100.0 = "),
         # every term is finite and their sum is not
-        ("regularity", ["--n", "26"],
+        ("regularity", {"regularity": {"n": 26}},
          {"kappa2": 1e6, "kappa2_tilde": 1e6, "J": 200, "alpha": 0.0},
          "spectral partial sum over 200 modes"),
         # mu_1^(1 - 2 gamma) ~ 1e995 in the first stationary variance
-        ("limits", [], {"gamma": 100.0, "extents": 1000.0},
+        ("limits", {}, {"gamma": 100.0, "extents": 1000.0},
          "stationary variance: w mu^(1 - 2 gamma) with w = 101321.18364233777, "
          "mu = 9.869604401089359e-06, gamma = 100.0"),
         # w = 1e198 and mu^(1 - 2 gamma) = 1e198 are finite, their product is not
-        ("limits", [], {"extents": 1e50, "alpha": 2.0, "gamma": 1.5},
+        ("limits", {}, {"extents": 1e50, "alpha": 2.0, "gamma": 1.5},
          "stationary variance: w mu^(1 - 2 gamma) with w = 1.026598225468434e+198, "
          "mu = 9.869604401089356e-100, gamma = 1.5"),
-    ], ids=["hs_sum", "hs_sum_partial", "stationary_variance", "stationary_variance_product"])
-    def test_overflow_names_its_term(self, tmp_path, capsys, command, flags, model, message):
-        doc = dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], **model))
+        # the temporal Matern curve's variance at kappa = 2^-1022, formed
+        # after the modes' stationary variances
+        ("limits", {"limits": {"temporal_kappa": 2.0 ** -1022}}, {"gamma": 1.3},
+         "stationary variance: w mu^(1 - 2 gamma) with w = 1.0, "
+         "mu = 2.2250738585072014e-308, gamma = 1.3"),
+    ], ids=["hs_sum", "hs_sum_partial", "stationary_variance", "stationary_variance_product",
+            "temporal_kappa"])
+    def test_overflow_names_its_term(self, tmp_path, capsys, command, section, model, message):
+        doc = dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], **model), **section)
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         out = tmp_path / "o"
         # a numpy RuntimeWarning on the way would fail the run (pyproject.toml)
-        assert run_cli(["--config", str(p), "--out", str(out), command, *flags]) == 4
+        assert run_cli(["--config", str(p), "--out", str(out), command]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: {message}") and err.endswith("overflows\n")
         assert err.count("\n") == 1
@@ -414,14 +432,13 @@ class TestNumericalFailureExit:
         "space": {"points": [1e99]}, "n_paths": 3, "cov": {"mode": 1},
     }
 
-    @pytest.mark.parametrize("command", [["cov"], ["sample"], ["holder", "--t0", "1e11"]],
-                             ids=["cov", "sample", "holder"])
+    @pytest.mark.parametrize("command", ["cov", "sample", "holder"])
     def test_overflowing_gram_exit_4_writes_nothing(self, tmp_path, capsys, command):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps(self.OVERFLOWING_GRAM))
+        p.write_text(json.dumps(dict(self.OVERFLOWING_GRAM, holder={"mode": 1, "t0": 1e11})))
         out = tmp_path / "o"
         # a numpy RuntimeWarning on the way would fail the run (pyproject.toml)
-        assert run_cli(["--config", str(p), "--out", str(out), *command]) == 4
+        assert run_cli(["--config", str(p), "--out", str(out), command]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: Gram of the mode with mu = 9.869604401089358e-200, "
                               "w = 3.2251534433199492e+298, gamma = 1.2 overflows")
@@ -533,65 +550,88 @@ class TestFiniteVarianceGate:
         assert json.loads(capsys.readouterr().out)["satisfied"] is False
 
 
+def write_config(tmp_path, **sections) -> str:
+    """Path of BASE_CONFIG, with `sections` replacing its members, written to tmp_path."""
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, **sections)))
+    return str(p)
+
+
 class TestRegularityCommand:
-    def test_satisfied_exit_0(self, config_path, capsys):
-        assert run_cli(["--config", config_path, "regularity", "--tau", "0.2"]) == 0
+    def test_satisfied_exit_0(self, tmp_path, capsys):
+        assert run_cli(["--config", write_config(tmp_path, regularity={"tau": 0.2}),
+                        "regularity"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["satisfied"] is True
         assert set(doc["margins"]) == {"strict_gamma", "holder_gamma", "spectral"}
 
     def test_unsatisfied_exit_1(self, tmp_path, capsys):
-        doc = {"model": dict(BASE_CONFIG["model"], alpha=0.0)}
+        doc = {"model": dict(BASE_CONFIG["model"], alpha=0.0), "regularity": {"tau": 0.3}}
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
-        assert run_cli(["--config", str(p), "regularity", "--tau", "0.3"]) == 1
+        assert run_cli(["--config", str(p), "regularity"]) == 1
         assert json.loads(capsys.readouterr().out)["satisfied"] is False
 
-    def test_malformed_flags_exit_2(self, config_path):
-        assert run_cli(["--config", config_path, "regularity", "--tau", "1.5"]) == 2
-        for sigma in ("nan", "inf"):
-            assert run_cli(["--config", config_path, "regularity", "--sigma", sigma]) == 2
+    def test_malformed_flags_exit_2(self, tmp_path, capsys):
+        # the values that were the --n, --tau and --sigma flags, now the section's
+        for query, field in (({"tau": 1.5}, "regularity"), ({"n": -1}, "regularity"),
+                             ({"sigma": -0.5}, "regularity"),
+                             ({"sigma": math.nan}, "regularity.sigma"),
+                             ({"sigma": math.inf}, "regularity.sigma"),
+                             ({"n": 0.5}, "regularity.n"), ({"tau": "0.2"}, "regularity.tau")):
+            assert run_cli(["--config", write_config(tmp_path, regularity=query),
+                            "regularity"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: config field '{field}': ")
+            assert err.count("\n") == 1
+
+    def test_section_matches_defaults(self, tmp_path, capsys):
+        # the defaults are n = 0, tau = 0, sigma = 0
+        outs = []
+        for query in ({}, {"n": 0, "tau": 0.0, "sigma": 0.0}):
+            run_cli(["--config", write_config(tmp_path, regularity=query), "regularity"])
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and json.loads(outs[0])["satisfied"] is True
 
 
 class TestHolderCommand:
-    def test_slope_report(self, config_path, capsys):
-        assert run_cli(["--config", config_path, "holder", "--t0", "5",
-                        "--lags", "2^-6..2^-12"]) == 0
+    def test_slope_report(self, tmp_path, capsys):
+        lags = [2.0 ** -e for e in range(6, 13)]
+        assert run_cli(["--config", write_config(tmp_path, holder={"t0": 5, "lags": lags}),
+                        "holder"]) == 0
         out = capsys.readouterr().out
         slope = float(out.splitlines()[0].split(":")[1])
         assert 0.95 <= slope <= 1.05
         assert "theory" in out
+        # t0 = 5 and lags 2^-6..2^-12 are the defaults
+        assert run_cli(["--config", write_config(tmp_path), "holder"]) == 0
+        assert capsys.readouterr().out == out
 
-    def test_explicit_lag_list(self, config_path):
-        assert run_cli(["--config", config_path, "holder", "--t0", "5",
-                        "--lags", "0.015625,0.0078125,0.00390625"]) == 0
+    def test_explicit_lag_list(self, tmp_path):
+        holder = {"t0": 5, "lags": [0.015625, 0.0078125, 0.00390625]}
+        assert run_cli(["--config", write_config(tmp_path, holder=holder), "holder"]) == 0
 
     def test_mode_index_out_of_range_exit_2(self, tmp_path, capsys):
-        doc = dict(BASE_CONFIG, holder={"mode": 0})
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps(doc))
-        assert run_cli(["--config", str(p), "holder", "--t0", "5",
-                        "--lags", "2^-6..2^-8"]) == 2
+        holder = {"mode": 0, "t0": 5, "lags": [2.0 ** -6, 2.0 ** -7, 2.0 ** -8]}
+        assert run_cli(["--config", write_config(tmp_path, holder=holder), "holder"]) == 2
         assert "holder.mode" in capsys.readouterr().err
 
-    def test_bad_lag_spec_exit_2(self, config_path):
-        assert run_cli(["--config", config_path, "holder", "--lags", "fish..2^-3"]) == 2
-        assert run_cli(["--config", config_path, "holder", "--lags", ""]) == 2
-        assert run_cli(["--config", config_path, "holder", "--t0", "0.1",
-                        "--lags", "2^-6..2^-8"]) == 2
+    def test_bad_lag_spec_exit_2(self, tmp_path, capsys):
+        for holder, field in (({"lags": "2^-6..2^-8"}, "holder.lags"),
+                              ({"lags": []}, "holder.lags"),
+                              ({"lags": [[0.25, 0.125]]}, "holder.lags"),
+                              ({"lags": [0.5, 0.125]}, "holder.lags"),
+                              ({"t0": 0.1, "lags": [2.0 ** -6, 2.0 ** -8]}, "holder.t0")):
+            assert run_cli(["--config", write_config(tmp_path, holder=holder), "holder"]) == 2
+            assert f"config field '{field}': " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lags", ["2^-2..2^-3000000", "2^0..2^-3", "2^-6..2^-1075"])
-    def test_dyadic_exponent_out_of_range_exit_2(self, config_path, capsys, lags):
-        # rejected before the range is allocated
-        assert run_cli(["--config", config_path, "holder", "--lags", lags]) == 2
-        assert "[-1074, -2]" in capsys.readouterr().err
+    @pytest.mark.parametrize("t0", [1e300, math.nan, math.inf], ids=["1e300", "nan", "inf"])
+    def test_unusable_t0_exit_2(self, tmp_path, t0):
+        assert run_cli(["--config", write_config(tmp_path, holder={"t0": t0}), "holder"]) == 2
 
-    @pytest.mark.parametrize("t0", ["1e300", "nan", "inf"])
-    def test_unusable_t0_exit_2(self, config_path, t0):
-        assert run_cli(["--config", config_path, "holder", "--t0", t0]) == 2
-
-    def test_increments_below_rounding_floor_exit_4(self, config_path, capsys):
-        assert run_cli(["--config", config_path, "holder", "--lags", "2^-30..2^-45"]) == 4
+    def test_increments_below_rounding_floor_exit_4(self, tmp_path, capsys):
+        holder = {"lags": [2.0 ** -e for e in range(30, 46)]}
+        assert run_cli(["--config", write_config(tmp_path, holder=holder), "holder"]) == 4
         assert "numerical failure" in capsys.readouterr().err
 
 
@@ -599,8 +639,9 @@ class TestIntegerConfigFields:
     # each field with the override that sets it and the command that reads it
     FIELDS = {
         "cov.mode": (lambda v: {"cov": {"mode": v}}, ["cov"]),
-        "holder.mode": (lambda v: {"holder": {"mode": v}},
-                        ["holder", "--t0", "5", "--lags", "2^-6..2^-8"]),
+        "holder.mode": (lambda v: {"holder": {"mode": v, "t0": 5,
+                                              "lags": [2.0 ** -6, 2.0 ** -7, 2.0 ** -8]}},
+                        ["holder"]),
         "grid.steps": (lambda v: {"grid": dict(BASE_CONFIG["grid"], steps=v)}, ["sample"]),
         "space.lattice": (lambda v: {"space": {"lattice": v}}, ["sample"]),
         "n_paths": (lambda v: {"n_paths": v}, ["sample"]),
@@ -669,7 +710,12 @@ class TestRealConfigFields:
         "cov.y": (lambda v: {"cov": {"mode": "field", "x": 1.0, "y": v}}, ["cov"]),
         "limits.temporal_kappa": (lambda v: {"limits": {"temporal_kappa": v}}, ["limits"]),
         "limits.lags": (lambda v: {"limits": {"lags": [0.5, v]}}, ["limits"]),
+        "holder.t0": (lambda v: {"holder": {"t0": v}}, ["holder"]),
+        "holder.lags": (lambda v: {"holder": {"lags": [0.125, v]}}, ["holder"]),
+        "regularity.tau": (lambda v: {"regularity": {"tau": v}}, ["regularity"]),
+        "regularity.sigma": (lambda v: {"regularity": {"sigma": v}}, ["regularity"]),
     }
+    MODEL_2D = dict(BASE_CONFIG["model"], d=2, extents=[1.0, 2.0])
     OUTPUTS = ("field.stwm", "cov.csv", "limits_stationary.csv", "limits_temporal.csv")
 
     def run(self, tmp_path, doc, command):
@@ -695,6 +741,40 @@ class TestRealConfigFields:
         pytest.param("limits.temporal_kappa", {"limits": {"temporal_kappa": 0.0}}, ["limits"],
                      id="kappa-zero"),
         pytest.param("holder", {"holder": 3}, ["holder"], id="holder-not-object"),
+        pytest.param("regularity", {"regularity": [0.2]}, ["regularity"],
+                     id="regularity-not-object"),
+        pytest.param("holder.lags", {"holder": {"lags": 0.125}}, ["holder"],
+                     id="holder-lags-not-list"),
+        pytest.param("holder.lags", {"holder": {"lags": [0.125, [0.25]]}}, ["holder"],
+                     id="holder-lags-nested"),
+        # a 1-D point list that is empty, or a field point that is empty or two points
+        pytest.param("space.points", {"space": {"points": []}}, ["sample"], id="points-empty"),
+        pytest.param("cov.x", {"cov": {"mode": "field", "x": []}}, ["cov"], id="x-empty"),
+        pytest.param("cov.y", {"cov": {"mode": "field", "x": 1.0, "y": []}}, ["cov"],
+                     id="y-empty"),
+        pytest.param("cov.x", {"cov": {"mode": "field", "x": [1.0, 2.0]}}, ["cov"],
+                     id="x-two-points"),
+        pytest.param("cov.x", {"cov": {"mode": "field", "x": 4.0}}, ["cov"], id="x-outside"),
+        pytest.param("space.points", {"space": {"points": [1.0, 4.0]}}, ["sample"],
+                     id="points-outside"),
+        # 2-D points with the wrong number of coordinates, ragged or nested too deep
+        pytest.param("cov.x", {"model": MODEL_2D, "cov": {"mode": "field", "x": [0.5]}}, ["cov"],
+                     id="2d-x-one-coordinate"),
+        pytest.param("cov.x", {"model": MODEL_2D,
+                               "cov": {"mode": "field", "x": [[0.5, 0.5], [0.2, 0.2]]}}, ["cov"],
+                     id="2d-x-two-points"),
+        pytest.param("space.points", {"model": MODEL_2D, "space": {"points": [[0.5, 0.5, 0.5]]}},
+                     ["sample"], id="2d-points-three-coordinates"),
+        pytest.param("space.points", {"model": MODEL_2D, "space": {"points": [[0.5, 0.5], [0.2]]}},
+                     ["sample"], id="2d-points-ragged"),
+        pytest.param("space.points", {"model": MODEL_2D,
+                                      "space": {"points": [[[0.5, 0.5]], [[0.2, 0.2]]]}},
+                     ["sample"], id="2d-points-nested"),
+        # the grid runs past the model horizon T = 1: sample and cov read it alike
+        pytest.param("grid.t_end", {"model": dict(BASE_CONFIG["model"], T=1.0)}, ["sample"],
+                     id="past-horizon-sample"),
+        pytest.param("grid.t_end", {"model": dict(BASE_CONFIG["model"], T=1.0)}, ["cov"],
+                     id="past-horizon-cov"),
         pytest.param("grid", {"grid": None}, ["sample"], id="grid-missing"),
         pytest.param("grid", {"grid": {"t_start": 2.0, "t_end": 2.0, "steps": 4}}, ["sample"],
                      id="grid-empty"),
@@ -704,7 +784,23 @@ class TestRealConfigFields:
     def test_bad_shape_or_range_exit_2_names_field(self, tmp_path, capsys, field, override,
                                                     command):
         assert self.run(tmp_path, dict(BASE_CONFIG, **override), command) == 2
-        assert f"'{field}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config field '{field}': ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,text,command", [
+        # json's decoder recurses per level; a RecursionError is invalid JSON
+        ("--config", '{"model": ' + "[" * 100000 + "]" * 100000 + "}", "basis"),
+        # decodes, and is read without recursion
+        ("space.points", json.dumps(BASE_CONFIG)[:-1] + ', "space": {"points": '
+         + "[" * 900 + "]" * 900 + "}}", "sample"),
+    ], ids=["model", "space.points"])
+    def test_deep_nesting_exit_2_names_field(self, tmp_path, capsys, field, text, command):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config field '{field}': ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_integral_numbers_accepted(self, tmp_path):
         doc = dict(BASE_CONFIG, grid={"t_start": 0, "t_end": 2, "steps": 4},
@@ -715,6 +811,74 @@ class TestRealConfigFields:
             assert run_cli(["--config", str(p), "--out", str(tmp_path), command]) == 0
         rows = (tmp_path / "limits_temporal.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["1", "0.5"]
+
+
+# config values of every JSON kind: numbers at 0 and at the edges of the
+# double range, wrong types, and empty or nested lists
+_NUMBERS = st.one_of(st.sampled_from([0, 0.0, -1.0, 5e-324, 1e-300, 2.0 ** -30, 0.125, 0.5, 1,
+                                      2.0, 5.0, 1e11, 1e300, -1e300, 1.7e308, 10 ** 30]),
+                     st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+_LISTS = st.one_of(st.lists(_NUMBERS, max_size=4),
+                   st.lists(st.lists(_NUMBERS, max_size=3), min_size=1, max_size=3))
+_VALUES = st.one_of(_NUMBERS, _LISTS, st.sampled_from([None, True, "1.0", {}, [], [[]]]),
+                    st.lists(st.lists(st.lists(_NUMBERS, max_size=2), max_size=2), max_size=2))
+
+
+def _section_of(**members):
+    """A config section with some of `members` (strategies), maybe an unknown
+    member, or a value that is no JSON object."""
+    return st.one_of(st.fixed_dictionaries({}, optional=dict(members, extra=_VALUES)), _VALUES)
+
+
+_SECTIONS = st.fixed_dictionaries({}, optional={
+    "cov": _section_of(mode=st.one_of(st.just("field"), st.integers(0, 5), _VALUES),
+                       x=st.one_of(_NUMBERS, _LISTS, _VALUES),
+                       y=st.one_of(_NUMBERS, _LISTS, _VALUES)),
+    "limits": _section_of(temporal_kappa=_VALUES, lags=st.one_of(_LISTS, _VALUES)),
+    "holder": _section_of(mode=st.one_of(st.integers(0, 5), _VALUES), t0=_VALUES,
+                          lags=st.one_of(_LISTS, _VALUES)),
+    "regularity": _section_of(n=st.one_of(st.integers(-1, 30), _VALUES), tau=_VALUES,
+                              sigma=_VALUES),
+    "space": st.one_of(st.fixed_dictionaries({"points": st.one_of(_LISTS, _VALUES)}), _VALUES),
+})
+
+
+def _finite_numbers_written(out: Path, stdout: str) -> bool:
+    """Whether the field files under `out` hold only finite values and no
+    non-finite number, as format_number or a JSON report writes one, appears
+    in the CSV files under `out` or in `stdout`."""
+    texts = [stdout] + [f.read_text() for f in out.glob("*.csv")]
+    return (all(np.all(np.isfinite(read_field(f).values)) for f in out.glob("*.stwm"))
+            and not any(re.search(r"\b(inf|nan|Infinity|NaN)\b", text) for text in texts))
+
+
+class TestGeneratedConfigs:
+    """Generated run sections on a tiny model: every run ends in an exit code
+    of the contract (0-4) with no exception, a run that exits 0 writes and
+    prints only finite numbers, and one that exits 2, 3 or 4 prints one line
+    and writes nothing."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sections=_SECTIONS, d=st.sampled_from([1, 2]), J=st.integers(1, 4),
+           steps=st.integers(1, 2), gamma=st.sampled_from([0.75, 1.3, 2.5]),
+           command=st.sampled_from(["sample", "cov", "limits", "holder", "regularity"]))
+    def test_exit_code_in_contract(self, sections, d, J, steps, gamma, command):
+        model = {"d": d, "extents": PI if d == 1 else [1.0, 2.0], "kappa2": 0.0,
+                 "kappa2_tilde": 0.5, "J": J, "alpha": 1.0, "beta": 1.0, "gamma": gamma,
+                 "T": 1.0}
+        doc = dict({"model": model, "grid": {"t_start": 0.0, "t_end": 1.0, "steps": steps},
+                    "space": {"lattice": 2}, "n_paths": 3, "seed": 7}, **sections)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "c.json", Path(tmp) / "o"
+            path.write_text(json.dumps(doc))
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(["--config", str(path), "--out", str(out), command])
+            assert code in (0, 1, 2, 3, 4)
+            if code == 0:
+                assert _finite_numbers_written(out, stdout.getvalue())
+            elif code != 1:  # one line, and nothing written
+                assert stderr.getvalue().count("\n") == 1 and not out.exists()
 
 
 @pytest.mark.parametrize("override", [
@@ -844,6 +1008,16 @@ def test_write_csv_formats(tmp_path):
     assert lines[:2] == ["n,x", "1,0.10000000000000001"]
     n, x = lines[2].split(",")
     assert n == "2" and len(x.replace("0.", "", 1)) == 17 and float(x) == 1.0 / 3.0
+
+
+@pytest.mark.parametrize("argv", [["regularity", "--n", "1"], ["regularity", "--tau", "0.2"],
+                                  ["regularity", "--sigma", "0.5"], ["holder", "--t0", "5"],
+                                  ["holder", "--lags", "2^-6..2^-12"]])
+def test_subcommands_take_no_options(config_path, capsys, argv):
+    # their inputs are the regularity and holder config sections
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--config", config_path, *argv])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_console_entry_point():
