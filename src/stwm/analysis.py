@@ -98,9 +98,9 @@ def _spectral_terms(model: SpectralModel, e1: float, log_scale: float = 0.0) -> 
     log space, so a factor that overflows alone still gives a finite term;
     a term beyond the double range raises OverflowError naming its mode."""
     a, lam, lam_t = model.alpha, model.basis.eigenvalues, model.basis_tilde.eigenvalues
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         terms = np.exp(e1 * np.log(lam) - a * np.log(lam_t) + log_scale)
-    over = np.flatnonzero(terms == math.inf)
+    over = np.flatnonzero(~(terms < math.inf))  # inf, or nan from inf - inf
     if over.size:
         j = int(over[0])
         raise OverflowError(f"mode {j + 1}: spectral-sum term lambda^{e1} lambda_tilde^-{a} = "
@@ -120,23 +120,28 @@ def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     sum or tail bound beyond the double range raises OverflowError naming it.
     """
     a, b, g = model.alpha, model.beta, model.gamma
-    e1 = 2.0 * b * (q.sigma / 2.0 + q.n + q.tau + 0.5 - g)
+    e1 = b * (2.0 * (q.sigma / 2.0 + q.n + q.tau + 0.5 - g))  # 2 beta alone may overflow
+    p = _spectral_exponent(model, q)
+    if not (math.isfinite(e1) and math.isfinite(p)):
+        raise OverflowError(f"spectral-sum exponents: e1 = {e1} or p = {p} overflows")
     with np.errstate(over="ignore"):
         partial = float(_spectral_terms(model, e1).sum())
     if partial == math.inf:
         raise OverflowError(f"spectral partial sum over {model.J} modes overflows")
-    p = _spectral_exponent(model, q)
     if p >= -1.0:
         return HsSum(partial=partial, tail=math.inf, diverges=True, weyl_exponent=p)
     c_lo, c_hi = _growth_constants(model.basis)
     ct_lo, _ = _growth_constants(model.basis_tilde)
     c_sel = c_hi if e1 >= 0.0 else c_lo
     try:
-        const = math.exp(e1 * math.log(c_sel) - a * math.log(ct_lo) + (p + 1.0) * math.log(model.J))
+        tail = math.exp(e1 * math.log(c_sel) - a * math.log(ct_lo)
+                        + (p + 1.0) * math.log(model.J)) / (-p - 1.0)
+        if not tail < math.inf:  # also nan, from inf - inf in the exponent
+            raise OverflowError
     except OverflowError:
         raise OverflowError(f"spectral tail bound: growth-constant term {c_sel}^{e1} {ct_lo}^-{a} "
                             f"J^{p + 1.0} overflows") from None
-    return HsSum(partial=partial, tail=const / (-p - 1.0), diverges=False, weyl_exponent=p)
+    return HsSum(partial=partial, tail=tail, diverges=False, weyl_exponent=p)
 
 
 def check_exponents(model: SpectralModel, q: RegularityQuery) -> RegularityReport:
@@ -149,6 +154,7 @@ def check_exponents(model: SpectralModel, q: RegularityQuery) -> RegularityRepor
                    (strict; equivalent to the spectral sum being finite)
 
     Equality counts as satisfied only for the non-strict middle condition.
+    hs_sum raises OverflowError where the spectral margin overflows too.
     """
     a, b, g = model.alpha, model.beta, model.gamma
     d = model.d

@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Subcommands: basis, sample, cov, limits, regularity, holder. Configuration
-comes from a JSON document (--config). `main` loads it and builds the model
-once (spectral.load_config, spectral.model_from_dict), refuses gamma <= 1/2
-(model invalid) for the subcommands that need a finite-variance solution
-(sample, cov, limits, holder), and passes (args, doc, model) to the
-subcommand. Tables are written and numbers printed through
-fieldfile.write_csv and fieldfile.format_number. Randomized subcommands
-print their full seed record so any run can be replayed. Exit codes: 0 ok /
-condition satisfied, 1 condition unsatisfied, 2 config error, 3 model
-invalid (existence condition violated), 4 numerical failure.
+Commands: basis, sample, cov, limits, regularity, holder (the table
+_COMMANDS). `main` checks the global flags, loads the --config JSON document
+and builds the model once (spectral.load_config, spectral.model_from_dict),
+refuses gamma <= 1/2 (model invalid) for the commands that need a
+finite-variance solution, and passes (args, doc, model) to the command.
+Tables and printed numbers go through fieldfile.write_csv and
+fieldfile.format_number. Randomized commands print their full seed record
+so any run can be replayed. Exit codes: 0 ok / condition satisfied, 1
+condition unsatisfied, 2 config error, 3 model invalid (existence condition
+violated), 4 numerical failure.
 """
 
 import argparse
@@ -39,7 +39,7 @@ class ModelInvalid(RuntimeError):
 
 
 def _section(doc: dict, name: str) -> dict:
-    """Optional subcommand section `name` of the config, a JSON object."""
+    """Optional command section `name` of the config, a JSON object."""
     opts = doc.get(name, {})
     if not isinstance(opts, dict):
         raise ConfigError(name, "must be a JSON object")
@@ -50,7 +50,8 @@ def _grid_from_config(doc: dict, model: SpectralModel) -> TimeGrid:
     spec = doc.get("grid")
     if not isinstance(spec, dict):
         raise ConfigError("grid", "missing grid spec {t_start, t_end, steps}")
-    t0 = config_float(spec.get("t_start"), "grid.t_start")
+    # t_start >= 0 and t_end <= T bound the span that linspace forms
+    t0 = config_checked(spec.get("t_start"), "grid.t_start", lambda v: v >= 0.0, "must be >= 0")
     t1 = config_checked(spec.get("t_end"), "grid.t_end", lambda v: v <= model.T,
                         f"must not exceed the model horizon T = {model.T}")
     steps = _at_least_one(spec.get("steps"), "grid.steps")
@@ -84,11 +85,10 @@ def _mode_index(model: SpectralModel, raw, field: str) -> int:
                           config_int)
 
 
-def _seed_from(args, doc: dict) -> SeedSpec:
-    """The master seed: --seed when given, else config field `seed` (default 0)."""
-    field, raw = ("seed", doc.get("seed", 0)) if args.seed is None else ("--seed", args.seed)
-    return SeedSpec(config_checked(raw, field, lambda v: 0 <= v < 2 ** 64, "must be in [0, 2^64)",
-                                   config_int))
+def _seed(raw, field: str) -> int:
+    """Master seed from config field or option `field`, checked against [0, 2^64)."""
+    return config_checked(raw, field, lambda v: 0 <= v < 2 ** 64, "must be in [0, 2^64)",
+                          config_int)
 
 
 def _out_dir(args) -> Path:
@@ -121,9 +121,7 @@ def cmd_sample(args, doc: dict, model: SpectralModel) -> int:
     grid = _grid_from_config(doc, model)
     space = _space_from_config(doc, model)
     n_paths = _at_least_one(doc.get("n_paths", 1), "n_paths")
-    seed = _seed_from(args, doc)
-    if args.threads is not None:
-        _at_least_one(args.threads, "--threads")
+    seed = SeedSpec(_seed(doc.get("seed", 0), "seed") if args.seed is None else args.seed)
     sample = sample_field(model, grid, space, n_paths, seed)
     out = _out_dir(args)
     bin_path = out / "field.stwm"
@@ -212,10 +210,23 @@ def cmd_holder(args, doc: dict, model: SpectralModel) -> int:
     return EXIT_OK
 
 
+# command: (function, help, needs a finite-variance solution); inputs are config fields
+_COMMANDS = {
+    "basis": (cmd_basis, "eigenvalue table with growth-law ratios", False),
+    "sample": (cmd_sample, "sample field paths; writes binary field + summary CSV", True),
+    "cov": (cmd_cov, "per-mode or field covariance table", True),
+    "limits": (cmd_limits, "stationary variances and the temporal Matern curve", True),
+    "regularity": (cmd_regularity, "exponent-condition report (exit 0 iff satisfied)", False),
+    "holder": (cmd_holder, "mean-square Holder slope from exact increments", True),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="stwm",
-        description="Sampling and covariance analysis of spatiotemporal Whittle-Matern fields")
+        prog="stwm", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Sampling and covariance analysis of spatiotemporal Whittle-Matern fields",
+        epilog="commands:\n" + "\n".join(f"  {n:<12}{row[1]}" for n, row in _COMMANDS.items()))
+    parser.add_argument("command", choices=_COMMANDS, help="the command to run (see below)")
     parser.add_argument("--config", help="path to the JSON run configuration")
     parser.add_argument("--out", help="output directory (default: current directory)")
     parser.add_argument("--seed", type=int, help="master seed (64-bit unsigned)")
@@ -223,36 +234,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted and ignored: sampling is serial (must be >= 1)")
     parser.add_argument("--force", action="store_true",
                         help="sample even when the variance series diverges")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text) in _COMMANDS.items():
-        sub.add_parser(name, help=text)
     return parser
-
-
-# each subcommand's function and help; its inputs beyond the global flags are config fields
-_COMMANDS = {
-    "basis": (cmd_basis, "eigenvalue table with growth-law ratios"),
-    "sample": (cmd_sample, "sample field paths; writes binary field + summary CSV"),
-    "cov": (cmd_cov, "per-mode or field covariance table"),
-    "limits": (cmd_limits, "stationary variances and the temporal Matern curve"),
-    "regularity": (cmd_regularity, "exponent-condition report (exit 0 iff satisfied)"),
-    "holder": (cmd_holder, "mean-square Holder slope from exact increments"),
-}
-
-# subcommands whose covariances exist only for a finite-variance solution
-_NEED_FINITE_VARIANCE = ("sample", "cov", "limits", "holder")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, _, needs_finite_variance = _COMMANDS[args.command]
     try:
         if args.config is None:
             raise ConfigError("--config", "a config file is required")
+        if args.seed is not None:
+            _seed(args.seed, "--seed")
+        if args.threads is not None:
+            _at_least_one(args.threads, "--threads")
         doc = load_config(args.config)
         model = model_from_dict(doc)
-        if args.command in _NEED_FINITE_VARIANCE and not model.gamma > 0.5:
+        if needs_finite_variance and not model.gamma > 0.5:
             raise ModelInvalid(f"{args.command} requires gamma > 1/2, got gamma={model.gamma}")
-        return _COMMANDS[args.command][0](args, doc, model)
+        return run(args, doc, model)
     except ModelInvalid as exc:
         print(f"model invalid: {exc}", file=sys.stderr)
         return EXIT_MODEL

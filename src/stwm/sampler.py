@@ -227,11 +227,11 @@ def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
     n = pts.size
     G = np.zeros((mu.size, n, n))
     with np.errstate(over="ignore", invalid="ignore"):  # overflows are caught below
-        G.reshape(mu.size, -1)[:, ::n + 1] = _variance_rows(g, mu, weight, pts)  # the diagonals
-        try:
+        try:  # before the diagonals, whose incomplete-gamma sums grow like sqrt(gamma)
             scale = weight / gamma_fn(g) ** 2
         except OverflowError:
             raise OverflowError(f"Gram scale: Gamma(gamma)^2 with gamma = {g} overflows") from None
+        G.reshape(mu.size, -1)[:, ::n + 1] = _variance_rows(g, mu, weight, pts)  # the diagonals
         i0 = 1 if pts[0] == 0.0 else 0  # rows below i0 (t = 0) stay zero
         try:
             h = grid.step

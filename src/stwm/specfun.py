@@ -34,6 +34,7 @@ __all__ = [
 GAMMA_OVERFLOW_X = 171.6
 
 _MAX_ITER = 500
+_MAX_RULE_STEPS = 2 ** 18  # bessel_k's rule: at most 2 MB per node array
 _EPS = 1e-16
 _NEGLIGIBLE_Q = 2.0 ** -60
 
@@ -180,7 +181,8 @@ def bessel_k(nu: float, x: float) -> float:
     out exactly (x cosh t = x + 2x sinh^2(t/2)), so none under- or overflows.
     Returns 0 without running the rule where _log_k_bound puts K_nu(x)
     below the subnormal range; raises OverflowError where K_nu(x) itself
-    overflows (tiny x, large nu).
+    overflows (tiny x, large nu), and where the rule would take more than
+    2^18 steps (orders nu from about 1e7 on).
     """
     if not x > 0.0:
         raise ValueError(f"bessel_k requires x > 0, got {x}")
@@ -217,6 +219,9 @@ def _bessel_k_rule(nu: float, x: float) -> tuple[float, float]:
     underflows."""
     h = min(0.2, 0.35 / math.sqrt(max(x, nu, 1.0)))
     t_end = math.asinh(max(nu, 1.0) / x) + 8.0 / math.sqrt(max(x, 1.0)) + 4.0
+    if not t_end / h <= _MAX_RULE_STEPS:  # also at t_end = inf
+        raise OverflowError(f"K_nu(x) at nu={nu}, x={x}: the trapezoid rule needs "
+                            f"{t_end / h:.3g} steps, more than {_MAX_RULE_STEPS}")
     t = h * np.arange(math.ceil(t_end / h) + 1)
     # log of 2 e^{x} e^{-x cosh t} cosh(nu t)
     log_f = nu * t - 2.0 * x * np.sinh(0.5 * t) ** 2 + np.log1p(np.exp(-2.0 * nu * t))

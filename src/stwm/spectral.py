@@ -93,8 +93,10 @@ def _lowest_pairs(s1: float, s2: float, J: int):
     index, so only pairs with j1 j2 <= J are formed: at most J (1 + ln J) of
     them, and O(J) unless many sums tie."""
     def row_counts(bound):
-        rows = np.arange(1, min(J, int(math.sqrt(max(bound - s2, 0.0) / s1)) + 1) + 1)
-        counts = np.floor(np.sqrt(np.maximum(bound - s1 * rows ** 2.0, 0.0) / s2))
+        # at most J rows of at most J pairs: quotients past J^2, inf among them, count alike
+        rows = np.arange(1, min(J, int(math.sqrt(min(max(bound - s2, 0.0) / s1, J * J))) + 1) + 1)
+        with np.errstate(over="ignore"):
+            counts = np.floor(np.sqrt(np.maximum(bound - s1 * rows ** 2.0, 0.0) / s2))
         return np.minimum(counts, J // rows).astype(np.int64)
 
     # the first J pairs of row j2 = 1, of column j1 = 1 and of the square
@@ -345,8 +347,9 @@ def model_from_dict(doc: dict) -> SpectralModel:
     extents = doc["extents"]
     extents = [config_float(e, "extents")
                for e in (extents if isinstance(extents, (list, tuple)) else [extents])]
-    if len(extents) != d or any(not e > 0.0 for e in extents):
-        raise ConfigError("extents", f"must be {d} positive length(s), got {doc['extents']!r}")
+    if len(extents) != d or not all(1e-100 <= e <= 1e100 for e in extents):
+        raise ConfigError("extents", f"must be {d} positive length(s) in [1e-100, 1e100], "
+                                     f"got {doc['extents']!r}")
     kappa2, kappa2_t, alpha, beta = (
         config_checked(doc[name], name, lambda v: v >= 0.0, "must be >= 0")
         for name in ("kappa2", "kappa2_tilde", "alpha", "beta"))

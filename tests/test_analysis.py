@@ -83,6 +83,12 @@ class TestCheckExponents:
         first = sat.index(True) if True in sat else len(sat)
         assert all(sat[first:])
 
+    def test_overflowing_margin_raises(self):
+        # beta gamma = 1e310 is past the double range, in the spectral margin
+        # and in hs_sum's exponents
+        with pytest.raises(OverflowError, match="spectral-sum exponents: e1 = -inf"):
+            check_exponents(make_model(beta=1e10, gamma=1e300), RegularityQuery())
+
     def test_margins_reported(self):
         rep = check_exponents(make_model(), RegularityQuery())
         assert set(rep.margins) == {"strict_gamma", "holder_gamma", "spectral"}

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stwm import analysis, cli, kernel, sampler
@@ -34,6 +35,7 @@ BASE_CONFIG = {
     "n_paths": 48,
     "seed": 20240,
 }
+COMMANDS = ["basis", "sample", "cov", "limits", "regularity", "holder"]
 
 
 @pytest.fixture
@@ -409,8 +411,19 @@ class TestNumericalFailureExit:
         ("limits", {"limits": {"temporal_kappa": 2.0 ** -1022}}, {"gamma": 1.3},
          "stationary variance: w mu^(1 - 2 gamma) with w = 1.0, "
          "mu = 2.2250738585072014e-308, gamma = 1.3"),
+        # beta gamma = 1e310 in the spectral margin and in hs_sum's exponents
+        ("regularity", {}, {"beta": 1e10, "gamma": 1e300},
+         "spectral-sum exponents: e1 = -inf or p = -inf"),
+        # hs_sum's comparison exponent p = 4 (beta / 2 - beta - 1/2) = -3.4e308
+        ("regularity", {}, {"beta": 1.7e308},
+         "spectral-sum exponents: e1 = -1.7e+308 or p = -inf"),
+        # p = 4 (... - alpha / 2) = -2e308 at alpha = 1e308
+        ("regularity", {}, {"extents": 7.0, "kappa2": 1e308, "kappa2_tilde": 7.0, "J": 1,
+                            "alpha": 1e308, "beta": 0.51, "gamma": 0.51},
+         "spectral-sum exponents: e1 = -0.01020000000000001 or p = -inf"),
     ], ids=["hs_sum", "hs_sum_partial", "stationary_variance", "stationary_variance_product",
-            "temporal_kappa"])
+            "temporal_kappa", "beta_gamma", "spectral_exponent_beta",
+            "spectral_exponent_alpha"])
     def test_overflow_names_its_term(self, tmp_path, capsys, command, section, model, message):
         doc = dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], **model), **section)
         p = tmp_path / "c.json"
@@ -424,6 +437,29 @@ class TestNumericalFailureExit:
         assert not out.exists()
 
 
+    def test_doubled_beta_past_double_range_exit_0(self, tmp_path, capsys):
+        # 2 beta = 3.4e308 overflows alone, but hs_sum's exponent
+        # 2 beta (1/2 - gamma) = -3.4e306 does not: the terms past mode 1 and
+        # the tail bound are 0, not nan
+        doc = dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], beta=1.7e308, gamma=0.51))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), "regularity"]) == 0
+        hs = json.loads(capsys.readouterr().out)["hs"]
+        assert hs == {"partial": 1.0, "tail": 0.0, "diverges": False}
+
+    @pytest.mark.parametrize("gamma", [1e8, 1e100])
+    def test_matern_rule_past_cap_exit_4(self, tmp_path, capsys, gamma):
+        # the temporal Matern curve of order gamma - 1/2 at lag 1e-2 needs a
+        # K_nu rule of more than 2^18 steps: a named failure, not an allocation
+        doc = dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], gamma=gamma))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), "limits"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: K_nu(x) at nu=") and err.count("\n") == 1
+        assert "trapezoid rule needs" in err and not (tmp_path / "o").exists()
+
     # mode 1's Gram overflows: w = 3.2e298 and the grid runs to t = 1e12
     OVERFLOWING_GRAM = {
         "model": {"d": 1, "extents": 1e100, "kappa2": 0.0, "kappa2_tilde": 0.0, "J": 4,
@@ -431,6 +467,22 @@ class TestNumericalFailureExit:
         "grid": {"t_start": 0.0, "t_end": 1e12, "steps": 4},
         "space": {"points": [1e99]}, "n_paths": 3, "cov": {"mode": 1},
     }
+
+    @pytest.mark.parametrize("command", ["cov", "sample"])
+    def test_gram_scale_checked_before_variances(self, tmp_path, capsys, command):
+        # at gamma = 1e100 the variances' incomplete-gamma sums near
+        # 2 mu t = 2 gamma - 1 would need ~1e51 terms; Gamma(gamma)^2
+        # overflows first
+        doc = {"model": dict(BASE_CONFIG["model"], extents=1e-10, kappa2=7.0, J=3, alpha=2.0,
+                             beta=0.0, gamma=1e100, T=1e100),
+               "grid": {"t_start": 0.0, "t_end": 1e100, "steps": 2}, "space": {"lattice": 2}}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 4
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: Gram scale: Gamma(gamma)^2 with gamma = 1e+100 "
+                       "overflows\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["cov", "sample", "holder"])
     def test_overflowing_gram_exit_4_writes_nothing(self, tmp_path, capsys, command):
@@ -780,6 +832,17 @@ class TestRealConfigFields:
                      id="grid-empty"),
         pytest.param("space", {"space": None}, ["sample"], id="space-missing"),
         pytest.param("space", {"space": {"point": [1.0]}}, ["sample"], id="space-without-key"),
+        # positive extents outside the range in which build_basis forms eigenvalues
+        pytest.param("extents", {"model": dict(BASE_CONFIG["model"], extents=1e-200)}, ["basis"],
+                     id="extents-tiny"),
+        pytest.param("extents", {"model": dict(BASE_CONFIG["model"], extents=1e101)}, ["basis"],
+                     id="extents-huge"),
+        # a grid before t = 0, and one whose span t_end - t_start overflows
+        pytest.param("grid.t_start", {"grid": dict(BASE_CONFIG["grid"], t_start=-1.0)},
+                     ["sample"], id="t-start-negative"),
+        pytest.param("grid.t_start", {"model": dict(BASE_CONFIG["model"], T=1e308),
+                                      "grid": {"t_start": -1e308, "t_end": 1e308, "steps": 2}},
+                     ["cov"], id="grid-span-overflow"),
     ])
     def test_bad_shape_or_range_exit_2_names_field(self, tmp_path, capsys, field, override,
                                                     command):
@@ -830,6 +893,11 @@ def _section_of(**members):
     return st.one_of(st.fixed_dictionaries({}, optional=dict(members, extra=_VALUES)), _VALUES)
 
 
+# counts that are no count, and small ones: no generated J, grid.steps or
+# space.lattice asks for more than a few MB (J of 1e11 or 10^30 is refused
+# before anything is allocated)
+_NOT_COUNTS = st.sampled_from([None, True, "1", 2.5, -1e300, 1e300, {}, [], [2]])
+_COUNTS = st.one_of(st.integers(-1, 4), st.just(2.0), _NOT_COUNTS)
 _SECTIONS = st.fixed_dictionaries({}, optional={
     "cov": _section_of(mode=st.one_of(st.just("field"), st.integers(0, 5), _VALUES),
                        x=st.one_of(_NUMBERS, _LISTS, _VALUES),
@@ -839,8 +907,45 @@ _SECTIONS = st.fixed_dictionaries({}, optional={
                           lags=st.one_of(_LISTS, _VALUES)),
     "regularity": _section_of(n=st.one_of(st.integers(-1, 30), _VALUES), tau=_VALUES,
                               sigma=_VALUES),
-    "space": st.one_of(st.fixed_dictionaries({"points": st.one_of(_LISTS, _VALUES)}), _VALUES),
+    "space": st.one_of(st.fixed_dictionaries({"points": st.one_of(_LISTS, _VALUES)}),
+                       st.fixed_dictionaries({"lattice": _COUNTS}), _VALUES),
 })
+
+# model and grid members: 0, wrong types and numbers at the edges of the
+# double range and of the extents range
+_EDGES = st.sampled_from([0, 0.0, -1.0, 5e-324, 1e-300, 1e-200, 1e-100, 0.5, 2.0, 1e100, 1e101,
+                          1e300, -1e300, 1e308, -1e308, 1.7e308, -1.7e308])
+_REALS = st.one_of(_EDGES, st.floats(-10.0, 10.0), st.sampled_from([None, True, "1.0", [], [1.0]]))
+_MODEL_MEMBERS = {
+    "d": st.one_of(st.integers(0, 3), _NOT_COUNTS),
+    "J": st.one_of(_COUNTS, st.sampled_from([1e11, 10 ** 30])),
+    "extents": st.one_of(_REALS, st.lists(st.one_of(_EDGES, st.floats(0.1, 10.0)), min_size=1,
+                                          max_size=3)),
+    **dict.fromkeys(("kappa2", "kappa2_tilde", "alpha", "beta", "gamma", "T"), _REALS),
+}
+_GRID_MEMBERS = {"t_start": _REALS, "t_end": _REALS, "steps": _COUNTS}
+
+
+def _tiny_run(d=1, J=2, steps=2, gamma=1.3, **sections) -> dict:
+    model = {"d": d, "extents": PI if d == 1 else [1.0, 2.0], "kappa2": 0.0,
+             "kappa2_tilde": 0.5, "J": J, "alpha": 1.0, "beta": 1.0, "gamma": gamma, "T": 1.0}
+    return dict({"model": model, "grid": {"t_start": 0.0, "t_end": 1.0, "steps": steps},
+                 "space": {"lattice": 2}, "n_paths": 3, "seed": 7}, **sections)
+
+
+@st.composite
+def _model_and_grid(draw) -> dict:
+    """A tiny run whose model and grid each have up to two members replaced
+    by a generated value or dropped, and maybe an unknown member."""
+    doc = _tiny_run(d=draw(st.sampled_from([1, 2])))
+    for section, members in ((doc["model"], _MODEL_MEMBERS), (doc["grid"], _GRID_MEMBERS)):
+        for name in draw(st.lists(st.sampled_from(list(members)), max_size=2, unique=True)):
+            section[name] = draw(members[name])
+        if draw(st.integers(0, 3)) == 0:  # about one section in four
+            del section[draw(st.sampled_from(list(members)))]
+        if draw(st.integers(0, 3)) == 0:
+            section["extra"] = draw(_VALUES)
+    return doc
 
 
 def _finite_numbers_written(out: Path, stdout: str) -> bool:
@@ -853,21 +958,15 @@ def _finite_numbers_written(out: Path, stdout: str) -> bool:
 
 
 class TestGeneratedConfigs:
-    """Generated run sections on a tiny model: every run ends in an exit code
-    of the contract (0-4) with no exception, a run that exits 0 writes and
-    prints only finite numbers, and one that exits 2, 3 or 4 prints one line
-    and writes nothing."""
+    """Generated configs on a tiny model: every run ends in an exit code of
+    the contract (0-4) with no exception or warning, a run that exits 0
+    writes and prints only finite numbers, and one that exits 2, 3 or 4
+    prints one line with the code's prefix (exit 2: a config error naming
+    its field) and writes nothing."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(sections=_SECTIONS, d=st.sampled_from([1, 2]), J=st.integers(1, 4),
-           steps=st.integers(1, 2), gamma=st.sampled_from([0.75, 1.3, 2.5]),
-           command=st.sampled_from(["sample", "cov", "limits", "holder", "regularity"]))
-    def test_exit_code_in_contract(self, sections, d, J, steps, gamma, command):
-        model = {"d": d, "extents": PI if d == 1 else [1.0, 2.0], "kappa2": 0.0,
-                 "kappa2_tilde": 0.5, "J": J, "alpha": 1.0, "beta": 1.0, "gamma": gamma,
-                 "T": 1.0}
-        doc = dict({"model": model, "grid": {"t_start": 0.0, "t_end": 1.0, "steps": steps},
-                    "space": {"lattice": 2}, "n_paths": 3, "seed": 7}, **sections)
+    PREFIXES = {2: "config error: config field '", 3: "model invalid: ", 4: "numerical failure: "}
+
+    def check_contract(self, doc: dict, command: str):
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "c.json", Path(tmp) / "o"
             path.write_text(json.dumps(doc))
@@ -878,7 +977,25 @@ class TestGeneratedConfigs:
             if code == 0:
                 assert _finite_numbers_written(out, stdout.getvalue())
             elif code != 1:  # one line, and nothing written
-                assert stderr.getvalue().count("\n") == 1 and not out.exists()
+                err = stderr.getvalue()
+                assert err.startswith(self.PREFIXES[code]) and err.count("\n") == 1, err
+                assert not out.exists()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(sections=_SECTIONS, d=st.sampled_from([1, 2]), J=st.integers(1, 4),
+           steps=st.integers(1, 2), gamma=st.sampled_from([0.75, 1.3, 2.5]),
+           command=st.sampled_from(["sample", "cov", "limits", "holder", "regularity"]))
+    def test_exit_code_in_contract(self, sections, d, J, steps, gamma, command):
+        self.check_contract(_tiny_run(d, J, steps, gamma, **sections), command)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(doc=_model_and_grid(),
+           command=st.sampled_from(["sample", "cov", "limits", "holder", "regularity", "basis"]))
+    @example(doc=_tiny_run(model=dict(_tiny_run()["model"], extents=1e-200)), command="basis")
+    @example(doc=_tiny_run(model=dict(_tiny_run()["model"], T=1e308),
+                           grid={"t_start": -1e308, "t_end": 1e308, "steps": 2}), command="cov")
+    def test_model_and_grid_exit_code_in_contract(self, doc, command):
+        self.check_contract(doc, command)
 
 
 @pytest.mark.parametrize("override", [
@@ -902,6 +1019,16 @@ def test_refused_allocation_exit_4(tmp_path, override):
     assert proc.returncode == 4
     assert proc.stderr.startswith("numerical failure: the host refused an allocation")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def _patch(offset: int, data: bytes):
+    """Field-file mutation that overwrites the bytes at `offset` with `data`."""
+    return lambda raw: raw[:offset] + data + raw[offset + len(data):]
+
+
+def _cut(end: int):
+    """Field-file mutation that truncates the file to `end` bytes."""
+    return lambda raw: raw[:end]
 
 
 class TestFieldFile:
@@ -991,6 +1118,37 @@ class TestFieldFile:
         with pytest.raises(ValueError):
             read_field(path)
 
+    # defects of make_sample()'s file: 3 paths, 3 times (0, 0.5, 1.25), 2
+    # points, d = 1, so values at bytes 24-167, times at 168-191, points at 192-207
+    MUTATIONS = {
+        "magic": _patch(0, b"STWX"),
+        **{f"{name}={value}": _patch(4 + 4 * i, struct.pack("<I", value))
+           for i, name in enumerate(("version", "d", "n_times", "n_points", "n_paths"))
+           for value in (0, 1, 2 ** 32 - 1)},
+        **{f"truncated-at-{end}": _cut(end) for end in (0, 4, 24, 168, 192)},
+        "extra-byte": lambda raw: raw + b"\0",
+        "value-nan": _patch(64, struct.pack("<d", math.nan)),
+        "value-inf": _patch(64, struct.pack("<d", math.inf)),
+        "time-nan": _patch(176, struct.pack("<d", math.nan)),
+        "times-not-increasing": _patch(184, struct.pack("<d", 0.5)),
+    }
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_mutated_file_refused_or_read_as_stored(self, tmp_path, mutation):
+        path = tmp_path / "f.stwm"
+        write_field(path, self.make_sample())
+        raw = self.MUTATIONS[mutation](path.read_bytes())
+        path.write_bytes(raw)
+        try:
+            back = read_field(path)
+        except ValueError:  # any other exception fails the test
+            return
+        d, n_times, n_points, n_paths = struct.unpack("<4I", raw[8:24])
+        assert back.values.shape == (n_paths, n_times, n_points)
+        assert back.space_points.shape == (n_points, d) and back.times.n == n_times
+        assert raw[24:] == b"".join(a.tobytes() for a in (back.values, back.times.points,
+                                                         back.space_points))
+
     def test_csv_round_trip_precision(self, tmp_path):
         fs = self.make_sample()
         path = tmp_path / "f.csv"
@@ -1020,13 +1178,45 @@ def test_subcommands_take_no_options(config_path, capsys, argv):
     assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [[], ["samples"], ["basis", "cov"]],
+                         ids=["missing", "unknown", "two"])
+def test_one_known_command_required(config_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--config", config_path, *argv])
+    assert exc.value.code == 2 and "stwm: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--seed", str(2 ** 64)),
+                                        ("--threads", "0")],
+                         ids=["seed-negative", "seed-2^64", "threads-zero"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_global_flag_out_of_range_exit_2(config_path, tmp_path, capsys, command, flag, value):
+    # every command checks --seed and --threads, before it reads the config
+    assert run_cli(["--config", config_path, "--out", str(tmp_path / "o"), flag, value,
+                    command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config field '{flag}': ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_flags_may_follow_the_command(config_path, tmp_path, capsys, command):
+    runs = []
+    for out, argv in ((tmp_path / "a", ["--config", config_path, "--seed", "5", command]),
+                      (tmp_path / "b", [command, "--seed", "5", "--config", config_path])):
+        code = run_cli([*argv, "--out", str(out)])
+        runs.append((code, {f.name: f.read_bytes() for f in out.glob("*")},
+                     capsys.readouterr().out.replace(str(out), "<out>")))
+    assert runs[0] == runs[1] and runs[0][0] in (0, 1)
+
+
 def test_console_entry_point():
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "stwm.cli", "--help"],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
-    assert "basis" in proc.stdout and "regularity" in proc.stdout
+    assert all(re.search(rf"^  {c} +\S", proc.stdout, re.MULTILINE) for c in COMMANDS)
 
 
 def test_import_leaves_numpy_random_unloaded():

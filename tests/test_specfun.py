@@ -323,6 +323,14 @@ class TestBesselK:
         with pytest.raises(OverflowError):
             bessel_k(120.0, 1e-3)
 
+    @pytest.mark.parametrize("nu,x", [(1e8, 1.0), (1e100, 0.01), (0.01, 1e-310)])
+    def test_rule_size_capped(self, nu, x):
+        # the rule's node count grows like sqrt(nu) log(nu / x): past 2^18
+        # steps, or at an infinite node range, it is a typed error, not an
+        # allocation
+        with pytest.raises(OverflowError, match="trapezoid rule needs"):
+            bessel_k(nu, x)
+
     def test_underflow_documented(self):
         # values below half the smallest subnormal (K_1(800) = 1.6e-349,
         # K_1e4(1e4) = 8.5e-2317) round to 0

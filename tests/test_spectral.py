@@ -58,6 +58,9 @@ class TestBuildBasis:
         # shifts that swamp the Laplacian eigenvalues: the shifted values tie,
         # and the modes stay the J smallest by the shift-free sum
         ((1e100, 1e100), 1e6, 60), ((PI, PI), 1e20, 60),
+        # extents at both ends of their range: the eigenvalue ratio is past
+        # the double range, and the row counts stay finite
+        ((1e-100, 1e100), 0.0, 60), ((1e100, 1e-100), 0.0, 60),
     ])
     def test_2d_matches_brute_force(self, extents, kappa2, J):
         # eigenvalues grow in each index, so (j1, j2) has j1 j2 - 1 pairs
