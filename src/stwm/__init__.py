@@ -8,6 +8,8 @@ setting (Dirichlet Laplacian plus constant shift on intervals and rectangles).
 
 from .kernel import (
     ModeKernel,
+    TimeGrid,
+    gram,
     mode_cov,
     mode_var,
     stationary_variance,
@@ -15,13 +17,11 @@ from .kernel import (
     square_function_ratio_closed_form,
 )
 from .quadrature import QuadratureConfig, QuadratureError
-from .spectral import EigenBasis, SpectralModel, build_basis, evaluate_basis, mode_params, weyl_ratio
+from .spectral import (EigenBasis, SpectralModel, build_basis, evaluate_basis, mode_grams,
+                       mode_params, weyl_ratio)
 from .sampler import (
     SeedSpec,
-    TimeGrid,
     FieldSample,
-    gram,
-    mode_grams,
     cholesky_psd,
     sample_modes,
     sample_field,

@@ -4,7 +4,7 @@ Exponent-condition checking for space-time smoothness, the spectral
 Hilbert-Schmidt sum with eigenvalue-growth tail bounds, truncated field
 covariances, asymptotic marginal covariance coefficients, separability
 detection, and mean-square Holder slope estimation from exact covariance
-increments, every covariance read from the samplers' sampler.gram.
+increments.
 """
 
 import math
@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import ModeKernel, stationary_constant, stationary_variance
-from .sampler import TimeGrid, gram, mode_grams
-from .spectral import EigenBasis, SpectralModel, evaluate_basis, mode_columns, mode_params, weyl_ratio
+from .kernel import ModeKernel, TimeGrid, gram, stationary_constant, stationary_variance
+from .spectral import (EigenBasis, SpectralModel, evaluate_basis, mode_columns, mode_grams,
+                       mode_params, weyl_ratio)
 
 __all__ = [
     "RegularityQuery",
@@ -183,7 +183,7 @@ def variance_series_exponent(model: SpectralModel) -> float:
 def field_gram(model: SpectralModel, grid: TimeGrid, x, y) -> np.ndarray:
     """Truncated field covariance matrix [Cov(X(t_i, x), X(t_k, y))]_{ik},
     the sum over modes j = 1..J, in order, of e_j(x) e_j(y) times mode j's
-    Gram matrix, taken from the stacks of sampler.mode_grams. Warns,
+    Gram matrix, taken from the stacks of spectral.mode_grams. Warns,
     once the Grams are built, when the variance series fails the growth
     test."""
     coeffs = evaluate_basis(model.basis, [x])[0] * evaluate_basis(model.basis, [y])[0]

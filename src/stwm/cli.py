@@ -21,11 +21,11 @@ import numpy as np
 
 from . import analysis, fieldfile
 from .fieldfile import format_number, write_csv
-from .kernel import temporal_matern_limit
-from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, TimeGrid, gram, sample_field
-from .spectral import (ConfigError, SpectralModel, config_checked, config_float, config_int,
-                       config_numbers, config_points, load_config, model_from_dict, mode_params,
-                       weyl_ratio)
+from .kernel import TimeGrid, gram, temporal_matern_limit
+from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, sample_field
+from .spectral import (ConfigError, SpectralModel, check_members, config_checked, config_float,
+                       config_int, config_numbers, config_points, load_config, model_from_dict,
+                       mode_params, weyl_ratio)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -36,6 +36,27 @@ EXIT_NUMERICAL = 4
 
 class ModelInvalid(RuntimeError):
     pass
+
+
+# members of a run configuration's sections; model_from_dict checks the model's
+_SECTIONS = {"grid": ("t_start", "t_end", "steps"), "cov": ("mode", "x", "y"),
+             "limits": ("temporal_kappa", "lags"), "holder": ("mode", "t0", "lags"),
+             "regularity": ("n", "tau", "sigma")}
+
+
+def _check_members(doc: dict):
+    """Refuse an unknown member of a run configuration or of one of its
+    sections, then a space that is not one member, points or lattice. A
+    bare model document is left to model_from_dict."""
+    if "model" not in doc:
+        return
+    check_members(doc, ("model", "space", "n_paths", "seed", *_SECTIONS))
+    for name, members in _SECTIONS.items():
+        if isinstance(doc.get(name), dict):
+            check_members(doc[name], members, f"{name}.")
+    space = doc.get("space")
+    if isinstance(space, dict) and not (len(space) == 1 and space.keys() <= {"points", "lattice"}):
+        raise ConfigError("space", "must hold one member, 'points' or 'lattice'")
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -139,7 +160,7 @@ def cmd_sample(args, doc: dict, model: SpectralModel) -> int:
 
 def cmd_cov(args, doc: dict, model: SpectralModel) -> int:
     """Covariance table on the grid's upper triangle (s ascending, t >= s):
-    one mode's q_j(s, t) from sampler.gram, or the truncated field covariance
+    one mode's q_j(s, t) from kernel.gram, or the truncated field covariance
     sum_j q_j(s, t) e_j(x) e_j(y) from analysis.field_gram."""
     grid = _grid_from_config(doc, model)
     opts = _section(doc, "cov")
@@ -248,6 +269,7 @@ def main(argv=None) -> int:
         if args.threads is not None:
             _at_least_one(args.threads, "--threads")
         doc = load_config(args.config)
+        _check_members(doc)
         model = model_from_dict(doc)
         if needs_finite_variance and not model.gamma > 0.5:
             raise ModelInvalid(f"{args.command} requires gamma > 1/2, got gamma={model.gamma}")

@@ -15,7 +15,8 @@ import struct
 
 import numpy as np
 
-from .sampler import FieldSample, TimeGrid
+from .kernel import TimeGrid
+from .sampler import FieldSample
 
 __all__ = ["write_field", "read_field", "write_field_csv", "write_csv", "format_number",
            "FORMAT_VERSION", "MAGIC"]

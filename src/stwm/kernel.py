@@ -1,4 +1,4 @@
-"""Per-mode temporal covariance of the solution process.
+"""Per-mode temporal covariance of the solution process and its Gram matrices.
 
 A single eigenmode of the space-time model is the scalar Gaussian process
 
@@ -13,12 +13,13 @@ covariance
 is computed here: for s = t by the incomplete-gamma closed form, and for
 s != t by two routes on the same integral. _lagged_integrals, one fixed
 Gauss-Jacobi and Gauss-Legendre rule batched over decay rates, widths and
-lags, serves the sampler's Gram builder and so every library and CLI
-covariance; mode_cov, adaptive quadrature to a QuadratureConfig tolerance,
-is the tests' reference and the package's only caller of the adaptive
-integrator. Also here: the stationary (t -> infinity) variance, the
-Matern-type limit of the lagged covariance and the closed form of the
-weighted-semigroup square-function ratio.
+lags, serves the Gram builder and so every library and CLI covariance;
+mode_cov, adaptive quadrature to a QuadratureConfig tolerance, is the
+tests' reference and the package's only caller of the adaptive integrator.
+Every Gram matrix G[i, j] = q(t_i, t_j) on a TimeGrid comes from
+_gram_stack, through gram_stacks (many modes) or gram (one). Also here:
+the stationary (t -> infinity) variance, the Matern-type limit of the
+lagged covariance and the weighted-semigroup square-function ratio.
 """
 
 import math
@@ -31,6 +32,9 @@ from .specfun import gamma_fn, log_gamma, log_lower_incomplete_gamma, matern_cov
 
 __all__ = [
     "ModeKernel",
+    "TimeGrid",
+    "gram",
+    "gram_stacks",
     "mode_cov",
     "mode_var",
     "stationary_constant",
@@ -45,6 +49,9 @@ __all__ = [
 _EFOLDS = 760.0
 # Nodes of _lagged_integrals' Gauss-Jacobi singular panel.
 _JACOBI_NODES = 20
+_STACK_ENTRIES = 2 ** 16  # largest Gram stack built at once (512 kB), one mode at least
+_RULE_ENTRIES = 256  # lagged integrals per rule call, one row's at least
+_TILE = 128  # side of the square blocks in which Gram matrices are transposed
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,44 @@ class ModeKernel:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"ModeKernel requires finite {name} > 0, got {value}")
+
+
+@dataclass(frozen=True, eq=False)
+class TimeGrid:
+    """Strictly increasing, finite time points with t_0 >= 0."""
+
+    points: np.ndarray
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 1 or pts.size == 0:
+            raise ValueError("TimeGrid needs a 1-D, non-empty array of points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("TimeGrid points must be finite")
+        if pts[0] < 0.0:
+            raise ValueError(f"TimeGrid must start at t >= 0, got {pts[0]}")
+        if pts.size > 1 and not np.all(np.diff(pts) > 0.0):
+            raise ValueError("TimeGrid points must be strictly increasing")
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def uniform(cls, t_start: float, t_end: float, steps: int) -> "TimeGrid":
+        return cls(np.linspace(t_start, t_end, steps + 1))
+
+    @property
+    def n(self) -> int:
+        return self.points.size
+
+    @property
+    def step(self) -> float:
+        """Uniform spacing; raises if the grid is not uniform."""
+        h = np.diff(self.points)
+        if h.size == 0:
+            raise ValueError("single-point grid has no step")
+        if np.abs(h - h[0]).max() > 1e-12 * h[0]:
+            raise ValueError("grid is not uniform")
+        return float(h[0])
 
 
 def _dyadic_breaks(width: float, mu: float, p: float = 1.0):
@@ -165,6 +210,156 @@ def _lagged_integrals(g: float, mu, widths, lags) -> np.ndarray:
         x, w = (r.reshape(edges.shape[:-1] + (-1,)) for r in panel_rules(edges))
         total += (x ** (g - 1.0) * smooth(x) * w).sum(axis=-1)
     return (sigma ** g * (sigma + lags) ** (g - 1.0))[..., 0] * total
+
+
+def gram(k: ModeKernel, grid: TimeGrid) -> np.ndarray:
+    """Gram matrix G[i, j] = q(t_i, t_j) of one mode, an (n, n) array,
+    symmetric, with mode_var diagonal: the one-mode case of gram_stacks."""
+    return _gram_stack(k.gamma, [k.mu], [k.weight], grid)[0]
+
+
+def gram_stacks(gamma: float, mu, weight, grid: TimeGrid):
+    """Yield (j0, stack): the Grams of modes j0 .. j0 + B - 1 (order gamma,
+    rates mu[j], weights weight[j]) on the grid from one _gram_stack call,
+    in consecutive stacks of at most _STACK_ENTRIES entries (one mode at
+    least), so memory stays O(n^2) however many modes there are."""
+    mu, weight = np.asarray(mu, dtype=float), np.asarray(weight, dtype=float)
+    size = max(1, _STACK_ENTRIES // grid.n ** 2)
+    for j0 in range(0, mu.size, size):
+        yield j0, _gram_stack(gamma, mu[j0:j0 + size], weight[j0:j0 + size], grid)
+
+
+def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
+    """Gram matrices of the modes with decay rates mu[j] and weights
+    weight[j], order g, over the grid, as one (J, n, n) stack.
+
+    The diagonals are mode_var, bit for bit, from one incomplete-gamma call.
+    Lagged entries come from _lagged_integrals, one fixed Gauss-Jacobi
+    and Gauss-Legendre rule with no adaptive step, batched over modes. On a
+    uniform grid (any t_0 >= 0) the entries of row i at lags 1, 2, ... are
+    that rule's singular first chunk [0, t_0] ([0, h] when t_0 = 0),
+    computed for all modes and lags at once (_live_integrals), plus the
+    integrals over the cells below t_i, which one fixed Gauss-Legendre rule
+    per cell gives for every mode and lag in one matrix product per row. On
+    other grids the rule gives each row's upper-triangle entries of every
+    mode at once.
+    Rows fill the upper triangles in place, which are copied onto the lower
+    triangles at the end in square tiles (_mirror_upper). Lagged entries
+    agree with TIGHT mode_cov to 1e-12 relative (tested over mu in
+    [1e-2, 1e8], gamma in [0.5001, 20]); entries whose factor
+    e^{-mu |t - s|} underflows are exactly 0, and modes whose every lagged
+    factor underflows get no rule evaluations.
+
+    Every Gram the library factors comes from here, as sampler._factor_psd
+    takes it: an entry that overflows raises OverflowError naming the mode's mu
+    and w, gamma and the grid end, and the lower triangles are copies. No
+    diagonal entry (an exponential) is negative, and on a zero-variance row
+    |q(s, t)| <= sqrt(q(s, s) q(t, t)) keeps every entry far below
+    cholesky_psd's tolerance.
+    """
+    mu, weight = np.asarray(mu, dtype=float), np.asarray(weight, dtype=float)
+    pts = grid.points
+    n = pts.size
+    G = np.zeros((mu.size, n, n))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are caught below
+        try:  # before the diagonals, whose incomplete-gamma sums grow like sqrt(gamma)
+            scale = weight / gamma_fn(g) ** 2
+        except OverflowError:
+            raise OverflowError(f"Gram scale: Gamma(gamma)^2 with gamma = {g} overflows") from None
+        G.reshape(mu.size, -1)[:, ::n + 1] = _variance_rows(g, mu, weight, pts)  # the diagonals
+        i0 = 1 if pts[0] == 0.0 else 0  # rows below i0 (t = 0) stay zero
+        try:
+            h = grid.step
+        except ValueError:
+            # Lags grow along a row, so each mode's surviving prefactors are
+            # a prefix.
+            for i in range(i0, n - 1):
+                lags = pts[i + 1:] - pts[i]
+                pre = scale[:, None] * np.exp(-mu[:, None] * lags)
+                live = pre > 0.0
+                if live.any():
+                    G[:, i, i + 1:][live] = pre[live] * _live_integrals(g, mu, pts[i], lags, live)
+        else:
+            _uniform_upper(G, g, mu, scale, float(pts[i0]), h, i0)
+    # entries are >= 0 and max propagates nan, so a member's maximum is
+    # finite exactly when all its entries are
+    bad = np.flatnonzero(~np.isfinite(G.max(axis=(1, 2))))
+    if bad.size:
+        b = bad[0]
+        raise OverflowError(f"Gram of the mode with mu = {mu[b]}, w = {weight[b]}, gamma = {g} "
+                            f"overflows on the grid ending at t = {pts[-1]}")
+    _mirror_upper(G)
+    return G
+
+
+def _mirror_upper(G: np.ndarray):
+    """Copy the upper triangles of the (B, n, n) stack G onto its lower
+    triangles in square tiles of side _TILE, so every transposed read stays
+    within one tile: a tile below the diagonal is the transpose of its
+    mirror tile, and a diagonal tile is mirrored row by row within it."""
+    n = G.shape[1]
+    for i0 in range(0, n, _TILE):
+        i1 = min(i0 + _TILE, n)
+        for j0 in range(i1, n, _TILE):
+            j1 = min(j0 + _TILE, n)
+            G[:, j0:j1, i0:i1] = G[:, i0:i1, j0:j1].transpose(0, 2, 1)
+        for r in range(i0 + 1, i1):
+            G[:, r, i0:r] = G[:, i0:r, r]
+
+
+def _live_integrals(g: float, mu: np.ndarray, width: float, lags: np.ndarray,
+                    live: np.ndarray) -> np.ndarray:
+    """_lagged_integrals of order g over [0, width] at the (mode j, lag l)
+    pairs where live[j, l] is set: decay rate mu[j], lag lags[l]. The pairs
+    go in calls of at most max(len(lags), _RULE_ENTRIES), so the rule's
+    node arrays stay O(n) in size, as for one mode."""
+    mu_live, lags_live = (np.broadcast_to(a, live.shape)[live] for a in (mu[:, None], lags))
+    size = max(lags.size, _RULE_ENTRIES)
+    return np.concatenate([_lagged_integrals(g, mu_live[s:s + size], width, lags_live[s:s + size])
+                           for s in range(0, mu_live.size, size)])
+
+
+def _uniform_upper(G: np.ndarray, g: float, mu: np.ndarray, scale: np.ndarray, u0: float,
+                   h: float, i0: int):
+    """Upper triangles of rows i0, i0 + 1, ... (times u0, u0 + h, ...) of
+    the (J, n, n) stack G on a uniform grid, written in place one row at a
+    time for all modes."""
+    m = G.shape[1] - 1 - i0         # cells [u0 + c h, u0 + (c+1) h], c < m
+    lag_steps = np.arange(1, m + 1)
+    pre = scale[:, None] * np.exp(-mu[:, None] * h * lag_steps)
+    n_lags = np.count_nonzero(pre, axis=1)  # lags whose prefactor survives: a prefix
+    live = np.flatnonzero(n_lags)
+    if live.size == 0:
+        return
+    rows = slice(None) if live.size == mu.size else live
+    k_max = int(n_lags.max())
+    mu, pre = mu[live], pre[live, :k_max]
+    # first[j, l - 1] is mode j's singular chunk at lag l, or 0 where the
+    # prefactor underflows
+    first = np.zeros(pre.shape)
+    first[pre > 0.0] = _live_integrals(g, mu, u0, h * lag_steps[:k_max], pre > 0.0)
+    # Each cell's rule is graded towards its left end, below widths 1/mu and
+    # u0 (the distance to u = 0), for the largest live mu: its edges include
+    # every smaller mu's. Equal node layouts make the integrand on cell c at
+    # lag l h a product of per-node tables at cells c and c + l; only the
+    # exponential factor has a mode axis.
+    levels = max(0, math.ceil(math.log2(max(float(mu.max()) * h, h / u0))))
+    x, w = panel_rules(np.concatenate([[0.0], h * 2.0 ** -np.arange(levels, -1.0, -1.0)]))
+    x = (u0 + h * np.arange(m))[:, None] + x.reshape(-1)
+    u_pow = x ** (g - 1.0)
+    # u_pow_exp = u_pow e^{-2 mu x} w, formed in one buffer of the table's size
+    u_pow_exp = np.multiply(-2.0 * mu, x[:, :, None])
+    np.exp(u_pow_exp, out=u_pow_exp)
+    u_pow_exp *= u_pow[:, :, None]
+    u_pow_exp *= w.reshape(-1, 1)
+    # acc[l - 1, j] is mode j's sum of the lag-l cell integrals over the
+    # cells below the current row, added cell by cell in increasing order.
+    acc = np.zeros((k_max, mu.size))
+    for c in range(m):
+        r, k = i0 + c, min(k_max, m - c)
+        G[rows, r, r + 1:r + 1 + k] = pre[:, :k] * (first[:, :k] + acc[:k].T)
+        k = min(k_max, m - 1 - c)
+        acc[:k] += u_pow[c + 1:c + 1 + k] @ u_pow_exp[c]
 
 
 def mode_cov(k: ModeKernel, s: float, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import ModeKernel
+from .kernel import ModeKernel, TimeGrid, gram_stacks
 
 __all__ = [
     "EigenBasis",
@@ -26,6 +26,7 @@ __all__ = [
     "weyl_ratio",
     "mode_params",
     "mode_columns",
+    "mode_grams",
     "load_config",
     "model_from_dict",
     "model_from_json",
@@ -157,8 +158,7 @@ class SpectralModel:
     both must share dimension, extents, mode count, and index map. gamma is
     the fractional order of the parabolic operator, T the time horizon; both
     are finite and positive. gamma > 1/2, which every variance needs, is
-    checked where variances are formed (kernel._variance_rows and
-    kernel.stationary_constant), not at construction.
+    checked where variances are formed (see kernel.ModeKernel).
     """
 
     basis: EigenBasis
@@ -227,6 +227,12 @@ def mode_columns(model: SpectralModel) -> np.ndarray:
     if bad.size:
         mode_params(model, int(bad[0]) + 1)
     return table.T
+
+
+def mode_grams(model: SpectralModel, grid: TimeGrid):
+    """kernel.gram_stacks of the model's modes: (j0, stack) pairs, stack
+    the Gram matrices of modes j0 + 1 .. j0 + B on the grid."""
+    return gram_stacks(model.gamma, *mode_columns(model), grid)
 
 
 def _power(base: float, exponent: float) -> float:
@@ -302,6 +308,14 @@ def config_points(raw, field_name: str, basis: EigenBasis, single: bool = False)
 _MODEL_FIELDS = ("d", "extents", "kappa2", "kappa2_tilde", "J", "alpha", "beta", "gamma", "T")
 
 
+def check_members(doc: dict, known, prefix: str = ""):
+    """Raise ConfigError naming field `prefix + name` for the first member
+    `name` of the JSON object doc that is not in `known`."""
+    for name in doc:
+        if name not in known:
+            raise ConfigError(prefix + name, "unknown member")
+
+
 def config_checked(raw, field_name: str, predicate, message: str, read=config_float):
     """Value of config field `field_name`, read by `read` (config_float or
     config_int); one for which `predicate` fails is a ConfigError naming the
@@ -334,10 +348,13 @@ def model_from_dict(doc: dict) -> SpectralModel:
     run configuration whose "model" member is one.
 
     d and J are read by config_int, the other fields by config_float.
-    Raises ConfigError naming the first offending field."""
+    Raises ConfigError naming the first offending field, an unknown member
+    ("model.<name>", or "<name>" in a bare document) before any other."""
+    prefix = "model." if "model" in doc else ""
     doc = doc.get("model", doc)
     if not isinstance(doc, dict):
         raise ConfigError("model", "must be a JSON object")
+    check_members(doc, _MODEL_FIELDS, prefix)
     for name in _MODEL_FIELDS:
         if name not in doc:
             raise ConfigError(name, "missing")

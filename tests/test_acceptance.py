@@ -26,7 +26,9 @@ from stwm.analysis import (
 )
 from stwm.kernel import (
     ModeKernel,
+    TimeGrid,
     _lagged_integral,
+    gram,
     mode_cov,
     mode_var,
     square_function_ratio_closed_form,
@@ -34,7 +36,7 @@ from stwm.kernel import (
     temporal_matern_limit,
 )
 from stwm.quadrature import QuadratureConfig, integrate
-from stwm.sampler import SeedSpec, TimeGrid, factorized_covariance, gram, sample_field, sample_modes
+from stwm.sampler import SeedSpec, factorized_covariance, sample_field, sample_modes
 from stwm.specfun import gamma_fn
 from stwm.spectral import SpectralModel, build_basis, evaluate_basis, mode_params
 

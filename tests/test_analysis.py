@@ -16,10 +16,10 @@ from stwm.analysis import (
     hs_sum,
     separability_check,
 )
-from stwm.kernel import ModeKernel, mode_cov, mode_var, temporal_matern_limit
-from stwm import sampler
-from stwm.sampler import SeedSpec, TimeGrid, cholesky_psd, mode_grams, sample_field
-from stwm.spectral import SpectralModel, build_basis, evaluate_basis, mode_params
+from stwm import kernel
+from stwm.kernel import ModeKernel, TimeGrid, mode_cov, mode_var, temporal_matern_limit
+from stwm.sampler import SeedSpec, cholesky_psd, sample_field
+from stwm.spectral import SpectralModel, build_basis, evaluate_basis, mode_grams, mode_params
 
 PI = math.pi
 
@@ -204,7 +204,7 @@ class TestFieldCov:
         # c_j times mode j's Gram matrix, to the bit
         m = make_model(alpha=1.0, J=12, T=5.0)
         grid = TimeGrid.uniform(0.0, 4.0, 8)
-        monkeypatch.setattr(sampler, "_STACK_ENTRIES", 5 * grid.n ** 2)
+        monkeypatch.setattr(kernel, "_STACK_ENTRIES", 5 * grid.n ** 2)
         c = evaluate_basis(m.basis, [0.7])[0] * evaluate_basis(m.basis, [2.1])[0]
         S = np.concatenate([stack for _, stack in mode_grams(m, grid)])
         want = sum(c_j * G_j for c_j, G_j in zip(c, S))

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from stwm import analysis, cli, kernel, sampler
 from stwm.fieldfile import format_number, read_field, write_csv, write_field, write_field_csv
-from stwm.kernel import ModeKernel, mode_cov
+from stwm.kernel import ModeKernel, TimeGrid, gram, mode_cov
 from stwm.quadrature import QuadratureConfig
-from stwm.sampler import FieldSample, TimeGrid, gram
+from stwm.sampler import FieldSample
 from stwm.spectral import evaluate_basis, model_from_dict, mode_params, weyl_ratio
 
 PI = math.pi
@@ -299,7 +299,7 @@ class TestOneGramStack:
     @pytest.fixture
     def stacks(self, monkeypatch):
         calls = []
-        build = sampler._gram_stack
+        build = kernel._gram_stack
 
         def counting_stack(*args):
             calls.append(len(args[1]))
@@ -308,7 +308,7 @@ class TestOneGramStack:
         def no_gram(*args):
             raise AssertionError("per-mode gram called")
 
-        monkeypatch.setattr(sampler, "_gram_stack", counting_stack)
+        monkeypatch.setattr(kernel, "_gram_stack", counting_stack)
         for module in (sampler, analysis, cli):
             monkeypatch.setattr(module, "gram", no_gram)
         return calls
@@ -957,6 +957,43 @@ def _finite_numbers_written(out: Path, stdout: str) -> bool:
             and not any(re.search(r"\b(inf|nan|Infinity|NaN)\b", text) for text in texts))
 
 
+class TestUnknownMembers:
+    """A member outside the README schema is a config error for every
+    command, reported before any other defect: exit 2, one line naming the
+    member, nothing written."""
+
+    @pytest.mark.parametrize("override,field", [
+        ({"holder": {"lag": [0.01, 0.02]}}, "holder.lag"),
+        ({"note": "run 1"}, "note"),
+        ({"grid": dict(BASE_CONFIG["grid"], step=4)}, "grid.step"),
+        ({"cov": {"mode": 1, "z": 1.0}}, "cov.z"),
+        ({"limits": {"lag": [0.1]}}, "limits.lag"),
+        ({"regularity": {"t": 0.1}}, "regularity.t"),
+        ({"model": dict(BASE_CONFIG["model"], gama=1.2)}, "model.gama"),
+        ({"model": dict(BASE_CONFIG["model"], d=3), "holder": {"mode": 1, "lag": 1}},
+         "holder.lag"),
+    ], ids=["holder", "top-level", "grid", "cov", "limits", "regularity", "model",
+            "before-bad-model"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exit_2_names_member(self, tmp_path, capsys, override, field, command):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(BASE_CONFIG, **override)))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 2
+        assert capsys.readouterr().err == f"config error: config field '{field}': unknown member\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("space", [{"points": [1.0], "lattice": 2}, {}, {"lattice": 2, "n": 1}],
+                             ids=["both", "empty", "extra"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_space_holds_one_member(self, tmp_path, capsys, space, command):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(BASE_CONFIG, space=space)))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 2
+        assert capsys.readouterr().err == ("config error: config field 'space': must hold one "
+                                           "member, 'points' or 'lattice'\n")
+        assert not (tmp_path / "o").exists()
+
+
 class TestGeneratedConfigs:
     """Generated configs on a tiny model: every run ends in an exit code of
     the contract (0-4) with no exception or warning, a run that exits 0
@@ -967,6 +1004,10 @@ class TestGeneratedConfigs:
     PREFIXES = {2: "config error: config field '", 3: "model invalid: ", 4: "numerical failure: "}
 
     def check_contract(self, doc: dict, command: str):
+        # a generated member named "extra" is unknown wherever it is added,
+        # and is refused before any other defect
+        unknown = [f"{name}.extra" for name, section in doc.items()
+                   if isinstance(section, dict) and "extra" in section]
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "c.json", Path(tmp) / "o"
             path.write_text(json.dumps(doc))
@@ -974,6 +1015,9 @@ class TestGeneratedConfigs:
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cli.main(["--config", str(path), "--out", str(out), command])
             assert code in (0, 1, 2, 3, 4)
+            if unknown:
+                assert code == 2 and stderr.getvalue() in [
+                    f"config error: config field '{field}': unknown member\n" for field in unknown]
             if code == 0:
                 assert _finite_numbers_written(out, stdout.getvalue())
             elif code != 1:  # one line, and nothing written

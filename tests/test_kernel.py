@@ -11,9 +11,11 @@ from stwm.analysis import (asymptotic_marginal_cov, estimate_holder, field_cov, 
                            separability_check)
 from stwm.kernel import (
     ModeKernel,
+    TimeGrid,
     _gauss_jacobi,
     _lagged_integral,
     _lagged_integrals,
+    gram,
     mode_cov,
     mode_var,
     square_function_ratio_closed_form,
@@ -21,9 +23,9 @@ from stwm.kernel import (
     temporal_matern_limit,
 )
 from stwm.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
-from stwm.sampler import SeedSpec, TimeGrid, gram, mode_grams, sample_field, sample_modes
+from stwm.sampler import SeedSpec, sample_field, sample_modes
 from stwm.specfun import gamma_fn
-from stwm.spectral import SpectralModel, build_basis
+from stwm.spectral import SpectralModel, build_basis, mode_grams
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
 

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stwm import sampler
-from stwm.kernel import ModeKernel, mode_cov, mode_var
+from stwm import kernel, sampler
+from stwm.kernel import ModeKernel, TimeGrid, gram, mode_cov, mode_var
 from stwm.quadrature import QuadratureConfig
 from stwm.sampler import (
     CholeskyError,
     FieldSample,
     SeedSpec,
-    TimeGrid,
     _frac_weights,
     _inner_factor,
     _mode_stream,
@@ -24,12 +23,10 @@ from stwm.sampler import (
     factorized_covariance,
     factorized_sample,
     fractional_convolution,
-    gram,
-    mode_grams,
     sample_field,
     sample_modes,
 )
-from stwm.spectral import SpectralModel, build_basis, evaluate_basis, mode_params
+from stwm.spectral import SpectralModel, build_basis, evaluate_basis, mode_grams, mode_params
 from stwm.specfun import gamma_fn
 
 PI = math.pi
@@ -122,7 +119,7 @@ class TestGram:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError) as got:
-                sampler._gram_stack(1.2, [1.0, mu], [1.0, w], grid)
+                kernel._gram_stack(1.2, [1.0, mu], [1.0, w], grid)
         assert str(got.value) == (f"Gram of the mode with mu = {mu}, w = {w}, gamma = 1.2 "
                                   "overflows on the grid ending at t = 1000000000000.0")
 
@@ -175,7 +172,7 @@ class TestModeGrams:
         # 2, every one within 2e-15 of its one-mode gram
         grid = TimeGrid.uniform(0.0, 3.0, 6)
         model = spread_model(J=8, beta=0.5)
-        monkeypatch.setattr(sampler, "_STACK_ENTRIES", 3 * 49 + 48)
+        monkeypatch.setattr(kernel, "_STACK_ENTRIES", 3 * 49 + 48)
         chunks = list(mode_grams(model, grid))
         assert [(j0, len(S)) for j0, S in chunks] == [(0, 3), (3, 3), (6, 2)]
         S = np.concatenate([c for _, c in chunks])
@@ -183,24 +180,24 @@ class TestModeGrams:
             G = gram(mode_params(model, j), grid)
             assert np.all(np.abs(S[j - 1] - G) <= 2e-15 * np.abs(G)), j
         # one mode at least, however small the budget
-        monkeypatch.setattr(sampler, "_STACK_ENTRIES", 1)
+        monkeypatch.setattr(kernel, "_STACK_ENTRIES", 1)
         assert [len(c) for _, c in mode_grams(model, grid)] == [1] * model.J
 
     def test_rule_calls_stay_small(self, monkeypatch):
         # the first chunks of 64 modes at 9 lags go to the rule in calls of
         # at most _RULE_ENTRIES pairs, and agree with one call per mode
         sizes = []
-        rule = sampler._lagged_integrals
+        rule = kernel._lagged_integrals
 
         def counting_rule(g, mu, widths, lags):
             sizes.append(np.size(mu))
             return rule(g, mu, widths, lags)
 
-        monkeypatch.setattr(sampler, "_lagged_integrals", counting_rule)
+        monkeypatch.setattr(kernel, "_lagged_integrals", counting_rule)
         grid = TimeGrid.uniform(0.0, 0.5, 10)
         model = spread_model(J=64, beta=0.5)
         S = stacked_grams(model, grid)
-        assert sum(sizes) == 576 and max(sizes) == sampler._RULE_ENTRIES
+        assert sum(sizes) == 576 and max(sizes) == kernel._RULE_ENTRIES
         for j in range(1, model.J + 1):
             G = gram(mode_params(model, j), grid)
             assert np.all(np.abs(S[j - 1] - G) <= 2e-15 * np.abs(G)), j
@@ -215,7 +212,7 @@ def row_mirror(G):
 class TestMirrorUpper:
     """_gram_stack's tiled mirror against a row-by-row one, across tile boundaries."""
 
-    T = sampler._TILE
+    T = kernel._TILE
 
     @pytest.mark.parametrize("n", [T - 1, T, T + 1, 2 * T + 1])
     @pytest.mark.parametrize("t0,uniform", [(0.0, True), (0.4, True), (0.0, False), (0.4, False)])
@@ -226,9 +223,9 @@ class TestMirrorUpper:
             rng = np.random.default_rng(n)
             grid = TimeGrid(np.concatenate([[t0], t0 + np.sort(rng.uniform(0.0, 2.0, n - 1))]))
         mu, weight = [0.5, 3.0, 40.0], [1.0, 0.7, 0.2]
-        S = sampler._gram_stack(1.3, mu, weight, grid)
-        monkeypatch.setattr(sampler, "_mirror_upper", row_mirror)
-        ref = sampler._gram_stack(1.3, mu, weight, grid)
+        S = kernel._gram_stack(1.3, mu, weight, grid)
+        monkeypatch.setattr(kernel, "_mirror_upper", row_mirror)
+        ref = kernel._gram_stack(1.3, mu, weight, grid)
         assert S.shape == (3, n, n)
         assert S.tobytes() == ref.tobytes()
         assert np.array_equal(S, S.transpose(0, 2, 1))
@@ -241,13 +238,13 @@ class TestMirrorUpper:
         U[:, ::3, 1::4] = -0.0  # signed zeros are mirrored too
         U = np.triu(U)
         S, ref = U.copy(), U.copy()
-        sampler._mirror_upper(S)
+        kernel._mirror_upper(S)
         row_mirror(ref)
         assert S.tobytes() == ref.tobytes()
 
 
 class TestCholeskyPsd:
-    T = sampler._TILE
+    T = kernel._TILE
 
     def test_identity(self):
         L, jitter = cholesky_psd(np.eye(3))
@@ -726,14 +723,15 @@ class TestSampleModesAgainstPerModeLoop:
     def test_bit_identical(self, monkeypatch, case, n_paths):
         make, grid, entries = self.CASES[case]
         if entries is not None:
-            monkeypatch.setattr(sampler, "_STACK_ENTRIES", entries)
+            monkeypatch.setattr(kernel, "_STACK_ENTRIES", entries)
+            monkeypatch.setattr(sampler, "_PRODUCT_ENTRIES", entries)
         model = make()
         got = sample_modes(model, grid, n_paths, SeedSpec(19))
         assert got.tobytes() == reference_modes(model, grid, n_paths, SeedSpec(19)).tobytes()
 
     def test_cases_cover_their_shapes(self, monkeypatch):
         make, grid, entries = self.CASES["several stacks"]
-        monkeypatch.setattr(sampler, "_STACK_ENTRIES", entries)
+        monkeypatch.setattr(kernel, "_STACK_ENTRIES", entries)
         assert [len(S) for _, S in mode_grams(make(), grid)] == [12, 8]
         monkeypatch.undo()
         make, grid, _ = self.CASES["jittered stack"]
@@ -754,7 +752,8 @@ class TestSampleModesAgainstPerModeLoop:
         # blocks, and a mode with none builds no stream
         make, grid, entries = self.CASES[case]
         if entries is not None:
-            monkeypatch.setattr(sampler, "_STACK_ENTRIES", entries)
+            monkeypatch.setattr(kernel, "_STACK_ENTRIES", entries)
+            monkeypatch.setattr(sampler, "_PRODUCT_ENTRIES", entries)
         model, n_paths = make(), 300
         drawn = count_draws(monkeypatch)
         out = sample_modes(model, grid, n_paths, SeedSpec(19))

@@ -342,6 +342,20 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match=f"'{field}'"):
             model_from_json(path)
 
+    @pytest.mark.parametrize("doc,field", [
+        (dict(DOC, sigma=1.0), "sigma"),
+        (dict(DOC, d=3, gama=1.2), "gama"),
+        ({"model": dict(DOC, gama=1.2)}, "model.gama"),
+        (dict(DOC, grid={"t_start": 0.0, "t_end": 1.0, "steps": 4}), "grid"),
+    ], ids=["bare", "before-bad-field", "run-config", "bare-with-section"])
+    def test_unknown_member_named(self, tmp_path, doc, field):
+        # a bare model document holds the model's members only
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        for read in (lambda: model_from_dict(doc), lambda: model_from_json(path)):
+            with pytest.raises(ConfigError, match=f"^config field '{field}': unknown member$"):
+                read()
+
     def test_missing_field_named(self):
         doc = dict(self.DOC)
         del doc["gamma"]
