@@ -34,6 +34,7 @@ __all__ = [
 GAMMA_OVERFLOW_X = 171.6
 
 _MAX_ITER = 500
+_MAX_TERMS = 10 ** 5  # incomplete-gamma terms per entry, at most
 _MAX_RULE_STEPS = 2 ** 18  # bessel_k's rule: at most 2 MB per node array
 _EPS = 1e-16
 _NEGLIGIBLE_Q = 2.0 ** -60
@@ -58,65 +59,66 @@ def gamma_fn(x: float) -> float:
 def _max_terms(a: float) -> int:
     """Term cap of the incomplete-gamma series and continued fraction. Near
     x = a both need a count that grows like sqrt(a): the series about
-    8.5 sqrt(a) terms, as its terms fall like e^{-k^2 / (2a)}."""
-    return _MAX_ITER + int(12.0 * math.sqrt(a))
+    8.5 sqrt(a) terms, as its terms fall like e^{-k^2 / (2a)}. The cap
+    stops at _MAX_TERMS, reached at orders a of about 7e7."""
+    return min(_MAX_ITER + int(12.0 * math.sqrt(a)), _MAX_TERMS)
+
+
+def _converged(a: float, x: np.ndarray, state: list, step, name: str) -> np.ndarray:
+    """The last state array of each entry of the non-empty 1-D array x at
+    its own convergence: state, arrays in the shape of x, is advanced by
+    step(k, x, *state) -> (*state, done) for k = 1, 2, ..., and an entry
+    leaves at the first step whose done flag it sets, so its value does not
+    depend on the other entries. An entry still running after
+    _max_terms(a) - 1 steps raises ArithmeticError naming `name`, a and x."""
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    for k in range(1, _max_terms(a)):
+        *state, done = step(k, x, *state)
+        if np.count_nonzero(done):
+            out[idx[done]] = state[-1][done]
+            live = ~done
+            idx, x = idx[live], x[live]
+            if not idx.size:
+                return out
+            state = [v[live] for v in state]
+    raise ArithmeticError(f"incomplete gamma {name} at a = {a}, x = {x[0]} does not converge "
+                          f"in {_max_terms(a) - 1} terms")
 
 
 def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
     """Sums S of the series gamma(a, x) = x^a e^{-x} S for a 1-D array of
     x < a + 1. Each entry stops at its first term x^k / (a (a+1) ... (a+k))
-    below _EPS times its running sum, so its value does not depend on the
-    other entries.
+    below _EPS times its running sum.
     """
-    term = total = np.full_like(x, 1.0 / a)
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    for k in range(1, _max_terms(a)):
+    def step(k, x, term, total):
         term = term * (x / (a + k))
         total = total + term
-        done = term < total * _EPS
-        if np.count_nonzero(done):
-            out[idx[done]] = total[done]
-            live = ~done
-            idx, x, term, total = idx[live], x[live], term[live], total[live]
-            if not idx.size:
-                return out
-    out[idx] = total
-    return out
+        return term, total, term < total * _EPS
+
+    return _converged(a, x, [np.full_like(x, 1.0 / a)] * 2, step, "series")
 
 
 def _upper_gamma_cf(a: float, x: np.ndarray) -> np.ndarray:
     """Continued fractions h of Gamma(a, x) = x^a e^{-x} h (upper) for a 1-D
-    array of x >= a + 1. Each entry stops at its own convergence, so its
-    value does not depend on the other entries.
+    array of x >= a + 1. Each entry stops at its own convergence.
 
     Modified Lentz evaluation of
     h = 1 / (x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(...))), started from c = inf.
     For x >= a + 1 its denominators stay above 2 (checked over a in
     [1e-3, 1e3]), so they need no guard against 0.
     """
-    b = x + 1.0 - a
-    c = math.inf
-    d = 1.0 / b
-    h = d
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    for i in range(1, _max_terms(a)):
+    def step(i, x, b, c, d, h):
         an = -i * (i - a)
         b = b + 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
         delta = d * c
-        h = h * delta
-        done = delta == 1.0  # the only double within _EPS of 1
-        if np.count_nonzero(done):
-            out[idx[done]] = h[done]
-            live = ~done
-            idx, b, c, d, h = idx[live], b[live], c[live], d[live], h[live]
-            if not idx.size:
-                return out
-    out[idx] = h
-    return out
+        return b, c, d, h * delta, delta == 1.0  # the only double within _EPS of 1
+
+    b = x + 1.0 - a
+    return _converged(a, x, [b, np.full_like(x, math.inf), 1.0 / b, 1.0 / b], step,
+                      "continued fraction")
 
 
 def _log_lower_gamma(a: float, x: np.ndarray) -> np.ndarray:
@@ -148,6 +150,8 @@ def _log_lower_gamma_checked(a: float, x, name: str) -> np.ndarray:
     a, x = float(a), np.asarray(x, dtype=float)
     if not a > 0.0:
         raise ValueError(f"{name} requires a > 0, got a={a}")
+    if a + 1.0 == a:  # a + k rounds to a, and x + 1 - a may be 0
+        raise OverflowError(f"{name}: order a = {a} is past the supported range (a + 1 == a)")
     if not (x >= 0.0).all():
         raise ValueError(f"{name} requires x >= 0, got x={x[~(x >= 0.0)].flat[0]}")
     return _log_lower_gamma(a, x.ravel()).reshape(x.shape)
@@ -200,6 +204,13 @@ def bessel_k(nu: float, x: float) -> float:
 _LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 
 
+def _asinh_ratio(nu: float, x: float) -> float:
+    """asinh(nu / x) for nu >= 0 and x > 0, also where the quotient
+    overflows: there asinh(y) = log(2 y) to double precision."""
+    y = nu / x
+    return math.asinh(y) if y < math.inf else math.log(2.0) + math.log(nu) - math.log(x)
+
+
 def _log_k_bound(nu: float, x: float) -> float:
     """Upper bound, in O(1), of log K_nu(x) as _bessel_k_rule forms it: -x,
     plus the largest log term over all t (at t = asinh(nu/x); the log1p
@@ -207,9 +218,11 @@ def _log_k_bound(nu: float, x: float) -> float:
     (t_end + 2h) / 2 < (asinh(max(nu, 1) / x) + 13) / 2. Where it lets the
     rule run past x = 745, nu is of the order of x, so the rule's node
     count, which grows like sqrt(max(x, nu)), stays that of the order."""
-    t = math.asinh(nu / x)
-    log_weights = math.log(math.asinh(max(nu, 1.0) / x) + 13.0)
-    return nu * t - 2.0 * x * math.sinh(0.5 * t) ** 2 + log_weights - x
+    t = _asinh_ratio(nu, x)
+    log_weights = math.log(_asinh_ratio(max(nu, 1.0), x) + 13.0)
+    # 2 x sinh(t/2)^2 = hypot(nu, x) - x, which is nu where the square overflows
+    decay = 2.0 * x * math.sinh(0.5 * t) ** 2 if t < 709.0 else nu
+    return nu * t - decay + log_weights - x
 
 
 def _bessel_k_rule(nu: float, x: float) -> tuple[float, float]:
@@ -218,13 +231,20 @@ def _bessel_k_rule(nu: float, x: float) -> tuple[float, float]:
     relative to that term, so both are finite wherever K_nu(x) over- or
     underflows."""
     h = min(0.2, 0.35 / math.sqrt(max(x, nu, 1.0)))
-    t_end = math.asinh(max(nu, 1.0) / x) + 8.0 / math.sqrt(max(x, 1.0)) + 4.0
-    if not t_end / h <= _MAX_RULE_STEPS:  # also at t_end = inf
+    t_end = _asinh_ratio(max(nu, 1.0), x) + 8.0 / math.sqrt(max(x, 1.0)) + 4.0
+    if not t_end / h <= _MAX_RULE_STEPS:
         raise OverflowError(f"K_nu(x) at nu={nu}, x={x}: the trapezoid rule needs "
                             f"{t_end / h:.3g} steps, more than {_MAX_RULE_STEPS}")
     t = h * np.arange(math.ceil(t_end / h) + 1)
+    # 2 x sinh(t/2)^2, formed as (2 x sinh(t/2)) sinh(t/2) where the square
+    # overflows (t past 710, at subnormal x)
+    sinh = np.sinh(0.5 * t)
+    with np.errstate(over="ignore"):
+        decay = 2.0 * x * sinh ** 2
+    over = decay == math.inf
+    decay[over] = 2.0 * x * sinh[over] * sinh[over]
     # log of 2 e^{x} e^{-x cosh t} cosh(nu t)
-    log_f = nu * t - 2.0 * x * np.sinh(0.5 * t) ** 2 + np.log1p(np.exp(-2.0 * nu * t))
+    log_f = nu * t - decay + np.log1p(np.exp(-2.0 * nu * t))
     peak = float(log_f.max())
     terms = np.exp(log_f - peak)
     terms[0] *= 0.5

@@ -131,6 +131,17 @@ class TestHsSum:
         want = math.fsum(float(lam) ** 4 for lam in m.basis.eigenvalues)
         assert abs(res.partial - want) <= 1e-11 * want and res.diverges
 
+    def test_overflowing_tail_bound_named(self):
+        # p = -1 - 4.4e-16 and the noise operator's growth constant is
+        # 9.9e-200: the two terms stay finite (3.2e298 and 4.0e297), and
+        # the tail bound 0.25^e1 (9.9e-200)^-1.5 J^(p+1) / (-p - 1) is not
+        b, bt = build_basis(1, 1e100, 1.0, 2), build_basis(1, 1e100, 0.0, 2)
+        m = SpectralModel(basis=b, basis_tilde=bt, alpha=1.5, beta=1.0, gamma=1e-16, T=1.0)
+        with pytest.raises(OverflowError, match=r"^spectral tail bound: growth-constant term "
+                                                r"0\.25\^0\.9999999999999998 9\.869604401089358e-200"
+                                                r"\^-1\.5 J\^-4\.44\d*e-16 overflows$"):
+            hs_sum(m, RegularityQuery())
+
     def test_beta_zero_alpha_d(self):
         m = make_model(beta=0.0, alpha=1.0, J=128)
         res = hs_sum(m, RegularityQuery())

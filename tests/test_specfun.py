@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stwm.kernel import ModeKernel, mode_var
 from stwm.specfun import (
     GAMMA_OVERFLOW_X,
     bessel_k,
@@ -120,6 +122,25 @@ MATERN_PAST_705_ROWS = [
     (1e4, 705.1, 4.0262352847073378e-06, 1e-10),
     (1e3, 705.1, 7.5439244395947564e-52, 1e-11),
     (0.5, 706.0, 2.4439694694070770e-307, 1e-13),  # e^{-706}
+]
+
+# (nu, x, K_nu(x)) at subnormal and near-subnormal x, where nu / x
+# overflows or the rule's sinh(t/2)^2 does at its far nodes; 30-digit
+# mpmath at the double x (5e-324 is 4.9406564584124654e-324)
+BESSEL_K_SUBNORMAL_ROWS = [
+    (0.0, 5e-324, 744.55600343703967),
+    (0.01, 5e-324, 85619.175287509852),
+    (0.5, 5e-324, 5.6385522612647099e+161),
+    (0.0, 1e-310, 713.91731034381258),
+    (0.01, 1e-310, 63024.406056226731),
+    (1.0, 1e-305, 1.0e+305),
+]
+
+# (nu, z, unit Matern covariance) at subnormal z, as BESSEL_K_SUBNORMAL_ROWS
+MATERN_SUBNORMAL_ROWS = [
+    (0.01, 5e-324, 0.99999965890993262),
+    (0.01, 1e-320, 0.99999960281459363),
+    (0.01, 1e-310, 0.99999937050341314),
 ]
 
 # (nu, z, unit Matern covariance at kappa * dist = z) at large nu, where
@@ -282,6 +303,26 @@ class TestLowerIncompleteGamma:
         with pytest.raises(ValueError):
             lower_incomplete_gamma(1.0, -0.1)
 
+    @pytest.mark.parametrize("a,x", [(2e100, 1e100), (2.0 ** 53, 1.0)])
+    def test_order_past_range_is_typed(self, a, x):
+        # a + 1 == a: the series' and continued fraction's steps in a vanish
+        with pytest.raises(OverflowError, match=re.escape(f"order a = {a} is past the supported")):
+            log_lower_incomplete_gamma(a, x)
+
+    def test_huge_order_variance_fails_fast(self):
+        # gamma 1e100: order 2 gamma - 1 = 2e100, where the series and the
+        # continued fraction used to run about 1e51 steps
+        with pytest.raises(OverflowError, match="a \\+ 1 == a"):
+            mode_var(ModeKernel(mu=1.0, weight=1.0, gamma=1e100), 1e100)
+
+    @pytest.mark.parametrize("x", [1e15, 1e15 + 2.0], ids=["series", "continued-fraction"])
+    def test_unconverged_entry_raises(self, x):
+        # near x = a both need about 8.5 sqrt(a) terms, 2.7e8 here, past the
+        # cap of 10^5 terms
+        with pytest.raises(ArithmeticError, match=re.escape(f"at a = {1e15}, x = {x} ")) as got:
+            log_lower_incomplete_gamma(1e15, np.array([1.0, x]))
+        assert type(got.value) is ArithmeticError and "does not converge" in str(got.value)
+
     @given(st.floats(min_value=0.05, max_value=30.0), st.floats(min_value=0.0, max_value=100.0))
     @settings(max_examples=200)
     def test_monotone_in_x(self, a, x):
@@ -323,13 +364,23 @@ class TestBesselK:
         with pytest.raises(OverflowError):
             bessel_k(120.0, 1e-3)
 
-    @pytest.mark.parametrize("nu,x", [(1e8, 1.0), (1e100, 0.01), (0.01, 1e-310)])
+    @pytest.mark.parametrize("nu,x", [(1e8, 1.0), (1e100, 0.01)])
     def test_rule_size_capped(self, nu, x):
         # the rule's node count grows like sqrt(nu) log(nu / x): past 2^18
-        # steps, or at an infinite node range, it is a typed error, not an
-        # allocation
+        # steps it is a typed error, not an allocation
         with pytest.raises(OverflowError, match="trapezoid rule needs"):
             bessel_k(nu, x)
+
+    @pytest.mark.parametrize("nu,x,expected", BESSEL_K_SUBNORMAL_ROWS)
+    def test_subnormal_argument(self, nu, x, expected):
+        # asinh(nu / x) is formed without the overflowing quotient
+        assert rel(bessel_k(nu, x), expected) < 1e-13
+
+    @pytest.mark.parametrize("x", [1e-310, 5e-324])
+    def test_subnormal_overflow_is_typed(self, x):
+        # K_1(x) ~ 1/x is past the double range
+        with pytest.raises(OverflowError):
+            bessel_k(1.0, x)
 
     def test_underflow_documented(self):
         # values below half the smallest subnormal (K_1(800) = 1.6e-349,
@@ -394,6 +445,10 @@ class TestMaternCov:
     @pytest.mark.parametrize("nu,z,expected", MATERN_LARGE_ORDER_ROWS)
     def test_large_order(self, nu, z, expected):
         assert rel(matern_cov(nu, 1.0, 1.0, z), expected) < 1e-12
+
+    @pytest.mark.parametrize("nu,z,expected", MATERN_SUBNORMAL_ROWS)
+    def test_subnormal_distance(self, nu, z, expected):
+        assert rel(matern_cov(nu, 1.0, 1.0, z), expected) < 1e-14
 
     @given(st.floats(min_value=0.1, max_value=8.0),
            st.floats(min_value=0.1, max_value=4.0),
