@@ -45,31 +45,29 @@ _SECTIONS = {"grid": ("t_start", "t_end", "steps"), "cov": ("mode", "x", "y"),
 
 
 def _check_members(doc: dict):
-    """Refuse an unknown member of a run configuration or of one of its
-    sections, then a space that is not one member, points or lattice. A
-    bare model document is left to model_from_dict."""
+    """Check the shape of a run configuration before any value is read:
+    refuse an unknown member of it or of one of its sections, then a
+    section that is not a JSON object, then a space that is not an object
+    of one member, points or lattice. A bare model document is left to
+    model_from_dict."""
     if "model" not in doc:
         return
     check_members(doc, ("model", "space", "n_paths", "seed", *_SECTIONS))
     for name, members in _SECTIONS.items():
         if isinstance(doc.get(name), dict):
             check_members(doc[name], members, f"{name}.")
+    for name in _SECTIONS:
+        if not isinstance(doc.get(name, {}), dict):
+            raise ConfigError(name, "must be a JSON object")
     space = doc.get("space")
-    if isinstance(space, dict) and not (len(space) == 1 and space.keys() <= {"points", "lattice"}):
+    if "space" in doc and not (isinstance(space, dict) and len(space) == 1
+                               and space.keys() <= {"points", "lattice"}):
         raise ConfigError("space", "must hold one member, 'points' or 'lattice'")
-
-
-def _section(doc: dict, name: str) -> dict:
-    """Optional command section `name` of the config, a JSON object."""
-    opts = doc.get(name, {})
-    if not isinstance(opts, dict):
-        raise ConfigError(name, "must be a JSON object")
-    return opts
 
 
 def _grid_from_config(doc: dict, model: SpectralModel) -> TimeGrid:
     spec = doc.get("grid")
-    if not isinstance(spec, dict):
+    if spec is None:
         raise ConfigError("grid", "missing grid spec {t_start, t_end, steps}")
     # t_start >= 0 and t_end <= T bound the span that linspace forms
     t0 = config_checked(spec.get("t_start"), "grid.t_start", lambda v: v >= 0.0, "must be >= 0")
@@ -86,13 +84,11 @@ def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
     spec = doc.get("space")
     if spec is None:
         raise ConfigError("space", "missing space spec ({points: [...]} or {lattice: n})")
-    if isinstance(spec, dict) and "points" in spec:
+    if "points" in spec:
         return config_points(spec["points"], "space.points", model.basis)
-    if isinstance(spec, dict) and "lattice" in spec:
-        n = _at_least_one(spec["lattice"], "space.lattice")
-        axes = [np.linspace(0.0, ell, n + 2)[1:-1] for ell in model.basis.extents]
-        return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    raise ConfigError("space", "must contain 'points' or 'lattice'")
+    n = _at_least_one(spec["lattice"], "space.lattice")
+    axes = [np.linspace(0.0, ell, n + 2)[1:-1] for ell in model.basis.extents]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
 def _at_least_one(raw, field: str) -> int:
@@ -163,7 +159,7 @@ def cmd_cov(args, doc: dict, model: SpectralModel) -> int:
     one mode's q_j(s, t) from kernel.gram, or the truncated field covariance
     sum_j q_j(s, t) e_j(x) e_j(y) from analysis.field_gram."""
     grid = _grid_from_config(doc, model)
-    opts = _section(doc, "cov")
+    opts = doc.get("cov", {})
     target = opts.get("mode", 1)
     if target == "field":
         if "x" not in opts:
@@ -182,7 +178,7 @@ def cmd_cov(args, doc: dict, model: SpectralModel) -> int:
 
 
 def cmd_limits(args, doc: dict, model: SpectralModel) -> int:
-    opts = _section(doc, "limits")
+    opts = doc.get("limits", {})
     kappa = config_checked(opts.get("temporal_kappa", 1.0), "limits.temporal_kappa",
                            lambda v: v > 0.0, "must be > 0")
     lags = config_numbers(opts.get("lags", list(np.geomspace(1e-2, 4.0, 25))), "limits.lags")
@@ -202,7 +198,7 @@ def cmd_limits(args, doc: dict, model: SpectralModel) -> int:
 
 
 def cmd_regularity(args, doc: dict, model: SpectralModel) -> int:
-    opts = _section(doc, "regularity")
+    opts = doc.get("regularity", {})
     n, tau, sigma = (read(opts.get(name, 0), f"regularity.{name}") for name, read in
                      (("n", config_int), ("tau", config_float), ("sigma", config_float)))
     try:
@@ -215,7 +211,7 @@ def cmd_regularity(args, doc: dict, model: SpectralModel) -> int:
 
 
 def cmd_holder(args, doc: dict, model: SpectralModel) -> int:
-    opts = _section(doc, "holder")
+    opts = doc.get("holder", {})
     k = mode_params(model, _mode_index(model, opts.get("mode", 1), "holder.mode"))
     t0 = config_float(opts.get("t0", 5.0), "holder.t0")
     lags = config_numbers(opts.get("lags", [2.0 ** -e for e in range(6, 13)]), "holder.lags")

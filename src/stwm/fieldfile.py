@@ -59,7 +59,7 @@ def read_field(path) -> FieldSample:
         values = values.reshape(n_paths, n_times, n_points)
         times = np.frombuffer(fh.read(8 * n_times), dtype="<f8")
         pts = np.frombuffer(fh.read(8 * n_points * d), dtype="<f8").reshape(n_points, d)
-    return FieldSample(times=TimeGrid(times), space_points=pts, values=values, seed_record=None)
+    return FieldSample(times=TimeGrid(times), space_points=pts, values=values)
 
 
 def format_number(x) -> str:

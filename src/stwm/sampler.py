@@ -81,13 +81,15 @@ class FieldSample:
     times: TimeGrid
     space_points: np.ndarray  # (n_points, d), one point per row as spectral.as_points gives
     values: np.ndarray  # (n_paths, n_times, n_points)
-    seed_record: tuple | None = None  # (master seed, first path index)
 
     def __post_init__(self):
         pts, vals = np.shape(self.space_points), np.shape(self.values)
         if len(pts) != 2 or len(vals) != 3 or pts[0] != vals[2]:
             raise ValueError(f"space_points must have shape (n_points, d) to match values of shape "
                              f"(n_paths, n_times, n_points), got {pts} and {vals}")
+        if self.times.n != vals[1]:
+            raise ValueError(f"times holds {self.times.n} points, values of shape {vals} "
+                             f"hold {vals[1]}")
         for arr in (self.space_points, self.values):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
@@ -275,9 +277,9 @@ def _sample_group(out: np.ndarray, L: np.ndarray, i: int, j0: int, master: int):
 
 
 def assemble_field(mode_paths: np.ndarray, basis: EigenBasis, space_points,
-                   times: TimeGrid | None = None, seed_record: tuple | None = None) -> FieldSample:
+                   times: TimeGrid) -> FieldSample:
     """Assemble field values sum_j Z_j(t) e_j(x) from mode paths of shape
-    (n_paths, J, n_times). Linear in mode_paths."""
+    (n_paths, J, n_times) on the time grid `times`. Linear in mode_paths."""
     mode_paths = np.asarray(mode_paths, dtype=float)
     if mode_paths.ndim != 3:
         raise ValueError(f"mode_paths must have shape (n_paths, J, n_times), got {mode_paths.shape}")
@@ -286,17 +288,14 @@ def assemble_field(mode_paths: np.ndarray, basis: EigenBasis, space_points,
     pts = as_points(space_points, basis.d)
     E = evaluate_basis(basis, pts)  # (P, J)
     values = np.swapaxes(mode_paths, 1, 2) @ E.T
-    if times is None:
-        times = TimeGrid(np.arange(mode_paths.shape[2], dtype=float))
-    return FieldSample(times=times, space_points=pts, values=values, seed_record=seed_record)
+    return FieldSample(times=times, space_points=pts, values=values)
 
 
 def sample_field(model: SpectralModel, grid: TimeGrid, space_points, n_paths: int,
                  seed: SeedSpec) -> FieldSample:
     """Sample mode paths and assemble them on the given spatial points."""
     paths = sample_modes(model, grid, n_paths, seed)
-    return assemble_field(paths, model.basis, space_points, times=grid,
-                          seed_record=(seed.master, 0))
+    return assemble_field(paths, model.basis, space_points, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,10 @@ GAMMA_OVERFLOW_X = 171.6
 _MAX_ITER = 500
 _MAX_TERMS = 10 ** 5  # incomplete-gamma terms per entry, at most
 _MAX_RULE_STEPS = 2 ** 18  # bessel_k's rule: at most 2 MB per node array
+# past this order matern_cov's log-space terms, of size nu log nu, round by
+# about 1 or more, so its underflow test is skipped; the rule then refuses
+# the order, as it needs over 10^8 steps
+_MATERN_MAX_ORDER = 1e14
 _EPS = 1e-16
 _NEGLIGIBLE_Q = 2.0 ** -60
 
@@ -258,6 +262,8 @@ def matern_cov(nu: float, kappa: float, sigma2: float, dist: float) -> float:
     The value at dist = 0 is the continuous extension sigma2. Returns 0
     where _log_k_bound, with the prefactor, puts it below the subnormal
     range. Finite at large nu and small kappa*dist, where K_nu overflows.
+    Past order 1e14 it raises bessel_k's OverflowError naming nu wherever
+    kappa*dist is above the tiny range that returns sigma2.
     """
     if not 0.0 < nu < math.inf:
         raise ValueError(f"matern_cov requires finite nu > 0, got {nu}")
@@ -277,7 +283,8 @@ def matern_cov(nu: float, kappa: float, sigma2: float, dist: float) -> float:
     # z^nu K_nu(z) is formed in log space, where neither factor overflows;
     # nu log z and peak, the two large terms, cancel first
     log_pre = (1.0 - nu) * math.log(2.0) - log_gamma(nu)
-    if not math.log(sigma2) + nu * math.log(z) + log_pre + _log_k_bound(nu, z) >= _LOG_UNDERFLOW:
+    if nu <= _MATERN_MAX_ORDER and not (
+            math.log(sigma2) + nu * math.log(z) + log_pre + _log_k_bound(nu, z) >= _LOG_UNDERFLOW):
         return 0.0  # also at z = inf, where the bound is nan
     peak, total = _bessel_k_rule(nu, z)
     return sigma2 * math.exp((nu * math.log(z) + peak) + log_pre - z) * total

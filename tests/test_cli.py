@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -21,7 +22,7 @@ from stwm import analysis, cli, kernel, sampler
 from stwm.fieldfile import format_number, read_field, write_csv, write_field, write_field_csv
 from stwm.kernel import ModeKernel, TimeGrid, gram, mode_cov
 from stwm.quadrature import QuadratureConfig
-from stwm.sampler import FieldSample
+from stwm.sampler import FieldSample, SeedSpec, sample_field
 from stwm.spectral import evaluate_basis, model_from_dict, mode_params, weyl_ratio
 
 PI = math.pi
@@ -459,6 +460,18 @@ class TestNumericalFailureExit:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: K_nu(x) at nu=") and err.count("\n") == 1
         assert "trapezoid rule needs" in err and not (tmp_path / "o").exists()
+
+    def test_matern_order_past_range_exit_4_writes_nothing(self, tmp_path, capsys):
+        # at order 1e100 both lags gave a silent 0: the log-space underflow
+        # test rounds by far more than 1 there
+        doc = dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], gamma=1e100),
+                   limits={"lags": [0.01, 1.0]})
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), "limits"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: K_nu(x) at nu=1e+100, x=0.01: ")
+        assert err.count("\n") == 1 and not (tmp_path / "o").exists()
 
     # mode 1's Gram overflows: w = 3.2e298 and the grid runs to t = 1e12
     OVERFLOWING_GRAM = {
@@ -994,6 +1007,30 @@ class TestUnknownMembers:
         assert not (tmp_path / "o").exists()
 
 
+class TestSectionShapes:
+    """A present section that is not a JSON object, or a space that is not an
+    object of one member, is a config error for every command, also one that
+    does not read it: exit 2, one line naming the section, nothing written.
+    Unknown members are reported first."""
+
+    @pytest.mark.parametrize("override,message", [
+        ({"grid": 5}, "'grid': must be a JSON object"),
+        ({"cov": 5}, "'cov': must be a JSON object"),
+        ({"limits": []}, "'limits': must be a JSON object"),
+        ({"holder": [1]}, "'holder': must be a JSON object"),
+        ({"regularity": None}, "'regularity': must be a JSON object"),
+        ({"space": 5}, "'space': must hold one member, 'points' or 'lattice'"),
+        ({"cov": 5, "holder": {"mode": 1, "lag": 1}}, "'holder.lag': unknown member"),
+    ], ids=["grid", "cov", "limits", "holder", "regularity", "space", "unknown-member-first"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exit_2_names_section(self, tmp_path, capsys, override, message, command):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(BASE_CONFIG, **override)))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 2
+        assert capsys.readouterr().err == f"config error: config field {message}\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestGeneratedConfigs:
     """Generated configs on a tiny model: every run ends in an exit code of
     the contract (0-4) with no exception or warning, a run that exits 0
@@ -1082,7 +1119,7 @@ class TestFieldFile:
         pts = np.array([[0.7], [1.1]]) if d == 1 else np.array([[0.7, 0.2], [1.1, 0.9]])
         values = rng.standard_normal((n_paths, 3, 2))
         values[:, 0, :] = 0.0
-        return FieldSample(times=times, space_points=pts, values=values, seed_record=(1, 0))
+        return FieldSample(times=times, space_points=pts, values=values)
 
     def test_round_trip_bit_exact(self, tmp_path):
         fs = self.make_sample()
@@ -1092,6 +1129,18 @@ class TestFieldFile:
         assert np.array_equal(back.values, fs.values)
         assert np.array_equal(back.times.points, fs.times.points)
         assert np.array_equal(back.space_points, fs.space_points)
+
+    def test_sample_round_trip_keeps_every_field(self, tmp_path):
+        # a FieldSample holds only what the file stores
+        model = model_from_dict(BASE_CONFIG)
+        fs = sample_field(model, TimeGrid.uniform(0.0, 2.0, 4), [1.0, PI / 2.0], 5, SeedSpec(9))
+        write_field(tmp_path / "f.stwm", fs)
+        back = read_field(tmp_path / "f.stwm")
+        for field in dataclasses.fields(FieldSample):
+            a, b = getattr(fs, field.name), getattr(back, field.name)
+            if isinstance(a, TimeGrid):
+                a, b = a.points, b.points
+            assert np.array_equal(a, b), field.name
 
     def test_read_arrays_read_only(self, tmp_path):
         fs = self.make_sample()
@@ -1252,6 +1301,45 @@ def test_flags_may_follow_the_command(config_path, tmp_path, capsys, command):
         runs.append((code, {f.name: f.read_bytes() for f in out.glob("*")},
                      capsys.readouterr().out.replace(str(out), "<out>")))
     assert runs[0] == runs[1] and runs[0][0] in (0, 1)
+
+
+@pytest.mark.parametrize("command", ["basis", "regularity", "limits", "holder"])
+def test_bare_model_document_runs_as_a_run_config(tmp_path, capsys, command):
+    # a bare model document is accepted anywhere a run configuration is
+    runs = []
+    for name, doc in (("bare", BASE_CONFIG["model"]), ("run", {"model": BASE_CONFIG["model"]})):
+        p, out = tmp_path / f"{name}.json", tmp_path / name
+        p.write_text(json.dumps(doc))
+        code = run_cli(["--config", str(p), "--out", str(out), command])
+        runs.append((code, {f.name: f.read_bytes() for f in out.glob("*")},
+                     capsys.readouterr().out.replace(str(out), "<out>")))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
+@pytest.mark.parametrize("command", ["sample", "cov"])
+def test_bare_model_document_has_no_grid(tmp_path, capsys, command):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(BASE_CONFIG["model"]))
+    assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 2
+    assert capsys.readouterr().err == ("config error: config field 'grid': missing grid spec "
+                                       "{t_start, t_end, steps}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def _readme_schema_config() -> dict:
+    """The JSON block under README's "Configuration schema", its // comments
+    stripped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text[text.index("### Configuration schema"):].split("```json\n", 1)[1]
+    return json.loads(re.sub(r"//[^\n]*", "", block.split("```", 1)[0]))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_schema_config_runs(tmp_path, capsys, command):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(_readme_schema_config()))
+    assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_console_entry_point():

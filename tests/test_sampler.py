@@ -770,7 +770,7 @@ class TestSampleModesAgainstPerModeLoop:
 class TestAssembleField:
     def test_zero_modes_zero_field(self):
         b = build_basis(1, PI, 0.0, 3)
-        fs = assemble_field(np.zeros((2, 3, 4)), b, [1.0, 2.0])
+        fs = assemble_field(np.zeros((2, 3, 4)), b, [1.0, 2.0], TimeGrid.uniform(0.0, 1.0, 3))
         assert np.all(fs.values == 0.0)
 
     def test_single_mode_linearity(self):
@@ -778,7 +778,7 @@ class TestAssembleField:
         paths = np.zeros((1, 3, 2))
         paths[0, 1, :] = 2.5
         xs = [0.5, 1.5]
-        fs = assemble_field(paths, b, xs)
+        fs = assemble_field(paths, b, xs, TimeGrid.uniform(0.0, 1.0, 1))
         E = evaluate_basis(b, xs)
         assert np.allclose(fs.values[0], 2.5 * np.tile(E[:, 1], (2, 1)), rtol=1e-14)
 
@@ -788,27 +788,28 @@ class TestAssembleField:
         p1 = rng.standard_normal((3, 5, 4))
         p2 = rng.standard_normal((3, 5, 4))
         xs = [0.4, 1.0, 2.2]
-        f1 = assemble_field(p1, b, xs).values
-        f2 = assemble_field(p2, b, xs).values
-        f12 = assemble_field(2.0 * p1 - 3.0 * p2, b, xs).values
+        grid = TimeGrid.uniform(0.0, 1.0, 3)
+        f1 = assemble_field(p1, b, xs, grid).values
+        f2 = assemble_field(p2, b, xs, grid).values
+        f12 = assemble_field(2.0 * p1 - 3.0 * p2, b, xs, grid).values
         assert np.allclose(f12, 2.0 * f1 - 3.0 * f2, rtol=1e-12, atol=1e-12)
 
     def test_mode_count_mismatch(self):
         b = build_basis(1, PI, 0.0, 3)
         with pytest.raises(ValueError):
-            assemble_field(np.zeros((1, 4, 2)), b, [1.0])
+            assemble_field(np.zeros((1, 4, 2)), b, [1.0], TimeGrid.uniform(0.0, 1.0, 1))
 
     def test_paths_without_a_path_axis_rejected(self):
         b = build_basis(1, PI, 0.0, 3)
         with pytest.raises(ValueError, match=r"shape \(n_paths, J, n_times\)"):
-            assemble_field(np.zeros((3, 2)), b, [1.0])
+            assemble_field(np.zeros((3, 2)), b, [1.0], TimeGrid.uniform(0.0, 1.0, 1))
 
     def test_sample_field_shape_and_seed_record(self):
         model = one_mode_model()
         grid = TimeGrid(np.array([0.0, 1.0]))
         fs = sample_field(model, grid, [1.0, 2.0], 6, SeedSpec(9))
         assert fs.values.shape == (6, 2, 2)
-        assert fs.seed_record == (9, 0)
+        assert fs.times is grid
         assert np.all(fs.values[:, 0, :] == 0.0)
 
 
@@ -1074,6 +1075,14 @@ def test_field_sample_rejects_points_not_one_per_row(pts):
                     values=np.zeros((1, 2, 2)))
 
 
+def test_field_sample_rejects_times_not_matching_values():
+    # a 3-point grid with 4-time values used to be accepted, and write_field
+    # then wrote a file that read_field refuses
+    with pytest.raises(ValueError, match="times holds 3 points"):
+        FieldSample(times=TimeGrid(np.array([0.0, 1.0, 2.0])), space_points=np.array([[1.0]]),
+                    values=np.zeros((1, 4, 1)))
+
+
 def test_sample_field_rejects_nan_point():
     with pytest.raises(ValueError, match="open domain"):
         sample_field(one_mode_model(), TimeGrid.uniform(0.0, 1.0, 2), [math.nan], 3, SeedSpec(1))
@@ -1081,6 +1090,6 @@ def test_sample_field_rejects_nan_point():
 
 def test_field_sample_immutable_record():
     fs = FieldSample(times=TimeGrid(np.array([0.0, 1.0])), space_points=np.array([[1.0]]),
-                     values=np.zeros((1, 2, 1)), seed_record=(3, 0))
+                     values=np.zeros((1, 2, 1)))
     with pytest.raises(AttributeError):
         fs.values = None

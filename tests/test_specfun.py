@@ -470,6 +470,14 @@ class TestMaternCov:
     def test_past_705(self, nu, z, expected, tol):
         assert rel(matern_cov(nu, 1.0, 1.0, z), expected) < tol
 
+    @pytest.mark.parametrize("nu,z", [(1e20, 100.0), (1e20, 1e6), (1e100, 0.01), (1e100, 1.0)])
+    def test_order_past_range_is_typed(self, nu, z):
+        # past order 1e14 the log-space underflow test rounds by more than 1,
+        # and at these arguments it returned 0.0 (the value at (1e20, 100) is
+        # about 1); K_nu's rule refuses the order, naming it
+        with pytest.raises(OverflowError, match=re.escape(f"nu={nu}, x={z}")):
+            matern_cov(nu, 1.0, 1.0, z)
+
     def test_domain(self):
         for bad in [(-1.0, 1.0, 1.0, 1.0), (1.0, 0.0, 1.0, 1.0),
                     (1.0, 1.0, -2.0, 1.0), (1.0, 1.0, 1.0, -0.5), (math.inf, 1.0, 1.0, 1.0),
