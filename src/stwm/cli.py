@@ -8,7 +8,8 @@ finite-variance solution, and passes (args, doc, model) to the command.
 Tables and printed numbers go through fieldfile.write_csv and
 fieldfile.format_number. Randomized commands print their full seed record
 so any run can be replayed. Exit codes: 0 ok / condition satisfied, 1
-condition unsatisfied, 2 config error, 3 model invalid (existence condition
+condition unsatisfied, 2 config error (an output that cannot be created or
+written among them, named '--out'), 3 model invalid (existence condition
 violated), 4 numerical failure.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import analysis, fieldfile
 from .fieldfile import format_number, write_csv
 from .kernel import TimeGrid, gram, temporal_matern_limit
-from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, sample_field
+from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, sample_field_chunks
 from .spectral import (ConfigError, SpectralModel, check_members, config_checked, config_float,
                        config_int, config_numbers, config_points, load_config, model_from_dict,
                        mode_params, weyl_ratio)
@@ -138,15 +139,28 @@ def cmd_sample(args, doc: dict, model: SpectralModel) -> int:
     grid = _grid_from_config(doc, model)
     space = _space_from_config(doc, model)
     n_paths = _at_least_one(doc.get("n_paths", 1), "n_paths")
+    if n_paths >= 2 ** 32:
+        raise ConfigError("n_paths", f"must be below 2^32, the field file's limit, got {n_paths}")
     seed = SeedSpec(_seed(doc.get("seed", 0), "seed") if args.seed is None else args.seed)
-    sample = sample_field(model, grid, space, n_paths, seed)
+    chunks = sample_field_chunks(model, grid, space, n_paths, seed)  # raises every Gram failure
     out = _out_dir(args)
     bin_path = out / "field.stwm"
-    fieldfile.write_field(bin_path, sample)
+    sums = np.zeros((2, grid.n))  # per time: sum and sum of squares over paths and points
+
+    def summed():
+        for chunk in chunks:
+            v = chunk.values
+            sums[0] += v.sum(axis=(0, 2))
+            sums[1] += np.einsum("ptx,ptx->t", v, v)
+            yield chunk
+
+    fieldfile.write_field_chunks(bin_path, n_paths, summed())
+    # the field's mean is 0, so the sum of squares loses no accuracy to the mean's
+    count = n_paths * len(space)
+    mean = sums[0] / count
+    var = (sums[1] - sums[0] * mean) / (count - 1) if count > 1 else np.zeros(grid.n)
     summary = out / "sample_summary.csv"
-    write_csv(summary, ("time", "mean", "variance"),
-              ((t, v.mean(), v.var(ddof=1) if v.size > 1 else 0.0)
-               for t, v in zip(grid.points, sample.values.swapaxes(0, 1))))
+    write_csv(summary, ("time", "mean", "variance"), zip(grid.points, mean, var))
     print(f"seed record: master={seed.master} paths=0..{n_paths - 1} "
           f"(stream format {STREAM_FORMAT})")
     print(f"wrote {bin_path}")
@@ -269,7 +283,11 @@ def main(argv=None) -> int:
         model = model_from_dict(doc)
         if needs_finite_variance and not model.gamma > 0.5:
             raise ModelInvalid(f"{args.command} requires gamma > 1/2, got gamma={model.gamma}")
-        return run(args, doc, model)
+        try:
+            return run(args, doc, model)
+        except OSError as exc:  # creating or writing an output
+            target = (args.out or ".") if exc.filename is None else exc.filename
+            raise ConfigError("--out", f"cannot write {target}: {exc.strerror or exc}") from None
     except ModelInvalid as exc:
         print(f"model invalid: {exc}", file=sys.stderr)
         return EXIT_MODEL

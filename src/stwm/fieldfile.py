@@ -3,13 +3,16 @@
 Binary layout (little endian): magic b"STWM", u32 format version, u32 d,
 u32 n_times, u32 n_points, u32 n_paths, then the float64 values row-major
 as (path, time, point), then the time grid, then the space points (row-major
-(n_points, d)).
+(n_points, d)). The values can be written one chunk of paths at a time
+(write_field_chunks), since the header gives every size.
 
 Every CSV table and printed number of the package goes through
 format_number and write_csv: integers as integers, other numbers with '.'
 decimals and 17 significant digits, so float64 values round-trip through text.
 """
 
+import contextlib
+import itertools
 import os
 import struct
 
@@ -18,24 +21,62 @@ import numpy as np
 from .kernel import TimeGrid
 from .sampler import FieldSample
 
-__all__ = ["write_field", "read_field", "write_field_csv", "write_csv", "format_number",
-           "FORMAT_VERSION", "MAGIC"]
+__all__ = ["write_field", "write_field_chunks", "read_field", "write_field_csv", "write_csv",
+           "format_number", "FORMAT_VERSION", "MAGIC"]
 
 MAGIC = b"STWM"
 FORMAT_VERSION = 1
 
 
 def write_field(path, sample: FieldSample) -> None:
-    values = np.ascontiguousarray(sample.values, dtype="<f8")
-    n_paths, n_times, n_points = values.shape
-    pts = np.ascontiguousarray(sample.space_points, dtype="<f8")
-    d = pts.shape[1]
-    times = np.ascontiguousarray(sample.times.points, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<5I", FORMAT_VERSION, d, n_times, n_points, n_paths))
-        for arr in (values, times, pts):  # C-contiguous "<f8": their buffers are the bytes
-            fh.write(arr)
+    """Write one field sample: the one-chunk case of write_field_chunks."""
+    write_field_chunks(path, sample.values.shape[0], [sample])
+
+
+def write_field_chunks(path, n_paths: int, chunks) -> None:
+    """Write a field file of n_paths paths from `chunks`, an iterable of
+    FieldSamples on one time grid and one set of points that hold the paths
+    in order: the header, then each chunk's values as it comes, then the
+    times, then the points. A chunk can be dropped once it is written.
+
+    Sizes that do not fit the header's u32 fields raise ValueError before
+    the file is opened. A write that does not finish, because a chunk
+    differs from the first in grid or points, the chunks hold another path
+    count, the iterable raises or the file system fails, removes the file
+    and raises on."""
+    chunks = iter(chunks)
+    first = next(chunks, None)
+    if first is None:
+        raise ValueError("no chunk to write")
+    _, n_times, n_points = first.values.shape
+    pts = np.ascontiguousarray(first.space_points, dtype="<f8")
+    times = np.ascontiguousarray(first.times.points, dtype="<f8")
+    sizes = (pts.shape[1], n_times, n_points, n_paths)
+    if not all(0 <= v < 2 ** 32 for v in sizes):
+        raise ValueError(f"field file sizes (d, n_times, n_points, n_paths) = {sizes} "
+                         f"must each be below 2^32")
+    chunks = itertools.chain([first], chunks)
+    del first  # every chunk is dropped once it is written
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(MAGIC + struct.pack("<5I", FORMAT_VERSION, *sizes))
+            written = 0
+            for chunk in chunks:
+                if not (np.array_equal(chunk.times.points, times)
+                        and np.array_equal(chunk.space_points, pts)):
+                    raise ValueError("field chunks differ in their time grid or points")
+                # C-contiguous "<f8": its buffer is the bytes, with no copy
+                fh.write(np.ascontiguousarray(chunk.values, dtype="<f8"))
+                written += chunk.values.shape[0]
+            if written != n_paths:
+                raise ValueError(f"field chunks hold {written} paths, the header {n_paths}")
+            fh.write(times)
+            fh.write(pts)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
 
 
 def read_field(path) -> FieldSample:

@@ -28,6 +28,7 @@ fractional-integration operator by product integration (the weight
 constant path on every cell).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "cholesky_psd",
     "sample_modes",
     "sample_field",
+    "sample_field_chunks",
     "assemble_field",
     "fractional_convolution",
     "factorized_sample",
@@ -222,58 +224,111 @@ def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
     point, and wherever a mode's variance underflows to 0, are exactly zero.
     Each stack of mode_grams is factored in place by one _factor_psd call,
     as cholesky_psd factors each member, and each mode reads its own stream
-    (see SeedSpec).
+    (see SeedSpec). This is the one-chunk case of _mode_chunks.
     """
+    return next(_mode_chunks(model, grid, n_paths, seed, n_paths))
+
+
+def _mode_chunks(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedSpec,
+                 chunk: int):
+    """Yield the mode paths of paths 0 .. n_paths - 1 as consecutive
+    (rows, J, n_times) arrays of `chunk` paths, the last one of the rest.
+    chunk is a whole number of 256-path blocks unless it covers every
+    path. Every array is a view of one buffer, which the next overwrites.
+
+    A one-chunk run takes the stacks of mode_grams one at a time, as they
+    come. Otherwise every mode's factor and stream are held from the first
+    chunk to the others, and each mode reads its one stream on from chunk to
+    chunk, so every path reads the normals it reads in a one-chunk run."""
     if grid.points[-1] > model.T:
         raise ValueError(f"grid end {grid.points[-1]} exceeds the model horizon T={model.T}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    # modes per product: their normals for one block of paths fill at most
-    # _PRODUCT_ENTRIES entries (one mode at least)
+    if chunk < n_paths and not (chunk > 0 and chunk % _PATH_BLOCK == 0):
+        raise ValueError(f"chunk must be a whole number of {_PATH_BLOCK}-path blocks or cover "
+                         f"all {n_paths} paths, got {chunk}")
+    out = np.empty((min(chunk, n_paths), model.J, grid.n))
+    groups = _mode_groups(model, grid, seed.master)
+    if len(out) < n_paths:
+        groups = list(groups)  # held for the later chunks
+    _sample_chunk(out, groups)
+    yield out
+    for p0 in range(len(out), n_paths, len(out)):
+        rows = out[:n_paths - p0]
+        _sample_chunk(rows, groups)
+        yield rows
+
+
+def _sample_chunk(out: np.ndarray, groups):
+    """Sample the groups of modes of _mode_groups into out, of shape (rows,
+    J, n), drawing through one normals buffer, which is dropped on return."""
+    normals = np.empty(0)
+    for j0, LT, streams in groups:
+        B, m = LT.shape[:2]
+        if normals.size < B * _PATH_BLOCK * m:
+            normals = np.empty(B * _PATH_BLOCK * m)
+        Z = normals[:B * _PATH_BLOCK * m].reshape(B, _PATH_BLOCK, m)
+        _sample_group(out[:, j0:j0 + B], LT, streams, Z)
+
+
+def _mode_groups(model: SpectralModel, grid: TimeGrid, master: int):
+    """Yield the modes of the model in the groups that share one product:
+    (j0, LT, streams) for modes j0 .. j0 + B - 1, with LT the (B, n - i, n)
+    stack of their factors' live columns L[:, :, i:], transposed, and
+    streams their B normal streams at their start, none when i = n.
+
+    Each stack of mode_grams is factored in place; runs of consecutive
+    modes with one live suffix [i, n) are cut into groups whose normals for
+    one block of paths fill at most _PRODUCT_ENTRIES entries (one mode at
+    least)."""
     group = max(1, _PRODUCT_ENTRIES // (_PATH_BLOCK * grid.n))
-    out = np.empty((n_paths, model.J, grid.n))
     for j0, stack in mode_grams(model, grid):
         L, _ = _factor_psd(stack)  # the stack is ours
         first = _first_live(L.diagonal(0, 1, 2))
-        # runs of consecutive modes with one live suffix, cut into groups
         starts = np.flatnonzero(np.diff(first, prepend=-1))
         for a, end in zip(starts, [*starts[1:], len(L)]):
+            i = int(first[a])
             for g0 in range(a, end, group):
-                _sample_group(out, L[g0:min(g0 + group, end)], int(first[a]), j0 + g0, seed.master)
-    return out
+                g1 = min(g0 + group, end)
+                live = range(j0 + g0, j0 + g1) if i < grid.n else ()
+                yield (j0 + g0, L[g0:g1, :, i:].transpose(0, 2, 1),
+                       [_mode_stream(master, j) for j in live])
 
 
-def _sample_group(out: np.ndarray, L: np.ndarray, i: int, j0: int, master: int):
-    """Write the paths of modes j0 .. j0 + B - 1, whose factors make the
-    (B, n, n) stack L and whose live indices are [i, n), into
-    out[:, j0:j0 + B], one 256-path block at a time.
+def _sample_group(out: np.ndarray, LT: np.ndarray, streams: list, Z: np.ndarray):
+    """Write the paths of one group of B modes (see _mode_groups) into out,
+    of shape (rows, B, n), one 256-path block at a time, reading each
+    mode's stream on from where it stands.
 
-    Each block's normals, n - i per path and mode, go to one (B, 256, n - i)
-    buffer, and one stacked product by L[:, :, i:]^T writes them, times the
-    factors, straight into out; the factors' rows at dead indices are zero,
-    and so are the values there. Modes with no live index (i = n) draw
-    nothing and are zero. Products go in whole blocks of paths so every one
-    is a BLAS call of one shape: BLAS may pick another kernel, and round
-    differently, for another row count, and a path's values must not depend
-    on it. The rows that pad the last block are 0, and their products are
-    dropped."""
-    (n_paths, _, n), B = out.shape, len(L)
-    if i == n:
-        out[:, j0:j0 + B] = 0.0
+    Each block's normals, n - i per path and mode, fill the (B, 256, n - i)
+    buffer Z, and one stacked product by LT writes them, times the factors,
+    straight into out; the factors' rows at dead indices are zero, and so
+    are the values there. Modes with no live index (i = n) draw nothing and
+    are zero. Products go in whole blocks of paths so every one is a BLAS
+    call of one shape: BLAS may pick another kernel, and round differently,
+    for another row count, and a path's values must not depend on it. The
+    rows that pad the last block are 0, and their products are dropped."""
+    n_paths = len(out)
+    if LT.shape[1] == 0:
+        out[...] = 0.0
         return
-    streams = [_mode_stream(master, j) for j in range(j0, j0 + B)]
-    LT = L[:, :, i:].transpose(0, 2, 1)
-    Z = np.empty((B, _PATH_BLOCK, n - i))
     for p0 in range(0, n_paths, _PATH_BLOCK):
         rows = min(_PATH_BLOCK, n_paths - p0)
         Z[:, rows:] = 0.0
         for z, stream in zip(Z, streams):
             stream.standard_normal(out=z[:rows])
-        paths = out[p0:p0 + rows, j0:j0 + B].transpose(1, 0, 2)
+        paths = out[p0:p0 + rows].transpose(1, 0, 2)
         if rows == _PATH_BLOCK:
             np.matmul(Z, LT, out=paths)  # BLAS writes rows J * n apart
         else:
             paths[...] = np.matmul(Z, LT)[:, :rows]
+
+
+def _field_values(mode_paths: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Field values (n_paths, n_times, P) of mode paths (n_paths, J,
+    n_times) on the points of the (P, J) basis matrix E: one product per
+    path, so a path's values do not depend on how many are assembled."""
+    return np.swapaxes(mode_paths, 1, 2) @ E.T
 
 
 def assemble_field(mode_paths: np.ndarray, basis: EigenBasis, space_points,
@@ -286,16 +341,48 @@ def assemble_field(mode_paths: np.ndarray, basis: EigenBasis, space_points,
     if mode_paths.shape[1] != basis.J:
         raise ValueError(f"mode count {mode_paths.shape[1]} does not match basis J={basis.J}")
     pts = as_points(space_points, basis.d)
-    E = evaluate_basis(basis, pts)  # (P, J)
-    values = np.swapaxes(mode_paths, 1, 2) @ E.T
-    return FieldSample(times=times, space_points=pts, values=values)
+    return FieldSample(times=times, space_points=pts,
+                       values=_field_values(mode_paths, evaluate_basis(basis, pts)))
 
 
 def sample_field(model: SpectralModel, grid: TimeGrid, space_points, n_paths: int,
                  seed: SeedSpec) -> FieldSample:
-    """Sample mode paths and assemble them on the given spatial points."""
-    paths = sample_modes(model, grid, n_paths, seed)
-    return assemble_field(paths, model.basis, space_points, grid)
+    """Sample mode paths and assemble them on the given spatial points: the
+    one-chunk case of sample_field_chunks."""
+    return next(sample_field_chunks(model, grid, space_points, n_paths, seed, chunk=n_paths))
+
+
+def _stream_chunk(n_times: int, n_paths: int) -> int:
+    """Paths per chunk of a streamed run of n_paths paths on an n_times-point
+    grid: the smallest whole number of 256-path blocks that is at least
+    n_times, so the factors held across chunks (at most J n_times^2 values)
+    never exceed one chunk's mode values. A run shorter than two such
+    chunks is one chunk, since holding its factors would cost more than the
+    chunking saves."""
+    chunk = _PATH_BLOCK * -(-n_times // _PATH_BLOCK)
+    return chunk if n_paths >= 2 * chunk else n_paths
+
+
+def sample_field_chunks(model: SpectralModel, grid: TimeGrid, space_points, n_paths: int,
+                        seed: SeedSpec, chunk: int | None = None):
+    """The field sample of sample_field as an iterator of consecutive
+    FieldSamples of `chunk` paths each, the last one of the rest, whose
+    values are bit-identical to the matching paths of sample_field's.
+    chunk must be a whole number of 256-path blocks unless it covers every
+    path; by default it is _stream_chunk's.
+
+    The first chunk's modes are sampled before this returns, so every Gram
+    and factor failure is raised here. Peak memory is one chunk's mode and
+    field values, chunk * n_times * (J + P) doubles, plus the (P, J) basis
+    matrix, the streams of the modes and, with more than one chunk, their
+    factors, whatever n_paths is."""
+    pts = as_points(space_points, model.basis.d)
+    modes = _mode_chunks(model, grid, n_paths, seed,
+                         _stream_chunk(grid.n, n_paths) if chunk is None else chunk)
+    first = next(modes)
+    E = evaluate_basis(model.basis, pts)
+    return (FieldSample(times=grid, space_points=pts, values=_field_values(m, E))
+            for m in itertools.chain([first], modes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import itertools
 import json
@@ -19,7 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stwm import analysis, cli, kernel, sampler
-from stwm.fieldfile import format_number, read_field, write_csv, write_field, write_field_csv
+from stwm.fieldfile import (format_number, read_field, write_csv, write_field, write_field_chunks,
+                            write_field_csv)
 from stwm.kernel import ModeKernel, TimeGrid, gram, mode_cov
 from stwm.quadrature import QuadratureConfig
 from stwm.sampler import FieldSample, SeedSpec, sample_field
@@ -1079,11 +1081,22 @@ class TestGeneratedConfigs:
         self.check_contract(doc, command)
 
 
+@pytest.mark.parametrize("n_paths", [2 ** 32, 10 ** 13])
+def test_n_paths_past_the_header_exit_2_writes_nothing(tmp_path, capsys, n_paths):
+    # the field file stores n_paths as a u32; sampling streams, so nothing
+    # else would refuse such a run before its output exists
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, n_paths=n_paths)))
+    assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), "sample"]) == 2
+    assert capsys.readouterr().err == ("config error: config field 'n_paths': must be below "
+                                       f"2^32, the field file's limit, got {n_paths}\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("override", [
     {"grid": dict(BASE_CONFIG["grid"], steps=10 ** 13)},
-    {"n_paths": 10 ** 13},
     {"space": {"lattice": 10 ** 13}},
-], ids=["grid.steps", "n_paths", "space.lattice"])
+], ids=["grid.steps", "space.lattice"])
 def test_refused_allocation_exit_4(tmp_path, override):
     # the address-space cap makes the request fail at once even on a host
     # that overcommits memory
@@ -1100,6 +1113,105 @@ def test_refused_allocation_exit_4(tmp_path, override):
     assert proc.returncode == 4
     assert proc.stderr.startswith("numerical failure: the host refused an allocation")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+# the sample_1d_streams benchmark shape: 64 modes on (0, pi), 3 times, 32 points
+STREAM_CONFIG = {
+    "model": {"d": 1, "extents": PI, "kappa2": 0.0, "kappa2_tilde": 0.0,
+              "J": 64, "alpha": 1.0, "beta": 1.0, "gamma": 1.2, "T": 5.0},
+    "grid": {"t_start": 0.0, "t_end": 5.0, "steps": 2},
+    "space": {"lattice": 32},
+    "seed": 4,
+}
+
+
+class TestStreamedSample:
+    """stwm sample writes its field one chunk of 256-path blocks at a time."""
+
+    def run(self, tmp_path, doc, name="o"):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["--config", str(p), "--out", str(tmp_path / name), "sample"]) == 0
+        return tmp_path / name
+
+    def library_file(self, tmp_path, doc):
+        model = model_from_dict(doc)
+        g = doc["grid"]
+        fs = sample_field(model, TimeGrid.uniform(g["t_start"], g["t_end"], g["steps"]),
+                          doc["space"]["points"], doc["n_paths"], SeedSpec(doc["seed"]))
+        write_field(tmp_path / "lib.stwm", fs)
+        return (tmp_path / "lib.stwm").read_bytes()
+
+    @pytest.mark.parametrize("n_paths", [1, 255, 256, 257, 600])
+    def test_field_file_equals_write_field(self, tmp_path, n_paths):
+        doc = dict(BASE_CONFIG, n_paths=n_paths)
+        out = self.run(tmp_path, doc)
+        assert (out / "field.stwm").read_bytes() == self.library_file(tmp_path, doc)
+
+    def test_long_grid_several_chunks_equal_write_field(self, tmp_path):
+        # 301 times: chunks of 512 paths, so 1,100 paths make three, and
+        # the factors are held from the first chunk to the others
+        doc = dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], J=3),
+                   grid={"t_start": 0.0, "t_end": 2.0, "steps": 300}, n_paths=1100)
+        assert sampler._stream_chunk(301, 1100) == 512
+        out = self.run(tmp_path, doc)
+        assert (out / "field.stwm").read_bytes() == self.library_file(tmp_path, doc)
+
+    def test_peak_memory_does_not_grow_with_n_paths(self, tmp_path):
+        # one 256-path chunk's mode and field values: 256 * 3 * (64 + 32) doubles
+        chunk_bytes = 256 * 3 * (64 + 32) * 8
+        self.run(tmp_path, dict(STREAM_CONFIG, n_paths=512), "warm")  # numpy.random loads lazily
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n_paths in (512, 8192):
+                tracemalloc.reset_peak()
+                alive = tracemalloc.get_traced_memory()[0]
+                self.run(tmp_path, dict(STREAM_CONFIG, n_paths=n_paths), f"o{n_paths}")
+                peaks.append(tracemalloc.get_traced_memory()[1] - alive)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < chunk_bytes, peaks
+
+    def test_summary_matches_whole_array_moments(self, tmp_path):
+        out = self.run(tmp_path, dict(STREAM_CONFIG, n_paths=1000))
+        values = read_field(out / "field.stwm").values.swapaxes(0, 1).reshape(3, -1)
+        rows = np.loadtxt(out / "sample_summary.csv", delimiter=",", skiprows=1)
+        want_var = values.var(axis=1, ddof=1)
+        np.testing.assert_allclose(rows[:, 2], want_var, rtol=1e-12, atol=0.0)
+        # a mean near 0 has no relative accuracy: the scale of its rounding
+        # is the mean of |v|
+        scale = np.abs(values).mean(axis=1)
+        assert np.all(np.abs(rows[:, 1] - values.mean(axis=1)) <= 1e-12 * scale)
+        assert rows[0, 1] == 0.0 and rows[0, 2] == 0.0  # t = 0
+
+    @pytest.mark.parametrize("command", ["sample", "cov", "basis", "limits"])
+    def test_out_that_cannot_be_created_exit_2(self, tmp_path, capsys, config_path, command):
+        (tmp_path / "notadir").write_text("")
+        assert run_cli(["--config", config_path, "--out", str(tmp_path / "notadir" / "o"),
+                        command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config field '--out': cannot write ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert (tmp_path / "notadir").read_text() == ""
+
+    def test_unfinished_field_file_removed(self, tmp_path, capsys, monkeypatch):
+        # the file system fails after the first chunk: no partial field file
+        real = cli.sample_field_chunks
+
+        def failing(*args):
+            yield next(real(*args))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "sample_field_chunks", failing)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(dict(STREAM_CONFIG, n_paths=600)))
+        assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), "sample"]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: config field '--out': cannot write {tmp_path / 'o'}: "
+                       "No space left on device\n")
+        assert list((tmp_path / "o").iterdir()) == []
 
 
 def _patch(offset: int, data: bytes):
@@ -1241,6 +1353,37 @@ class TestFieldFile:
         assert back.space_points.shape == (n_points, d) and back.times.n == n_times
         assert raw[24:] == b"".join(a.tobytes() for a in (back.values, back.times.points,
                                                          back.space_points))
+
+    def test_chunks_written_as_one_sample(self, tmp_path):
+        fs = self.make_sample(n_paths=5)
+        parts = [FieldSample(fs.times, fs.space_points, fs.values[a:b]) for a, b in ((0, 2), (2, 5))]
+        write_field_chunks(tmp_path / "c.stwm", 5, iter(parts))
+        write_field(tmp_path / "f.stwm", fs)
+        assert (tmp_path / "c.stwm").read_bytes() == (tmp_path / "f.stwm").read_bytes()
+
+    def test_sizes_past_the_header_refused_before_opening(self, tmp_path):
+        with pytest.raises(ValueError, match="below 2\\^32"):
+            write_field_chunks(tmp_path / "f.stwm", 2 ** 32, [self.make_sample()])
+        assert not (tmp_path / "f.stwm").exists()
+
+    @pytest.mark.parametrize("defect", ["fewer paths", "more paths", "other grid", "raises"])
+    def test_unfinished_write_removes_the_file(self, tmp_path, defect):
+        fs = self.make_sample()
+        other = FieldSample(TimeGrid(np.array([0.0, 0.5, 1.5])), fs.space_points, fs.values)
+
+        def raising():
+            yield fs
+            raise KeyboardInterrupt
+
+        n_paths, chunks, error = {
+            "fewer paths": (4, [fs], ValueError), "more paths": (5, [fs, fs], ValueError),
+            "other grid": (6, [fs, other], ValueError), "raises": (6, raising(), KeyboardInterrupt),
+        }[defect]
+        path = tmp_path / "f.stwm"
+        path.write_bytes(b"an older file")
+        with pytest.raises(error):
+            write_field_chunks(path, n_paths, chunks)
+        assert not path.exists()
 
     def test_csv_round_trip_precision(self, tmp_path):
         fs = self.make_sample()

@@ -24,6 +24,7 @@ from stwm.sampler import (
     factorized_sample,
     fractional_convolution,
     sample_field,
+    sample_field_chunks,
     sample_modes,
 )
 from stwm.spectral import SpectralModel, build_basis, evaluate_basis, mode_grams, mode_params
@@ -765,6 +766,69 @@ class TestSampleModesAgainstPerModeLoop:
                 if n_live:
                     want[j] = n_paths * n_live
         assert drawn == want
+
+
+class TestSampleFieldChunks:
+    """Chunks of a streamed run against the one-chunk sample_field."""
+
+    CASES = {
+        # 64 points: 20 modes in stacks of 12 and 8, groups of 3
+        "several stacks": (lambda: spread_model(J=20, beta=0.5), TimeGrid.uniform(0.0, 3.0, 63),
+                           3 * 256 * 64),
+        "dead rows differ": (underflow_model, TimeGrid(np.array([0.0, 1e-60, 1e-50, 1.0])), None),
+        "all-dead mode": (underflow_model, TimeGrid(np.array([0.0, 1e-60])), None),
+    }
+
+    @pytest.mark.parametrize("chunk", [256, 512, 768])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bit_identical_to_one_chunk(self, monkeypatch, case, chunk):
+        make, grid, entries = self.CASES[case]
+        if entries is not None:
+            monkeypatch.setattr(kernel, "_STACK_ENTRIES", entries)
+            monkeypatch.setattr(sampler, "_PRODUCT_ENTRIES", entries)
+        model, pts, n_paths = make(), [[0.5], [2.0], [3.0]], 1100
+        want = sample_field(model, grid, pts, n_paths, SeedSpec(19))
+        chunks = list(sample_field_chunks(model, grid, pts, n_paths, SeedSpec(19), chunk=chunk))
+        assert [len(c.values) for c in chunks] == [chunk] * (n_paths // chunk) + [n_paths % chunk]
+        for c in chunks:
+            assert c.times is grid and np.array_equal(c.space_points, want.space_points)
+        assert np.concatenate([c.values for c in chunks]).tobytes() == want.values.tobytes()
+
+    def test_each_mode_builds_one_stream(self, monkeypatch):
+        # every live mode reads its one stream on from chunk to chunk
+        model, grid = spread_model(J=6), TimeGrid.uniform(0.0, 1.0, 4)
+        built = []
+        make = sampler._mode_stream
+        monkeypatch.setattr(sampler, "_mode_stream", lambda master, j: built.append(j) or make(master, j))
+        drawn = count_draws(monkeypatch)
+        chunks = sample_field_chunks(model, grid, [1.0], 1000, SeedSpec(3), chunk=256)
+        assert sum(len(c.values) for c in chunks) == 1000
+        assert built == list(range(6))
+        assert drawn == {j: 1000 * 4 for j in range(6)}
+
+    def test_default_chunk(self):
+        # whole 256-path blocks, at least the grid length, and one chunk
+        # when fewer than two such chunks would hold the run
+        assert sampler._stream_chunk(3, 4000) == 256
+        assert sampler._stream_chunk(3, 512) == 256
+        assert sampler._stream_chunk(3, 511) == 511
+        assert sampler._stream_chunk(256, 600) == 256
+        assert sampler._stream_chunk(257, 1100) == 512
+        assert sampler._stream_chunk(301, 1023) == 1023
+
+    @pytest.mark.parametrize("chunk", [0, 100, 300])
+    def test_chunk_off_the_blocks_rejected(self, chunk):
+        with pytest.raises(ValueError, match="whole number of 256-path blocks"):
+            sample_field_chunks(spread_model(J=2), TimeGrid.uniform(0.0, 1.0, 2), [1.0], 600,
+                                SeedSpec(0), chunk=chunk)
+
+    def test_gram_failure_raised_before_the_first_chunk_is_returned(self):
+        # w = 3.2e298 on a grid to t = 1e12: mode 1's Gram overflows
+        b = build_basis(1, 1e100, 0.0, 4)
+        model = SpectralModel(basis=b, basis_tilde=b, alpha=1.5, beta=1.0, gamma=1.2, T=1e12)
+        grid = TimeGrid.uniform(0.0, 1e12, 4)
+        with pytest.raises(OverflowError):
+            sample_field_chunks(model, grid, [1e99], 3000, SeedSpec(0))
 
 
 class TestAssembleField:
