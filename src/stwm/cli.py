@@ -3,8 +3,9 @@
 Commands: basis, sample, cov, limits, regularity, holder (the table
 _COMMANDS). `main` checks the global flags, loads the --config JSON document
 and builds the model once (spectral.load_config, spectral.model_from_dict),
-refuses gamma <= 1/2 (model invalid) for the commands that need a
-finite-variance solution, and passes (args, doc, model) to the command.
+runs the command's model check (gamma <= 1/2 is model invalid for the
+commands that need a finite-variance solution), and passes (args, cfg,
+model) to the command, cfg its resolved_config.
 Tables and printed numbers go through fieldfile.write_csv and
 fieldfile.format_number. Randomized commands print their full seed record
 so any run can be replayed. Exit codes: 0 ok / condition satisfied, 1
@@ -24,9 +25,9 @@ from . import analysis, fieldfile
 from .fieldfile import format_number, write_csv
 from .kernel import TimeGrid, gram, temporal_matern_limit
 from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, sample_field_chunks
-from .spectral import (ConfigError, SpectralModel, check_members, config_checked, config_float,
-                       config_int, config_numbers, config_points, load_config, model_from_dict,
-                       mode_params, weyl_ratio)
+from .spectral import (SCHEMA, ConfigError, SpectralModel, check_members, load_config,
+                       model_from_dict, model_to_dict, mode_params, read_member, read_section,
+                       weyl_ratio)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -39,25 +40,21 @@ class ModelInvalid(RuntimeError):
     pass
 
 
-# members of a run configuration's sections; model_from_dict checks the model's
-_SECTIONS = {"grid": ("t_start", "t_end", "steps"), "cov": ("mode", "x", "y"),
-             "limits": ("temporal_kappa", "lags"), "holder": ("mode", "t0", "lags"),
-             "regularity": ("n", "tau", "sigma")}
-
-
 def _check_members(doc: dict):
     """Check the shape of a run configuration before any value is read:
     refuse an unknown member of it or of one of its sections, then a
     section that is not a JSON object, then a space that is not an object
-    of one member, points or lattice. A bare model document is left to
-    model_from_dict."""
+    of one member, points or lattice. A bare model document, and the model
+    of a run configuration, are left to model_from_dict."""
     if "model" not in doc:
         return
-    check_members(doc, ("model", "space", "n_paths", "seed", *_SECTIONS))
-    for name, members in _SECTIONS.items():
+    check_members(doc, SCHEMA)
+    sections = [name for name, rows in SCHEMA.items()
+                if isinstance(rows, dict) and name not in ("model", "space")]
+    for name in sections:
         if isinstance(doc.get(name), dict):
-            check_members(doc[name], members, f"{name}.")
-    for name in _SECTIONS:
+            check_members(doc[name], SCHEMA[name], f"{name}.")
+    for name in sections:
         if not isinstance(doc.get(name, {}), dict):
             raise ConfigError(name, "must be a JSON object")
     space = doc.get("space")
@@ -66,47 +63,35 @@ def _check_members(doc: dict):
         raise ConfigError("space", "must hold one member, 'points' or 'lattice'")
 
 
-def _grid_from_config(doc: dict, model: SpectralModel) -> TimeGrid:
-    spec = doc.get("grid")
-    if spec is None:
-        raise ConfigError("grid", "missing grid spec {t_start, t_end, steps}")
-    # t_start >= 0 and t_end <= T bound the span that linspace forms
-    t0 = config_checked(spec.get("t_start"), "grid.t_start", lambda v: v >= 0.0, "must be >= 0")
-    t1 = config_checked(spec.get("t_end"), "grid.t_end", lambda v: v <= model.T,
-                        f"must not exceed the model horizon T = {model.T}")
-    steps = _at_least_one(spec.get("steps"), "grid.steps")
-    try:
-        return TimeGrid.uniform(t0, t1, steps)
-    except ValueError as exc:
-        raise ConfigError("grid", str(exc)) from None
-
-
-def _space_from_config(doc: dict, model: SpectralModel) -> np.ndarray:
-    spec = doc.get("space")
-    if spec is None:
-        raise ConfigError("space", "missing space spec ({points: [...]} or {lattice: n})")
-    if "points" in spec:
-        return config_points(spec["points"], "space.points", model.basis)
-    n = _at_least_one(spec["lattice"], "space.lattice")
-    axes = [np.linspace(0.0, ell, n + 2)[1:-1] for ell in model.basis.extents]
-    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-
-
-def _at_least_one(raw, field: str) -> int:
-    """Count from config field or option `field`, checked to be >= 1."""
-    return config_checked(raw, field, lambda v: v >= 1, "must be >= 1", config_int)
-
-
-def _mode_index(model: SpectralModel, raw, field: str) -> int:
-    """Mode index (1-based) from config field `field`, checked against [1, J]."""
-    return config_checked(raw, field, lambda j: 1 <= j <= model.J, f"must be in [1, {model.J}]",
-                          config_int)
-
-
-def _seed(raw, field: str) -> int:
-    """Master seed from config field or option `field`, checked against [0, 2^64)."""
-    return config_checked(raw, field, lambda v: 0 <= v < 2 ** 64, "must be in [0, 2^64)",
-                          config_int)
+def resolved_config(doc: dict, model: SpectralModel, command: str) -> dict:
+    """The run configuration `command` runs from: the model, as model_to_dict
+    gives it, and each section that its _COMMANDS row names, read by
+    spectral.read_section with defaults filled in, then checked against the
+    rules that span members. Written back as a config it runs the same and
+    resolves to itself."""
+    cfg = {"model": model_to_dict(model)}
+    for name in _COMMANDS[command][3]:
+        cfg[name] = section = read_section(doc, name, model)
+        if name == "grid":  # t_start >= 0 and t_end <= T bound the span linspace forms
+            if not section["t_end"] <= model.T:
+                raise ConfigError("grid.t_end", f"must not exceed the model horizon T = "
+                                                f"{model.T}, got {section['t_end']!r}")
+            try:
+                TimeGrid.uniform(**section)
+            except ValueError as exc:
+                raise ConfigError("grid", str(exc)) from None
+        elif name == "space" and not section:
+            raise ConfigError("space", "missing space spec ({points: [...]} or {lattice: n})")
+        elif name == "cov" and section["mode"] != "field":  # a mode target reads no point
+            for key in ("x", "y"):
+                if key in section:
+                    raise ConfigError(f"cov.{key}", 'only "mode": "field" reads points x and y')
+        elif name == "cov":
+            if "x" not in section:
+                raise ConfigError("cov.x", "field covariance needs spatial points x "
+                                           "(and optional y)")
+            section.setdefault("y", section["x"])
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -115,7 +100,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_basis(args, doc: dict, model: SpectralModel) -> int:
+def cmd_basis(args, cfg: dict, model: SpectralModel) -> int:
     out = _out_dir(args) / "basis.csv"
     lams = zip(model.basis.eigenvalues, model.basis_tilde.eigenvalues)
     write_csv(out, ("j", "lambda", "lambda_tilde", "weyl_ratio"),
@@ -129,19 +114,18 @@ def cmd_basis(args, doc: dict, model: SpectralModel) -> int:
     return EXIT_OK
 
 
-def cmd_sample(args, doc: dict, model: SpectralModel) -> int:
-    if analysis.variance_series_exponent(model) >= -1.0:
-        if not args.force:
-            raise ModelInvalid(
-                "field variance series fails the eigenvalue-growth summability test "
-                "(pass --force to sample the truncated model anyway)")
-        print("warning: variance series diverges; sampling the truncated model (--force)")
-    grid = _grid_from_config(doc, model)
-    space = _space_from_config(doc, model)
-    n_paths = _at_least_one(doc.get("n_paths", 1), "n_paths")
-    if n_paths >= 2 ** 32:
-        raise ConfigError("n_paths", f"must be below 2^32, the field file's limit, got {n_paths}")
-    seed = SeedSpec(_seed(doc.get("seed", 0), "seed") if args.seed is None else args.seed)
+def _points(space: dict, model: SpectralModel) -> np.ndarray:
+    if "points" in space:
+        return np.array(space["points"])
+    n = space["lattice"]
+    axes = [np.linspace(0.0, ell, n + 2)[1:-1] for ell in model.basis.extents]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def cmd_sample(args, cfg: dict, model: SpectralModel) -> int:
+    grid = TimeGrid.uniform(**cfg["grid"])
+    space = _points(cfg["space"], model)
+    n_paths, seed = cfg["n_paths"], SeedSpec(cfg["seed"])
     chunks = sample_field_chunks(model, grid, space, n_paths, seed)  # raises every Gram failure
     out = _out_dir(args)
     bin_path = out / "field.stwm"
@@ -168,21 +152,16 @@ def cmd_sample(args, doc: dict, model: SpectralModel) -> int:
     return EXIT_OK
 
 
-def cmd_cov(args, doc: dict, model: SpectralModel) -> int:
+def cmd_cov(args, cfg: dict, model: SpectralModel) -> int:
     """Covariance table on the grid's upper triangle (s ascending, t >= s):
     one mode's q_j(s, t) from kernel.gram, or the truncated field covariance
     sum_j q_j(s, t) e_j(x) e_j(y) from analysis.field_gram."""
-    grid = _grid_from_config(doc, model)
-    opts = doc.get("cov", {})
-    target = opts.get("mode", 1)
-    if target == "field":
-        if "x" not in opts:
-            raise ConfigError("cov.x", "field covariance needs spatial points x (and optional y)")
-        x = config_points(opts["x"], "cov.x", model.basis, single=True)[0]
-        y = config_points(opts["y"], "cov.y", model.basis, single=True)[0] if "y" in opts else x
-        cov = analysis.field_gram(model, grid, x, y)
+    grid = TimeGrid.uniform(**cfg["grid"])
+    opts = cfg["cov"]
+    if opts["mode"] == "field":
+        cov = analysis.field_gram(model, grid, np.array(opts["x"]), np.array(opts["y"]))
     else:
-        cov = gram(mode_params(model, _mode_index(model, target, "cov.mode")), grid)
+        cov = gram(mode_params(model, opts["mode"]), grid)
     out = _out_dir(args) / "cov.csv"
     pts = grid.points
     write_csv(out, ("s", "t", "value"),
@@ -191,16 +170,12 @@ def cmd_cov(args, doc: dict, model: SpectralModel) -> int:
     return EXIT_OK
 
 
-def cmd_limits(args, doc: dict, model: SpectralModel) -> int:
-    opts = doc.get("limits", {})
-    kappa = config_checked(opts.get("temporal_kappa", 1.0), "limits.temporal_kappa",
-                           lambda v: v > 0.0, "must be > 0")
-    lags = config_numbers(opts.get("lags", list(np.geomspace(1e-2, 4.0, 25))), "limits.lags")
-    if min(lags, default=0.0) < 0.0:
-        raise ConfigError("limits.lags", f"must be >= 0, got {min(lags)!r}")
+def cmd_limits(args, cfg: dict, model: SpectralModel) -> int:
+    opts = cfg["limits"]
     # formed before any file is written: a rate, weight or variance may overflow
     stat = analysis.asymptotic_marginal_cov(model).coefficients
-    temporal = [(h, temporal_matern_limit(model.gamma, kappa, h)) for h in lags]
+    temporal = [(h, temporal_matern_limit(model.gamma, opts["temporal_kappa"], h))
+                for h in opts["lags"]]
     out = _out_dir(args)
     stat_path = out / "limits_stationary.csv"
     write_csv(stat_path, ("j", "stationary_var"), enumerate(stat, start=1))
@@ -211,12 +186,9 @@ def cmd_limits(args, doc: dict, model: SpectralModel) -> int:
     return EXIT_OK
 
 
-def cmd_regularity(args, doc: dict, model: SpectralModel) -> int:
-    opts = doc.get("regularity", {})
-    n, tau, sigma = (read(opts.get(name, 0), f"regularity.{name}") for name, read in
-                     (("n", config_int), ("tau", config_float), ("sigma", config_float)))
+def cmd_regularity(args, cfg: dict, model: SpectralModel) -> int:
     try:
-        query = analysis.RegularityQuery(n=n, tau=tau, sigma=sigma)
+        query = analysis.RegularityQuery(**cfg["regularity"])
     except ValueError as exc:
         raise ConfigError("regularity", str(exc)) from None
     report = analysis.check_exponents(model, query)
@@ -224,13 +196,11 @@ def cmd_regularity(args, doc: dict, model: SpectralModel) -> int:
     return EXIT_OK if report.satisfied else EXIT_UNSATISFIED
 
 
-def cmd_holder(args, doc: dict, model: SpectralModel) -> int:
-    opts = doc.get("holder", {})
-    k = mode_params(model, _mode_index(model, opts.get("mode", 1), "holder.mode"))
-    t0 = config_float(opts.get("t0", 5.0), "holder.t0")
-    lags = config_numbers(opts.get("lags", [2.0 ** -e for e in range(6, 13)]), "holder.lags")
+def cmd_holder(args, cfg: dict, model: SpectralModel) -> int:
+    opts = cfg["holder"]
+    k = mode_params(model, opts["mode"])
     try:
-        est = analysis.estimate_holder(k, t0, lags)
+        est = analysis.estimate_holder(k, opts["t0"], opts["lags"])
     except ValueError as exc:  # estimate_holder checks t0 first, then the lags against it
         raise ConfigError("holder.t0" if str(exc).startswith("t0 ") else "holder.lags",
                           str(exc)) from None
@@ -241,14 +211,20 @@ def cmd_holder(args, doc: dict, model: SpectralModel) -> int:
     return EXIT_OK
 
 
-# command: (function, help, needs a finite-variance solution); inputs are config fields
+# command: (function, help, what the model needs, checked before any section is
+# read: "finite" variance, gamma > 1/2, or a "summable" variance series too;
+# the sections and top-level members read); the inputs are config fields
 _COMMANDS = {
-    "basis": (cmd_basis, "eigenvalue table with growth-law ratios", False),
-    "sample": (cmd_sample, "sample field paths; writes binary field + summary CSV", True),
-    "cov": (cmd_cov, "per-mode or field covariance table", True),
-    "limits": (cmd_limits, "stationary variances and the temporal Matern curve", True),
-    "regularity": (cmd_regularity, "exponent-condition report (exit 0 iff satisfied)", False),
-    "holder": (cmd_holder, "mean-square Holder slope from exact increments", True),
+    "basis": (cmd_basis, "eigenvalue table with growth-law ratios", None, ()),
+    "sample": (cmd_sample, "sample field paths; writes binary field + summary CSV", "summable",
+               ("grid", "space", "n_paths", "seed")),
+    "cov": (cmd_cov, "per-mode or field covariance table", "finite", ("grid", "cov")),
+    "limits": (cmd_limits, "stationary variances and the temporal Matern curve", "finite",
+               ("limits",)),
+    "regularity": (cmd_regularity, "exponent-condition report (exit 0 iff satisfied)", None,
+                   ("regularity",)),
+    "holder": (cmd_holder, "mean-square Holder slope from exact increments", "finite",
+               ("holder",)),
 }
 
 
@@ -270,21 +246,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    run, _, needs_finite_variance = _COMMANDS[args.command]
+    run, _, needs, _ = _COMMANDS[args.command]
     try:
         if args.config is None:
             raise ConfigError("--config", "a config file is required")
         if args.seed is not None:
-            _seed(args.seed, "--seed")
-        if args.threads is not None:
-            _at_least_one(args.threads, "--threads")
+            read_member(SCHEMA["seed"], args.seed, "--seed")
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         doc = load_config(args.config)
         _check_members(doc)
         model = model_from_dict(doc)
-        if needs_finite_variance and not model.gamma > 0.5:
+        if needs and not model.gamma > 0.5:
             raise ModelInvalid(f"{args.command} requires gamma > 1/2, got gamma={model.gamma}")
+        if needs == "summable" and analysis.variance_series_exponent(model) >= -1.0:
+            if not args.force:
+                raise ModelInvalid(
+                    "field variance series fails the eigenvalue-growth summability test "
+                    "(pass --force to sample the truncated model anyway)")
+            print("warning: variance series diverges; sampling the truncated model (--force)")
+        # the --seed flag's seed is the one the run uses
+        cfg = resolved_config(doc if args.seed is None else dict(doc, seed=args.seed), model,
+                              args.command)
         try:
-            return run(args, doc, model)
+            return run(args, cfg, model)
         except OSError as exc:  # creating or writing an output
             target = (args.out or ".") if exc.filename is None else exc.filename
             raise ConfigError("--out", f"cannot write {target}: {exc.strerror or exc}") from None

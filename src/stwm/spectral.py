@@ -305,9 +305,6 @@ def config_points(raw, field_name: str, basis: EigenBasis, single: bool = False)
     return pts
 
 
-_MODEL_FIELDS = ("d", "extents", "kappa2", "kappa2_tilde", "J", "alpha", "beta", "gamma", "T")
-
-
 def check_members(doc: dict, known, prefix: str = ""):
     """Raise ConfigError naming field `prefix + name` for the first member
     `name` of the JSON object doc that is not in `known`."""
@@ -316,14 +313,90 @@ def check_members(doc: dict, known, prefix: str = ""):
             raise ConfigError(prefix + name, "unknown member")
 
 
-def config_checked(raw, field_name: str, predicate, message: str, read=config_float):
-    """Value of config field `field_name`, read by `read` (config_float or
-    config_int); one for which `predicate` fails is a ConfigError naming the
-    field, with `message` stating the rule."""
-    value = read(raw, field_name)
-    if not predicate(value):
-        raise ConfigError(field_name, f"{message}, got {value!r}")
+def _mode_index(raw, field_name: str, model: SpectralModel) -> int:
+    j = config_int(raw, field_name)
+    if not 1 <= j <= model.J:
+        raise ConfigError(field_name, f"must be in [1, {model.J}], got {j!r}")
+    return j
+
+
+# each member kind's reader: (raw value, field name, model) -> the value in
+# JSON form; the model is None while the model's own members are read
+_READERS = {
+    "integer": lambda raw, name, model: config_int(raw, name),
+    "real": lambda raw, name, model: config_float(raw, name),
+    "reals": lambda raw, name, model: config_numbers(raw, name),
+    "lengths": lambda raw, name, model: config_numbers(
+        list(raw) if isinstance(raw, (list, tuple)) else [raw], name),
+    "points": lambda raw, name, model: config_points(raw, name, model.basis).tolist(),
+    "point": lambda raw, name, model: config_points(raw, name, model.basis, True)[0].tolist(),
+    "mode": _mode_index,
+    "target": lambda raw, name, model: raw if raw == "field" else _mode_index(raw, name, model),
+}
+REQUIRED = "required"
+_COUNT, _NONNEGATIVE, _POSITIVE = ((lambda v: v >= 1, "must be >= 1"),
+                                   (lambda v: v >= 0.0, "must be >= 0"),
+                                   (lambda v: v > 0.0, "must be > 0"))
+
+# the run configuration in README's order: each section's members, and the
+# top-level members, as rows (reader kind, default, *bounds). The default is
+# REQUIRED, None to leave an absent member out, or a function that forms it
+# (so that importing forms no numpy array); a bound is a (predicate, rule)
+# pair, checked on a list's least number. The callers check the rules that
+# span members.
+SCHEMA = {
+    "model": {
+        "d": ("integer", REQUIRED, (lambda v: v in (1, 2), "must be 1 or 2")),
+        "extents": ("lengths", REQUIRED),  # d of them in range: model_from_dict
+        "kappa2": ("real", REQUIRED, _NONNEGATIVE),
+        "kappa2_tilde": ("real", REQUIRED, _NONNEGATIVE),
+        "J": ("integer", REQUIRED, (lambda v: 1 <= v <= MAX_MODES, f"must be in [1, {MAX_MODES}]")),
+        "alpha": ("real", REQUIRED, _NONNEGATIVE),
+        "beta": ("real", REQUIRED, _NONNEGATIVE),
+        "gamma": ("real", REQUIRED, _POSITIVE),
+        "T": ("real", REQUIRED, _POSITIVE),
+    },
+    "grid": {"t_start": ("real", REQUIRED, _NONNEGATIVE), "t_end": ("real", REQUIRED),
+             "steps": ("integer", REQUIRED, _COUNT)},
+    "space": {"points": ("points", None), "lattice": ("integer", None, _COUNT)},
+    "n_paths": ("integer", 1, _COUNT, (lambda v: v < 2 ** 32,
+                                       "must be below 2^32, the field file's limit")),
+    "seed": ("integer", 0, (lambda v: 0 <= v < 2 ** 64, "must be in [0, 2^64)")),
+    "cov": {"mode": ("target", 1), "x": ("point", None), "y": ("point", None)},
+    "limits": {"temporal_kappa": ("real", 1.0, _POSITIVE),
+               "lags": ("reals", lambda: list(np.geomspace(1e-2, 4.0, 25)), _NONNEGATIVE)},
+    "holder": {"mode": ("mode", 1), "t0": ("real", 5.0),
+               "lags": ("reals", [2.0 ** -e for e in range(6, 13)])},
+    "regularity": {"n": ("integer", 0), "tau": ("real", 0.0), "sigma": ("real", 0.0)},
+}
+
+
+def read_member(row: tuple, raw, field_name: str, model: SpectralModel = None):
+    """Config field `field_name` read from the JSON value `raw` by the reader
+    of its SCHEMA row's kind and checked against the row's bounds."""
+    kind, _, *bounds = row
+    value = _READERS[kind](raw, field_name, model)
+    for holds, rule in bounds:
+        least = min(value, default=None) if isinstance(value, list) else value
+        if least is not None and not holds(least):
+            raise ConfigError(field_name, f"{rule}, got {least!r}")
     return value
+
+
+def read_section(doc: dict, name: str, model: SpectralModel):
+    """Section `name` of run configuration doc, or its top-level member
+    `name`, each member read by read_member: an absent one as its default
+    (formed, if a function), as null if REQUIRED, or left out if None. An
+    absent section with a REQUIRED member is refused as missing."""
+    rows, given = SCHEMA[name], doc.get(name, {})
+    if not isinstance(rows, dict):  # a top-level member
+        return read_member(rows, doc.get(name, rows[1]), name, model)
+    if name not in doc and any(row[1] == REQUIRED for row in rows.values()):
+        raise ConfigError(name, f"missing {name} spec {{{', '.join(rows)}}}")
+    raw = {key: given[key] if key in given else None if row[1] == REQUIRED
+           else row[1]() if callable(row[1]) else row[1] for key, row in rows.items()}
+    return {key: read_member(row, raw[key], f"{name}.{key}", model)
+            for key, row in rows.items() if key in given or row[1] is not None}
 
 
 def load_config(path) -> dict:
@@ -343,39 +416,27 @@ def load_config(path) -> dict:
 
 
 def model_from_dict(doc: dict) -> SpectralModel:
-    """Build a SpectralModel from a bare model document with fields
-    {d, extents, kappa2, kappa2_tilde, J, alpha, beta, gamma, T}, or from a
-    run configuration whose "model" member is one.
-
-    d and J are read by config_int, the other fields by config_float.
+    """Build a SpectralModel from a bare model document, the members of
+    SCHEMA's "model" section read by read_member and extents d lengths in
+    [1e-100, 1e100], or from a run configuration whose "model" member is one.
     Raises ConfigError naming the first offending field, an unknown member
-    ("model.<name>", or "<name>" in a bare document) before any other."""
+    before any other: "model.<name>" in a run configuration, else "<name>"."""
     prefix = "model." if "model" in doc else ""
     doc = doc.get("model", doc)
     if not isinstance(doc, dict):
         raise ConfigError("model", "must be a JSON object")
-    check_members(doc, _MODEL_FIELDS, prefix)
-    for name in _MODEL_FIELDS:
+    check_members(doc, SCHEMA["model"], prefix)
+    for name in SCHEMA["model"]:
         if name not in doc:
-            raise ConfigError(name, "missing")
-    d = config_checked(doc["d"], "d", lambda v: v in (1, 2), "must be 1 or 2", config_int)
-    J = config_checked(doc["J"], "J", lambda v: 1 <= v <= MAX_MODES,
-                       f"must be in [1, {MAX_MODES}]", config_int)
-    extents = doc["extents"]
-    extents = [config_float(e, "extents")
-               for e in (extents if isinstance(extents, (list, tuple)) else [extents])]
-    if len(extents) != d or not all(1e-100 <= e <= 1e100 for e in extents):
-        raise ConfigError("extents", f"must be {d} positive length(s) in [1e-100, 1e100], "
-                                     f"got {doc['extents']!r}")
-    kappa2, kappa2_t, alpha, beta = (
-        config_checked(doc[name], name, lambda v: v >= 0.0, "must be >= 0")
-        for name in ("kappa2", "kappa2_tilde", "alpha", "beta"))
-    gamma, horizon = (config_checked(doc[name], name, lambda v: v > 0.0, "must be > 0")
-                      for name in ("gamma", "T"))
+            raise ConfigError(prefix + name, "missing")
+    v = {name: read_member(row, doc[name], prefix + name) for name, row in SCHEMA["model"].items()}
+    if len(v["extents"]) != v["d"] or not all(1e-100 <= e <= 1e100 for e in v["extents"]):
+        raise ConfigError(prefix + "extents", f"must be {v['d']} positive length(s) in "
+                                              f"[1e-100, 1e100], got {doc['extents']!r}")
     return SpectralModel(
-        basis=build_basis(d, extents, kappa2, J),
-        basis_tilde=build_basis(d, extents, kappa2_t, J),
-        alpha=alpha, beta=beta, gamma=gamma, T=horizon)
+        basis=build_basis(v["d"], v["extents"], v["kappa2"], v["J"]),
+        basis_tilde=build_basis(v["d"], v["extents"], v["kappa2_tilde"], v["J"]),
+        alpha=v["alpha"], beta=v["beta"], gamma=v["gamma"], T=v["T"])
 
 
 def model_from_json(path) -> SpectralModel:

@@ -25,7 +25,7 @@ from stwm.fieldfile import (format_number, read_field, write_csv, write_field, w
 from stwm.kernel import ModeKernel, TimeGrid, gram, mode_cov
 from stwm.quadrature import QuadratureConfig
 from stwm.sampler import FieldSample, SeedSpec, sample_field
-from stwm.spectral import evaluate_basis, model_from_dict, mode_params, weyl_ratio
+from stwm.spectral import SCHEMA, evaluate_basis, model_from_dict, mode_params, weyl_ratio
 
 PI = math.pi
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
@@ -92,7 +92,7 @@ class TestBasisCommand:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         assert run_cli(["--config", str(p), "basis"]) == 2
-        assert "'d'" in capsys.readouterr().err
+        assert "'model.d'" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert run_cli(["--config", str(tmp_path / "nope.json"), "basis"]) == 2
@@ -131,6 +131,16 @@ class TestSampleCommand:
         run_cli(["--config", config_path, "--out", str(out1), "sample"])
         run_cli(["--config", config_path, "--out", str(out2), "--seed", "999", "sample"])
         assert (out1 / "field.stwm").read_bytes() != (out2 / "field.stwm").read_bytes()
+
+    def test_seed_flag_replaces_config_seed(self, tmp_path):
+        # the run reads the flag's seed, not the config's, which is not checked
+        runs = []
+        for name, seed, flag in (("flag", "junk", ["--seed", "5"]), ("config", 5, [])):
+            p, out = tmp_path / f"{name}.json", tmp_path / name
+            p.write_text(json.dumps(dict(BASE_CONFIG, seed=seed)))
+            assert run_cli(["--config", str(p), "--out", str(out), *flag, "sample"]) == 0
+            runs.append((out / "field.stwm").read_bytes())
+        assert runs[0] == runs[1]
 
     def test_seed_record_printed(self, config_path, tmp_path, capsys):
         run_cli(["--config", config_path, "--out", str(tmp_path / "r"), "sample"])
@@ -244,9 +254,11 @@ class TestCovCommand:
     @pytest.mark.parametrize("target", [3, "field"])
     @pytest.mark.parametrize("gamma", [0.8, 1.6])
     def test_table_matches_mode_cov(self, tmp_path, gamma, target):
+        # a mode target takes no points x and y
         model_doc = dict(BASE_CONFIG["model"], J=16, gamma=gamma)
+        cov = {"mode": target, "x": 0.9, "y": 2.3} if target == "field" else {"mode": target}
         doc = dict(BASE_CONFIG, model=model_doc, grid={"t_start": 0.0, "t_end": 2.0, "steps": 8},
-                   cov={"mode": target, "x": 0.9, "y": 2.3})
+                   cov=cov)
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         assert run_cli(["--config", str(p), "--out", str(tmp_path), "cov"]) == 0
@@ -342,6 +354,11 @@ class TestCovFieldTarget:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
         assert run_cli(["--config", str(p), "--out", str(tmp_path), "cov"]) == 2
+
+    def test_resolved_field_target_reads_y_as_x(self):
+        doc = dict(BASE_CONFIG, cov={"mode": "field", "x": 1.0})
+        cfg = cli.resolved_config(doc, model_from_dict(doc), "cov")
+        assert cfg["cov"] == {"mode": "field", "x": [1.0], "y": [1.0]}
 
 
 class TestNumericalFailureExit:
@@ -762,7 +779,7 @@ class TestModelConfigFields:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(dict(BASE_CONFIG, model=dict(BASE_CONFIG["model"], **{field: bad}))))
         assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), "sample"]) == 2
-        assert f"'{field}'" in capsys.readouterr().err
+        assert f"'model.{field}'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "field.stwm").exists()
 
 
@@ -822,6 +839,14 @@ class TestRealConfigFields:
         pytest.param("cov.x", {"cov": {"mode": "field", "x": [1.0, 2.0]}}, ["cov"],
                      id="x-two-points"),
         pytest.param("cov.x", {"cov": {"mode": "field", "x": 4.0}}, ["cov"], id="x-outside"),
+        # a mode target reads no point: x or y beside one, good or bad
+        pytest.param("cov.x", {"cov": {"mode": 2, "x": 1.0}}, ["cov"], id="x-beside-mode"),
+        pytest.param("cov.y", {"cov": {"mode": 1, "y": 2.0}}, ["cov"], id="y-beside-mode"),
+        pytest.param("cov.x", {"cov": {"mode": 2, "x": 1.0, "y": 2.0}}, ["cov"],
+                     id="x-and-y-beside-mode"),
+        pytest.param("cov.x", {"cov": {"mode": 2, "x": 99.0, "y": "junk"}}, ["cov"],
+                     id="bad-x-and-y-beside-mode"),
+        pytest.param("cov.y", {"cov": {"mode": 2, "y": "junk"}}, ["cov"], id="bad-y-beside-mode"),
         pytest.param("space.points", {"space": {"points": [1.0, 4.0]}}, ["sample"],
                      id="points-outside"),
         # 2-D points with the wrong number of coordinates, ragged or nested too deep
@@ -848,10 +873,10 @@ class TestRealConfigFields:
         pytest.param("space", {"space": None}, ["sample"], id="space-missing"),
         pytest.param("space", {"space": {"point": [1.0]}}, ["sample"], id="space-without-key"),
         # positive extents outside the range in which build_basis forms eigenvalues
-        pytest.param("extents", {"model": dict(BASE_CONFIG["model"], extents=1e-200)}, ["basis"],
-                     id="extents-tiny"),
-        pytest.param("extents", {"model": dict(BASE_CONFIG["model"], extents=1e101)}, ["basis"],
-                     id="extents-huge"),
+        pytest.param("model.extents", {"model": dict(BASE_CONFIG["model"], extents=1e-200)},
+                     ["basis"], id="extents-tiny"),
+        pytest.param("model.extents", {"model": dict(BASE_CONFIG["model"], extents=1e101)},
+                     ["basis"], id="extents-huge"),
         # a grid before t = 0, and one whose span t_end - t_start overflows
         pytest.param("grid.t_start", {"grid": dict(BASE_CONFIG["grid"], t_start=-1.0)},
                      ["sample"], id="t-start-negative"),
@@ -913,17 +938,29 @@ def _section_of(**members):
 # before anything is allocated)
 _NOT_COUNTS = st.sampled_from([None, True, "1", 2.5, -1e300, 1e300, {}, [], [2]])
 _COUNTS = st.one_of(st.integers(-1, 4), st.just(2.0), _NOT_COUNTS)
+# the generated values of the optional sections' members, by SCHEMA path;
+# the members' names come from SCHEMA
+_SECTION_VALUES = {
+    "cov.mode": st.one_of(st.just("field"), st.integers(0, 5), _VALUES),
+    "cov.x": st.one_of(_NUMBERS, _LISTS, _VALUES),
+    "cov.y": st.one_of(_NUMBERS, _LISTS, _VALUES),
+    "limits.temporal_kappa": _VALUES,
+    "limits.lags": st.one_of(_LISTS, _VALUES),
+    "holder.mode": st.one_of(st.integers(0, 5), _VALUES),
+    "holder.t0": _VALUES,
+    "holder.lags": st.one_of(_LISTS, _VALUES),
+    "regularity.n": st.one_of(st.integers(-1, 30), _VALUES),
+    "regularity.tau": _VALUES,
+    "regularity.sigma": _VALUES,
+    "space.points": st.one_of(_LISTS, _VALUES),
+    "space.lattice": _COUNTS,
+}
 _SECTIONS = st.fixed_dictionaries({}, optional={
-    "cov": _section_of(mode=st.one_of(st.just("field"), st.integers(0, 5), _VALUES),
-                       x=st.one_of(_NUMBERS, _LISTS, _VALUES),
-                       y=st.one_of(_NUMBERS, _LISTS, _VALUES)),
-    "limits": _section_of(temporal_kappa=_VALUES, lags=st.one_of(_LISTS, _VALUES)),
-    "holder": _section_of(mode=st.one_of(st.integers(0, 5), _VALUES), t0=_VALUES,
-                          lags=st.one_of(_LISTS, _VALUES)),
-    "regularity": _section_of(n=st.one_of(st.integers(-1, 30), _VALUES), tau=_VALUES,
-                              sigma=_VALUES),
-    "space": st.one_of(st.fixed_dictionaries({"points": st.one_of(_LISTS, _VALUES)}),
-                       st.fixed_dictionaries({"lattice": _COUNTS}), _VALUES),
+    **{name: _section_of(**{key: _SECTION_VALUES[f"{name}.{key}"] for key in SCHEMA[name]})
+       for name in ("cov", "limits", "holder", "regularity")},
+    # a space holds one member
+    "space": st.one_of(*(st.fixed_dictionaries({key: _SECTION_VALUES[f"space.{key}"]})
+                         for key in SCHEMA["space"]), _VALUES),
 })
 
 # model and grid members: 0, wrong types and numbers at the edges of the
@@ -931,14 +968,17 @@ _SECTIONS = st.fixed_dictionaries({}, optional={
 _EDGES = st.sampled_from([0, 0.0, -1.0, 5e-324, 1e-300, 1e-200, 1e-100, 0.5, 2.0, 1e100, 1e101,
                           1e300, -1e300, 1e308, -1e308, 1.7e308, -1.7e308])
 _REALS = st.one_of(_EDGES, st.floats(-10.0, 10.0), st.sampled_from([None, True, "1.0", [], [1.0]]))
-_MODEL_MEMBERS = {
-    "d": st.one_of(st.integers(0, 3), _NOT_COUNTS),
-    "J": st.one_of(_COUNTS, st.sampled_from([1e11, 10 ** 30])),
-    "extents": st.one_of(_REALS, st.lists(st.one_of(_EDGES, st.floats(0.1, 10.0)), min_size=1,
-                                          max_size=3)),
-    **dict.fromkeys(("kappa2", "kappa2_tilde", "alpha", "beta", "gamma", "T"), _REALS),
+# the model's and the grid's members, from SCHEMA, with their generated values:
+# counts for integers and _REALS for reals, except where named
+_SPECIAL_VALUES = {
+    "model.d": st.one_of(st.integers(0, 3), _NOT_COUNTS),
+    "model.J": st.one_of(_COUNTS, st.sampled_from([1e11, 10 ** 30])),
+    "model.extents": st.one_of(_REALS, st.lists(st.one_of(_EDGES, st.floats(0.1, 10.0)),
+                                                min_size=1, max_size=3)),
 }
-_GRID_MEMBERS = {"t_start": _REALS, "t_end": _REALS, "steps": _COUNTS}
+_MODEL_MEMBERS, _GRID_MEMBERS = ({
+    key: _SPECIAL_VALUES.get(f"{name}.{key}", _COUNTS if kind == "integer" else _REALS)
+    for key, (kind, *_) in SCHEMA[name].items()} for name in ("model", "grid"))
 
 
 def _tiny_run(d=1, J=2, steps=2, gamma=1.3, **sections) -> dict:
@@ -1469,12 +1509,18 @@ def test_bare_model_document_has_no_grid(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_schema_block() -> str:
+    """The JSON block under README's "Configuration schema", with its // comments."""
+    block = README[README.index("### Configuration schema"):].split("```json\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
 def _readme_schema_config() -> dict:
-    """The JSON block under README's "Configuration schema", its // comments
-    stripped."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text[text.index("### Configuration schema"):].split("```json\n", 1)[1]
-    return json.loads(re.sub(r"//[^\n]*", "", block.split("```", 1)[0]))
+    """README's schema block, its // comments stripped."""
+    return json.loads(re.sub(r"//[^\n]*", "", _readme_schema_block()))
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -1483,6 +1529,72 @@ def test_readme_schema_config_runs(tmp_path, capsys, command):
     p.write_text(json.dumps(_readme_schema_config()))
     assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 0
     assert capsys.readouterr().err == ""
+
+
+# the member kinds whose readers take integers; every other kind takes reals
+INTEGER_KINDS = {"integer", "mode", "target"}
+# SCHEMA's rows by member path: "grid.steps", "n_paths"
+SCHEMA_ROWS = {f"{name}.{key}" if isinstance(rows, dict) else name: row
+               for name, rows in SCHEMA.items()
+               for key, row in (rows.items() if isinstance(rows, dict) else [(name, rows)])}
+
+
+def _readme_names(start: str, end: str) -> list:
+    """The `names` in README between the first `start` and the next `end`."""
+    text = README[README.index(start):]
+    return re.findall(r"`([\w.]+)`", text[len(start):text.index(end)])
+
+
+def _readme_fields(start: str, end: str) -> set:
+    """_readme_names as SCHEMA paths: a name that is none is a model member's."""
+    return {name if name in SCHEMA_ROWS else f"model.{name}" for name in _readme_names(start, end)}
+
+
+def test_readme_lists_the_schema_members():
+    # the schema block holds every member, as JSON or, where it holds an
+    # alternative, in its line's // comment ({"lattice": n} beside "space")
+    paths = set()
+    for name, value in _readme_schema_config().items():
+        paths |= {f"{name}.{key}" for key in value} if isinstance(value, dict) else {name}
+    for line in _readme_schema_block().splitlines():
+        code, _, comment = line.partition("//")
+        section = re.match(r'\s*"(\w+)":\s*\{', code)
+        if section:
+            paths |= {f"{section[1]}.{key}" for key in re.findall(r'"(\w+)":', comment)}
+    assert paths == set(SCHEMA_ROWS)
+    assert _readme_names("top-level members are", "each") == list(SCHEMA)
+    integer = {path for path, (kind, *_) in SCHEMA_ROWS.items() if kind in INTEGER_KINDS}
+    assert _readme_fields("Integer config fields (", ") take") == integer
+    assert _readme_fields("The model's real fields (", ") take") == set(SCHEMA_ROWS) - integer
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_resolved_config_runs_alike_and_resolves_to_itself(tmp_path, capsys, command):
+    doc = _readme_schema_config()
+    resolved = cli.resolved_config(doc, model_from_dict(doc), command)
+    runs = []
+    for name, config in (("readme", doc), ("resolved", resolved)):
+        p, out = tmp_path / f"{name}.json", tmp_path / name
+        p.write_text(json.dumps(config))
+        code = run_cli(["--config", str(p), "--out", str(out), command])
+        runs.append((code, {f.name: f.read_bytes() for f in out.glob("*")},
+                     capsys.readouterr().out.replace(str(out), "<out>")))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    again = json.loads((tmp_path / "resolved.json").read_text())
+    assert cli.resolved_config(again, model_from_dict(again), command) == resolved
+
+
+@pytest.mark.parametrize("command,section,defaults", [
+    ("cov", "cov", {"mode": 1}),
+    ("limits", "limits", {"temporal_kappa": 1.0, "lags": list(np.geomspace(1e-2, 4.0, 25))}),
+    ("holder", "holder", {"mode": 1, "t0": 5.0, "lags": [2.0 ** -e for e in range(6, 13)]}),
+    ("regularity", "regularity", {"n": 0, "tau": 0.0, "sigma": 0.0}),
+    ("sample", "n_paths", 1),
+    ("sample", "seed", 0),
+])
+def test_resolved_config_fills_defaults(command, section, defaults):
+    doc = {name: value for name, value in BASE_CONFIG.items() if name not in ("n_paths", "seed")}
+    assert cli.resolved_config(doc, model_from_dict(doc), command)[section] == defaults
 
 
 def test_console_entry_point():

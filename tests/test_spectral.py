@@ -356,6 +356,23 @@ class TestModelConfig:
             with pytest.raises(ConfigError, match=f"^config field '{field}': unknown member$"):
                 read()
 
+    @pytest.mark.parametrize("field,bad,message", [
+        ("gamma", "x", "must be a finite number, got 'x'"),
+        ("d", 3, "must be 1 or 2, got 3"),
+        ("extents", 1e-200, "must be 1 positive length(s) in [1e-100, 1e100], got 1e-200"),
+        ("J", None, "missing"),
+    ])
+    def test_run_config_names_model_path(self, field, bad, message):
+        # a run configuration names a model field by its path, a bare model
+        # document by its name, as for an unknown member
+        doc = dict(self.DOC, **{field: bad}) if bad is not None else {
+            name: value for name, value in self.DOC.items() if name != field}
+        for read, name in ((lambda: model_from_dict(doc), field),
+                           (lambda: model_from_dict({"model": doc}), f"model.{field}")):
+            with pytest.raises(ConfigError) as info:
+                read()
+            assert str(info.value) == f"config field '{name}': {message}"
+
     def test_missing_field_named(self):
         doc = dict(self.DOC)
         del doc["gamma"]
