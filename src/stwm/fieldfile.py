@@ -6,6 +6,15 @@ as (path, time, point), then the time grid, then the space points (row-major
 (n_points, d)). The values can be written one chunk of paths at a time
 (write_field_chunks), since the header gives every size.
 
+Every output goes through one opener, _overwrite: an existing file keeps
+its inode, ends at its new length, and is removed if its write does not
+finish. A field file is overwritten in place, not truncated first, since
+freeing its blocks costs more than the write that then takes them again; its
+header is written last, so a write stopped before it ends (a killed process)
+leaves no magic and read_field refuses the file. A CSV has no such mark, so it
+is truncated when opened and an unfinished one is short, never the new rows
+followed by an older file's.
+
 Every CSV table and printed number of the package goes through
 format_number and write_csv: integers as integers, other numbers with '.'
 decimals and 17 significant digits, so float64 values round-trip through text.
@@ -14,6 +23,7 @@ decimals and 17 significant digits, so float64 values round-trip through text.
 import contextlib
 import itertools
 import os
+import stat
 import struct
 
 import numpy as np
@@ -28,6 +38,30 @@ MAGIC = b"STWM"
 FORMAT_VERSION = 1
 
 
+@contextlib.contextmanager
+def _overwrite(path, mode: str = "wb"):
+    """The file object of `path` opened for writing in `mode` ("wb" or "w"),
+    created if absent; a text file is truncated when opened, a binary one is
+    not. A regular file is cut at the final position when the body ends; if
+    the body raises, the file is removed, but only if `path` itself names it
+    (not a symlink to it nor an alias such as /dev/stdout), and the error is
+    raised on. A pipe or device is neither cut nor removed."""
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    fd = os.open(path, flags | (0 if "b" in mode else os.O_TRUNC), 0o666)
+    st = os.fstat(fd)
+    regular = stat.S_ISREG(st.st_mode)
+    try:
+        with open(fd, mode) as fh:
+            yield fh
+            if regular:
+                fh.truncate()
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if regular and os.path.samestat(os.lstat(path), st):
+                os.remove(path)
+        raise
+
+
 def write_field(path, sample: FieldSample) -> None:
     """Write one field sample: the one-chunk case of write_field_chunks."""
     write_field_chunks(path, sample.values.shape[0], [sample])
@@ -36,8 +70,10 @@ def write_field(path, sample: FieldSample) -> None:
 def write_field_chunks(path, n_paths: int, chunks) -> None:
     """Write a field file of n_paths paths from `chunks`, an iterable of
     FieldSamples on one time grid and one set of points that hold the paths
-    in order: the header, then each chunk's values as it comes, then the
-    times, then the points. A chunk can be dropped once it is written.
+    in order: each chunk's values as it comes, then the times, then the
+    points, and last the header, in the 24 bytes left zero at the start (a
+    pipe, which cannot seek, takes the header first). A chunk can be
+    dropped once it is written.
 
     Sizes that do not fit the header's u32 fields raise ValueError before
     the file is opened. A write that does not finish, because a chunk
@@ -57,26 +93,27 @@ def write_field_chunks(path, n_paths: int, chunks) -> None:
                          f"must each be below 2^32")
     chunks = itertools.chain([first], chunks)
     del first  # every chunk is dropped once it is written
-    fh = open(path, "wb")
-    try:
-        with fh:
-            fh.write(MAGIC + struct.pack("<5I", FORMAT_VERSION, *sizes))
-            written = 0
-            for chunk in chunks:
-                if not (np.array_equal(chunk.times.points, times)
-                        and np.array_equal(chunk.space_points, pts)):
-                    raise ValueError("field chunks differ in their time grid or points")
-                # C-contiguous "<f8": its buffer is the bytes, with no copy
-                fh.write(np.ascontiguousarray(chunk.values, dtype="<f8"))
-                written += chunk.values.shape[0]
-            if written != n_paths:
-                raise ValueError(f"field chunks hold {written} paths, the header {n_paths}")
-            fh.write(times)
-            fh.write(pts)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(path)
-        raise
+    header = MAGIC + struct.pack("<5I", FORMAT_VERSION, *sizes)
+    with _overwrite(path) as fh:
+        seekable = fh.seekable()
+        fh.write(bytes(24) if seekable else header)
+        written = 0
+        for chunk in chunks:
+            if not (np.array_equal(chunk.times.points, times)
+                    and np.array_equal(chunk.space_points, pts)):
+                raise ValueError("field chunks differ in their time grid or points")
+            # C-contiguous "<f8": its buffer is the bytes, with no copy
+            fh.write(np.ascontiguousarray(chunk.values, dtype="<f8"))
+            written += chunk.values.shape[0]
+        if written != n_paths:
+            raise ValueError(f"field chunks hold {written} paths, the header {n_paths}")
+        fh.write(times)
+        fh.write(pts)
+        if seekable:
+            end = fh.tell()
+            fh.seek(0)
+            fh.write(header)
+            fh.seek(end)
 
 
 def read_field(path) -> FieldSample:
@@ -85,7 +122,8 @@ def read_field(path) -> FieldSample:
     with open(path, "rb") as fh:
         header = fh.read(24)
         if header[:4] != MAGIC:
-            raise ValueError(f"not a field file: bad magic {header[:4]!r}")
+            raise ValueError(f"not a field file, or one whose write did not finish: "
+                             f"bad magic {header[:4]!r}")
         if len(header) != 24:
             raise ValueError(f"field file header is truncated ({len(header)} bytes)")
         version, d, n_times, n_points, n_paths = struct.unpack("<5I", header[4:])
@@ -110,8 +148,10 @@ def format_number(x) -> str:
 
 def write_csv(path, header, rows) -> None:
     """CSV file with the column names `header`, then one line per row of
-    numbers; `rows` may be a generator, written as it is consumed."""
-    with open(path, "w") as fh:
+    numbers; `rows` may be a generator, written as it is consumed. A write
+    that does not finish, because the rows raise or the file system fails,
+    removes the file and raises on."""
+    with _overwrite(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(format_number, row)) + "\n")

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stwm import analysis, cli, kernel, sampler
+from stwm import analysis, cli, fieldfile, kernel, sampler
 from stwm.fieldfile import (format_number, read_field, write_csv, write_field, write_field_chunks,
                             write_field_csv)
 from stwm.kernel import ModeKernel, TimeGrid, gram, mode_cov
@@ -1253,6 +1253,18 @@ class TestStreamedSample:
                        "No space left on device\n")
         assert list((tmp_path / "o").iterdir()) == []
 
+    def test_rerun_into_a_longer_output_equals_a_fresh_run(self, tmp_path):
+        # 600 paths, then 257 into the same --out: every output is cut to the
+        # bytes of a fresh 257-path run, in the same inodes
+        fresh = self.run(tmp_path, dict(STREAM_CONFIG, n_paths=257), "fresh")
+        out = self.run(tmp_path, dict(STREAM_CONFIG, n_paths=600))
+        names = ("field.stwm", "sample_summary.csv")
+        inodes = [os.stat(out / name).st_ino for name in names]
+        self.run(tmp_path, dict(STREAM_CONFIG, n_paths=257))
+        for name, inode in zip(names, inodes):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+            assert os.stat(out / name).st_ino == inode, name
+
 
 def _patch(offset: int, data: bytes):
     """Field-file mutation that overwrites the bytes at `offset` with `data`."""
@@ -1424,6 +1436,144 @@ class TestFieldFile:
         with pytest.raises(error):
             write_field_chunks(path, n_paths, chunks)
         assert not path.exists()
+
+    def test_overwrite_equals_a_fresh_write_in_place(self, tmp_path):
+        # a longer older file is overwritten in its inode and cut: the bytes
+        # are those of a fresh write
+        write_field(tmp_path / "fresh.stwm", self.make_sample(n_paths=2))
+        path = tmp_path / "f.stwm"
+        write_field(path, self.make_sample(n_paths=5))
+        inode = os.stat(path).st_ino
+        write_field(path, self.make_sample(n_paths=2))
+        assert path.read_bytes() == (tmp_path / "fresh.stwm").read_bytes()
+        assert os.stat(path).st_ino == inode
+
+    def test_opener_cuts_only_at_the_end(self, tmp_path):
+        # the older bytes past the position stay until the body ends
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"0123456789")
+        with fieldfile._overwrite(path) as fh:
+            fh.write(b"abc")
+            fh.flush()
+            assert path.read_bytes() == b"abc3456789"
+        assert path.read_bytes() == b"abc"
+
+    def test_csv_overwrite_equals_a_fresh_write_in_place(self, tmp_path):
+        rows = [(1, 0.5), (2, 1.0 / 3.0)]
+        write_csv(tmp_path / "fresh.csv", ("n", "x"), rows)
+        path = tmp_path / "t.csv"
+        write_csv(path, ("n", "x"), rows * 50)
+        inode = os.stat(path).st_ino
+        write_csv(path, ("n", "x"), rows)
+        assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert os.stat(path).st_ino == inode
+
+    @pytest.mark.parametrize("older", [None, b"an older file"], ids=["absent", "older"])
+    def test_csv_rows_that_raise_remove_the_file(self, tmp_path, older):
+        def rows():
+            yield 1, 0.5
+            yield 2, 0.25
+            raise ArithmeticError("row 3")
+
+        path = tmp_path / "t.csv"
+        if older is not None:
+            path.write_bytes(older)
+        with pytest.raises(ArithmeticError, match="row 3"):
+            write_csv(path, ("n", "x"), rows())
+        assert not path.exists()
+
+    def test_killed_field_write_is_refused(self, tmp_path, monkeypatch):
+        # a write stopped after its first chunk with no cleanup (a killed
+        # process) over an older file of the same sizes: the header is
+        # written last, so the file holds no magic and read_field refuses it
+        fs = self.make_sample(n_paths=4)
+        path = tmp_path / "f.stwm"
+        write_field(path, FieldSample(fs.times, fs.space_points, fs.values + 1.0))
+
+        def stopped():
+            yield FieldSample(fs.times, fs.space_points, fs.values[:2])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "remove", lambda p: None)
+        with pytest.raises(KeyboardInterrupt):
+            write_field_chunks(path, 4, stopped())
+        assert path.stat().st_size == 24 + 8 * (4 * 3 * 2 + 3 + 2)
+        with pytest.raises(ValueError, match="bad magic"):
+            read_field(path)
+
+    def test_killed_csv_write_holds_no_older_rows(self, tmp_path, monkeypatch):
+        # a CSV is truncated when opened: a write stopped with no cleanup
+        # leaves the new rows only, never an older file's tail after them
+        path = tmp_path / "t.csv"
+        write_csv(path, ("n", "x"), [(9, 9.5)] * 20)
+
+        def rows():
+            yield 1, 0.5
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "remove", lambda p: None)
+        with pytest.raises(KeyboardInterrupt):
+            write_csv(path, ("n", "x"), rows())
+        assert path.read_text() == "n,x\n1,0.5\n"
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+    @pytest.mark.parametrize("kind", ["csv", "field"])
+    def test_unfinished_write_through_a_symlink_keeps_the_link(self, tmp_path, kind):
+        # only a path that names the file itself is removed: a symlink (or
+        # an alias such as /dev/stdout) stays, and its target holds no
+        # finished output
+        fs = self.make_sample(n_paths=4)
+        target, link = tmp_path / "target", tmp_path / "link"
+        write_field(target, fs)
+        link.symlink_to(target)
+
+        def stopped(first):
+            yield first
+            raise ArithmeticError("stopped")
+
+        with pytest.raises(ArithmeticError, match="stopped"):
+            if kind == "csv":
+                write_csv(link, ("n", "x"), stopped((1, 0.5)))
+            else:
+                write_field_chunks(link, 4, stopped(FieldSample(fs.times, fs.space_points,
+                                                                fs.values[:2])))
+        assert link.is_symlink() and target.exists()
+        if kind == "csv":
+            assert target.read_text() == "n,x\n1,0.5\n"
+        else:
+            with pytest.raises(ValueError, match="bad magic"):
+                read_field(target)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("kind", ["csv", "failing csv", "field"])
+    def test_pipe_output_neither_cut_nor_removed(self, tmp_path, kind):
+        # a pipe cannot be cut or seek: it is written as a stream (a field
+        # file header first), and a write that does not finish leaves it in
+        # place. The read end is opened first, so no open blocks.
+        def rows():
+            yield 1, 0.5
+            if kind == "failing csv":
+                raise ArithmeticError("row 2")
+
+        fs = self.make_sample()
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with pytest.raises(ArithmeticError) if kind == "failing csv" else contextlib.nullcontext():
+                if kind == "field":
+                    write_field(path, fs)
+                else:
+                    write_csv(path, ("n", "x"), rows())
+            got = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+        finally:
+            os.close(fd)
+        if kind == "field":
+            write_field(tmp_path / "f.stwm", fs)
+            assert got == (tmp_path / "f.stwm").read_bytes()
+        else:
+            assert got == b"n,x\n1,0.5\n"
+        assert path.exists()
 
     def test_csv_round_trip_precision(self, tmp_path):
         fs = self.make_sample()
