@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import ModeKernel, TimeGrid, gram, stationary_constant, stationary_variance
+from .kernel import ModeKernel, TimeGrid, gram, stationary_constant, stationary_variances
 from .spectral import (EigenBasis, SpectralModel, evaluate_basis, mode_columns, mode_grams,
                        mode_params, weyl_ratio)
 
@@ -23,7 +23,6 @@ __all__ = [
     "RegularityReport",
     "HsSum",
     "FieldCov",
-    "AsymptoticCoefficients",
     "SeparabilityResult",
     "HolderEstimate",
     "check_exponents",
@@ -93,21 +92,6 @@ def _spectral_exponent(model: SpectralModel, q: RegularityQuery) -> float:
     return (4.0 / model.d) * (b * (q.n + q.tau + (1.0 + q.sigma) / 2.0) - b * g - a / 2.0)
 
 
-def _spectral_terms(model: SpectralModel, e1: float, log_scale: float = 0.0) -> np.ndarray:
-    """e^log_scale lambda_j^e1 lambda_tilde_j^-alpha over the modes, formed in
-    log space, so a factor that overflows alone still gives a finite term;
-    a term beyond the double range raises OverflowError naming its mode."""
-    a, lam, lam_t = model.alpha, model.basis.eigenvalues, model.basis_tilde.eigenvalues
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.exp(e1 * np.log(lam) - a * np.log(lam_t) + log_scale)
-    over = np.flatnonzero(~(terms < math.inf))  # inf, or nan from inf - inf
-    if over.size:
-        j = int(over[0])
-        raise OverflowError(f"mode {j + 1}: spectral-sum term lambda^{e1} lambda_tilde^-{a} = "
-                            f"{lam[j]}^{e1} {lam_t[j]}^-{a} overflows")
-    return terms
-
-
 def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     """Partial spectral sum sum_j lambda_j^{2 beta (sigma/2 + n + tau + 1/2 - gamma)}
     lambda_tilde_j^{-alpha} over the truncated basis, with an eigenvalue-growth
@@ -116,16 +100,25 @@ def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     The comparison exponent p = (4/d)[beta(n + tau + (1+sigma)/2) - beta gamma
     - alpha/2] decides convergence: the full series is finite iff p < -1, and
     the tail beyond J is bounded using the two-sided growth constants measured
-    on the resolved spectrum. Terms come from _spectral_terms; a term, partial
-    sum or tail bound beyond the double range raises OverflowError naming it.
+    on the resolved spectrum. The terms are formed in log space, so a factor
+    that overflows alone still gives a finite term; a term, partial sum or
+    tail bound beyond the double range raises OverflowError naming it.
     """
     a, b, g = model.alpha, model.beta, model.gamma
     e1 = b * (2.0 * (q.sigma / 2.0 + q.n + q.tau + 0.5 - g))  # 2 beta alone may overflow
     p = _spectral_exponent(model, q)
     if not (math.isfinite(e1) and math.isfinite(p)):
         raise OverflowError(f"spectral-sum exponents: e1 = {e1} or p = {p} overflows")
+    lam, lam_t = model.basis.eigenvalues, model.basis_tilde.eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(e1 * np.log(lam) - a * np.log(lam_t))
+    over = np.flatnonzero(~(terms < math.inf))  # inf, or nan from inf - inf
+    if over.size:
+        j = int(over[0])
+        raise OverflowError(f"mode {j + 1}: spectral-sum term lambda^{e1} lambda_tilde^-{a} = "
+                            f"{lam[j]}^{e1} {lam_t[j]}^-{a} overflows")
     with np.errstate(over="ignore"):
-        partial = float(_spectral_terms(model, e1).sum())
+        partial = float(terms.sum())
     if partial == math.inf:
         raise OverflowError(f"spectral partial sum over {model.J} modes overflows")
     if p >= -1.0:
@@ -215,22 +208,12 @@ def field_cov(model: SpectralModel, s: float, t: float, x, y) -> FieldCov:
     return FieldCov(value=total, tail_bound=bound)
 
 
-class AsymptoticCoefficients(NamedTuple):
-    coefficients: np.ndarray  # stationary variance per mode
-    power_form: np.ndarray    # same values through the eigenvalue-power formula
-
-
-def asymptotic_marginal_cov(model: SpectralModel) -> AsymptoticCoefficients:
+def asymptotic_marginal_cov(model: SpectralModel) -> np.ndarray:
     """Per-mode coefficients of the long-time marginal spatial covariance
-    operator: stationary variances, together with the closed form c
-    lambda_j^{beta (1 - 2 gamma)} lambda_tilde_j^{-alpha}, hs_sum's term at
-    n = tau = sigma = 0 with c = stationary_constant(gamma) added to its log.
-    The two routes agree to ~1e-12 relative."""
-    g = model.gamma
-    coeffs = np.array([stationary_variance(ModeKernel(mu=mu, weight=w, gamma=g))
-                       for mu, w in mode_columns(model).T.tolist()])
-    power = _spectral_terms(model, model.beta * (1.0 - 2.0 * g), math.log(stationary_constant(g)))
-    return AsymptoticCoefficients(coefficients=coeffs, power_form=power)
+    operator, a (J,) array: the stationary variances
+    c lambda_j^{beta (1 - 2 gamma)} lambda_tilde_j^{-alpha} of the mode
+    table, c = stationary_constant(gamma), by kernel.stationary_variances."""
+    return stationary_variances(model.gamma, *mode_columns(model))
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,7 @@ def cmd_cov(args, cfg: dict, model: SpectralModel) -> int:
 def cmd_limits(args, cfg: dict, model: SpectralModel) -> int:
     opts = cfg["limits"]
     # formed before any file is written: a rate, weight or variance may overflow
-    stat = analysis.asymptotic_marginal_cov(model).coefficients
+    stat = analysis.asymptotic_marginal_cov(model)
     temporal = [(h, temporal_matern_limit(model.gamma, opts["temporal_kappa"], h))
                 for h in opts["lags"]]
     out = _out_dir(args)
@@ -201,9 +201,8 @@ def cmd_holder(args, cfg: dict, model: SpectralModel) -> int:
     k = mode_params(model, opts["mode"])
     try:
         est = analysis.estimate_holder(k, opts["t0"], opts["lags"])
-    except ValueError as exc:  # estimate_holder checks t0 first, then the lags against it
-        raise ConfigError("holder.t0" if str(exc).startswith("t0 ") else "holder.lags",
-                          str(exc)) from None
+    except ValueError as exc:  # t0 is in bounds, so the lags are at fault
+        raise ConfigError("holder.lags", str(exc)) from None
     theory = analysis.holder_theory_slope(model.gamma)
     print(f"estimated slope: {format_number(est.slope)}")
     print(f"theory 2*min(gamma-1/2, 1): {format_number(theory)}")

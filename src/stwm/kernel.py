@@ -39,6 +39,7 @@ __all__ = [
     "mode_var",
     "stationary_constant",
     "stationary_variance",
+    "stationary_variances",
     "temporal_matern_limit",
     "square_function_ratio_closed_form",
 ]
@@ -424,18 +425,28 @@ def stationary_constant(gamma: float) -> float:
     return math.exp(log_gamma(gamma - 0.5) - log_gamma(gamma)) / (2.0 * math.sqrt(math.pi))
 
 
+def stationary_variances(gamma: float, mu, weight) -> np.ndarray:
+    """Limits of mode_var as t -> infinity of modes j = 0, 1, ... with decay
+    rates mu[j] and weights weight[j], w c mu^(1 - 2 gamma) with c the
+    stationary_constant, each formed in log space from Python floats, so it
+    is finite wherever the value is, however large the power alone. The
+    first value beyond the double range raises OverflowError naming its w,
+    mu and gamma."""
+    log_c = math.log(stationary_constant(gamma))
+    out = []
+    for mu_j, w in zip(np.asarray(mu, dtype=float).tolist(),
+                       np.asarray(weight, dtype=float).tolist()):
+        try:
+            out.append(math.exp(math.log(w) + log_c + (1.0 - 2.0 * gamma) * math.log(mu_j)))
+        except OverflowError:
+            raise OverflowError(f"stationary variance: w mu^(1 - 2 gamma) with w = {w}, "
+                                f"mu = {mu_j}, gamma = {gamma} overflows") from None
+    return np.array(out)
+
+
 def stationary_variance(k: ModeKernel) -> float:
-    """Limit of mode_var(k, t) as t -> infinity, w c mu^(1 - 2 gamma) with c
-    the stationary_constant, formed in log space, so it is finite wherever
-    the value is, however large the power alone. A value beyond the double
-    range raises OverflowError naming w, mu and gamma."""
-    log_value = (math.log(k.weight) + math.log(stationary_constant(k.gamma))
-                 + (1.0 - 2.0 * k.gamma) * math.log(k.mu))
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise OverflowError(f"stationary variance: w mu^(1 - 2 gamma) with w = {k.weight}, "
-                            f"mu = {k.mu}, gamma = {k.gamma} overflows") from None
+    """The stationary variance of mode k: stationary_variances of it alone."""
+    return float(stationary_variances(k.gamma, [k.mu], [k.weight])[0])
 
 
 def temporal_matern_limit(gamma: float, kappa: float, h: float) -> float:

@@ -340,7 +340,7 @@ def assemble_field(mode_paths: np.ndarray, basis: EigenBasis, space_points,
         raise ValueError(f"mode_paths must have shape (n_paths, J, n_times), got {mode_paths.shape}")
     if mode_paths.shape[1] != basis.J:
         raise ValueError(f"mode count {mode_paths.shape[1]} does not match basis J={basis.J}")
-    pts = as_points(space_points, basis.d)
+    pts = as_points(space_points, basis)
     return FieldSample(times=times, space_points=pts,
                        values=_field_values(mode_paths, evaluate_basis(basis, pts)))
 
@@ -376,7 +376,7 @@ def sample_field_chunks(model: SpectralModel, grid: TimeGrid, space_points, n_pa
     field values, chunk * n_times * (J + P) doubles, plus the (P, J) basis
     matrix, the streams of the modes and, with more than one chunk, their
     factors, whatever n_paths is."""
-    pts = as_points(space_points, model.basis.d)
+    pts = as_points(space_points, model.basis)
     modes = _mode_chunks(model, grid, n_paths, seed,
                          _stream_chunk(grid.n, n_paths) if chunk is None else chunk)
     first = next(modes)

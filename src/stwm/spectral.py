@@ -112,23 +112,25 @@ def _lowest_pairs(s1: float, s2: float, J: int):
     return np.column_stack((j1, j2))
 
 
-def as_points(points, d: int) -> np.ndarray:
-    """Points one per row; in 1-D a single row of several values is a column."""
+def as_points(points, basis: EigenBasis) -> np.ndarray:
+    """Points one per row, (n_points, d), checked against `basis`: d
+    coordinates each, inside the open domain. In 1-D a single row of several
+    values is a column."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if d == 1 and pts.shape[0] == 1 and pts.shape[1] != 1:
+    if basis.d == 1 and pts.shape[0] == 1 and pts.shape[1] != 1:
         pts = pts.T
-    return pts
-
-
-def evaluate_basis(basis: EigenBasis, points) -> np.ndarray:
-    """Matrix of eigenfunction values, shape (n_points, J)."""
-    pts = as_points(points, basis.d)
     if pts.shape[1] != basis.d:
         raise ValueError(f"points must have {basis.d} coordinates, got shape {pts.shape}")
     for axis, ell in enumerate(basis.extents):
         coord = pts[:, axis]
         if not np.all((coord > 0.0) & (coord < ell)):
             raise ValueError(f"points must lie inside the open domain (0, {ell}) along axis {axis}")
+    return pts
+
+
+def evaluate_basis(basis: EigenBasis, points) -> np.ndarray:
+    """Matrix of eigenfunction values at as_points(points, basis), shape (n_points, J)."""
+    pts = as_points(points, basis)
     out = np.ones((pts.shape[0], basis.J))
     for x, ell, m in zip(pts.T, basis.extents, basis.index_map.T):
         out *= math.sqrt(2.0 / ell) * np.sin(np.outer(x, m) * math.pi / ell)
@@ -287,7 +289,7 @@ def config_points(raw, field_name: str, basis: EigenBasis, single: bool = False)
     """Points in config field `field_name` (a non-empty list of numbers or of
     equally long lists of numbers; with `single`, one point, in 1-D also a
     bare number) as as_points gives them, each number read by config_float
-    and the points checked by evaluate_basis against `basis`."""
+    and the points checked by as_points against `basis`."""
     rows = [raw] if single and not isinstance(raw, list) else raw
     if not (isinstance(rows, list) and rows):
         raise ConfigError(field_name, f"must be a non-empty JSON list, got {_shown(raw)}")
@@ -295,13 +297,12 @@ def config_points(raw, field_name: str, basis: EigenBasis, single: bool = False)
     if width and not all(isinstance(row, list) and len(row) == width for row in rows):
         raise ConfigError(field_name, "must hold numbers or equally long lists of numbers")
     values = [config_float(v, field_name) for row in rows for v in (row if width else [row])]
-    pts = as_points(np.reshape(values, (len(rows), width)) if width else values, basis.d)
-    if single and pts.shape[0] != 1:
-        raise ConfigError(field_name, f"must be one point, got {pts.shape[0]} points")
     try:
-        evaluate_basis(basis, pts)
+        pts = as_points(np.reshape(values, (len(rows), width)) if width else values, basis)
     except ValueError as exc:
         raise ConfigError(field_name, str(exc)) from None
+    if single and pts.shape[0] != 1:
+        raise ConfigError(field_name, f"must be one point, got {pts.shape[0]} points")
     return pts
 
 
@@ -334,9 +335,9 @@ _READERS = {
     "target": lambda raw, name, model: raw if raw == "field" else _mode_index(raw, name, model),
 }
 REQUIRED = "required"
-_COUNT, _NONNEGATIVE, _POSITIVE = ((lambda v: v >= 1, "must be >= 1"),
-                                   (lambda v: v >= 0.0, "must be >= 0"),
-                                   (lambda v: v > 0.0, "must be > 0"))
+_AT_LEAST_ONE, _NONNEGATIVE, _POSITIVE = ((lambda v: v >= 1, "must be >= 1"),
+                                           (lambda v: v >= 0.0, "must be >= 0"),
+                                           (lambda v: v > 0.0, "must be > 0"))
 
 # the run configuration in README's order: each section's members, and the
 # top-level members, as rows (reader kind, default, *bounds). The default is
@@ -357,15 +358,15 @@ SCHEMA = {
         "T": ("real", REQUIRED, _POSITIVE),
     },
     "grid": {"t_start": ("real", REQUIRED, _NONNEGATIVE), "t_end": ("real", REQUIRED),
-             "steps": ("integer", REQUIRED, _COUNT)},
-    "space": {"points": ("points", None), "lattice": ("integer", None, _COUNT)},
-    "n_paths": ("integer", 1, _COUNT, (lambda v: v < 2 ** 32,
-                                       "must be below 2^32, the field file's limit")),
+             "steps": ("integer", REQUIRED, _AT_LEAST_ONE)},
+    "space": {"points": ("points", None), "lattice": ("integer", None, _AT_LEAST_ONE)},
+    "n_paths": ("integer", 1, _AT_LEAST_ONE, (lambda v: v < 2 ** 32,
+                                              "must be below 2^32, the field file's limit")),
     "seed": ("integer", 0, (lambda v: 0 <= v < 2 ** 64, "must be in [0, 2^64)")),
     "cov": {"mode": ("target", 1), "x": ("point", None), "y": ("point", None)},
     "limits": {"temporal_kappa": ("real", 1.0, _POSITIVE),
                "lags": ("reals", lambda: list(np.geomspace(1e-2, 4.0, 25)), _NONNEGATIVE)},
-    "holder": {"mode": ("mode", 1), "t0": ("real", 5.0),
+    "holder": {"mode": ("mode", 1), "t0": ("real", 5.0, _AT_LEAST_ONE),
                "lags": ("reals", [2.0 ** -e for e in range(6, 13)])},
     "regularity": {"n": ("integer", 0), "tau": ("real", 0.0), "sigma": ("real", 0.0)},
 }
@@ -386,15 +387,19 @@ def read_member(row: tuple, raw, field_name: str, model: SpectralModel = None):
 def read_section(doc: dict, name: str, model: SpectralModel):
     """Section `name` of run configuration doc, or its top-level member
     `name`, each member read by read_member: an absent one as its default
-    (formed, if a function), as null if REQUIRED, or left out if None. An
-    absent section with a REQUIRED member is refused as missing."""
+    (formed, if a function), or left out if None. An absent section with a
+    REQUIRED member, and then an absent REQUIRED member, is refused as
+    missing before any value is read, as model_from_dict refuses them."""
     rows, given = SCHEMA[name], doc.get(name, {})
     if not isinstance(rows, dict):  # a top-level member
         return read_member(rows, doc.get(name, rows[1]), name, model)
     if name not in doc and any(row[1] == REQUIRED for row in rows.values()):
         raise ConfigError(name, f"missing {name} spec {{{', '.join(rows)}}}")
-    raw = {key: given[key] if key in given else None if row[1] == REQUIRED
-           else row[1]() if callable(row[1]) else row[1] for key, row in rows.items()}
+    for key, row in rows.items():
+        if key not in given and row[1] == REQUIRED:
+            raise ConfigError(f"{name}.{key}", "missing")
+    raw = {key: given[key] if key in given else row[1]() if callable(row[1]) else row[1]
+           for key, row in rows.items()}
     return {key: read_member(row, raw[key], f"{name}.{key}", model)
             for key, row in rows.items() if key in given or row[1] is not None}
 

@@ -713,6 +713,12 @@ class TestHolderCommand:
     def test_unusable_t0_exit_2(self, tmp_path, t0):
         assert run_cli(["--config", write_config(tmp_path, holder={"t0": t0}), "holder"]) == 2
 
+    def test_t0_below_one_is_a_schema_bound(self, tmp_path, capsys):
+        # refused as the section is read, before any Gram is built
+        assert run_cli(["--config", write_config(tmp_path, holder={"t0": 0.5}), "holder"]) == 2
+        assert capsys.readouterr() == ("", "config error: config field 'holder.t0': "
+                                           "must be >= 1, got 0.5\n")
+
     def test_increments_below_rounding_floor_exit_4(self, tmp_path, capsys):
         holder = {"lags": [2.0 ** -e for e in range(30, 46)]}
         assert run_cli(["--config", write_config(tmp_path, holder=holder), "holder"]) == 4
@@ -1656,6 +1662,24 @@ def test_bare_model_document_has_no_grid(tmp_path, capsys, command):
     assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 2
     assert capsys.readouterr().err == ("config error: config field 'grid': missing grid spec "
                                        "{t_start, t_end, steps}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid,message", [
+    ({"t_start": 0.0, "steps": 2}, "config field 'grid.t_end': missing"),
+    ({"t_start": 0.0, "t_end": None, "steps": 2},
+     "config field 'grid.t_end': must be a finite number, got None"),
+    # absent members are refused before any value is read, in the schema's order
+    ({"t_start": "0", "steps": 2}, "config field 'grid.t_end': missing"),
+    ({"t_end": 1.0}, "config field 'grid.t_start': missing"),
+], ids=["absent", "null", "absent-before-bad", "first-absent"])
+@pytest.mark.parametrize("command", ["sample", "cov"])
+def test_absent_grid_member_is_missing(tmp_path, capsys, command, grid, message):
+    # an absent required member is missing; an explicit null is a bad value
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, grid=grid)))
+    assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert not (tmp_path / "o").exists()
 
 

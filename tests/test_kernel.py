@@ -20,6 +20,7 @@ from stwm.kernel import (
     mode_var,
     square_function_ratio_closed_form,
     stationary_variance,
+    stationary_variances,
     temporal_matern_limit,
 )
 from stwm.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate
@@ -290,6 +291,29 @@ class TestStationaryVariance:
         with pytest.raises(OverflowError, match=re.escape(message)):
             stationary_variance(ModeKernel(mu=mu, weight=w, gamma=gamma))
 
+    def test_rows_are_one_mode_values(self):
+        # tiny and huge weights, rates spread over many decades, and the
+        # tiny-weight mode whose power overflows alone
+        rng = np.random.default_rng(7)
+        mu = np.concatenate(([1e-10], 10.0 ** rng.uniform(-3.0, 8.0, 300)))
+        w = np.concatenate(([1e-300], 10.0 ** rng.uniform(-100.0, 100.0, 300)))
+        for gamma in (0.51, 1.2, 16.5):
+            rows = stationary_variances(gamma, mu, w)
+            assert rows.shape == mu.shape
+            want = [stationary_variance(ModeKernel(mu=m, weight=v, gamma=gamma))
+                    for m, v in zip(mu.tolist(), w.tolist())]
+            assert rows.tobytes() == np.array(want).tobytes()
+
+    def test_first_overflow_named_without_warning(self):
+        # modes 2 and 3 overflow; mode 2's values are named
+        mu, w = [1.0, 1e-99, 1e-10], [1.0, 1e198, 1.0]
+        message = ("stationary variance: w mu^(1 - 2 gamma) with w = 1e+198, mu = 1e-99, "
+                   "gamma = 1.5 overflows")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=re.escape(message)):
+                stationary_variances(1.5, mu, w)
+
 
 class TestTemporalMaternLimit:
     def test_ou_collapse(self):
@@ -394,6 +418,7 @@ GATE_ENTRIES = {
     "estimate_holder": lambda g: estimate_holder(ModeKernel(1.0, 1.0, g), 5.0, [2e-3, 1e-2]),
     "separability_check": lambda g: separability_check(gate_model(g)),
     "stationary_variance": lambda g: stationary_variance(ModeKernel(1.0, 1.0, g)),
+    "stationary_variances": lambda g: stationary_variances(g, [1.0, 4.0], [1.0, 0.5]),
     "temporal_matern_limit": lambda g: temporal_matern_limit(g, 1.0, 0.5),
     "asymptotic_marginal_cov": lambda g: asymptotic_marginal_cov(gate_model(g)),
 }

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from stwm.spectral import (
     ConfigError,
     SpectralModel,
+    as_points,
     build_basis,
+    config_points,
     evaluate_basis,
     model_from_dict,
     model_from_json,
@@ -185,6 +188,28 @@ class TestEvaluateBasis:
                 evaluate_basis(b, [bad])
         with pytest.raises(ValueError, match="axis 1"):
             evaluate_basis(build_basis(2, (PI, PI), 0.0, 2), [(1.0, math.nan)])
+
+
+class TestAsPoints:
+    def test_shapes_points_one_per_row(self):
+        assert as_points([1.0, 2.0, 3.0], build_basis(1, PI, 0.0, 2)).shape == (3, 1)
+        assert as_points([1.0, 2.0], build_basis(2, PI, 0.0, 2)).shape == (1, 2)
+
+    def test_config_points_forms_no_basis_matrix(self):
+        # checking P points against J modes needs O(P d) memory, not the
+        # (P, J) matrix of eigenfunction values
+        P, basis = 2000, build_basis(2, (1.0, 1.0), 0.0, 2048)
+        raw = np.random.default_rng(0).uniform(0.01, 0.99, (P, 2)).tolist()
+        tracemalloc.start()
+        try:
+            alive = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            pts = config_points(raw, "space.points", basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pts.tolist() == raw
+        assert peak - alive < P * basis.J * 8 / 20
 
 
 class TestWeylRatio:
