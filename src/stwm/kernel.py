@@ -53,6 +53,8 @@ _JACOBI_NODES = 20
 _STACK_ENTRIES = 2 ** 16  # largest Gram stack built at once (512 kB), one mode at least
 _RULE_ENTRIES = 256  # lagged integrals per rule call, one row's at least
 _TILE = 128  # side of the square blocks in which Gram matrices are transposed
+# log(2^-1075), the double underflow edge: exp rounds to 0 at and below it
+_EXP_UNDERFLOW = -745.1332191019412
 
 
 @dataclass(frozen=True)
@@ -350,7 +352,10 @@ def _uniform_upper(G: np.ndarray, g: float, mu: np.ndarray, scale: np.ndarray, u
     u_pow = x ** (g - 1.0)
     # u_pow_exp = u_pow e^{-2 mu x} w, formed in one buffer of the table's size
     u_pow_exp = np.multiply(-2.0 * mu, x[:, :, None])
-    np.exp(u_pow_exp, out=u_pow_exp)
+    # exp is 0 at and below the underflow edge, and slow there: skipped
+    above = u_pow_exp > _EXP_UNDERFLOW
+    np.exp(u_pow_exp, out=u_pow_exp, where=above)
+    np.putmask(u_pow_exp, ~above, 0.0)
     u_pow_exp *= u_pow[:, :, None]
     u_pow_exp *= w.reshape(-1, 1)
     # acc[l - 1, j] is mode j's sum of the lag-l cell integrals over the

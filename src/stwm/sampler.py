@@ -14,7 +14,15 @@ live indices, those of positive variance: mode_var grows with t, so they
 are a suffix of the grid, and the dead ones (t = 0, or a variance that
 underflows) stay exact zeros and draw nothing. Only the paths asked for are
 drawn, 256 paths at a time, and each such block of a group of modes with
-one live suffix goes through one stacked product.
+one live suffix goes through one stacked product by the group's live
+factor columns, packed into one contiguous stack where they fit the
+product budget. Field values are assembled from the mode values by one
+gemm per block of paths (256 of them unless a block's values would exceed
+that budget), for sample_field, its chunks and assemble_field alike. Mode
+values are held mode-major, so both products work on views of their
+buffer. Every product of a run has one shape, the last block padded with
+zero rows, so no path's values depend on how many paths are drawn or in
+what chunks.
 For a fixed numpy build and BLAS thread count output is bit-identical
 across reruns and path-count prefixes. Across BLAS thread counts it is
 bit-identical only on short grids: Gram matrices are, but LAPACK potrf
@@ -103,7 +111,9 @@ class CholeskyError(np.linalg.LinAlgError):
 
 _MAX_JITTER_STEPS = 8
 _PATH_BLOCK = 256  # paths per BLAS call in sample_modes
-_PRODUCT_ENTRIES = 2 ** 16  # normals of one stacked product (512 kB), one mode's at least
+# product budget (512 kB): one block's normals, packed factor columns, mode
+# values or field values, one mode's or one path's at least
+_PRODUCT_ENTRIES = 2 ** 16
 
 STREAM_FORMAT = ("v4: SFC64 seeded by SeedSequence(master, spawn_key=(mode index,)), numpy "
                  "Generator.standard_normal (ziggurat), live indices only (the suffix of "
@@ -220,21 +230,25 @@ def _jittered_factor(sym: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, flo
 def sample_modes(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedSpec) -> np.ndarray:
     """Sample mode paths, exact in law on the grid.
 
-    Returns an array of shape (n_paths, J, n_times). Values at any t = 0 grid
-    point, and wherever a mode's variance underflows to 0, are exactly zero.
-    Each stack of mode_grams is factored in place by one _factor_psd call,
-    as cholesky_psd factors each member, and each mode reads its own stream
+    Returns an array of shape (n_paths, J, n_times), a view of the
+    mode-major buffer of _mode_chunks. Values at any t = 0 grid point, and
+    wherever a mode's variance underflows to 0, are exactly zero. Each
+    stack of mode_grams is factored in place by one _factor_psd call, as
+    cholesky_psd factors each member, and each mode reads its own stream
     (see SeedSpec). This is the one-chunk case of _mode_chunks.
     """
-    return next(_mode_chunks(model, grid, n_paths, seed, n_paths))
+    return next(_mode_chunks(model, grid, n_paths, seed, n_paths)).transpose(1, 0, 2)
 
 
 def _mode_chunks(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedSpec,
                  chunk: int):
     """Yield the mode paths of paths 0 .. n_paths - 1 as consecutive
-    (rows, J, n_times) arrays of `chunk` paths, the last one of the rest.
-    chunk is a whole number of 256-path blocks unless it covers every
-    path. Every array is a view of one buffer, which the next overwrites.
+    mode-major (J, rows, n_times) arrays of `chunk` paths, the last one of
+    the rest. chunk is a whole number of 256-path blocks unless it covers
+    every path. Every array is a view of one buffer, which the next
+    overwrites. In it each mode's values for a block of paths are one
+    contiguous run, so both products of a block, by the factors and by
+    the basis, read and write it without a copy.
 
     A one-chunk run takes the stacks of mode_grams one at a time, as they
     come. Otherwise every mode's factor and stream are held from the first
@@ -247,28 +261,29 @@ def _mode_chunks(model: SpectralModel, grid: TimeGrid, n_paths: int, seed: SeedS
     if chunk < n_paths and not (chunk > 0 and chunk % _PATH_BLOCK == 0):
         raise ValueError(f"chunk must be a whole number of {_PATH_BLOCK}-path blocks or cover "
                          f"all {n_paths} paths, got {chunk}")
-    out = np.empty((min(chunk, n_paths), model.J, grid.n))
+    rows = min(chunk, n_paths)
+    out = np.empty((model.J, rows, grid.n))
     groups = _mode_groups(model, grid, seed.master)
-    if len(out) < n_paths:
+    if rows < n_paths:
         groups = list(groups)  # held for the later chunks
     _sample_chunk(out, groups)
     yield out
-    for p0 in range(len(out), n_paths, len(out)):
-        rows = out[:n_paths - p0]
-        _sample_chunk(rows, groups)
-        yield rows
+    for p0 in range(rows, n_paths, rows):
+        last = out[:, :n_paths - p0]
+        _sample_chunk(last, groups)
+        yield last
 
 
 def _sample_chunk(out: np.ndarray, groups):
-    """Sample the groups of modes of _mode_groups into out, of shape (rows,
-    J, n), drawing through one normals buffer, which is dropped on return."""
+    """Sample the groups of modes of _mode_groups into out, of shape (J,
+    rows, n), drawing through one normals buffer, which is dropped on return."""
     normals = np.empty(0)
     for j0, LT, streams in groups:
         B, m = LT.shape[:2]
         if normals.size < B * _PATH_BLOCK * m:
             normals = np.empty(B * _PATH_BLOCK * m)
         Z = normals[:B * _PATH_BLOCK * m].reshape(B, _PATH_BLOCK, m)
-        _sample_group(out[:, j0:j0 + B], LT, streams, Z)
+        _sample_group(out[j0:j0 + B], LT, streams, Z)
 
 
 def _mode_groups(model: SpectralModel, grid: TimeGrid, master: int):
@@ -280,7 +295,10 @@ def _mode_groups(model: SpectralModel, grid: TimeGrid, master: int):
     Each stack of mode_grams is factored in place; runs of consecutive
     modes with one live suffix [i, n) are cut into groups whose normals for
     one block of paths fill at most _PRODUCT_ENTRIES entries (one mode at
-    least)."""
+    least). A group's LT is packed into one contiguous stack when it holds
+    at most _PRODUCT_ENTRIES entries too, as on every grid of up to 256
+    points; otherwise it stays a transposed view of the factors, since a
+    copy would add up to one factor per group."""
     group = max(1, _PRODUCT_ENTRIES // (_PATH_BLOCK * grid.n))
     for j0, stack in mode_grams(model, grid):
         L, _ = _factor_psd(stack)  # the stack is ours
@@ -291,13 +309,14 @@ def _mode_groups(model: SpectralModel, grid: TimeGrid, master: int):
             for g0 in range(a, end, group):
                 g1 = min(g0 + group, end)
                 live = range(j0 + g0, j0 + g1) if i < grid.n else ()
-                yield (j0 + g0, L[g0:g1, :, i:].transpose(0, 2, 1),
+                LT = L[g0:g1, :, i:].transpose(0, 2, 1)
+                yield (j0 + g0, LT.copy() if LT.size <= _PRODUCT_ENTRIES else LT,
                        [_mode_stream(master, j) for j in live])
 
 
 def _sample_group(out: np.ndarray, LT: np.ndarray, streams: list, Z: np.ndarray):
     """Write the paths of one group of B modes (see _mode_groups) into out,
-    of shape (rows, B, n), one 256-path block at a time, reading each
+    of shape (B, rows, n), one 256-path block at a time, reading each
     mode's stream on from where it stands.
 
     Each block's normals, n - i per path and mode, fill the (B, 256, n - i)
@@ -307,8 +326,10 @@ def _sample_group(out: np.ndarray, LT: np.ndarray, streams: list, Z: np.ndarray)
     are zero. Products go in whole blocks of paths so every one is a BLAS
     call of one shape: BLAS may pick another kernel, and round differently,
     for another row count, and a path's values must not depend on it. The
-    rows that pad the last block are 0, and their products are dropped."""
-    n_paths = len(out)
+    rows that pad the last block are 0, and their products are dropped.
+    Whether LT is packed or a view of the factors, BLAS gets the same
+    numbers and gives the same bits."""
+    n_paths = out.shape[1]
     if LT.shape[1] == 0:
         out[...] = 0.0
         return
@@ -317,32 +338,67 @@ def _sample_group(out: np.ndarray, LT: np.ndarray, streams: list, Z: np.ndarray)
         Z[:, rows:] = 0.0
         for z, stream in zip(Z, streams):
             stream.standard_normal(out=z[:rows])
-        paths = out[p0:p0 + rows].transpose(1, 0, 2)
         if rows == _PATH_BLOCK:
-            np.matmul(Z, LT, out=paths)  # BLAS writes rows J * n apart
+            np.matmul(Z, LT, out=out[:, p0:p0 + rows])
         else:
-            paths[...] = np.matmul(Z, LT)[:, :rows]
+            out[:, p0:] = np.matmul(Z, LT)[:, :rows]
 
 
-def _field_values(mode_paths: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Field values (n_paths, n_times, P) of mode paths (n_paths, J,
-    n_times) on the points of the (P, J) basis matrix E: one product per
-    path, so a path's values do not depend on how many are assembled."""
-    return np.swapaxes(mode_paths, 1, 2) @ E.T
+def _assembly_block(n_times: int, J: int, n_points: int) -> int:
+    """Paths per assembly product of _field_values: 256, halved while one
+    block's mode values or field values, b * n_times * max(J, n_points)
+    doubles, exceed _PRODUCT_ENTRIES, one path at least. A power of two, so
+    it divides every chunk of a streamed run, and a function of the shapes
+    only, so no path's values depend on n_paths."""
+    b = _PATH_BLOCK
+    while b > 1 and b * n_times * max(J, n_points) > _PRODUCT_ENTRIES:
+        b //= 2
+    return b
+
+
+def _field_values(modes: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Field values (n_paths, n_times, P) of the mode-major mode paths
+    modes, of shape (J, n_paths, n_times), on the points of the (P, J)
+    basis matrix E, in blocks of b paths (_assembly_block): one gemm by E^T
+    per block writes the block's values. A block's mode values enter it as
+    the transposed (J, b * n_times) matrix, a view where each mode's values
+    for the block are one contiguous run, as in _mode_chunks' buffer, and a
+    copy otherwise. Every gemm has one shape, the last block padded with
+    zero rows whose products are dropped, so a path's values depend neither
+    on how many are assembled nor on the chunk they come in: BLAS may round
+    differently for another row count, as in _sample_group."""
+    J, n_paths, n = modes.shape
+    P = len(E)
+    b = _assembly_block(n, J, P)
+    values = np.empty((n_paths, n, P))
+    for p0 in range(0, n_paths, b):
+        rows = min(b, n_paths - p0)
+        if rows == b:
+            A = modes[:, p0:p0 + b].reshape(J, b * n).T
+            np.matmul(A, E.T, out=values[p0:p0 + b].reshape(b * n, P))
+        else:
+            block = np.zeros((J, b, n))
+            block[:, :rows] = modes[:, p0:]
+            values[p0:] = (block.reshape(J, b * n).T @ E.T).reshape(b, n, P)[:rows]
+    return values
 
 
 def assemble_field(mode_paths: np.ndarray, basis: EigenBasis, space_points,
                    times: TimeGrid) -> FieldSample:
     """Assemble field values sum_j Z_j(t) e_j(x) from mode paths of shape
-    (n_paths, J, n_times) on the time grid `times`. Linear in mode_paths."""
+    (n_paths, J, n_times) on the time grid `times`. Linear in mode_paths.
+
+    The assembly is sample_field's own (_field_values, one gemm per block
+    of paths), so assemble_field(sample_modes(...)) is bit-identical to
+    sample_field(...) with the same arguments."""
     mode_paths = np.asarray(mode_paths, dtype=float)
     if mode_paths.ndim != 3:
         raise ValueError(f"mode_paths must have shape (n_paths, J, n_times), got {mode_paths.shape}")
     if mode_paths.shape[1] != basis.J:
         raise ValueError(f"mode count {mode_paths.shape[1]} does not match basis J={basis.J}")
     pts = as_points(space_points, basis)
-    return FieldSample(times=times, space_points=pts,
-                       values=_field_values(mode_paths, evaluate_basis(basis, pts)))
+    return FieldSample(times=times, space_points=pts, values=_field_values(
+        mode_paths.transpose(1, 0, 2), evaluate_basis(basis, pts)))
 
 
 def sample_field(model: SpectralModel, grid: TimeGrid, space_points, n_paths: int,
@@ -374,8 +430,10 @@ def sample_field_chunks(model: SpectralModel, grid: TimeGrid, space_points, n_pa
     The first chunk's modes are sampled before this returns, so every Gram
     and factor failure is raised here. Peak memory is one chunk's mode and
     field values, chunk * n_times * (J + P) doubles, plus the (P, J) basis
-    matrix, the streams of the modes and, with more than one chunk, their
-    factors, whatever n_paths is."""
+    matrix, the streams of the modes, the product buffers of one block
+    (each at most _PRODUCT_ENTRIES doubles, or one mode's normals or one
+    path's values where that alone is more) and, with more than one chunk,
+    the modes' factors, whatever n_paths is."""
     pts = as_points(space_points, model.basis)
     modes = _mode_chunks(model, grid, n_paths, seed,
                          _stream_chunk(grid.n, n_paths) if chunk is None else chunk)

@@ -831,6 +831,81 @@ class TestSampleFieldChunks:
             sample_field_chunks(model, grid, [1e99], 3000, SeedSpec(0))
 
 
+def lattice_model(J):
+    # CI's shifted 2-D model: kappa2 = 0 and kappa2_tilde = 0.1 on the unit square
+    b = build_basis(2, (1.0, 1.0), 0.0, J)
+    return SpectralModel(basis=b, basis_tilde=build_basis(2, (1.0, 1.0), 0.1, J),
+                         alpha=2.0, beta=1.0, gamma=1.2, T=1.0)
+
+
+LATTICE_3 = [[x, y] for x in (0.25, 0.5, 0.75) for y in (0.25, 0.5, 0.75)]
+
+
+class TestAssemblyBlocks:
+    """One gemm of one shape per block of paths, whatever n_paths and chunk."""
+
+    CASES = {
+        # sample_1d_streams' shape: BLAS rounds a gemm of few rows differently
+        "1-D streams": (lambda: spread_model(J=64, gamma=1.2), np.linspace(0.1, 3.0, 32)),
+        # J > 512: BLAS blocks the assembly gemm's inner dimension
+        "many-mode points": (lambda: spread_model(J=600, gamma=1.4, T=1.0), [[0.3], [1.0], [2.5]]),
+        "lattice": (lambda: lattice_model(700), LATTICE_3),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_path_values_independent_of_path_count(self, case):
+        make, pts = self.CASES[case]
+        model, grid, seed = make(), TimeGrid.uniform(0.0, 1.0, 3), SeedSpec(9)
+        full = sample_field(model, grid, pts, 600, seed).values
+        for m in (257, 300):
+            assert sample_field(model, grid, pts, m, seed).values.tobytes() == full[:m].tobytes(), m
+        for chunk in (256, 512):
+            chunks = sample_field_chunks(model, grid, pts, 600, seed, chunk=chunk)
+            assert np.concatenate([c.values for c in chunks]).tobytes() == full.tobytes(), chunk
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_assemble_field_is_the_sampler_assembly(self, case):
+        make, pts = self.CASES[case]
+        model, grid, seed = make(), TimeGrid.uniform(0.0, 1.0, 3), SeedSpec(9)
+        for n_paths in (257, 300):
+            got = assemble_field(sample_modes(model, grid, n_paths, seed), model.basis, pts, grid)
+            assert got.values.tobytes() == sample_field(model, grid, pts, n_paths, seed).values.tobytes()
+
+    def test_block_size(self):
+        # 256 paths, halved while a block's mode or field values exceed
+        # the product budget
+        assert sampler._assembly_block(3, 64, 32) == 256  # sample_1d_streams
+        assert sampler._assembly_block(11, 128, 256) == 16  # sample_2d_gram
+        assert sampler._assembly_block(3, 600, 3) == 32
+        assert sampler._assembly_block(3, 16384, 9) == 1
+        assert sampler._assembly_block(3, 4, 10 ** 6) == 1
+
+    def test_factor_columns_packed_within_the_budget(self):
+        # a group's live columns are one contiguous stack where they fit the
+        # product budget, and a view of the factors where they would not
+        for model, n in ((spread_model(J=6), 5), (spread_model(J=2), 301)):
+            grid = TimeGrid.uniform(0.0, 1.0, n - 1)
+            for _, LT, _ in sampler._mode_groups(model, grid, 0):
+                packed = LT.size <= sampler._PRODUCT_ENTRIES
+                assert packed == (n == 5)
+                assert LT.flags.c_contiguous == packed
+
+    def test_long_grid_peak_memory(self):
+        # one chunk on 2,049 points, where the assembly sets the peak: it
+        # stays within the mode and field values plus one factor, so the
+        # assembly's block buffers do not grow with the grid squared
+        model, grid = spread_model(J=8, gamma=1.2, T=1.0), TimeGrid.uniform(0.0, 1.0, 2048)
+        n, n_paths, n_points = grid.n, 300, 32
+        tracemalloc.start()
+        try:
+            fs = sample_field(model, grid, np.linspace(0.1, 3.0, n_points), n_paths, SeedSpec(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fs.values.shape == (n_paths, n, n_points)
+        assert peak <= 8 * (n_paths * model.J * n + n_paths * n * n_points + n * n)
+
+
 class TestAssembleField:
     def test_zero_modes_zero_field(self):
         b = build_basis(1, PI, 0.0, 3)
