@@ -14,7 +14,6 @@ from .kernel import (
     mode_var,
     stationary_variance,
     temporal_matern_limit,
-    square_function_ratio_closed_form,
 )
 from .quadrature import QuadratureConfig, QuadratureError
 from .spectral import (EigenBasis, SpectralModel, build_basis, evaluate_basis, mode_grams,
@@ -37,7 +36,6 @@ from .analysis import (
     hs_sum,
     field_cov,
     asymptotic_marginal_cov,
-    separability_check,
     estimate_holder,
     holder_theory_slope,
 )

@@ -2,9 +2,8 @@
 
 Exponent-condition checking for space-time smoothness, the spectral
 Hilbert-Schmidt sum with eigenvalue-growth tail bounds, truncated field
-covariances, asymptotic marginal covariance coefficients, separability
-detection, and mean-square Holder slope estimation from exact covariance
-increments.
+covariances, asymptotic marginal covariance coefficients, and mean-square
+Holder slope estimation from exact covariance increments.
 """
 
 import math
@@ -17,21 +16,19 @@ import numpy as np
 
 from .kernel import ModeKernel, TimeGrid, gram, stationary_constant, stationary_variances
 from .spectral import (EigenBasis, SpectralModel, evaluate_basis, mode_columns, mode_grams,
-                       mode_params, weyl_ratio)
+                       weyl_ratio)
 
 __all__ = [
     "RegularityQuery",
     "RegularityReport",
     "HsSum",
     "FieldCov",
-    "SeparabilityResult",
     "HolderEstimate",
     "check_exponents",
     "hs_sum",
     "field_cov",
     "field_gram",
     "asymptotic_marginal_cov",
-    "separability_check",
     "estimate_holder",
     "holder_theory_slope",
     "spectral_margin",
@@ -186,7 +183,9 @@ def field_gram(model: SpectralModel, grid: TimeGrid, x, y) -> np.ndarray:
     out = np.zeros((grid.n, grid.n))
     for j0, stack in mode_grams(model, grid):
         for c, G in zip(coeffs[j0:], stack):
-            out += c * G
+            G *= c  # the stack is ours
+            out += G
+        del stack, G  # before mode_grams builds the next stack
     if spectral_margin(model) <= 0:
         warnings.warn("field variance series fails the eigenvalue-growth summability test; "
                       "the covariance is the truncated sum", RuntimeWarning, stacklevel=2)
@@ -217,48 +216,6 @@ def asymptotic_marginal_cov(model: SpectralModel) -> np.ndarray:
     c lambda_j^{beta (1 - 2 gamma)} lambda_tilde_j^{-alpha} of the mode
     table, c = stationary_constant(gamma), by kernel.stationary_variances."""
     return stationary_variances(model.gamma, *mode_columns(model))
-
-
-@dataclass(frozen=True)
-class SeparabilityResult:
-    separable: bool
-    max_rel_error: float | None      # factorization verification (separable case)
-    witness: tuple | None            # lag ratios of two modes (non-separable case)
-
-
-def separability_check(model: SpectralModel, seed: int = 0) -> SeparabilityResult:
-    """The covariance factorizes into a temporal profile times the spatial
-    noise coloring exactly when beta = 0 (all modes share decay rate 1).
-
-    When separable, the factorization q_j(s, t) = rho(s, t) lambda_tilde_j^{-alpha}
-    is verified on 3 random modes and 10 random time pairs; otherwise two modes
-    with distinct eigenvalues witness the failure through unequal lag ratios.
-    """
-    rng = np.random.default_rng(seed)
-    g = model.gamma
-    if model.beta == 0.0:
-        rho = ModeKernel(mu=1.0, weight=1.0, gamma=g)
-        modes = rng.integers(1, model.J + 1, size=min(3, model.J))
-        worst = 0.0
-        for j in modes:
-            k = mode_params(model, int(j))
-            st = rng.uniform(model.T / 100.0, model.T, size=(10, 2))
-            times, idx = np.unique(st, return_inverse=True)
-            grid = TimeGrid(times)
-            i_s, i_t = idx.reshape(st.shape).T
-            lhs = gram(k, grid)[i_s, i_t]
-            rhs = gram(rho, grid)[i_s, i_t] * k.weight
-            worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300))))
-        return SeparabilityResult(separable=True, max_rel_error=worst, witness=None)
-
-    witness = None
-    lam = model.basis.eigenvalues
-    distinct = np.nonzero(lam != lam[0])[0]
-    if distinct.size:
-        grid = TimeGrid(np.array([min(1.0, model.T / 2.0), min(2.0, model.T)]))
-        grams = (gram(mode_params(model, j), grid) for j in (1, int(distinct[0]) + 1))
-        witness = tuple(G[0, 1] / G[0, 0] for G in grams)
-    return SeparabilityResult(separable=False, max_rel_error=None, witness=witness)
 
 
 class HolderEstimate(NamedTuple):

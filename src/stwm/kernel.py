@@ -18,8 +18,8 @@ mode_cov, adaptive quadrature to a QuadratureConfig tolerance, is the
 tests' reference and the package's only caller of the adaptive integrator.
 Every Gram matrix G[i, j] = q(t_i, t_j) on a TimeGrid comes from
 _gram_stack, through gram_stacks (many modes) or gram (one). Also here:
-the stationary (t -> infinity) variance, the Matern-type limit of the
-lagged covariance and the weighted-semigroup square-function ratio.
+the stationary (t -> infinity) variance and the Matern-type limit of the
+lagged covariance.
 """
 
 import math
@@ -41,7 +41,6 @@ __all__ = [
     "stationary_variance",
     "stationary_variances",
     "temporal_matern_limit",
-    "square_function_ratio_closed_form",
 ]
 
 # Effective e-folds of integrand kept: contributions further than this many
@@ -464,19 +463,3 @@ def temporal_matern_limit(gamma: float, kappa: float, h: float) -> float:
         raise ValueError(f"temporal_matern_limit requires kappa > 0, got {kappa}")
     return (stationary_variance(ModeKernel(mu=kappa, weight=1.0, gamma=gamma))
             * matern_cov(gamma - 0.5, kappa, 1.0, abs(h)))
-
-
-def square_function_ratio_closed_form(gamma: float, delta: float) -> float:
-    """Ratio of the squared weighted-semigroup time integral to the matching
-    power of the decay rate,
-
-        int_0^infty t^{2(g-1-delta)} e^{-2 mu t} dt  /  mu^{1+2delta-2g}
-            = Gamma(p) / 2^p,  p = 2 (gamma - delta) - 1,
-
-    which is independent of mu. Raises ValueError unless delta >= 0 and the
-    integral converges, gamma > 1/2 + delta."""
-    p = 2.0 * (gamma - delta) - 1.0
-    if not (delta >= 0.0 and p > 0.0):
-        raise ValueError("square_function_ratio_closed_form requires delta >= 0 and "
-                         f"gamma > 1/2 + delta, got gamma={gamma}, delta={delta}")
-    return gamma_fn(p) / 2.0 ** p

@@ -284,6 +284,7 @@ def _sample_chunk(out: np.ndarray, groups):
             normals = np.empty(B * _PATH_BLOCK * m)
         Z = normals[:B * _PATH_BLOCK * m].reshape(B, _PATH_BLOCK, m)
         _sample_group(out[j0:j0 + B], LT, streams, Z)
+        del LT, streams  # before the next group's Gram is built
 
 
 def _mode_groups(model: SpectralModel, grid: TimeGrid, master: int):
@@ -302,6 +303,7 @@ def _mode_groups(model: SpectralModel, grid: TimeGrid, master: int):
     group = max(1, _PRODUCT_ENTRIES // (_PATH_BLOCK * grid.n))
     for j0, stack in mode_grams(model, grid):
         L, _ = _factor_psd(stack)  # the stack is ours
+        del stack  # only its factor L is read on
         first = _first_live(L.diagonal(0, 1, 2))
         starts = np.flatnonzero(np.diff(first, prepend=-1))
         for a, end in zip(starts, [*starts[1:], len(L)]):
@@ -312,6 +314,7 @@ def _mode_groups(model: SpectralModel, grid: TimeGrid, master: int):
                 LT = L[g0:g1, :, i:].transpose(0, 2, 1)
                 yield (j0 + g0, LT.copy() if LT.size <= _PRODUCT_ENTRIES else LT,
                        [_mode_stream(master, j) for j in live])
+        del L, LT  # before mode_grams builds the next stack
 
 
 def _sample_group(out: np.ndarray, LT: np.ndarray, streams: list, Z: np.ndarray):

@@ -22,7 +22,6 @@ from stwm.analysis import (
     estimate_holder,
     holder_theory_slope,
     hs_sum,
-    separability_check,
 )
 from stwm.kernel import (
     ModeKernel,
@@ -31,17 +30,17 @@ from stwm.kernel import (
     gram,
     mode_cov,
     mode_var,
-    square_function_ratio_closed_form,
     stationary_variance,
     temporal_matern_limit,
 )
-from stwm.quadrature import QuadratureConfig, integrate
+from stwm.quadrature import integrate
 from stwm.sampler import SeedSpec, factorized_covariance, sample_field, sample_modes
 from stwm.specfun import gamma_fn
 from stwm.spectral import SpectralModel, build_basis, evaluate_basis, mode_params
 
+from reference import TIGHT, separability_check, square_function_ratio_closed_form
+
 PI = math.pi
-TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
 
 # below ~1e-300 double precision cannot express 1e-10 relative agreement;
 # the floor only affects comparisons deep in the documented underflow range

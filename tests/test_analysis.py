@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,12 +15,13 @@ from stwm.analysis import (
     field_gram,
     holder_theory_slope,
     hs_sum,
-    separability_check,
 )
 from stwm import kernel
 from stwm.kernel import ModeKernel, TimeGrid, mode_cov, mode_var, temporal_matern_limit
 from stwm.sampler import SeedSpec, cholesky_psd, sample_field
 from stwm.spectral import SpectralModel, build_basis, evaluate_basis, mode_grams, mode_params
+
+from reference import separability_check
 
 PI = math.pi
 
@@ -233,6 +235,20 @@ class TestFieldCov:
         S = np.concatenate([stack for _, stack in mode_grams(m, grid)])
         want = sum(c_j * G_j for c_j, G_j in zip(c, S))
         assert np.array_equal(field_gram(m, grid, 0.7, 2.1), want)
+
+    def test_field_gram_peak_memory(self):
+        # 2,049 points, one mode per stack: the sum and the Gram being built,
+        # with no scaled copy of a Gram and no earlier stack still held
+        m = make_model(alpha=1.0, J=4, gamma=1.2, T=1.0)
+        grid = TimeGrid.uniform(0.0, 1.0, 2048)
+        tracemalloc.start()
+        try:
+            G = field_gram(m, grid, 1.0, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.shape == (grid.n, grid.n)
+        assert peak <= 2.1 * grid.n ** 2 * 8
 
 
 def power_form(m):

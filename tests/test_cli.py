@@ -23,13 +23,13 @@ from stwm import analysis, cli, fieldfile, kernel, sampler
 from stwm.fieldfile import (format_number, read_field, write_csv, write_field, write_field_chunks,
                             write_field_csv)
 from stwm.kernel import ModeKernel, TimeGrid, gram, mode_cov
-from stwm.quadrature import QuadratureConfig
 from stwm.sampler import FieldSample, SeedSpec, sample_field
 from stwm.spectral import (SCHEMA, ConfigError, evaluate_basis, model_from_dict, model_from_json,
                            mode_params, weyl_ratio)
 
+from reference import TIGHT, separability_check
+
 PI = math.pi
-TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
 
 BASE_CONFIG = {
     "model": {"d": 1, "extents": PI, "kappa2": 0.0, "kappa2_tilde": 0.0,
@@ -560,9 +560,9 @@ class TestNoAdaptiveCalls:
         assert analysis.field_cov(model, 1.0, 1.5, 1.0, 2.0).value != 0.0
         k = mode_params(model, 1)
         assert analysis.estimate_holder(k, 5.0, [2.0 ** -6, 2.0 ** -8]).slope > 0.0
-        assert analysis.separability_check(model).witness is not None
+        assert separability_check(model).witness is not None
         separable = model_from_dict(dict(BASE_CONFIG["model"], beta=0.0, gamma=1.3))
-        assert analysis.separability_check(separable).max_rel_error < 1e-12
+        assert separability_check(separable).max_rel_error < 1e-12
 
 
 class TestLimitsCommand:

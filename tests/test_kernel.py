@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stwm.analysis import (asymptotic_marginal_cov, estimate_holder, field_cov, field_gram,
-                           separability_check)
+from stwm.analysis import asymptotic_marginal_cov, estimate_holder, field_cov, field_gram
 from stwm.kernel import (
     ModeKernel,
     TimeGrid,
@@ -18,7 +17,6 @@ from stwm.kernel import (
     gram,
     mode_cov,
     mode_var,
-    square_function_ratio_closed_form,
     stationary_variance,
     stationary_variances,
     temporal_matern_limit,
@@ -28,7 +26,7 @@ from stwm.sampler import SeedSpec, sample_field, sample_modes
 from stwm.specfun import gamma_fn
 from stwm.spectral import SpectralModel, build_basis, mode_grams
 
-TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
+from reference import TIGHT, square_function_ratio_closed_form
 
 
 # frozen 40-digit mpmath references of q(s, t) at fractional orders
@@ -416,7 +414,6 @@ GATE_ENTRIES = {
     "field_cov": lambda g: field_cov(gate_model(g), 0.5, 1.0, 1.0, 2.0),
     "field_cov_s0": lambda g: field_cov(gate_model(g), 0.0, 1.0, 1.0, 2.0),
     "estimate_holder": lambda g: estimate_holder(ModeKernel(1.0, 1.0, g), 5.0, [2e-3, 1e-2]),
-    "separability_check": lambda g: separability_check(gate_model(g)),
     "stationary_variance": lambda g: stationary_variance(ModeKernel(1.0, 1.0, g)),
     "stationary_variances": lambda g: stationary_variances(g, [1.0, 4.0], [1.0, 0.5]),
     "temporal_matern_limit": lambda g: temporal_matern_limit(g, 1.0, 0.5),

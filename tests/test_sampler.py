@@ -30,8 +30,9 @@ from stwm.sampler import (
 from stwm.spectral import SpectralModel, build_basis, evaluate_basis, mode_grams, mode_params
 from stwm.specfun import gamma_fn
 
+from reference import TIGHT
+
 PI = math.pi
-TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=4000)
 
 
 def one_mode_model(mu=2.0, gamma=1.3, T=4.0):
@@ -891,19 +892,25 @@ class TestAssemblyBlocks:
                 assert LT.flags.c_contiguous == packed
 
     def test_long_grid_peak_memory(self):
-        # one chunk on 2,049 points, where the assembly sets the peak: it
-        # stays within the mode and field values plus one factor, so the
-        # assembly's block buffers do not grow with the grid squared
+        # one chunk on 2,049 points. With 32 points the assembly sets the
+        # peak: it stays within the mode and field values plus one factor, so
+        # the assembly's block buffers do not grow with the grid squared.
+        # With one point the sampling sets it: the next mode's Gram is built
+        # beside one factor, with no earlier Gram or factor still held, and
+        # one product budget of normals
         model, grid = spread_model(J=8, gamma=1.2, T=1.0), TimeGrid.uniform(0.0, 1.0, 2048)
-        n, n_paths, n_points = grid.n, 300, 32
-        tracemalloc.start()
-        try:
-            fs = sample_field(model, grid, np.linspace(0.1, 3.0, n_points), n_paths, SeedSpec(5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert fs.values.shape == (n_paths, n, n_points)
-        assert peak <= 8 * (n_paths * model.J * n + n_paths * n * n_points + n * n)
+        n, n_paths = grid.n, 300
+        for n_points, squares, budgets in ((32, 1, 0), (1, 2, 1)):
+            tracemalloc.start()
+            try:
+                fs = sample_field(model, grid, np.linspace(0.1, 3.0, n_points), n_paths,
+                                  SeedSpec(5))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert fs.values.shape == (n_paths, n, n_points)
+            assert peak <= 8 * (n_paths * model.J * n + n_paths * n * n_points + squares * n * n
+                                + budgets * sampler._PRODUCT_ENTRIES), n_points
 
 
 class TestAssembleField:
