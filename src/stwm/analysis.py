@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import ModeKernel, TimeGrid, gram, stationary_constant, stationary_variances
+from .kernel import (ModeKernel, TimeGrid, gram, mirror_upper, stationary_constant,
+                     stationary_variances)
 from .spectral import (EigenBasis, SpectralModel, evaluate_basis, mode_columns, mode_grams,
                        weyl_ratio)
 
@@ -176,9 +177,10 @@ class FieldCov(NamedTuple):
 def field_gram(model: SpectralModel, grid: TimeGrid, x, y) -> np.ndarray:
     """Truncated field covariance matrix [Cov(X(t_i, x), X(t_k, y))]_{ik},
     the sum over modes j = 1..J, in order, of e_j(x) e_j(y) times mode j's
-    Gram matrix, taken from the stacks of spectral.mode_grams. Warns,
-    once the Grams are built, when the variance series fails the growth
-    test."""
+    Gram matrix, taken from the stacks of spectral.mode_grams. The stacks'
+    upper triangles are summed, and the sum is mirrored once
+    (kernel.mirror_upper). Warns, once the Grams are built, when the
+    variance series fails the growth test."""
     coeffs = evaluate_basis(model.basis, [x])[0] * evaluate_basis(model.basis, [y])[0]
     out = np.zeros((grid.n, grid.n))
     for j0, stack in mode_grams(model, grid):
@@ -186,6 +188,7 @@ def field_gram(model: SpectralModel, grid: TimeGrid, x, y) -> np.ndarray:
             G *= c  # the stack is ours
             out += G
         del stack, G  # before mode_grams builds the next stack
+    mirror_upper(out[None])
     if spectral_margin(model) <= 0:
         warnings.warn("field variance series fails the eigenvalue-growth summability test; "
                       "the covariance is the truncated sum", RuntimeWarning, stacklevel=2)

@@ -17,7 +17,9 @@ lags, serves the Gram builder and so every library and CLI covariance;
 mode_cov, adaptive quadrature to a QuadratureConfig tolerance, is the
 tests' reference and the package's only caller of the adaptive integrator.
 Every Gram matrix G[i, j] = q(t_i, t_j) on a TimeGrid comes from
-_gram_stack, through gram_stacks (many modes) or gram (one). Also here:
+_gram_stack as its upper triangle, through gram_stacks (many modes, the
+stacks the sampler factors) or gram (one mode, mirrored by mirror_upper
+into the full matrix). Also here:
 the stationary (t -> infinity) variance and the Matern-type limit of the
 lagged covariance.
 """
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate, panel_rules
 from .specfun import gamma_fn, log_gamma, log_lower_incomplete_gamma, matern_cov
@@ -35,6 +38,7 @@ __all__ = [
     "TimeGrid",
     "gram",
     "gram_stacks",
+    "mirror_upper",
     "mode_cov",
     "mode_var",
     "stationary_constant",
@@ -52,6 +56,7 @@ _JACOBI_NODES = 20
 _STACK_ENTRIES = 2 ** 16  # largest Gram stack built at once (512 kB), one mode at least
 _RULE_ENTRIES = 256  # lagged integrals per rule call, one row's at least
 _TILE = 128  # side of the square blocks in which Gram matrices are transposed
+_CELL_BLOCK = 32  # cells whose lagged integrals _uniform_upper forms in one product
 # log(2^-1075), the double underflow edge: exp rounds to 0 at and below it
 _EXP_UNDERFLOW = -745.1332191019412
 
@@ -216,15 +221,19 @@ def _lagged_integrals(g: float, mu, widths, lags) -> np.ndarray:
 
 def gram(k: ModeKernel, grid: TimeGrid) -> np.ndarray:
     """Gram matrix G[i, j] = q(t_i, t_j) of one mode, an (n, n) array,
-    symmetric, with mode_var diagonal: the one-mode case of gram_stacks."""
-    return _gram_stack(k.gamma, [k.mu], [k.weight], grid)[0]
+    exactly symmetric, with mode_var diagonal: the one-mode Gram of
+    gram_stacks with its upper triangle mirrored (mirror_upper)."""
+    G = _gram_stack(k.gamma, [k.mu], [k.weight], grid)
+    mirror_upper(G)
+    return G[0]
 
 
 def gram_stacks(gamma: float, mu, weight, grid: TimeGrid):
     """Yield (j0, stack): the Grams of modes j0 .. j0 + B - 1 (order gamma,
     rates mu[j], weights weight[j]) on the grid from one _gram_stack call,
     in consecutive stacks of at most _STACK_ENTRIES entries (one mode at
-    least), so memory stays O(n^2) however many modes there are."""
+    least), so memory stays O(n^2) however many modes there are. Each
+    member holds its diagonal and upper triangle; its lower triangle is zero."""
     mu, weight = np.asarray(mu, dtype=float), np.asarray(weight, dtype=float)
     size = max(1, _STACK_ENTRIES // grid.n ** 2)
     for j0 in range(0, mu.size, size):
@@ -232,32 +241,30 @@ def gram_stacks(gamma: float, mu, weight, grid: TimeGrid):
 
 
 def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
-    """Gram matrices of the modes with decay rates mu[j] and weights
-    weight[j], order g, over the grid, as one (J, n, n) stack.
+    """Upper triangles of the Gram matrices of the modes with decay rates
+    mu[j] and weights weight[j], order g, over the grid, as one (J, n, n)
+    stack whose lower triangles are zero.
 
     The diagonals are mode_var, bit for bit, from one incomplete-gamma call.
     Lagged entries come from _lagged_integrals, one fixed Gauss-Jacobi
     and Gauss-Legendre rule with no adaptive step, batched over modes. On a
-    uniform grid (any t_0 >= 0) the entries of row i at lags 1, 2, ... are
-    that rule's singular first chunk [0, t_0] ([0, h] when t_0 = 0),
-    computed for all modes and lags at once (_live_integrals), plus the
-    integrals over the cells below t_i, which one fixed Gauss-Legendre rule
-    per cell gives for every mode and lag in one matrix product per row. On
-    other grids the rule gives each row's upper-triangle entries of every
-    mode at once.
-    Rows fill the upper triangles in place, which are copied onto the lower
-    triangles at the end in square tiles (_mirror_upper). Lagged entries
-    agree with TIGHT mode_cov to 1e-12 relative (tested over mu in
-    [1e-2, 1e8], gamma in [0.5001, 20]); entries whose factor
+    uniform grid (any t_0 >= 0, see _uniform_modes) the entries of row i at
+    lags 1, 2, ... are that rule's singular first chunk [0, t_0] ([0, h]
+    when t_0 = 0), computed for all modes and lags at once
+    (_live_integrals), plus the integrals over the cells below t_i, which
+    one fixed Gauss-Legendre rule per cell gives for every mode and lag:
+    one matrix product per block of cells (_uniform_upper). On other grids
+    the rule gives each row's upper-triangle entries of every mode at once.
+    Lagged entries agree with TIGHT mode_cov to 1e-12 relative (tested over
+    mu in [1e-2, 1e8], gamma in [0.5001, 20]); entries whose factor
     e^{-mu |t - s|} underflows are exactly 0, and modes whose every lagged
     factor underflows get no rule evaluations.
 
     Every Gram the library factors comes from here, as sampler._factor_psd
     takes it: an entry that overflows raises OverflowError naming the mode's mu
-    and w, gamma and the grid end, and the lower triangles are copies. No
-    diagonal entry (an exponential) is negative, and on a zero-variance row
-    |q(s, t)| <= sqrt(q(s, s) q(t, t)) keeps every entry far below
-    cholesky_psd's tolerance.
+    and w, gamma and the grid end. No diagonal entry (an exponential) is
+    negative, and on a zero-variance row |q(s, t)| <= sqrt(q(s, s) q(t, t))
+    keeps every entry far below cholesky_psd's tolerance.
     """
     mu, weight = np.asarray(mu, dtype=float), np.asarray(weight, dtype=float)
     pts = grid.points
@@ -270,19 +277,19 @@ def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
             raise OverflowError(f"Gram scale: Gamma(gamma)^2 with gamma = {g} overflows") from None
         G.reshape(mu.size, -1)[:, ::n + 1] = _variance_rows(g, mu, weight, pts)  # the diagonals
         i0 = 1 if pts[0] == 0.0 else 0  # rows below i0 (t = 0) stay zero
-        try:
-            h = grid.step
-        except ValueError:
+        h, uniform = _uniform_modes(g, mu, pts)
+        if uniform.any():
+            # a zero scale leaves a mode's lagged entries to the loop below
+            _uniform_upper(G, g, mu, np.where(uniform, scale, 0.0), float(pts[i0]), h, i0)
+        if not uniform.all():
             # Lags grow along a row, so each mode's surviving prefactors are
             # a prefix.
             for i in range(i0, n - 1):
                 lags = pts[i + 1:] - pts[i]
                 pre = scale[:, None] * np.exp(-mu[:, None] * lags)
-                live = pre > 0.0
+                live = (pre > 0.0) & ~uniform[:, None]
                 if live.any():
                     G[:, i, i + 1:][live] = pre[live] * _live_integrals(g, mu, pts[i], lags, live)
-        else:
-            _uniform_upper(G, g, mu, scale, float(pts[i0]), h, i0)
     # entries are >= 0 and max propagates nan, so a member's maximum is
     # finite exactly when all its entries are
     bad = np.flatnonzero(~np.isfinite(G.max(axis=(1, 2))))
@@ -290,11 +297,28 @@ def _gram_stack(g: float, mu, weight, grid: TimeGrid) -> np.ndarray:
         b = bad[0]
         raise OverflowError(f"Gram of the mode with mu = {mu[b]}, w = {weight[b]}, gamma = {g} "
                             f"overflows on the grid ending at t = {pts[-1]}")
-    _mirror_upper(G)
     return G
 
 
-def _mirror_upper(G: np.ndarray):
+def _uniform_modes(g: float, mu: np.ndarray, pts: np.ndarray) -> tuple[float, np.ndarray]:
+    """(h, uniform): the step h = t_1 - t_0 and the (J,) mask of the modes of
+    order g and rates mu whose Grams on the points pts _uniform_upper builds.
+
+    _uniform_upper puts t_k at t_0 + k h. A point off by d there moves an
+    entry's factor e^{-mu lag} by about mu d relative, where only rates
+    below 745 / h leave a lagged entry at all, and the integral's powers
+    u^{g-1} by about g d / h. A mode takes that path when d times their sum
+    is at most 1e-13, as every mode does on a grid whose points are exact
+    multiples of h; the others take the exact lags. The choice is made per
+    mode, so a mode's Gram does not depend on the stack it is built in."""
+    if pts.size < 2:
+        return 0.0, np.zeros(mu.shape, dtype=bool)
+    h = float(pts[1] - pts[0])
+    off = float(np.abs(pts - pts[0] - h * np.arange(pts.size)).max())
+    return h, off * (np.minimum(mu, -_EXP_UNDERFLOW / h) + g / h) <= 1e-13
+
+
+def mirror_upper(G: np.ndarray):
     """Copy the upper triangles of the (B, n, n) stack G onto its lower
     triangles in square tiles of side _TILE, so every transposed read stays
     within one tile: a tile below the diagonal is the transpose of its
@@ -324,47 +348,89 @@ def _live_integrals(g: float, mu: np.ndarray, width: float, lags: np.ndarray,
 def _uniform_upper(G: np.ndarray, g: float, mu: np.ndarray, scale: np.ndarray, u0: float,
                    h: float, i0: int):
     """Upper triangles of rows i0, i0 + 1, ... (times u0, u0 + h, ...) of
-    the (J, n, n) stack G on a uniform grid, written in place one row at a
-    time for all modes."""
-    m = G.shape[1] - 1 - i0         # cells [u0 + c h, u0 + (c+1) h], c < m
+    the (J, n, n) stack G on a uniform grid, written in place for all modes
+    at once, one block of _CELL_BLOCK cells at a time. A mode whose every
+    prefactor scale e^{-mu l h} is 0 (a zero scale among them) gets zeros
+    or nothing."""
+    n = G.shape[1]
+    m = n - 1 - i0                  # cells [u0 + c h, u0 + (c+1) h], c < m
     lag_steps = np.arange(1, m + 1)
     pre = scale[:, None] * np.exp(-mu[:, None] * h * lag_steps)
     n_lags = np.count_nonzero(pre, axis=1)  # lags whose prefactor survives: a prefix
     live = np.flatnonzero(n_lags)
     if live.size == 0:
         return
-    rows = slice(None) if live.size == mu.size else live
-    k_max = int(n_lags.max())
-    mu, pre = mu[live], pre[live, :k_max]
+    # the modes from the first live one to the last: any between with no
+    # live lag have zero prefactors and get zeros
+    lo, hi = live[0], live[-1] + 1
+    mu_max, k_max = float(mu[live].max()), int(n_lags.max())
+    G, mu, pre = G[lo:hi], mu[lo:hi], pre[lo:hi, :k_max]
     # first[j, l - 1] is mode j's singular chunk at lag l, or 0 where the
-    # prefactor underflows
+    # prefactor underflows; row i0 has it alone
     first = np.zeros(pre.shape)
     first[pre > 0.0] = _live_integrals(g, mu, u0, h * lag_steps[:k_max], pre > 0.0)
+    G[:, i0, i0 + 1:i0 + 1 + k_max] = pre * first
+    if m < 2:
+        return
     # Each cell's rule is graded towards its left end, below widths 1/mu and
     # u0 (the distance to u = 0), for the largest live mu: its edges include
     # every smaller mu's. Equal node layouts make the integrand on cell c at
     # lag l h a product of per-node tables at cells c and c + l; only the
     # exponential factor has a mode axis.
-    levels = max(0, math.ceil(math.log2(max(float(mu.max()) * h, h / u0))))
+    levels = max(0, math.ceil(math.log2(max(mu_max * h, h / u0))))
     x, w = panel_rules(np.concatenate([[0.0], h * 2.0 ** -np.arange(levels, -1.0, -1.0)]))
     x = (u0 + h * np.arange(m))[:, None] + x.reshape(-1)
-    u_pow = x ** (g - 1.0)
-    # u_pow_exp = u_pow e^{-2 mu x} w, formed in one buffer of the table's size
-    u_pow_exp = np.multiply(-2.0 * mu, x[:, :, None])
+    b = min(_CELL_BLOCK, m - 1)  # cells per block: cells 0 .. m - 2 feed later rows
+    # u_pow[c] = x^{g-1} at cell c's nodes; the b - 1 zero rows past the
+    # last cell let every block's product take whole columns
+    u_pow = np.zeros((m + b - 1, x.shape[1]))
+    np.power(x, g - 1.0, out=u_pow[:m])
+    # u_pow_exp[j, c] = u_pow e^{-2 mu_j x} w at cells c < m - 1, formed in
+    # one buffer of the table's size
+    u_pow_exp = np.multiply(-2.0 * mu[:, None, None], x[None, :m - 1])
+    del x
     # exp is 0 at and below the underflow edge, and slow there: skipped
     above = u_pow_exp > _EXP_UNDERFLOW
     np.exp(u_pow_exp, out=u_pow_exp, where=above)
     np.putmask(u_pow_exp, ~above, 0.0)
-    u_pow_exp *= u_pow[:, :, None]
-    u_pow_exp *= w.reshape(-1, 1)
-    # acc[l - 1, j] is mode j's sum of the lag-l cell integrals over the
-    # cells below the current row, added cell by cell in increasing order.
-    acc = np.zeros((k_max, mu.size))
-    for c in range(m):
-        r, k = i0 + c, min(k_max, m - c)
-        G[rows, r, r + 1:r + 1 + k] = pre[:, :k] * (first[:, :k] + acc[:k].T)
-        k = min(k_max, m - 1 - c)
-        acc[:k] += u_pow[c + 1:c + 1 + k] @ u_pow_exp[c]
+    del above
+    u_pow_exp *= u_pow[:m - 1]
+    u_pow_exp *= w.reshape(-1)
+    # acc[j, l - 1] is mode j's sum of the lag-l cell integrals over the
+    # cells below the next row, added cell by cell in increasing order.
+    k0 = min(k_max, m - 1)
+    acc = np.zeros((hi - lo, k0))
+    buf = np.empty((hi - lo) * b * (b + k0 - 1))  # every block's product, in turn
+    for c0 in range(0, m - 1, b):
+        c1 = min(c0 + b, m - 1)
+        C, K = c1 - c0, min(k_max, m - 1 - c0)  # rows i0 + c0 + 1 .. i0 + c1 have at most K lags
+        A = C + K - 1
+        # P[j, i, a] = sum_q u_pow_exp[j, c0 + i, q] u_pow[c0 + 1 + a, q], so
+        # cell c0 + i's integral at lag l is P[j, i, i + l - 1]: the lags of
+        # each cell lie along a diagonal of P, which S views as a row.
+        P = buf[:(hi - lo) * C * A].reshape(-1, A)
+        np.matmul(u_pow_exp[:, c0:c1].reshape(-1, u_pow.shape[1]), u_pow[c0 + 1:c1 + K].T, out=P)
+        S = _diagonals(P.reshape(-1, C, A), K)
+        S[:, 0] += acc[:, :K]
+        np.cumsum(S, axis=1, out=S)     # S[j, i] now sums cells up to c0 + i
+        acc = S[:, -1, :min(k_max, m - 1 - c1)].copy()
+        # rows r0 .. r0 + C - 1 have at least k lagged entries, row r0 + i
+        # n - 1 - r0 - i; first and pre apply to those alone
+        r0 = i0 + c0 + 1
+        k = min(K, n - r0 - C)
+        tri = np.arange(k, K) < (n - 1 - r0 - np.arange(C))[:, None]
+        Gv = _diagonals(G[:, r0:r0 + C, r0 + 1:], K)
+        for part, where in ((slice(0, k), True), (slice(k, K), tri)):
+            np.add(S[:, :, part], first[:, None, part], out=S[:, :, part], where=where)
+            np.multiply(S[:, :, part], pre[:, None, part], out=Gv[:, :, part], where=where)
+
+
+def _diagonals(a: np.ndarray, k: int) -> np.ndarray:
+    """View of the (B, R, *) array a whose [b, i, l] entry is a[b, i, i + l],
+    l < k, read along the rows. Entries with i + l past a row's end alias the
+    next rows; a caller reads or writes them only where it knows they are its own."""
+    s0, s1, s2 = a.strides
+    return as_strided(a, shape=(a.shape[0], a.shape[1], k), strides=(s0, s1 + s2, s2))
 
 
 def mode_cov(k: ModeKernel, s: float, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

@@ -4,25 +4,25 @@ Sampling is exact in law on the time grid: each mode's Gram matrix of true
 covariances is factorized (with an escalating-jitter Cholesky, since grids
 containing t = 0 make the matrix singular by construction) and applied to
 independent standard normals. The Grams come in stacks from
-spectral.mode_grams, finite and exactly symmetric, and each stack is
-factored in place by one stacked LAPACK call; cholesky_psd checks the
-matrices it takes from outside. Normals come from streams in format v4
-(STREAM_FORMAT): one SFC64 stream per mode, seeded by numpy's SeedSequence
-spawn rule from (master seed, mode index), read sequentially by numpy's
-ziggurat normal sampler, path after path. A mode draws normals only for its
-live indices, those of positive variance: mode_var grows with t, so they
-are a suffix of the grid, and the dead ones (t = 0, or a variance that
-underflows) stay exact zeros and draw nothing. Only the paths asked for are
-drawn, 256 paths at a time, and each such block of a group of modes with
-one live suffix goes through one stacked product by the group's live
-factor columns, packed into one contiguous stack where they fit the
-product budget. Field values are assembled from the mode values by one
-gemm per block of paths (256 of them unless a block's values would exceed
-that budget), for sample_field, its chunks and assemble_field alike. Mode
-values are held mode-major, so both products work on views of their
-buffer. Every product of a run has one shape, the last block padded with
-zero rows, so no path's values depend on how many paths are drawn or in
-what chunks.
+spectral.mode_grams as finite upper triangles, and each stack is factored
+in place by one stacked LAPACK call, which reads only those triangles;
+cholesky_psd checks the matrices it takes from outside. Normals come from
+streams in format v4 (STREAM_FORMAT): one SFC64 stream per mode, seeded by
+numpy's SeedSequence spawn rule from (master seed, mode index), read
+sequentially by numpy's ziggurat normal sampler, path after path. A mode
+draws normals only for its live indices, those of positive variance:
+mode_var grows with t, so they are a suffix of the grid, and the dead ones
+(t = 0, or a variance that underflows) stay exact zeros and draw nothing.
+Only the paths asked for are drawn, 256 paths at a time, and each such
+block of a group of modes with one live suffix goes through one stacked
+product by the group's live factor columns, packed into one contiguous
+stack where they fit the product budget. Field values are assembled from
+the mode values by one gemm per block of paths (256 of them unless a
+block's values would exceed that budget), for sample_field, its chunks and
+assemble_field alike. Mode values are held mode-major, so both products
+work on views of their buffer. Every product of a run has one shape, the
+last block padded with zero rows, so no path's values depend on how many
+paths are drawn or in what chunks.
 For a fixed numpy build and BLAS thread count output is bit-identical
 across reruns and path-count prefixes. Across BLAS thread counts it is
 bit-identical only on short grids: Gram matrices are, but LAPACK potrf
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ModeKernel, TimeGrid, gram
+from .kernel import ModeKernel, TimeGrid, gram_stacks
 from .specfun import gamma_fn, lower_incomplete_gamma
 from .spectral import EigenBasis, SpectralModel, as_points, evaluate_basis, mode_grams
 
@@ -153,12 +153,9 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
     _factor_psd, so the argument is never written. Indices with zero
     variance, wherever they sit, give zero rows and columns of the factor.
 
-    The matrix handed to LAPACK is exactly symmetric, so its transpose is
-    the same matrix. numpy copies a C-ordered input into LAPACK's
-    column-major buffer one strided column at a time, but the transposed
-    view is column-major already and is copied in contiguous runs. potrf
-    gets the same numbers either way, so at any BLAS thread count the factor
-    is bit-identical to that of the C-ordered matrix."""
+    _factor_psd reads only the upper triangle of the exactly symmetric
+    working copy, so the factor is bit-identical to that of a Gram stack
+    member holding the same upper triangle, at any BLAS thread count."""
     arr = np.asarray(arr, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -180,11 +177,18 @@ def cholesky_psd(arr: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _factor_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of the (B, n, n) stack of exactly symmetric, finite matrices,
-    which the caller gives up: the stack is overwritten. Returns the
-    (B, n, n) stack of factors and the (B,) array of jitters. Nothing is
-    checked: the Gram builder (kernel.gram_stacks) and cholesky_psd do that
-    for their matrices.
+    """Factors of the (B, n, n) stack of symmetric, finite matrices, which
+    the caller gives up: the stack is overwritten. Returns the (B, n, n)
+    stack of factors and the (B,) array of jitters. Nothing is checked: the
+    Gram builder (kernel.gram_stacks) and cholesky_psd do that for their
+    matrices.
+
+    It reads only the diagonal and upper triangle of each member, so a
+    stack of kernel.gram_stacks, whose lower triangles are zero, factors to
+    the bytes of its symmetric completion. LAPACK potrf gets the transposed
+    stack, column-major already, so numpy copies it into potrf's buffer in
+    contiguous runs, and potrf reads that buffer's lower triangle: the
+    members' upper triangles.
 
     Zero-variance indices (e.g. grid points at t = 0) factor to zero rows:
     they get a unit diagonal and no off-diagonal entries for the
@@ -198,7 +202,7 @@ def _factor_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack[dead_b, :, dead_i] = 0.0
     stack[dead_b, dead_i, dead_i] = 1.0
     try:
-        L = np.linalg.cholesky(stack.transpose(0, 2, 1))  # exactly symmetric: see cholesky_psd
+        L = np.linalg.cholesky(stack.transpose(0, 2, 1))  # reads the upper triangles
         jitter = np.zeros(len(stack))
     except np.linalg.LinAlgError:
         L, jitter = stack, np.empty(len(stack))
@@ -209,9 +213,10 @@ def _factor_psd(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jittered_factor(sym: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, float]:
-    """Factor of the exactly symmetric matrix sym, with dead rows already
-    unit, escalating a jitter on the live indices of its original diagonal
-    diag, which is written into sym's diagonal. Returns (L, jitter)."""
+    """Factor of the symmetric matrix sym, read from its upper triangle as
+    in _factor_psd, with dead rows already unit, escalating a jitter on the
+    live indices of its original diagonal diag, which is written into sym's
+    diagonal. Returns (L, jitter)."""
     live = np.flatnonzero(diag)
     jitter = 0.0
     for step in range(_MAX_JITTER_STEPS + 2):
@@ -504,10 +509,11 @@ def _inner_factor(k: ModeKernel, delta: float, fine_grid: TimeGrid) -> np.ndarra
     ModeKernel is compared by value and TimeGrid by identity, and the key
     keeps a reference to the grid; a TimeGrid's points are read-only, so a
     held factor always matches its key. A miss drops the held factor before
-    it builds the next one. The Gram is factored in place and freed, so at
-    most three n x n arrays are alive: the Gram, LAPACK's buffer and the
-    factor. The factor keeps the order n of the grid, with the t = 0 row
-    factored as a unit corner and then zeroed, as cholesky_psd does.
+    it builds the next one. The Gram, an upper triangle from
+    kernel.gram_stacks, is factored in place and freed, so at most three
+    n x n arrays are alive: the Gram, LAPACK's buffer and the factor. The
+    factor keeps the order n of the grid, with the t = 0 row factored as a
+    unit corner and then zeroed, as cholesky_psd does.
     """
     global _held_factor
     key = (k, delta, fine_grid)
@@ -520,8 +526,8 @@ def _inner_factor(k: ModeKernel, delta: float, fine_grid: TimeGrid) -> np.ndarra
             f"delta must lie in (0, gamma - 1/2) = (0, {k.gamma - 0.5}), got {delta}")
     if fine_grid.points[0] != 0.0:
         raise ValueError("the factorized sampler requires the grid to start at 0")
-    G = gram(ModeKernel(mu=k.mu, weight=k.weight, gamma=k.gamma - delta), fine_grid)
-    L = _factor_psd(G[None])[0][0]
+    (_, G), = gram_stacks(k.gamma - delta, [k.mu], [k.weight], fine_grid)
+    L = _factor_psd(G)[0][0]
     L.setflags(write=False)
     _held_factor = (key, L)
     return L

@@ -233,8 +233,11 @@ class TestFieldCov:
         monkeypatch.setattr(kernel, "_STACK_ENTRIES", 5 * grid.n ** 2)
         c = evaluate_basis(m.basis, [0.7])[0] * evaluate_basis(m.basis, [2.1])[0]
         S = np.concatenate([stack for _, stack in mode_grams(m, grid)])
+        assert np.all(np.tril(S, -1) == 0.0)  # upper triangles
         want = sum(c_j * G_j for c_j, G_j in zip(c, S))
-        assert np.array_equal(field_gram(m, grid, 0.7, 2.1), want)
+        want += np.triu(want, 1).T
+        got = field_gram(m, grid, 0.7, 2.1)
+        assert np.array_equal(got, want) and np.array_equal(got, got.T)
 
     def test_field_gram_peak_memory(self):
         # 2,049 points, one mode per stack: the sum and the Gram being built,

@@ -96,6 +96,31 @@ class TestGram:
                 want = mode_cov(k, s, t, TIGHT)
                 assert abs(G[i, j] - want) <= 1e-12 * want, (i, j)
 
+    @pytest.mark.parametrize("mu,gamma", [(30.0, 1.3), (300.0, 1.3), (1e-3, 5.0)])
+    def test_nearly_uniform_grid_matches_reference(self, mu, gamma):
+        # t_3 is 9e-13 h off 3 h, which TimeGrid.step accepts; nominal lags
+        # k h would put G[1, 3] and G[2, 3] up to 2.7e-10 relative off (mu
+        # 300), and the cell powers up to 1.3e-12 (gamma 5, mu 1e-3)
+        grid = TimeGrid(np.array([0.0, 1.0, 2.0, 3.0 + 9e-13]))
+        assert grid.step == 1.0
+        k = ModeKernel(mu=mu, weight=1.0, gamma=gamma)
+        G = gram(k, grid)
+        for i in range(1, 4):
+            for j in range(i + 1, 4):
+                want = mode_cov(k, grid.points[i], grid.points[j], TIGHT)
+                assert abs(G[i, j] - want) <= 1e-12 * want, (i, j)
+
+    @pytest.mark.parametrize("gamma,mu,grid", [
+        # the grids of the benchmark shapes, exact multiples of their step
+        (0.7, [1.0], TimeGrid.uniform(0.0, 1.0, 2048)),
+        (1.3, [1.0], TimeGrid.uniform(0.0, 1.0, 2048)),
+        (1.2, np.arange(1.0, 65.0) ** 2, TimeGrid.uniform(0.0, 5.0, 2)),
+        (1.2, np.arange(1.0, 65.0) ** 2, TimeGrid(np.array([2.5, 5.0]))),
+    ])
+    def test_exact_multiples_take_the_cell_blocks(self, gamma, mu, grid):
+        h, uniform = kernel._uniform_modes(gamma, np.asarray(mu), grid.points)
+        assert h == grid.step and uniform.all()
+
     def test_single_origin_point(self):
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.0)
         G = gram(k, TimeGrid(np.array([0.0])))
@@ -137,6 +162,21 @@ def stacked_grams(model, grid):
     return np.concatenate([S for _, S in mode_grams(model, grid)])
 
 
+def assert_upper(S):
+    """Each member of the stack S is an upper triangle: below it, exact zeros."""
+    n = S.shape[-1]
+    assert np.all(S[:, ~np.triu(np.ones((n, n), dtype=bool))] == 0.0)
+
+
+B = kernel._CELL_BLOCK
+
+
+def block_grid(n, t0):
+    """Uniform n-point grid from t0 with an exact binary step, which
+    _gram_stack builds by cell blocks."""
+    return TimeGrid(t0 + 0.0625 * np.arange(n))
+
+
 class TestModeGrams:
     """The stacks of mode_grams against the one-mode builder, mode by mode."""
 
@@ -147,23 +187,53 @@ class TestModeGrams:
         (2.0, TimeGrid.uniform(0.0, 5.0, 2)),
         (2.0, TimeGrid(np.array([0.0, 0.01, 0.3, 0.31, 1.7, 4.0]))),
         (2.0, TimeGrid(np.array([0.3, 0.35, 1.0, 2.5]))),
+        # cell-block boundaries: b - 1, b, b + 1 and 2b + 1 points, from
+        # t_0 = 0 and t_0 > 0 (test_underflow_partway_along_a_row)
+        *[(2.0, block_grid(n, t0)) for n in (B - 1, B, B + 1, 2 * B + 1) for t0 in (0.0, 0.375)],
     ])
     def test_matches_per_mode_gram(self, beta, grid, gamma):
         model = spread_model(beta=beta, gamma=gamma)
         S = stacked_grams(model, grid)
         assert S.shape == (model.J, grid.n, grid.n)
+        assert_upper(S)
         lagged = np.triu(np.ones((grid.n, grid.n), dtype=bool), 1)
         underflowed = 0
         for j in range(1, model.J + 1):
             k = mode_params(model, j)
             G = gram(k, grid)
+            assert np.array_equal(G, G.T)
+            G = np.triu(G)
             assert np.array_equal(np.diag(S[j - 1]), mode_var(k, grid.points))
-            assert np.array_equal(S[j - 1], S[j - 1].T)
             assert np.array_equal(S[j - 1] == 0.0, G == 0.0), j
             assert np.all(np.abs(S[j - 1] - G) <= 2e-15 * np.abs(G)), j
             underflowed += not np.any(G[lagged])
         # the larger decay rates underflow at every lag, the smaller at none
         assert 0 < underflowed < model.J
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    def test_underflow_partway_along_a_row(self, n):
+        # the block grids of test_matches_per_mode_gram at beta 2, mu_j = j^4:
+        # at h = 1/16 the prefactors of modes 1-3 survive every lag, those
+        # of modes 11-64 none, and those of modes 5-10 underflow partway
+        # along a row: mode 10's (mu h = 625) after lag 1, mode 5's
+        # (mu h = 39) before lag 20
+        S = stacked_grams(spread_model(beta=2.0), block_grid(n, 0.0))
+        lagged = np.count_nonzero(S[:, 1, 2:], axis=1)
+        assert np.all(lagged[:3] == n - 2) and np.all(lagged[10:] == 0)
+        assert np.all((lagged[4:10] > 0) & (lagged[4:10] < 20))
+
+    def test_peak_memory(self):
+        # the factorized sampler's 2,049-point Gram: the cell blocks' buffers
+        # are O(b n), far below the stack itself
+        grid = TimeGrid.uniform(0.0, 1.0, 2048)
+        tracemalloc.start()
+        try:
+            S = kernel._gram_stack(1.0, [1.0], [1.0], grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.shape == (1, grid.n, grid.n)
+        assert peak <= 1.05 * grid.n ** 2 * 8
 
     def test_empty_grid_rows(self):
         S = stacked_grams(spread_model(J=3), TimeGrid(np.array([0.0])))
@@ -179,7 +249,7 @@ class TestModeGrams:
         assert [(j0, len(S)) for j0, S in chunks] == [(0, 3), (3, 3), (6, 2)]
         S = np.concatenate([c for _, c in chunks])
         for j in range(1, model.J + 1):
-            G = gram(mode_params(model, j), grid)
+            G = np.triu(gram(mode_params(model, j), grid))
             assert np.all(np.abs(S[j - 1] - G) <= 2e-15 * np.abs(G)), j
         # one mode at least, however small the budget
         monkeypatch.setattr(kernel, "_STACK_ENTRIES", 1)
@@ -201,7 +271,7 @@ class TestModeGrams:
         S = stacked_grams(model, grid)
         assert sum(sizes) == 576 and max(sizes) == kernel._RULE_ENTRIES
         for j in range(1, model.J + 1):
-            G = gram(mode_params(model, j), grid)
+            G = np.triu(gram(mode_params(model, j), grid))
             assert np.all(np.abs(S[j - 1] - G) <= 2e-15 * np.abs(G)), j
 
 
@@ -212,13 +282,14 @@ def row_mirror(G):
 
 
 class TestMirrorUpper:
-    """_gram_stack's tiled mirror against a row-by-row one, across tile boundaries."""
+    """_gram_stack's upper triangles, across tile and cell-block boundaries,
+    and kernel.mirror_upper's tiled mirror of them against a row-by-row one."""
 
     T = kernel._TILE
 
-    @pytest.mark.parametrize("n", [T - 1, T, T + 1, 2 * T + 1])
+    @pytest.mark.parametrize("n", sorted({T - 1, T, T + 1, 2 * T + 1, B - 1, B, B + 1, 2 * B + 1}))
     @pytest.mark.parametrize("t0,uniform", [(0.0, True), (0.4, True), (0.0, False), (0.4, False)])
-    def test_stack_matches_row_mirror(self, monkeypatch, n, t0, uniform):
+    def test_stack_matches_row_mirror(self, n, t0, uniform):
         if uniform:
             grid = TimeGrid.uniform(t0, t0 + 2.0, n - 1)
         else:
@@ -226,12 +297,22 @@ class TestMirrorUpper:
             grid = TimeGrid(np.concatenate([[t0], t0 + np.sort(rng.uniform(0.0, 2.0, n - 1))]))
         mu, weight = [0.5, 3.0, 40.0], [1.0, 0.7, 0.2]
         S = kernel._gram_stack(1.3, mu, weight, grid)
-        monkeypatch.setattr(kernel, "_mirror_upper", row_mirror)
-        ref = kernel._gram_stack(1.3, mu, weight, grid)
         assert S.shape == (3, n, n)
-        assert S.tobytes() == ref.tobytes()
-        assert np.array_equal(S, S.transpose(0, 2, 1))
+        assert_upper(S)
+        full, ref = S.copy(), S.copy()
+        kernel.mirror_upper(full)
+        row_mirror(ref)
+        assert full.tobytes() == ref.tobytes()
+        assert np.array_equal(full, full.transpose(0, 2, 1))
         assert (t0 == 0.0) == np.all(S[:, 0] == 0.0)
+        # one mode alone: its stack is an upper triangle too, and gram
+        # mirrors it to the bit
+        one = kernel._gram_stack(1.3, mu[1:2], weight[1:2], grid)
+        assert_upper(one)
+        kernel.mirror_upper(one)
+        G = gram(ModeKernel(mu=mu[1], weight=weight[1], gamma=1.3), grid)
+        assert G.tobytes() == one.tobytes()
+        assert np.all(np.abs(one[0] - full[1]) <= 2e-15 * full[1])
 
     @pytest.mark.parametrize("n", [0, 1, 2, T - 1, T, T + 1, 2 * T + 5])
     def test_random_upper_triangles(self, n):
@@ -240,7 +321,7 @@ class TestMirrorUpper:
         U[:, ::3, 1::4] = -0.0  # signed zeros are mirrored too
         U = np.triu(U)
         S, ref = U.copy(), U.copy()
-        kernel._mirror_upper(S)
+        kernel.mirror_upper(S)
         row_mirror(ref)
         assert S.tobytes() == ref.tobytes()
 
@@ -478,6 +559,30 @@ class TestStackedFactor:
         L = cholesky_psd(S[1])[0]
         assert np.abs(L @ L.T - (S[1] + jitters[1] * np.diag(d > 0.0))).max() < 1e-12
 
+    def test_upper_triangles_factor_as_their_completion(self):
+        # _factor_psd reads only the upper triangles: a stack of them gives
+        # the bytes of its symmetric completion, and so does cholesky_psd
+        # of each completed member; with dead rows, among them a Gram's t = 0
+        # row on a grid that the stacked potrf threads, and jittered members
+        small = self.good_stack()
+        small[1] = with_dead_row(wishart(4, 6, rank=2), 0)
+        grid = TimeGrid.uniform(0.0, 2.0, 299)
+        stacks = [small, np.concatenate([small, wishart(4, 7, rank=1)[None]]),
+                  kernel._gram_stack(1.2, [0.5, 3.0], [1.0, 0.7], grid),
+                  kernel._gram_stack(8.0, [1.0], [1.0], TimeGrid.uniform(0.0, 1.0, 119))]
+        for S in stacks:
+            U = np.triu(S)
+            full = U + np.triu(U, 1).transpose(0, 2, 1)
+            L, jitter = sampler._factor_psd(U.copy())
+            L_full, jitter_full = sampler._factor_psd(full.copy())
+            assert L.tobytes() == L_full.tobytes() and jitter.tobytes() == jitter_full.tobytes()
+            for b, G in enumerate(full):
+                Lb, jb = cholesky_psd(G)
+                assert L[b].tobytes() == Lb.tobytes() and jitter[b] == jb, b
+        assert np.all(sampler._factor_psd(np.triu(stacks[1]))[1][[1, -1]] > 0.0)
+        assert np.all(sampler._factor_psd(stacks[3].copy())[1] > 0.0)
+        assert np.all(stacks[2][:, 0] == 0.0)
+
     # the one defect _factor_psd meets: every other is caught before it,
     # by cholesky_psd (TestCholeskyPsd.BAD_INPUTS) or by _gram_stack
     DEFECTS = {
@@ -685,6 +790,7 @@ def reference_modes(model, grid, n_paths, seed):
     out = np.empty((n_paths, model.J, n))
     for j0, stack in mode_grams(model, grid):
         for j, G in enumerate(stack, start=j0):
+            G = np.triu(G) + np.triu(G, 1).T  # the stacks hold upper triangles
             L = cholesky_psd(G)[0]
             live = np.flatnonzero(np.diag(G) > 0.0)
             i = live[0] if live.size else n
@@ -1113,11 +1219,11 @@ class TestFactorizedSampler:
     def test_variance_and_sample_share_one_gram(self, monkeypatch):
         calls = []
 
-        def counting_gram(k, grid):
-            calls.append(k)
-            return gram(k, grid)
+        def counting_stacks(gamma, mu, weight, grid):
+            calls.append(gamma)
+            return kernel.gram_stacks(gamma, mu, weight, grid)
 
-        monkeypatch.setattr(sampler, "gram", counting_gram)
+        monkeypatch.setattr(sampler, "gram_stacks", counting_stacks)
         sampler._held_factor = None
         k = ModeKernel(mu=1.0, weight=1.0, gamma=1.2)
         grid = TimeGrid.uniform(0.0, 1.0, 64)
